@@ -41,6 +41,7 @@ from .aniso_measure import (
     alpha_monotonicity_check,
 )
 from .cutoffs import CutoffPair, SpaceTimeTestFunction, SpatialTestFunction
+from .errors import VerificationError
 from .fields import GriddedField, SpatialVectorField
 from .weak_balance import (
     EntropyPair,

@@ -221,6 +221,19 @@ def _loglog_fit(xs, ys):
     return float(coeffs[0]), rms
 
 
+def _occupied_cells(pts: np.ndarray, delta: float, alpha: float) -> int:
+    """Number of origin-anchored lattice cells (spatial side delta, temporal
+    side delta**alpha) holding at least one of the (n, d+1) points, n >= 1.
+
+    Exact: the integer cell rows are sorted lexicographically and counted
+    where consecutive rows differ.
+    """
+    cells = np.column_stack([np.floor(pts[:, :-1] / delta),
+                             np.floor(pts[:, -1:] / delta ** alpha)]).astype(np.int64)
+    cells = cells[np.lexsort(cells.T)]
+    return 1 + int(np.count_nonzero(np.any(cells[1:] != cells[:-1], axis=1)))
+
+
 def box_counting_dimension(points, alpha, scales) -> BoxCountResult:
     """Occupied-cell counts on anisotropic lattices plus a log-log slope.
 
@@ -236,12 +249,7 @@ def box_counting_dimension(points, alpha, scales) -> BoxCountResult:
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
-    counts = []
-    for delta in scales:
-        idx = np.floor(pts[:, :-1] / delta)
-        tidx = np.floor(pts[:, -1:] / delta ** alpha)
-        cells = np.unique(np.column_stack([idx, tidx]).astype(np.int64), axis=0)
-        counts.append(int(cells.shape[0]))
+    counts = [_occupied_cells(pts, delta, alpha) for delta in scales]
     slope, rms = _loglog_fit([np.log(1.0 / s) for s in scales], counts)
     return BoxCountResult(slope, counts, rms)
 
@@ -360,10 +368,7 @@ def covering_premeasure(points, alpha, s, delta_cap) -> float:
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         return 0.0
-    idx = np.floor(pts[:, :-1] / delta_cap)
-    tidx = np.floor(pts[:, -1:] / delta_cap ** alpha)
-    n_cells = np.unique(np.column_stack([idx, tidx]).astype(np.int64), axis=0).shape[0]
-    return float(n_cells) * delta_cap ** s
+    return float(_occupied_cells(pts, delta_cap, alpha)) * delta_cap ** s
 
 
 class AlphaMonotonicityResult(NamedTuple):

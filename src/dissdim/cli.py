@@ -8,10 +8,9 @@ Subcommands:
 * ``burgers``   -- write an exact Riemann entropy solution and its dissipation measure.
 * ``vfield``    -- run the viscous solver and write field/measure/manifest.
 
-Exit codes: 0 success, 2 validation rejection (with a machine-readable error
-object on stdout), 3 numerical failure.  Identical configuration and inputs
-produce byte-identical outputs; the env var DISSDIM_THREADS caps worker
-parallelism (sweeps run sequentially, so any positive cap is honored).
+Exit codes: 0 success, 2 validation rejection, 3 numerical failure or failed
+runtime check (each failure with a machine-readable error object on stdout).
+Identical configuration and inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +29,7 @@ from . import io as dio
 from .aniso_measure import (SpaceTimePoint, box_counting_dimension, certify_lower_bound,
                             density_ladder)
 from .cutoffs import CutoffPair
+from .errors import VerificationError
 from .fixtures import (NumericalError, RiemannDatum, burgers_dissipation_measure,
                        burgers_entropy_solution, viscous_burgers_run)
 from .weak_balance import (BURGERS_PAIR, MarginError, holder_cylinder_bound)
@@ -66,19 +65,6 @@ def _parse_center(text: str, d: int):
     if len(coords) != d:
         raise CliError(f"center has {len(coords)} spatial coordinates, field has d={d}")
     return SpaceTimePoint(coords, float(t))
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("DISSDIM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"DISSDIM_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise CliError(f"DISSDIM_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 @dataclass
@@ -390,12 +376,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         return args.func(args)
     except (CliError, ex.RegimeError, dio.MalformedFileError, MarginError,
             ValueError, OSError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError, VerificationError) as exc:
         return _fail(type(exc).__name__, str(exc), 3)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aniso_measure import SpaceTimePoint
+from .errors import VerificationError
 
 __all__ = [
     "taper_profile",
@@ -207,33 +208,34 @@ class CutoffPair:
         }
 
     def validate_on_grid(self, x_nodes, t_nodes) -> None:
-        """Assert support, range and derivative bounds pointwise on sample nodes.
+        """Check support, range and derivative bounds pointwise on sample nodes.
 
-        ``x_nodes`` is an (n, d) array of spatial nodes, ``t_nodes`` a time axis.
+        ``x_nodes`` is an (n, d) array of spatial nodes, ``t_nodes`` a time axis;
+        a failed check raises VerificationError.
         """
         chi = self.chi.value(x_nodes)
         if np.any(chi < -1e-14) or np.any(chi > 1 + 1e-14):
-            raise AssertionError("spatial bump escapes [0, 1]")
+            raise VerificationError("spatial bump escapes [0, 1]")
         r = np.sqrt(np.sum((np.asarray(x_nodes) - np.asarray(self.center.x)) ** 2, axis=-1))
         if np.any(chi[r >= 2 * self.delta] != 0):
-            raise AssertionError("spatial bump support exceeds B_{2 delta}")
+            raise VerificationError("spatial bump support exceeds B_{2 delta}")
         if np.any(np.abs(chi[r <= self.delta] - 1) > 1e-14):
-            raise AssertionError("spatial bump is not 1 on B_delta")
+            raise VerificationError("spatial bump is not 1 on B_delta")
         grad = np.sqrt(np.sum(self.chi.gradient(x_nodes) ** 2, axis=-1))
         if np.any(grad > self.chi.grad_constant / self.delta * (1 + 1e-12)):
-            raise AssertionError("spatial gradient bound violated")
+            raise VerificationError("spatial gradient bound violated")
         if np.any(np.abs(self.chi.laplacian(x_nodes)) >
                   self.chi.laplacian_constant / self.delta ** 2 * (1 + 1e-12)):
-            raise AssertionError("spatial curvature bound violated")
+            raise VerificationError("spatial curvature bound violated")
         eta = self.eta.value(t_nodes)
         if np.any(eta < -1e-14) or np.any(eta > 1 + 1e-14):
-            raise AssertionError("time bump escapes [0, 1]")
+            raise VerificationError("time bump escapes [0, 1]")
         s = np.abs(np.asarray(t_nodes) - self.center.t)
         if np.any(eta[s >= self.eta.outer] != 0):
-            raise AssertionError("time bump support exceeds the 2-delta cylinder")
+            raise VerificationError("time bump support exceeds the 2-delta cylinder")
         if np.any(np.abs(self.eta.deriv(t_nodes)) >
                   self.eta.deriv_constant / self.delta ** self.alpha * (1 + 1e-12)):
-            raise AssertionError("time derivative bound violated")
+            raise VerificationError("time derivative bound violated")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import VerificationError
+
 __all__ = [
     "RegimeError",
     "IntegrabilityClass",
@@ -194,15 +196,16 @@ def euler_optimal(cls: IntegrabilityClass) -> ExponentReport:
     """Balance the two inviscid terms: alpha = q/(q-1) * (r+d)/r.
 
     Returns s = d(r-2)/r - (2/(q-1)) (r+d)/r at that alpha, specialising to
-    (s=d, alpha=1) for q = r = inf.  The two min-terms are asserted to agree
-    (exactly for rational inputs, to relative 1e-12 for floats).
+    (s=d, alpha=1) for q = r = inf.  The two min-terms are checked to agree
+    (exactly for rational inputs, to relative 1e-12 for floats); a failed
+    balance raises VerificationError.
     """
     d, q, r = cls.d, cls.q, cls.r
     alpha = _alpha_opt(d, q, r)
     report = euler_exponent(cls, alpha)
     (_, t1), (_, t2) = report.terms
     if not _close(t1, t2):
-        raise AssertionError(
+        raise VerificationError(
             f"min-terms failed to balance at alpha_opt: {t1!r} vs {t2!r}"
         )
     return report

@@ -9,8 +9,45 @@ import numpy as np
 __all__ = ["GriddedField", "SpatialVectorField"]
 
 
+def _trapezoid_weights(step: float, n: int) -> np.ndarray:
+    """Trapezoidal node weights, i.e. midpoint weights of the node-centred
+    cells clipped to the domain."""
+    w = np.full(n, step)
+    w[0] = w[-1] = step / 2
+    return w
+
+
 @dataclass
-class GriddedField:
+class _NodeGrid:
+    """The spatial node grid x_i = a + i*h on [a, b]^d, h = (b-a)/(nx-1)."""
+
+    d: int
+    a: float
+    b: float
+    nx: int
+
+    @property
+    def h(self) -> float:
+        return (self.b - self.a) / (self.nx - 1)
+
+    @property
+    def x_axis(self) -> np.ndarray:
+        return self.a + self.h * np.arange(self.nx)
+
+    def _node_mesh(self) -> np.ndarray:
+        axes = np.meshgrid(*([self.x_axis] * self.d), indexing="ij")
+        return np.stack(axes, axis=-1)
+
+    def _node_weights(self) -> np.ndarray:
+        wx = _trapezoid_weights(self.h, self.nx)
+        out = wx
+        for _ in range(self.d - 1):
+            out = np.multiply.outer(out, wx)
+        return out
+
+
+@dataclass
+class GriddedField(_NodeGrid):
     """Samples on the node grid x_i = a + i*h (per axis), t_k = k*dt.
 
     ``u`` has shape (nt, nx, ..., nx, d) with d spatial axes of length nx;
@@ -18,16 +55,11 @@ class GriddedField:
     node convention h = (b-a)/(nx-1), dt = T/(nt-1).
     """
 
-    d: int
-    a: float
-    b: float
-    nx: int
     T: float
     nt: int
     u: np.ndarray
     p: np.ndarray | None = None
     theta: np.ndarray | None = None
-    alpha_hint: float | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -52,16 +84,8 @@ class GriddedField:
             raise ValueError("u contains non-finite samples")
 
     @property
-    def h(self) -> float:
-        return (self.b - self.a) / (self.nx - 1)
-
-    @property
     def dt(self) -> float:
         return self.T / (self.nt - 1)
-
-    @property
-    def x_axis(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.nx)
 
     @property
     def t_axis(self) -> np.ndarray:
@@ -69,25 +93,15 @@ class GriddedField:
 
     def spatial_mesh(self) -> np.ndarray:
         """Node coordinates as an array of shape (nx, ..., nx, d)."""
-        axes = np.meshgrid(*([self.x_axis] * self.d), indexing="ij")
-        return np.stack(axes, axis=-1)
+        return self._node_mesh()
 
     def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Trapezoidal node weights (wx per axis, wt), i.e. midpoint weights
-        of the node-centred cells clipped to the domain."""
-        wx = np.full(self.nx, self.h)
-        wx[0] = wx[-1] = self.h / 2
-        wt = np.full(self.nt, self.dt)
-        wt[0] = wt[-1] = self.dt / 2
-        return wx, wt
+        """Trapezoidal node weights (wx per axis, wt)."""
+        return _trapezoid_weights(self.h, self.nx), _trapezoid_weights(self.dt, self.nt)
 
     def spatial_weights(self) -> np.ndarray:
         """Product quadrature weights over the spatial axes, shape (nx,)*d."""
-        wx, _ = self.axis_weights()
-        out = wx
-        for _ in range(self.d - 1):
-            out = np.multiply.outer(out, wx)
-        return out
+        return self._node_weights()
 
     def speed(self) -> np.ndarray:
         """Euclidean velocity magnitude per node, shape (nt, nx, ..., nx)."""
@@ -104,13 +118,9 @@ class GriddedField:
 
 
 @dataclass
-class SpatialVectorField:
+class SpatialVectorField(_NodeGrid):
     """A d-dimensional vector field sampled on the node grid of [a, b]^d."""
 
-    d: int
-    a: float
-    b: float
-    nx: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -119,25 +129,11 @@ class SpatialVectorField:
         if self.values.shape != expected:
             raise ValueError(f"values have shape {self.values.shape}, expected {expected}")
 
-    @property
-    def h(self) -> float:
-        return (self.b - self.a) / (self.nx - 1)
-
-    @property
-    def x_axis(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.nx)
-
     def mesh(self) -> np.ndarray:
-        axes = np.meshgrid(*([self.x_axis] * self.d), indexing="ij")
-        return np.stack(axes, axis=-1)
+        return self._node_mesh()
 
     def weights(self) -> np.ndarray:
-        wx = np.full(self.nx, self.h)
-        wx[0] = wx[-1] = self.h / 2
-        out = wx
-        for _ in range(self.d - 1):
-            out = np.multiply.outer(out, wx)
-        return out
+        return self._node_weights()
 
     def divergence(self) -> np.ndarray:
         """Finite-difference divergence on the grid."""

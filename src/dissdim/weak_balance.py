@@ -1,12 +1,16 @@
 """Weak-form energy/entropy balances tested against cutoffs on gridded fields.
 
-Every pairing below is a midpoint/trapezoid quadrature over the field's
-nodes; cutoff and test-function derivatives are analytic, field derivatives
-(only ever needed for the viscous gradient density) are centered
-differences.  Dissipation is accessed exclusively through test functions:
-testing the balance with a cutoff pair localizing a cylinder gives an upper
-estimate of the dissipation mass on that cylinder whenever the dissipation
-is non-negative.  The gap between the estimate and the true cylinder mass
+Every pairing below is one trapezoid quadrature over the field's nodes,
+made by the kernel ``_pairing``; cutoff and test-function derivatives are
+analytic, field derivatives (only ever needed for the viscous gradient
+density) are centered differences.  The kernel evaluates the field only on
+the index box of the test function's support, plus a one-node halo, and
+gives each node of the box its global quadrature weight.
+
+Dissipation is accessed exclusively through test functions: testing the
+balance with a cutoff pair localizing a cylinder gives an upper estimate of
+the dissipation mass on that cylinder whenever the dissipation is
+non-negative.  The gap between the estimate and the true cylinder mass
 is the mass in the cutoff collar (radius delta to 2*delta).
 
 The Hoelder bounds are computed with the same discrete weights as the weak
@@ -18,14 +22,15 @@ quadratures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .aniso_measure import SpaceTimePoint
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
+from .errors import VerificationError
 from .fields import GriddedField, SpatialVectorField
 
 __all__ = [
@@ -119,7 +124,7 @@ EULER_ENERGY_PAIR = _euler_pair()
 
 
 # ---------------------------------------------------------------------------
-# Grid plumbing.
+# The pairing kernel.
 # ---------------------------------------------------------------------------
 
 def _contract_space(vals: np.ndarray, weighted: np.ndarray, d: int) -> np.ndarray:
@@ -127,81 +132,163 @@ def _contract_space(vals: np.ndarray, weighted: np.ndarray, d: int) -> np.ndarra
     return np.tensordot(vals, weighted, axes=(tuple(range(1, 1 + d)), tuple(range(d))))
 
 
-def _check_time_margin(field: GriddedField, lo: float, hi: float,
-                       skip_upper: bool = False) -> None:
-    if lo < 2 * field.dt - 1e-12:
-        raise MarginError("support reaches within 2 cells of t = 0")
-    if not skip_upper and hi > field.T - 2 * field.dt + 1e-12:
-        raise MarginError("support reaches within 2 cells of t = T")
+def _halo_slice(mask: np.ndarray) -> slice:
+    """Index range of the True entries widened by one node on each side
+    (clipped to the axis); the whole axis when no entry is True."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return slice(0, mask.size)
+    return slice(max(int(idx[0]) - 1, 0), min(int(idx[-1]) + 2, mask.size))
 
 
-def _check_cutoff_margin(field: GriddedField, cutoff: CutoffPair,
-                         skip_upper_time: bool = False) -> None:
+def _equal_lengths(slices: tuple, n: int) -> tuple:
+    """Widen index ranges on axes of length n to the length of the longest one."""
+    length = max(s.stop - s.start for s in slices)
+    starts = [min(s.start, n - length) for s in slices]
+    return tuple(slice(i, i + length) for i in starts)
+
+
+def _check_vanishing(time_vals: np.ndarray, space_vals: np.ndarray, d: int, vanish) -> None:
+    """Raise MarginError unless phi vanishes on the 2-cell margins named in
+    ``vanish`` ("t0", "T", "x").  ``time_vals`` has time on axis 0 and
+    ``space_vals`` its spatial axes last: the two factors of a separable phi,
+    or a sampled phi twice."""
+    t_scale = max(float(np.abs(time_vals).max()), SUPPORT_TOL)
+    x_scale = max(float(np.abs(space_vals).max()), SUPPORT_TOL)
+    if "t0" in vanish and np.abs(time_vals[:2]).max() > SUPPORT_TOL * t_scale:
+        raise MarginError("test function does not vanish on the first 2 time cells")
+    if "T" in vanish and np.abs(time_vals[-2:]).max() > SUPPORT_TOL * t_scale:
+        raise MarginError("test function does not vanish on the last 2 time cells")
+    if "x" in vanish:
+        for axis in range(space_vals.ndim - d, space_vals.ndim):
+            edge = np.take(space_vals, [0, 1, -2, -1], axis=axis)
+            if np.abs(edge).max() > SUPPORT_TOL * x_scale:
+                raise MarginError("test function does not vanish on a 2-cell spatial margin")
+
+
+class _Window:
+    """A test function phi and the field samples on the index box of phi's support.
+
+    For a SpaceTimeTestFunction the box is the smallest index box holding
+    every node where a factor of phi or one of its derivatives is nonzero,
+    widened by a one-node halo and then to equal spatial sides; a sampled phi
+    (space-time array, centered difference derivatives) takes the whole grid.
+    The halo makes centered differences on the box equal to the global ones
+    wherever phi is nonzero, and it holds the support's boundary nodes, where
+    the Hoelder masks are closed.  Nodes keep their global trapezoid weights,
+    so a quadrature over the box is the full-grid quadrature summed in
+    another order.  ``local`` holds the box's samples as a GriddedField of
+    the same spacings whose coordinates start at 0 (its h can differ from
+    the global one in the last bit); the window's own ``mesh`` and
+    ``t_axis`` carry the global coordinates.
+
+    phi = h_val * x_val, dphi/dt = h_dt * x_dt, grad phi = h_val * x_grad and
+    lap phi = h_val * x_lap: the h_* are time vectors on the box, the x_*
+    spatial arrays with a leading time axis (of length 1 when phi is
+    separable).
+    """
+
+    def __init__(self, field: GriddedField, phi, vanish=("t0", "T", "x")):
+        d = field.d
+        self.d = d
+        mesh = field.spatial_mesh()
+        if isinstance(phi, SpaceTimeTestFunction):
+            t = field.t_axis
+            X, grad = phi.space.value(mesh), phi.space.gradient(mesh)
+            lap = phi.space.laplacian(mesh)
+            H, dH = phi.time.value(t), phi.time.deriv(t)
+            _check_vanishing(H, X, d, vanish)
+            nonzero = (X != 0) | np.any(grad != 0, axis=-1) | (lap != 0)
+            self.t = _halo_slice((H != 0) | (dH != 0))
+            self.x = _equal_lengths(
+                tuple(_halo_slice(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
+                      for i in range(d)), field.nx)
+            self.h_val, self.h_dt = H[self.t], dH[self.t]
+            self.x_val, self.x_grad, self.x_lap = (arr[self.x][None] for arr in (X, grad, lap))
+            self.x_dt = self.x_val
+        else:
+            phi = np.asarray(phi, dtype=float)
+            if phi.shape != (field.nt,) + (field.nx,) * d:
+                raise ValueError(f"sampled phi has shape {phi.shape}, expected field scalar shape")
+            _check_vanishing(phi, phi, d, vanish)
+            self.t, self.x = slice(0, field.nt), (slice(0, field.nx),) * d
+            self.h_val = self.h_dt = np.ones(field.nt)
+            self.x_val = phi
+            self.x_dt = np.gradient(phi, field.dt, axis=0)
+            grads = [np.gradient(phi, field.h, axis=1 + i) for i in range(d)]
+            self.x_grad = np.stack(grads, axis=-1)
+            self.x_lap = sum(np.gradient(g, field.h, axis=1 + i) for i, g in enumerate(grads))
+        box = (self.t,) + self.x
+        self.mesh = mesh[self.x]
+        self.t_axis = field.t_axis[self.t]
+        self.wsp = field.spatial_weights()[self.x]
+        self.wt = field.axis_weights()[1][self.t]
+        n, nt = self.x[0].stop - self.x[0].start, self.t.stop - self.t.start
+        self.local = GriddedField(
+            d, 0.0, (n - 1) * field.h, n, (nt - 1) * field.dt, nt, field.u[box],
+            None if field.p is None else field.p[box],
+            None if field.theta is None else field.theta[box])
+
+    def quad(self, vals: np.ndarray, time: np.ndarray) -> float:
+        """Space-time quadrature of vals * time over the box."""
+        return float(np.sum(self.wt * time * _contract_space(vals, self.wsp, self.d)))
+
+    @functools.cached_property
+    def grad_squared(self) -> np.ndarray:
+        return self.local.grad_squared()
+
+    def grad_mass(self, nu: float) -> float:
+        """Quadrature of nu * |grad u|^2 * phi."""
+        return nu * self.quad(self.grad_squared * self.x_val, self.h_val)
+
+
+class _Pairing(NamedTuple):
+    terms: dict
+    terminal: float
+    window: _Window
+
+
+def _pairing(field: GriddedField, phi, density: Callable, fluxes: dict, nu: float = 0.0,
+             vanish=("t0", "T", "x")) -> _Pairing:
+    """The one test-function pairing behind every weak balance.
+
+    With eta = density(u, p, theta) and Q_k = fluxes[k](u, p, theta):
+
+        terms["I"] = quadrature of eta * dphi/dt
+        terms[k]   = quadrature of Q_k . grad(phi)      (one entry per flux)
+        terms["IV"] = quadrature of nu * eta * lap(phi)  (nu > 0)
+        terminal   = spatial quadrature of eta(., T) * phi(., T)
+
+    all evaluated on the support window of phi (see ``_Window``), which is
+    returned too: ``window.grad_mass(nu)`` is the quadrature of
+    nu * |grad u|^2 * phi.
+    """
+    win = _Window(field, phi, vanish)
+    f = win.local
+    eta = density(f.u, f.p, f.theta)
+    terms = {"I": win.quad(eta * win.x_dt, win.h_dt)}
+    for name, flux in fluxes.items():
+        q = flux(f.u, f.p, f.theta)
+        terms[name] = win.quad(np.einsum("...i,...i->...", q, win.x_grad), win.h_val)
+    if nu > 0:
+        terms["IV"] = nu * win.quad(eta * win.x_lap, win.h_val)
+    terminal = 0.0
+    if win.t.stop == field.nt:
+        terminal = float(np.sum(win.wsp * eta[-1] * (win.x_val[-1] * win.h_val[-1])))
+    return _Pairing(terms, terminal, win)
+
+
+def _check_cutoff_margin(field: GriddedField, cutoff: CutoffPair) -> None:
     two_delta = 2 * cutoff.delta
     for c in cutoff.center.x:
         if c - two_delta < field.a + 2 * field.h - 1e-12 or \
            c + two_delta > field.b - 2 * field.h + 1e-12:
             raise MarginError("cylinder collar reaches within 2 cells of the spatial boundary")
     outer = cutoff.eta.outer
-    _check_time_margin(field, cutoff.center.t - outer, cutoff.center.t + outer,
-                       skip_upper=skip_upper_time)
-
-
-def _phi_factors(field: GriddedField, phi):
-    """Evaluate a test function on the grid.
-
-    A SpaceTimeTestFunction yields a separable bundle (spatial arrays plus
-    time vectors, derivatives analytic); a sampled array yields full
-    space-time arrays with centered-difference derivatives.
-    """
-    if isinstance(phi, SpaceTimeTestFunction):
-        mesh = field.spatial_mesh()
-        t = field.t_axis
-        return {
-            "separable": True,
-            "X": phi.space.value(mesh),
-            "gradX": phi.space.gradient(mesh),
-            "lapX": phi.space.laplacian(mesh),
-            "H": phi.time.value(t),
-            "dH": phi.time.deriv(t),
-        }
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (field.nt,) + (field.nx,) * field.d:
-        raise ValueError(f"sampled phi has shape {phi.shape}, expected field scalar shape")
-    dphi_dt = np.gradient(phi, field.dt, axis=0)
-    grads = np.stack(
-        [np.gradient(phi, field.h, axis=1 + i) for i in range(field.d)], axis=-1
-    )
-    return {"separable": False, "phi": phi, "dphi_dt": dphi_dt, "grad": grads}
-
-
-def _phi_support_check(field: GriddedField, bundle, skip_upper_time=False,
-                       skip_spatial=False) -> None:
-    if bundle["separable"]:
-        H, X = bundle["H"], bundle["X"]
-        h_scale = max(float(np.abs(H).max()), SUPPORT_TOL)
-        x_scale = max(float(np.abs(X).max()), SUPPORT_TOL)
-        if np.abs(H[:2]).max() > SUPPORT_TOL * h_scale:
-            raise MarginError("test function does not vanish on the first 2 time cells")
-        if not skip_upper_time and np.abs(H[-2:]).max() > SUPPORT_TOL * h_scale:
-            raise MarginError("test function does not vanish on the last 2 time cells")
-        if not skip_spatial:
-            for axis in range(field.d):
-                edge = np.take(X, [0, 1, -2, -1], axis=axis)
-                if np.abs(edge).max() > SUPPORT_TOL * x_scale:
-                    raise MarginError("test function does not vanish on a 2-cell spatial margin")
-        return
-    phi = bundle["phi"]
-    scale = max(float(np.abs(phi).max()), SUPPORT_TOL)
-    if np.abs(phi[:2]).max() > SUPPORT_TOL * scale:
-        raise MarginError("test function does not vanish on the first 2 time cells")
-    if not skip_upper_time and np.abs(phi[-2:]).max() > SUPPORT_TOL * scale:
-        raise MarginError("test function does not vanish on the last 2 time cells")
-    if not skip_spatial:
-        for axis in range(1, 1 + field.d):
-            edge = np.take(phi, [0, 1, -2, -1], axis=axis)
-            if np.abs(edge).max() > SUPPORT_TOL * scale:
-                raise MarginError("test function does not vanish on a 2-cell spatial margin")
+    if cutoff.center.t - outer < 2 * field.dt - 1e-12:
+        raise MarginError("support reaches within 2 cells of t = 0")
+    if cutoff.center.t + outer > field.T - 2 * field.dt + 1e-12:
+        raise MarginError("support reaches within 2 cells of t = T")
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +303,8 @@ def entropy_production(field: GriddedField, pair: EntropyPair, phi) -> float:
     on smooth exact solutions, and must be >= -tolerance when phi >= 0 and
     the dissipation is non-negative.
     """
-    bundle = _phi_factors(field, phi)
-    _phi_support_check(field, bundle)
-    eta = pair.eta_fn(field.u, field.p, field.theta)
-    q = pair.q_fn(field.u, field.p, field.theta)
-    wsp = field.spatial_weights()
-    _, wt = field.axis_weights()
-    d = field.d
-    if bundle["separable"]:
-        a_time = _contract_space(eta, wsp * bundle["X"], d)
-        flux = np.einsum("t...i,...i->t...", q, bundle["gradX"])
-        b_time = _contract_space(flux, wsp, d)
-        return float(np.sum(wt * (a_time * bundle["dH"] + b_time * bundle["H"])))
-    term_a = _contract_space(eta * bundle["dphi_dt"], wsp, d)
-    flux = np.einsum("t...i,t...i->t...", q, bundle["grad"])
-    term_b = _contract_space(flux, wsp, d)
-    return float(np.sum(wt * (term_a + term_b)))
+    terms = _pairing(field, phi, pair.eta_fn, {"II": pair.q_fn}).terms
+    return terms["I"] + terms["II"]
 
 
 # ---------------------------------------------------------------------------
@@ -285,60 +358,43 @@ class BalanceReport:
         }
 
 
-def _cutoff_grid_data(field: GriddedField, cutoff: CutoffPair):
-    mesh = field.spatial_mesh()
-    t = field.t_axis
-    return {
-        "chi": cutoff.chi.value(mesh),
-        "grad_chi": cutoff.chi.gradient(mesh),
-        "lap_chi": cutoff.chi.laplacian(mesh),
-        "eta_t": cutoff.eta.value(t),
-        "deta_t": cutoff.eta.deriv(t),
-        "mesh": mesh,
-    }
+# the Euler energy flux split into its cubic velocity part (II) and its pressure part (III)
+_EULER_FLUXES = {
+    "II": lambda u, p, theta: u * (0.5 * np.sum(u ** 2, axis=-1))[..., None],
+    "III": lambda u, p, theta: u * p[..., None],
+}
 
 
-def _balance_terms(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair,
-                   with_pressure: bool, nu: float, data=None) -> dict:
-    """The cutoff-tested integrals I (time cutoff), II (flux), III (pressure
-    flux, Euler only), IV (viscous flux)."""
-    data = data or _cutoff_grid_data(field, cutoff)
-    wsp = field.spatial_weights()
-    _, wt = field.axis_weights()
-    d = field.d
-    eta_vals = pair.eta_fn(field.u, field.p, field.theta)
+def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair,
+                   fluxes: dict, nu: float):
+    """Test the balance with chi(x)*eta(t); returns the report and the window.
 
-    term_i = float(np.sum(wt * data["deta_t"] *
-                          _contract_space(eta_vals, wsp * data["chi"], d)))
-    terms = {"I": term_i}
-    if with_pressure:
-        # split the flux into the cubic velocity part and the pressure part
-        speed2 = np.sum(field.u ** 2, axis=-1)
-        u_dot_gchi = np.einsum("t...i,...i->t...", field.u, data["grad_chi"])
-        terms["II"] = float(np.sum(wt * data["eta_t"] *
-                                   _contract_space(0.5 * speed2 * u_dot_gchi, wsp, d)))
-        terms["III"] = float(np.sum(wt * data["eta_t"] *
-                                    _contract_space(field.p * u_dot_gchi, wsp, d)))
-    else:
-        q_vals = pair.q_fn(field.u, field.p, field.theta)
-        flux = np.einsum("t...i,...i->t...", q_vals, data["grad_chi"])
-        terms["II"] = float(np.sum(wt * data["eta_t"] * _contract_space(flux, wsp, d)))
+    With nu > 0 the report also carries nu*|grad u|^2 paired with the cutoff
+    and summed over the strict cylinder |x - c| < delta, |t - t0| < delta**alpha.
+    """
+    _check_cutoff_margin(field, cutoff)
+    res = _pairing(field, SpaceTimeTestFunction(cutoff.chi, cutoff.eta), pair.eta_fn,
+                   fluxes, nu)
+    win = res.window
+    grad_cut = grad_cyl = None
     if nu > 0:
-        terms["IV"] = float(nu * np.sum(wt * data["eta_t"] *
-                                        _contract_space(eta_vals * data["lap_chi"], wsp, d)))
-    return terms
+        r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
+        inside_t = np.abs(win.t_axis - cutoff.center.t) < cutoff.delta ** cutoff.alpha
+        grad_cut = win.grad_mass(nu)
+        grad_cyl = nu * win.quad(win.grad_squared * (r2 < cutoff.delta ** 2), inside_t)
+    report = BalanceReport(
+        center=cutoff.center.x, t_center=cutoff.center.t, delta=cutoff.delta,
+        alpha=cutoff.alpha, terms=res.terms, weak_mass=sum(res.terms.values()),
+        constants=cutoff.constants, grad_mass_cutoff=grad_cut, grad_mass_cylinder=grad_cyl,
+        nu=nu if nu > 0 else None, pair_label=pair.label,
+    )
+    return report, win
 
 
 def pair_weak_mass(field: GriddedField, pair: EntropyPair, cutoff: CutoffPair) -> BalanceReport:
     """Cutoff-tested entropy balance: upper estimate of the dissipation mass
     on the cutoff's cylinder for non-negative dissipation."""
-    _check_cutoff_margin(field, cutoff)
-    terms = _balance_terms(field, cutoff, pair, with_pressure=False, nu=0.0)
-    return BalanceReport(
-        center=cutoff.center.x, t_center=cutoff.center.t, delta=cutoff.delta,
-        alpha=cutoff.alpha, terms=terms, weak_mass=sum(terms.values()),
-        constants=cutoff.constants, pair_label=pair.label,
-    )
+    return _cutoff_report(field, cutoff, pair, {"II": pair.q_fn}, 0.0)[0]
 
 
 def euler_weak_mass(field: GriddedField, cutoff: CutoffPair) -> BalanceReport:
@@ -349,13 +405,7 @@ def euler_weak_mass(field: GriddedField, cutoff: CutoffPair) -> BalanceReport:
     """
     if field.p is None:
         raise ValueError("euler_weak_mass requires a pressure field")
-    _check_cutoff_margin(field, cutoff)
-    terms = _balance_terms(field, cutoff, EULER_ENERGY_PAIR, with_pressure=True, nu=0.0)
-    return BalanceReport(
-        center=cutoff.center.x, t_center=cutoff.center.t, delta=cutoff.delta,
-        alpha=cutoff.alpha, terms=terms, weak_mass=sum(terms.values()),
-        constants=cutoff.constants, pair_label="euler_energy",
-    )
+    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, _EULER_FLUXES, 0.0)[0]
 
 
 def ns_weak_mass(field: GriddedField, cutoff: CutoffPair, nu: float) -> BalanceReport:
@@ -370,30 +420,7 @@ def ns_weak_mass(field: GriddedField, cutoff: CutoffPair, nu: float) -> BalanceR
         raise ValueError("ns_weak_mass requires a pressure field")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu!r}")
-    _check_cutoff_margin(field, cutoff)
-    data = _cutoff_grid_data(field, cutoff)
-    terms = _balance_terms(field, cutoff, EULER_ENERGY_PAIR, with_pressure=True,
-                           nu=nu, data=data)
-    grad_cut, grad_cyl = _grad_masses(field, cutoff, nu, data)
-    return BalanceReport(
-        center=cutoff.center.x, t_center=cutoff.center.t, delta=cutoff.delta,
-        alpha=cutoff.alpha, terms=terms, weak_mass=sum(terms.values()),
-        constants=cutoff.constants, grad_mass_cutoff=grad_cut,
-        grad_mass_cylinder=grad_cyl, nu=nu, pair_label="euler_energy",
-    )
-
-
-def _grad_masses(field: GriddedField, cutoff: CutoffPair, nu: float, data):
-    g2 = field.grad_squared()
-    wsp = field.spatial_weights()
-    _, wt = field.axis_weights()
-    d = field.d
-    cut = nu * float(np.sum(wt * data["eta_t"] * _contract_space(g2, wsp * data["chi"], d)))
-    r2 = np.sum((data["mesh"] - np.asarray(cutoff.center.x)) ** 2, axis=-1)
-    inside_sp = (r2 < cutoff.delta ** 2).astype(float)
-    inside_t = (np.abs(field.t_axis - cutoff.center.t) < cutoff.delta ** cutoff.alpha)
-    cyl = nu * float(np.sum(wt * inside_t * _contract_space(g2, wsp * inside_sp, d)))
-    return cut, cyl
+    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, _EULER_FLUXES, nu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +444,16 @@ def _weighted_pnorm(vals: np.ndarray, weights: np.ndarray, p) -> float:
     return float(np.sum(weights * vals ** p) ** (1.0 / p))
 
 
-def _mixed_norm(field: GriddedField, vals: np.ndarray, q, r,
+def _mixed_norm(win: _Window, vals: np.ndarray, q, r,
                 smask: np.ndarray, tmask: np.ndarray) -> float:
-    """Discrete L^q_t L^r_x norm of |vals| over a space-time window."""
-    wsp = field.spatial_weights()
-    flat = vals.reshape(field.nt, -1)[:, smask.ravel()]
-    w = wsp.ravel()[smask.ravel()]
+    """Discrete L^q_t L^r_x norm of |vals| over the masked part of a window."""
+    flat = vals.reshape(vals.shape[0], -1)[:, smask.ravel()]
+    w = win.wsp.ravel()[smask.ravel()]
     if r == math.inf:
-        g = np.max(flat, axis=1) if flat.shape[1] else np.zeros(field.nt)
+        g = np.max(flat, axis=1) if flat.shape[1] else np.zeros(vals.shape[0])
     else:
         g = np.sum(w * flat ** r, axis=1) ** (1.0 / r)
-    _, wt = field.axis_weights()
-    return _weighted_pnorm(g[tmask], wt[tmask], q)
+    return _weighted_pnorm(g[tmask], win.wt[tmask], q)
 
 
 def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
@@ -439,12 +464,14 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     2*delta collar and assembles the term-by-term bound using the realized
     cutoff quadratures -- all Hoelder steps carry constant 1, so the weak
     mass is dominated by the bound as an exact discrete inequality, which is
-    asserted.  Exponent bookkeeping per term:
+    checked (VerificationError when it fails).  Exponent bookkeeping per term:
 
         |I|   <= c_eta * ||u||^2_{LqLr} * ||chi||_{r/(r-2)} * ||eta'||_{q/(q-2)}
         |II|  <= c_Q   * ||u||^3_{LqLr} * ||grad chi||_{r/(r-3)} * ||eta||_{q/(q-3)}
         |III| <=         ||p|| * ||u||  * ||grad chi||_{r/(r-3)} * ||eta||_{q/(q-3)}
         |IV|  <= c_eta * nu * ||u||^2   * ||lap chi||_{r/(r-2)}  * ||eta||_{q/(q-2)}
+
+    The norms are masked reductions over the same window as the weak mass.
     """
     for name, value in (("q", q), ("r", r)):
         if value < 3:
@@ -453,30 +480,25 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         pair = EULER_ENERGY_PAIR if field.p is not None else BURGERS_PAIR
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
         raise ValueError(f"pair {pair.label!r} lacks the growth coefficients for a bound")
-    with_pressure = pair.label == "euler_energy"
-    if with_pressure and field.p is None:
+    fluxes = _EULER_FLUXES if pair.label == "euler_energy" else {"II": pair.q_fn}
+    if "III" in fluxes and field.p is None:
         raise ValueError("euler-mode bound requires a pressure field")
-    _check_cutoff_margin(field, cutoff)
+    report, win = _cutoff_report(field, cutoff, pair, fluxes, nu)
 
-    data = _cutoff_grid_data(field, cutoff)
-    terms = _balance_terms(field, cutoff, pair, with_pressure=with_pressure, nu=nu, data=data)
-    weak_mass = sum(terms.values())
-
-    r2 = np.sum((data["mesh"] - np.asarray(cutoff.center.x)) ** 2, axis=-1)
+    r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
     smask = r2 <= (2 * cutoff.delta) ** 2
-    tmask = np.abs(field.t_axis - cutoff.center.t) <= cutoff.eta.outer
-    speed = field.speed()
-    u_norm = _mixed_norm(field, speed, q, r, smask, tmask)
+    tmask = np.abs(win.t_axis - cutoff.center.t) <= cutoff.eta.outer
+    u_norm = _mixed_norm(win, win.local.speed(), q, r, smask, tmask)
 
-    wsp = field.spatial_weights()
-    _, wt = field.axis_weights()
-    w_s = wsp[smask]
-    w_t = wt[tmask]
-    n_chi = _weighted_pnorm(data["chi"][smask], w_s, _ratio(r, 2))
-    gmag = np.sqrt(np.sum(data["grad_chi"] ** 2, axis=-1))
+    w_s = win.wsp[smask]
+    w_t = win.wt[tmask]
+    # tapers can round to tiny negative values near their outer edge
+    chi, eta_t = np.abs(win.x_val[0])[smask], np.abs(win.h_val)[tmask]
+    n_chi = _weighted_pnorm(chi, w_s, _ratio(r, 2))
+    gmag = np.sqrt(np.sum(win.x_grad[0] ** 2, axis=-1))
     n_gchi = _weighted_pnorm(gmag[smask], w_s, _ratio(r, 3))
-    n_eta = _weighted_pnorm(data["eta_t"][tmask], w_t, _ratio(q, 3))
-    n_deta = _weighted_pnorm(np.abs(data["deta_t"])[tmask], w_t, _ratio(q, 2))
+    n_eta = _weighted_pnorm(eta_t, w_t, _ratio(q, 3))
+    n_deta = _weighted_pnorm(np.abs(win.h_dt)[tmask], w_t, _ratio(q, 2))
 
     bound_terms = {
         "I": pair.eta_quad_coeff * u_norm ** 2 * n_chi * n_deta,
@@ -484,32 +506,25 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     }
     norms = {"u_LqLr": u_norm, "chi": n_chi, "grad_chi": n_gchi,
              "eta_t": n_eta, "deta_t": n_deta}
-    if with_pressure:
-        p_norm = _mixed_norm(field, np.abs(field.p),
+    if "III" in fluxes:
+        p_norm = _mixed_norm(win, np.abs(win.local.p),
                              q / 2 if q != math.inf else math.inf,
                              r / 2 if r != math.inf else math.inf, smask, tmask)
         bound_terms["III"] = p_norm * u_norm * n_gchi * n_eta
         norms["p_Lq2Lr2"] = p_norm
-    grad_cut = grad_cyl = None
     if nu > 0:
-        n_lchi = _weighted_pnorm(np.abs(data["lap_chi"])[smask], w_s, _ratio(r, 2))
-        n_eta2 = _weighted_pnorm(data["eta_t"][tmask], w_t, _ratio(q, 2))
+        n_lchi = _weighted_pnorm(np.abs(win.x_lap[0])[smask], w_s, _ratio(r, 2))
+        n_eta2 = _weighted_pnorm(eta_t, w_t, _ratio(q, 2))
         bound_terms["IV"] = pair.eta_quad_coeff * nu * u_norm ** 2 * n_lchi * n_eta2
         norms["lap_chi"] = n_lchi
-        grad_cut, grad_cyl = _grad_masses(field, cutoff, nu, data)
 
     bound = sum(bound_terms.values())
-    if weak_mass > bound * (1 + DOMINANCE_TOL) + 1e-300:
-        raise AssertionError(
-            f"discrete dominance failed: weak_mass {weak_mass!r} > bound {bound!r}"
+    if report.weak_mass > bound * (1 + DOMINANCE_TOL) + 1e-300:
+        raise VerificationError(
+            f"discrete dominance failed: weak_mass {report.weak_mass!r} > bound {bound!r}"
         )
-    return BalanceReport(
-        center=cutoff.center.x, t_center=cutoff.center.t, delta=cutoff.delta,
-        alpha=cutoff.alpha, terms=terms, weak_mass=weak_mass, holder_bound=bound,
-        local_norms=norms, constants=cutoff.constants,
-        grad_mass_cutoff=grad_cut, grad_mass_cylinder=grad_cyl, q=q, r=r,
-        nu=nu if nu > 0 else None, pair_label=pair.label,
-    )
+    report.holder_bound, report.local_norms, report.q, report.r = bound, norms, q, r
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -536,50 +551,14 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
         if field.p is None:
             raise ValueError("no pressure present: pass an explicit entropy pair")
         pair = EULER_ENERGY_PAIR
-    bundle = _phi_factors(field, phi)
-    _phi_support_check(field, bundle, skip_upper_time=True,
-                       skip_spatial=allow_spatial_boundary)
-    eta = pair.eta_fn(field.u, field.p, field.theta)
-    q_vals = pair.q_fn(field.u, field.p, field.theta)
-    wsp = field.spatial_weights()
-    _, wt = field.axis_weights()
-    d = field.d
-    if bundle["separable"]:
-        a_time = _contract_space(eta, wsp * bundle["X"], d)
-        flux = np.einsum("t...i,...i->t...", q_vals, bundle["gradX"])
-        b_time = _contract_space(flux, wsp, d)
-        interior = float(np.sum(wt * (a_time * bundle["dH"] + b_time * bundle["H"])))
-        if nu > 0:
-            c_time = _contract_space(eta, wsp * bundle["lapX"], d)
-            interior += float(nu * np.sum(wt * c_time * bundle["H"]))
-        phi_terminal = bundle["X"] * bundle["H"][-1]
-    else:
-        term_a = _contract_space(eta * bundle["dphi_dt"], wsp, d)
-        flux = np.einsum("t...i,t...i->t...", q_vals, bundle["grad"])
-        term_b = _contract_space(flux, wsp, d)
-        interior = float(np.sum(wt * (term_a + term_b)))
-        if nu > 0:
-            lap = np.zeros_like(bundle["phi"])
-            for axis in range(d):
-                g = np.gradient(bundle["phi"], field.h, axis=1 + axis)
-                lap += np.gradient(g, field.h, axis=1 + axis)
-            interior += float(nu * np.sum(wt * _contract_space(eta * lap, wsp, d)))
-        phi_terminal = bundle["phi"][-1]
-    terminal = float(np.sum(wsp * eta[-1] * phi_terminal))
-    return interior, terminal
+    vanish = ("t0",) if allow_spatial_boundary else ("t0", "x")
+    res = _pairing(field, phi, pair.eta_fn, {"II": pair.q_fn}, nu, vanish)
+    return sum(res.terms.values()), res.terminal
 
 
 def grad_squared_pairing(field: GriddedField, phi, nu: float) -> float:
     """Quadrature of nu * |grad u|^2 against a test function."""
-    bundle = _phi_factors(field, phi)
-    g2 = field.grad_squared()
-    wsp = field.spatial_weights()
-    _, wt = field.axis_weights()
-    d = field.d
-    if bundle["separable"]:
-        series = _contract_space(g2, wsp * bundle["X"], d)
-        return float(nu * np.sum(wt * series * bundle["H"]))
-    return float(nu * np.sum(wt * _contract_space(g2 * bundle["phi"], wsp, d)))
+    return _Window(field, phi, vanish=()).grad_mass(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +641,7 @@ def signed_support_bound(v_field: SpatialVectorField, covering, phi, r,
     pairing = abs(float(np.sum(w * (v_dot_gphi * chi + v_dot_gchi * phi_vals))))
     full_pairing = abs(float(np.sum(w * v_dot_gphi)))
     if pairing > bound_i + bound_ii + DOMINANCE_TOL * (1 + bound_i + bound_ii):
-        raise AssertionError("triangle inequality failed in the covering estimate")
+        raise VerificationError("triangle inequality failed in the covering estimate")
 
     support = chi > 0
     vmag = np.sqrt(np.sum(v ** 2, axis=-1))

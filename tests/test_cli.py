@@ -149,6 +149,18 @@ class TestVerifyCommand:
         assert data["skipped"] >= 1
         assert data["rows"] + data["skipped"] == 4
 
+    def test_failed_dominance_check_exit_3(self, shock_files, capsys, monkeypatch):
+        # a negative tolerance makes every positive weak mass "exceed" its bound
+        from dissdim import weak_balance as wb
+        monkeypatch.setattr(wb, "DOMINANCE_TOL", -2.0)
+        field_path, _ = shock_files
+        code, data = run_json(["verify", "--input", field_path, "--pair", "burgers",
+                               "--center", "0.0:0.5", "--delta-max", "0.125",
+                               "--count", "3"], capsys)
+        assert code == 3
+        assert data["error"]["type"] == "VerificationError"
+        assert "dominance" in data["error"]["message"]
+
     def test_viscous_mode_emits_morrey_column(self, capsys, tmp_path):
         nu = 2e-3
         hw, h = 30 * nu, 0.05 * nu
@@ -212,15 +224,6 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
-
-    def test_thread_cap_env(self, shock_files, capsys, monkeypatch):
-        _, measure_path = shock_files
-        monkeypatch.setenv("DISSDIM_THREADS", "4")
-        code, _ = run_json(["dimension", "--input", measure_path], capsys)
-        assert code == 0
-        monkeypatch.setenv("DISSDIM_THREADS", "zero")
-        code, data = run_json(["dimension", "--input", measure_path], capsys)
-        assert code == 2
 
     def test_missing_file_exit_2(self, capsys):
         code, data = run_json(["dimension", "--input", "/does/not/exist"], capsys)
