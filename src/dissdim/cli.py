@@ -130,6 +130,9 @@ def cmd_exponents(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dimension(args) -> int:
+    for flag, value in (("--top-k", args.top_k), ("--sample-centers", args.sample_centers)):
+        if value is not None and value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value!r}")
     mu = dio.read_measure(args.input)
     points = mu.support_points()
     if points.shape[0] == 0:
@@ -180,6 +183,8 @@ def cmd_dimension(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.nu is not None and not args.nu >= 0:
+        raise CliError(f"--nu must be non-negative, got {args.nu!r}")
     field = dio.read_field(args.input)
     q = _parse_number(args.q)
     r = _parse_number(args.r)
@@ -194,6 +199,7 @@ def cmd_verify(args) -> int:
 
     rows = []
     skipped = 0
+    time_unresolved = 0   # rows whose eta is nonzero at < 2 time nodes: term I is 0
     for center in centers:
         for delta in scales:
             cutoff = CutoffPair.build(center, delta, args.alpha)
@@ -204,6 +210,7 @@ def cmd_verify(args) -> int:
                 skipped += 1
                 continue
             rows.append((center, delta, rep))
+            time_unresolved += int(np.count_nonzero(cutoff.eta.value(field.t_axis)) < 2)
     if not rows:
         raise CliError("every sweep point violated the grid margins")
 
@@ -243,6 +250,7 @@ def cmd_verify(args) -> int:
         "nu": args.nu,
         "rows": len(rows),
         "skipped": skipped,
+        "time_unresolved": time_unresolved,
         "all_bounded": all(bounded),
         "weak_mass_slope": slope,
     })

@@ -18,7 +18,8 @@ results while floats yield floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .errors import VerificationError
 
@@ -307,8 +308,6 @@ def case1_optimal_r(d: int):
     """The space exponent 3d/(d-1) at which the uniform-in-time case peaks."""
     if not isinstance(d, int) or d < 2:
         raise RegimeError(f"requires integer d >= 2, got {d!r}")
-    from fractions import Fraction
-
     return Fraction(3 * d, d - 1)
 
 
@@ -339,11 +338,7 @@ def case_numerology(d: int, case: str, param=None) -> ExponentReport:
 
     if case == CASE_BESOV_13:
         base = euler_optimal(IntegrabilityClass(d, math.inf, case1_optimal_r(d)))
-        return ExponentReport(
-            s=base.s, alpha=base.alpha, terms=base.terms, regime=base.regime,
-            convention_applied=base.convention_applied, d=base.d, q=base.q, r=base.r,
-            vacuous=base.vacuous, endpoint_limit=True,
-        )
+        return replace(base, endpoint_limit=True)
 
     if case == CASE_SOBOLEV_BETA:
         beta = param
@@ -353,19 +348,13 @@ def case_numerology(d: int, case: str, param=None) -> ExponentReport:
             raise RegimeError(f"sobolev_beta requires d < 5, got d = {d}")
         # lower endpoint included (it is exactly the space exponent r = 3);
         # the upper endpoint is excluded (no dissipation survives there)
-        lo, hi = _frac(d, 6), _frac(5, 6)
+        lo, hi = Fraction(d, 6), Fraction(5, 6)
         if not (lo <= beta < hi):
             raise RegimeError(f"beta must lie in [d/6, 5/6), got {beta!r}")
         r = 2 * d / (d - 2 * beta)
         return euler_optimal(IntegrabilityClass(d, math.inf, r))
 
     raise RegimeError(f"unknown case {case!r}")
-
-
-def _frac(a, b):
-    from fractions import Fraction
-
-    return Fraction(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,11 @@ def _cell_average_fan(xl, xr, t, datum: RiemannDatum):
     return (antiderivative(xr) - antiderivative(xl)) / (xr - xl)
 
 
+def _check_grid_sizes(nx: int, nt: int) -> None:
+    if nx < 2 or nt < 2:
+        raise ValueError(f"grids need nx >= 2 and nt >= 2 nodes, got nx={nx!r}, nt={nt!r}")
+
+
 def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
                              T: float, nt: int) -> GriddedField:
     """Exact entropy solution of the Riemann problem, conservatively sampled.
@@ -214,6 +219,7 @@ def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
     f(u_l) - f(u_r) exactly.  Shock at x0 + t*(u_l+u_r)/2; a rarefaction fan
     when u_l < u_r.
     """
+    _check_grid_sizes(nx, nt)
     h = (b - a) / (nx - 1)
     xs = a + h * np.arange(nx)
     xl = np.maximum(xs - h / 2.0, a)
@@ -335,6 +341,7 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     (atoms weighted nu*u_x^2*h*dt at sample times), and the accumulated
     dissipation total over [0, T].
     """
+    _check_grid_sizes(nx, nt)
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu!r}")
     if bc not in ("dirichlet_states", "periodic"):

@@ -1,25 +1,28 @@
 """On-disk formats for atomic measures and gridded fields, plus CSV reports.
 
-Measure files: one text header line
+Both file kinds are one ASCII header line and a body of float64 rows.  The
+header ends with ``body=binary`` (little-endian float64 records) or
+``body=text`` (one line per row, every value as its Python ``repr``, so a
+text body reads back bit for bit; empty lines are skipped).  A header
+without the token, as written before it existed, is read as binary when the
+body is exactly rows * columns * 8 bytes long and as text otherwise.
 
-    dissdim-measure v1 d=<int> n=<int>
+    dissdim-measure v1 d=<int> n=<int> body=<binary|text>
 
-followed either by ``n`` text lines ``x_1 ... x_d t w`` or, in the binary
-variant, by ``n`` records of (d+2) little-endian float64.  The two bodies
-are told apart by the exact byte length of the binary payload.
+is followed by ``n`` rows ``x_1 ... x_d t w`` (text values separated by spaces).
 
-Field files: one text header line
+    dissdim-field v1 d=<int> nx=<int> nt=<int> a=<f> b=<f> T=<f> components=u[,p][,theta] body=<binary|text>
 
-    dissdim-field v1 d=<int> nx=<int> nt=<int> a=<f> b=<f> T=<f> components=u[,p][,theta]
-
-followed by little-endian float64 samples in (t-major, then x lexicographic,
-then component) order.  A CSV body (rows ``t,x,u[,p][,theta]``) is supported
-for d = 1.
+is followed by one row of components per node in (t-major, then x
+lexicographic) order.  The text body is CSV for d = 1 only; its rows
+``t,x,u[,p][,theta]`` lead with the grid axes, which are not read back.
 """
 
 from __future__ import annotations
 
-import io as _io
+import os
+import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -48,8 +51,31 @@ class MalformedFileError(ValueError):
         super().__init__(message)
 
 
-def _parse_header(line: str, magic: str, path: str) -> dict:
-    parts = line.strip().split()
+# ---------------------------------------------------------------------------
+# Body codec shared by both file kinds.
+# ---------------------------------------------------------------------------
+
+def _header_line(header: str, binary: bool) -> bytes:
+    return f"{header} body={'binary' if binary else 'text'}\n".encode("ascii")
+
+
+def _write_rows(fh, rows: np.ndarray, binary: bool, sep: str, lead=()) -> None:
+    """Append ``rows`` to the body; a text row starts with the ``lead`` string columns."""
+    if binary:
+        fh.write(rows.astype("<f8").tobytes())
+        return
+    fmt = sep.join(["%s"] * len(lead) + ["%r"] * rows.shape[1]) + "\n"
+    values = chain.from_iterable(zip(*lead, *rows.T.tolist()))
+    fh.write(((fmt * rows.shape[0]) % tuple(values)).encode("ascii"))
+
+
+def _read_header(fh, magic: str, path, **types):
+    """The body token (None if absent) and the header values of ``types``,
+    converted; the first key is the dimension d, which must be at least 1."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise MalformedFileError(f"{path}: missing header line", line=1)
+    parts = line.decode("ascii", "replace").split()
     if parts[: len(magic.split())] != magic.split():
         raise MalformedFileError(f"{path}: expected header {magic!r}", line=1)
     fields = {}
@@ -58,7 +84,78 @@ def _parse_header(line: str, magic: str, path: str) -> dict:
             raise MalformedFileError(f"{path}: bad header token {token!r}", line=1)
         key, value = token.split("=", 1)
         fields[key] = value
-    return fields
+    try:
+        values = [convert(fields[key]) for key, convert in types.items()]
+    except (KeyError, ValueError) as exc:
+        raise MalformedFileError(f"{path}: bad header ({exc})", line=1)
+    if values[0] < 1:
+        raise MalformedFileError(f"{path}: header needs d >= 1", line=1)
+    return fields.get("body"), values
+
+
+def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
+    """Decode the body after the header as an (n_rows, n_cols) array.
+
+    ``token`` is the header's body token (None when absent).  ``text`` is
+    the text layout ``(sep, lead)``: the column separator (None for
+    whitespace) and the count of leading columns to drop; None when this
+    file has no text body.
+    """
+    start = fh.tell()
+    size = os.fstat(fh.fileno()).st_size - start
+    expected = n_rows * n_cols * 8
+    if token is None:
+        token = "binary" if size == expected or text is None else "text"
+    if token == "binary":
+        if size != expected:
+            raise MalformedFileError(
+                f"{path}: binary body has {size} bytes, expected {expected}", line=2)
+        return np.frombuffer(fh.read(), dtype="<f8").reshape(n_rows, n_cols)
+    if token != "text":
+        raise MalformedFileError(f"{path}: unknown body token {token!r}", line=1)
+    if text is None:
+        raise MalformedFileError(f"{path}: a text body is only defined for d = 1", line=1)
+    sep, lead = text
+    width = lead + n_cols
+    problem = None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # loadtxt warns on an empty body
+            rows = np.loadtxt(fh, delimiter=sep, comments=None, ndmin=2, encoding="ascii")
+    except ValueError as exc:   # also UnicodeDecodeError
+        problem = str(exc)
+    else:
+        if len(rows) == n_rows and (n_rows == 0 or rows.shape[1] == width):
+            return rows.reshape(n_rows, width)[:, lead:]
+    fh.seek(start)
+    line, problem = _first_bad_line(fh, n_rows, width, sep) or (None, problem)
+    raise MalformedFileError(f"{path}: {problem}", line=line)
+
+
+def _first_bad_line(fh, n_rows: int, width: int, sep):
+    """(1-based file line, reason) of the first fault in a text body, or None.
+
+    Runs on the error path only; it skips empty lines as ``np.loadtxt`` does.
+    """
+    found = 0
+    line_no = 1
+    for line_no, raw in enumerate(fh, start=2):
+        line = raw.decode("ascii", "replace").rstrip("\r\n")
+        parts = line.split(sep)
+        if not line or not parts:
+            continue
+        found += 1
+        if found > n_rows:
+            return line_no, f"expected {n_rows} rows, found more"
+        if len(parts) != width:
+            return line_no, f"expected {width} columns, found {len(parts)}"
+        try:
+            [float(v) for v in parts]
+        except ValueError:
+            return line_no, "non-numeric entry"
+    if found < n_rows:
+        return line_no + 1, f"expected {n_rows} rows, found {found}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -66,50 +163,16 @@ def _parse_header(line: str, magic: str, path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_measure(path, mu: AtomicMeasure, binary: bool = False) -> None:
-    header = f"{MEASURE_MAGIC} d={mu.d} n={mu.n_atoms}\n"
     rows = np.column_stack([mu.positions, mu.times, mu.weights])
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(rows.astype("<f8").tobytes())
-        else:
-            buf = _io.StringIO()
-            for row in rows:
-                buf.write(" ".join(repr(float(v)) for v in row))
-                buf.write("\n")
-            fh.write(buf.getvalue().encode("ascii"))
+        fh.write(_header_line(f"{MEASURE_MAGIC} d={mu.d} n={mu.n_atoms}", binary))
+        _write_rows(fh, rows, binary, " ")
 
 
 def read_measure(path) -> AtomicMeasure:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise MalformedFileError(f"{path}: missing header line", line=1)
-    header = _parse_header(raw[:newline].decode("ascii", "replace"), MEASURE_MAGIC, str(path))
-    try:
-        d = int(header["d"])
-        n = int(header["n"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedFileError(f"{path}: header needs integer d= and n= ({exc})", line=1)
-    body = raw[newline + 1:]
-    if len(body) == n * (d + 2) * 8:
-        rows = np.frombuffer(body, dtype="<f8").reshape(n, d + 2)
-    else:
-        rows = np.zeros((n, d + 2))
-        text = body.decode("ascii", "replace").splitlines()
-        if len(text) < n:
-            raise MalformedFileError(f"{path}: expected {n} atom lines, found {len(text)}",
-                                     line=len(text) + 1)
-        for i in range(n):
-            parts = text[i].split()
-            if len(parts) != d + 2:
-                raise MalformedFileError(
-                    f"{path}: expected {d + 2} columns, found {len(parts)}", line=i + 2)
-            try:
-                rows[i] = [float(v) for v in parts]
-            except ValueError:
-                raise MalformedFileError(f"{path}: non-numeric entry", line=i + 2)
+        token, (d, n) = _read_header(fh, MEASURE_MAGIC, path, d=int, n=int)
+        rows = _read_rows(fh, path, token, n, d + 2, (None, 0))
     try:
         return AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
     except ValueError as exc:
@@ -120,100 +183,35 @@ def read_measure(path) -> AtomicMeasure:
 # Fields.
 # ---------------------------------------------------------------------------
 
-def _components(field: GriddedField) -> list[str]:
-    comps = ["u"]
-    if field.p is not None:
-        comps.append("p")
-    if field.theta is not None:
-        comps.append("theta")
-    return comps
-
-
-def _sample_matrix(field: GriddedField) -> np.ndarray:
-    """Samples flattened to (nt * nx^d, n_components) in header order."""
-    blocks = [field.u.reshape(field.nt, -1, field.d)]
-    for arr in (field.p, field.theta):
-        if arr is not None:
-            blocks.append(arr.reshape(field.nt, -1, 1))
-    return np.concatenate(blocks, axis=2).reshape(-1, sum(b.shape[2] for b in blocks))
-
-
 def write_field(path, field: GriddedField, binary: bool = True) -> None:
     if not binary and field.d != 1:
         raise ValueError("the CSV body is only defined for d = 1")
-    comps = ",".join(_components(field))
-    header = (f"{FIELD_MAGIC} d={field.d} nx={field.nx} nt={field.nt} "
-              f"a={field.a!r} b={field.b!r} T={field.T!r} components={comps}\n")
-    mat = _sample_matrix(field)
+    extra = {name: arr for name, arr in (("p", field.p), ("theta", field.theta))
+             if arr is not None}
+    header = (f"{FIELD_MAGIC} d={field.d} nx={field.nx} nt={field.nt} a={field.a!r} "
+              f"b={field.b!r} T={field.T!r} components={','.join(['u', *extra])}")
+    samples = np.concatenate([field.u.reshape(field.nt, -1, field.d)]
+                             + [arr.reshape(field.nt, -1, 1) for arr in extra.values()], axis=2)
+    xs = [repr(x) for x in field.x_axis.tolist()]
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(mat.astype("<f8").tobytes())
-        else:
-            xs = field.x_axis
-            ts = field.t_axis
-            buf = _io.StringIO()
-            for k in range(field.nt):
-                for i in range(field.nx):
-                    row = mat[k * field.nx + i]
-                    buf.write(",".join([repr(float(ts[k])), repr(float(xs[i]))]
-                                       + [repr(float(v)) for v in row]))
-                    buf.write("\n")
-            fh.write(buf.getvalue().encode("ascii"))
+        fh.write(_header_line(header, binary))
+        # one time slice at a time keeps the text buffer small
+        for t, block in zip(field.t_axis.tolist(), samples):
+            _write_rows(fh, block, binary, ",", ([repr(t)] * len(xs), xs))
 
 
 def read_field(path) -> GriddedField:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise MalformedFileError(f"{path}: missing header line", line=1)
-    header = _parse_header(raw[:newline].decode("ascii", "replace"), FIELD_MAGIC, str(path))
+        token, (d, nx, nt, a, b, big_t, comps) = _read_header(
+            fh, FIELD_MAGIC, path, d=int, nx=int, nt=int, a=float, b=float, T=float,
+            components=lambda v: v.split(","))
+        extra = [name for name in ("p", "theta") if name in comps]
+        mat = _read_rows(fh, path, token, nt * nx ** d, d + len(extra),
+                         (",", 2) if d == 1 else None)
+    shape = (nt,) + (nx,) * d
+    columns = {name: mat[:, d + i].reshape(shape) for i, name in enumerate(extra)}
     try:
-        d = int(header["d"])
-        nx = int(header["nx"])
-        nt = int(header["nt"])
-        a = float(header["a"])
-        b = float(header["b"])
-        big_t = float(header["T"])
-        comps = header["components"].split(",")
-    except (KeyError, ValueError) as exc:
-        raise MalformedFileError(f"{path}: bad field header ({exc})", line=1)
-    n_cols = d + ("p" in comps) + ("theta" in comps)
-    n_nodes = nt * nx ** d
-    body = raw[newline + 1:]
-    if len(body) == n_nodes * n_cols * 8:
-        mat = np.frombuffer(body, dtype="<f8").reshape(n_nodes, n_cols)
-    else:
-        if d != 1:
-            raise MalformedFileError(
-                f"{path}: binary payload has {len(body)} bytes, "
-                f"expected {n_nodes * n_cols * 8}", line=2)
-        text = body.decode("ascii", "replace").splitlines()
-        if len(text) < n_nodes:
-            raise MalformedFileError(f"{path}: expected {n_nodes} rows, found {len(text)}",
-                                     line=len(text) + 1)
-        mat = np.zeros((n_nodes, n_cols))
-        for i in range(n_nodes):
-            parts = text[i].split(",")
-            if len(parts) != n_cols + 2:
-                raise MalformedFileError(
-                    f"{path}: expected {n_cols + 2} columns, found {len(parts)}", line=i + 2)
-            try:
-                mat[i] = [float(v) for v in parts[2:]]
-            except ValueError:
-                raise MalformedFileError(f"{path}: non-numeric entry", line=i + 2)
-    spatial = (nx,) * d
-    u = mat[:, :d].reshape((nt,) + spatial + (d,))
-    cursor = d
-    p = theta = None
-    if "p" in comps:
-        p = mat[:, cursor].reshape((nt,) + spatial)
-        cursor += 1
-    if "theta" in comps:
-        theta = mat[:, cursor].reshape((nt,) + spatial)
-    try:
-        return GriddedField(d, a, b, nx, big_t, nt, u, p=p, theta=theta)
+        return GriddedField(d, a, b, nx, big_t, nt, mat[:, :d].reshape(shape + (d,)), **columns)
     except ValueError as exc:
         raise MalformedFileError(f"{path}: {exc}")
 

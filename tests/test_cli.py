@@ -132,6 +132,7 @@ class TestVerifyCommand:
                                "--count", "6", "--csv", csv_path], capsys)
         assert code == 0
         assert data["rows"] == 6
+        assert data["time_unresolved"] == 0
         assert data["all_bounded"]
         assert data["weak_mass_slope"] == pytest.approx(1.0, abs=0.1)
         body = open(csv_path).read().strip().split("\n")
@@ -148,6 +149,16 @@ class TestVerifyCommand:
         assert code == 0
         assert data["skipped"] >= 1
         assert data["rows"] + data["skipped"] == 4
+
+    def test_time_unresolved_rows_counted(self, shock_files, capsys):
+        # dt = 1/512 > (2 delta)^2 for delta <= 0.02: each time cutoff is
+        # nonzero only at the center node t = 0.5
+        field_path, _ = shock_files
+        code, data = run_json(["verify", "--input", field_path, "--pair", "burgers",
+                               "--alpha", "2", "--center", "0.0:0.5", "--delta-max", "0.02",
+                               "--count", "3"], capsys)
+        assert code == 0
+        assert (data["rows"], data["skipped"], data["time_unresolved"]) == (3, 0, 3)
 
     def test_failed_dominance_check_exit_3(self, shock_files, capsys, monkeypatch):
         # a negative tolerance makes every positive weak mass "exceed" its bound
@@ -213,6 +224,29 @@ class TestFixtureCommands:
         assert code == 0
         assert data["shock"] is False
         assert data["measure_atoms"] == 0
+
+
+VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "--b", "0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["burgers", "--ul", "1", "--ur", "-1", "--nx", "1"],
+    ["burgers", "--ul", "1", "--ur", "-1", "--nt", "1"],
+    VFIELD + ["--nx", "1", "--T", "0.2"],
+    VFIELD + ["--nx", "301", "--T", "0.2", "--nt", "1"],
+    ["verify", "--nu", "-1"],
+    ["dimension", "--top-k", "-1"],
+    ["dimension", "--top-k", "0"],
+    ["dimension", "--sample-centers", "0"],
+])
+def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
+    field_path, measure_path = shock_files
+    if argv[0] in ("verify", "dimension"):
+        argv = argv + ["--input", field_path if argv[0] == "verify" else measure_path]
+    code, data = run_json(argv, capsys)
+    assert code == 2
+    assert data["schema"] == "dissdim/1"
+    assert data["error"]["type"] in ("ValueError", "CliError")
 
 
 class TestDeterminism:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dissdim import aniso_measure as am
 from dissdim import fixtures as fx
 from dissdim import io as dio
+from dissdim.fields import GriddedField
 
 
 @pytest.fixture
@@ -101,6 +104,118 @@ class TestFieldFormat:
         path.write_bytes(b"dissdim-field v1 d=2 nx=4 nt=2 a=0.0 b=1.0 T=1.0 components=u\n1234")
         with pytest.raises(dio.MalformedFileError):
             dio.read_field(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+def bits(arr):
+    """The exact float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+@st.composite
+def measure_rows(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 50))
+    rows = draw(arrays(np.float64, (n, d + 2), elements=FINITE))
+    rows[:, -1] = np.abs(rows[:, -1])
+    return rows
+
+
+@st.composite
+def fields(draw):
+    d = draw(st.sampled_from([1, 2]))
+    nx, nt = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    a, b = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    big_t = draw(FINITE.filter(lambda v: v > 0))
+    shape = (nt,) + (nx,) * d
+    extra = {name: draw(arrays(np.float64, shape, elements=FINITE))
+             for name in ("p", "theta") if draw(st.booleans())}
+    u = draw(arrays(np.float64, shape + (d,), elements=FINITE))
+    return GriddedField(d, a, b, nx, big_t, nt, u, **extra)
+
+
+class TestBodyCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=measure_rows(), binary=st.booleans())
+    # a one-atom d=1 text body of exactly the binary length, 24 bytes
+    @example(rows=np.array([[0.12345, 0.12345, 0.12345]]), binary=False)
+    def test_measure_roundtrip_is_bit_exact(self, tmp_path_factory, rows, binary):
+        d = rows.shape[1] - 2
+        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        path = tmp_path_factory.mktemp("codec") / "m"
+        dio.write_measure(path, mu, binary=binary)
+        back = dio.read_measure(path)
+        assert back.d == d and back.n_atoms == len(rows)
+        for got, want in ((back.positions, mu.positions), (back.times, mu.times),
+                          (back.weights, mu.weights)):
+            assert bits(got) == bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=fields(), text=st.booleans())
+    def test_field_roundtrip_is_bit_exact(self, tmp_path_factory, field, text):
+        binary = not (text and field.d == 1)
+        path = tmp_path_factory.mktemp("codec") / "f"
+        dio.write_field(path, field, binary=binary)
+        back = dio.read_field(path)
+        assert (back.d, back.nx, back.nt) == (field.d, field.nx, field.nt)
+        assert bits([back.a, back.b, back.T]) == bits([field.a, field.b, field.T])
+        for name in ("u", "p", "theta"):
+            got, want = getattr(back, name), getattr(field, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_tokenless_headers_read_as_before(self, sample_measure, sample_field, tmp_path,
+                                              binary):
+        token = b" body=binary\n" if binary else b" body=text\n"
+        for write, read, obj, names in (
+                (dio.write_measure, dio.read_measure, sample_measure,
+                 ("positions", "times", "weights")),
+                (dio.write_field, dio.read_field, sample_field, ("u",))):
+            path = tmp_path / "old"
+            write(path, obj, binary=binary)
+            path.write_bytes(path.read_bytes().replace(token, b"\n", 1))
+            back = read(path)
+            for name in names:
+                assert bits(getattr(back, name)) == bits(getattr(obj, name))
+
+    def test_huge_count_is_rejected_without_allocating(self, tmp_path, capsys):
+        from dissdim.cli import main
+        path = tmp_path / "huge.measure"
+        path.write_text(f"dissdim-measure v1 d=1 n={10 ** 12}\n0.1 0.2 0.3\n")
+        with pytest.raises(dio.MalformedFileError) as err:
+            dio.read_measure(path)
+        assert err.value.line == 3
+        assert main(["dimension", "--input", str(path)]) == 2
+        assert "MalformedFileError" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, body, line", [
+        (1, "0.0 0.0 1.0\n0.5 0.5 1.0\n", 3),   # one row more than n
+        (2, "0.0 0.0 1.0\n0.5 0.5\n", 3),        # a short row
+        (1, "0.0 0.0 x\n", 2),                    # a non-numeric entry
+    ])
+    def test_text_faults_name_the_line(self, tmp_path, n, body, line):
+        path = tmp_path / "m"
+        path.write_text(f"dissdim-measure v1 d=1 n={n} body=text\n{body}")
+        with pytest.raises(dio.MalformedFileError) as err:
+            dio.read_measure(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("header, body", [
+        ("dissdim-measure v1 d=1 n=1 body=csv", b"0 0 1\n"),
+        ("dissdim-measure v1 d=1 n=1 body=binary", b"0 0 1\n"),
+        ("dissdim-field v1 d=2 nx=2 nt=2 a=0.0 b=1.0 T=1.0 components=u body=text",
+         b"0,0,0,0\n" * 4),
+    ])
+    def test_token_faults(self, tmp_path, header, body):
+        path = tmp_path / "bad"
+        path.write_bytes(header.encode() + b"\n" + body)
+        read = dio.read_measure if "measure" in header else dio.read_field
+        with pytest.raises(dio.MalformedFileError):
+            read(path)
 
 
 class TestReportCsv:
