@@ -9,6 +9,18 @@ and the dimension tolerances used in tests absorb the gap.
 
 Membership is strict on both factors (open ball, open interval), so atoms
 sitting exactly on a cylinder boundary are excluded.
+
+One lattice serves every scale-by-scale computation: the origin-anchored
+cells of spatial side delta and temporal side delta**alpha, mapped from
+points by ``_cells``.  Box counting and the covering estimate count its
+occupied cells; the density ladder uses it as a cell list (the linked-cell
+neighbour search of molecular dynamics).  A cell side equals the cylinder
+half-width on every axis, so an atom inside a cylinder lies in one of the
+3^d x 3 cells around the center's cell (a cell further on an axis where
+rounding puts the center at a cell face), and each center is tested only
+against the atoms of those cells: the cost per center is the number of
+atoms in its neighbour cells, not the number of atoms of the measure.
+Points 2**53 cells or more from the origin raise ValueError.
 """
 
 from __future__ import annotations
@@ -39,6 +51,8 @@ FIT_RESIDUAL_LIMIT = 0.25        # log-space RMS beyond which verdicts are incon
 CERTIFY_SCAN_STEP = 0.005
 CERTIFY_CONSTANT = 2.0           # density cap = CERTIFY_CONSTANT x coarsest density
 NONINCREASING_FACTOR = 1.25      # slack when checking densities for a bounded modulus
+CELL_INDEX_LIMIT = 2.0 ** 53     # |coordinate / cell side| below which floor() is exact
+PAIR_BLOCK = 2 ** 16             # center-atom pairs tested at once by _masses_at_scale
 
 
 @dataclass(frozen=True)
@@ -162,7 +176,6 @@ def as_point_array(points, d=None) -> np.ndarray:
     if isinstance(points, AtomicMeasure):
         return np.column_stack([points.positions, points.times])
     if len(points) and isinstance(points[0], SpaceTimePoint):
-        d = points[0].d
         return np.array([[*p.x, p.t] for p in points], dtype=float)
     arr = np.atleast_2d(np.asarray(points, dtype=float))
     if d is not None and arr.shape[1] != d + 1:
@@ -178,20 +191,6 @@ def cylinder_mass(mu: AtomicMeasure, c: Cylinder) -> float:
         return 0.0
     mask = c.contains(mu.positions, mu.times)
     return float(mu.weights[mask].sum())
-
-
-def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float, alpha: float,
-                     chunk: int = 256) -> np.ndarray:
-    """Cylinder masses for many centers at one scale (chunked broadcasting)."""
-    pos, ts, ws = mu.positions, mu.times, mu.weights
-    th = delta ** alpha
-    out = np.empty(centers.shape[0])
-    for lo in range(0, centers.shape[0], chunk):
-        cs = centers[lo:lo + chunk]
-        d2 = np.sum((pos[None, :, :] - cs[:, None, :-1]) ** 2, axis=2)
-        mask = (d2 < delta ** 2) & (np.abs(ts[None, :] - cs[:, None, -1]) < th)
-        out[lo:lo + chunk] = mask @ ws
-    return out
 
 
 class BoxCountResult(NamedTuple):
@@ -221,17 +220,121 @@ def _loglog_fit(xs, ys):
     return float(coeffs[0]), rms
 
 
-def _occupied_cells(pts: np.ndarray, delta: float, alpha: float) -> int:
-    """Number of origin-anchored lattice cells (spatial side delta, temporal
-    side delta**alpha) holding at least one of the (n, d+1) points, n >= 1.
+def _cells(pts: np.ndarray, delta: float, alpha: float, reach: float = 0.0) -> np.ndarray:
+    """Integer cells of the origin-anchored lattice with spatial side delta and
+    temporal side delta**alpha, one row per (n, d+1) point.
 
-    Exact: the integer cell rows are sorted lexicographically and counted
-    where consecutive rows differ.
+    ``reach = 0`` gives the cell holding each point.  ``reach = -1`` (``+1``)
+    gives the first (last) cell on each axis that an atom strictly inside the
+    cylinder centred at the point can occupy: the scaled coordinate q moves by
+    one side plus 2**-50 * (|q| + 16), which exceeds the rounding of the
+    division, of the shift and of the strict membership tests.  Raises
+    ValueError when a scaled coordinate is not finite or not below 2**53 in
+    magnitude, where floor() would no longer give distinct exact integers.
     """
-    cells = np.column_stack([np.floor(pts[:, :-1] / delta),
-                             np.floor(pts[:, -1:] / delta ** alpha)]).astype(np.int64)
-    cells = cells[np.lexsort(cells.T)]
-    return 1 + int(np.count_nonzero(np.any(cells[1:] != cells[:-1], axis=1)))
+    sides = np.array([delta] * (pts.shape[1] - 1) + [delta ** alpha])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = pts / sides
+    if not np.all(np.abs(q) < CELL_INDEX_LIMIT):
+        raise ValueError(f"lattice cell index out of range at delta={delta!r}: "
+                         "|coordinate / cell side| must be finite and below 2**53")
+    if reach:
+        q = q + reach * (1.0 + 2.0 ** -50 * (np.abs(q) + 16.0))
+    return np.floor(q).astype(np.int64)
+
+
+def _row_groups(rows: np.ndarray):
+    """Lexicographic sort order of integer rows and the start of each run of
+    equal rows in that order."""
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    return order, np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+
+
+def _occupied_cells(pts: np.ndarray, delta: float, alpha: float) -> int:
+    """Number of lattice cells holding at least one of the (n, d+1) points, n >= 1."""
+    return len(_row_groups(_cells(pts, delta, alpha))[1])
+
+
+def _cell_keys(rel: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """int64 sort keys of cells given relative to the atoms' lowest cell, with
+    the time index fastest, so the time-adjacent cells of one spatial cell
+    have consecutive keys.  Injective while the spatial index box fits in
+    int64 next to the time span; beyond that the spatial part wraps and
+    distinct spatial cells may share a key."""
+    span_t = int(span[-1])
+    strides = [1]
+    for n in span[-2:0:-1]:
+        strides.insert(0, strides[0] * int(n) % 2 ** 64)
+    spatial = (rel[:, :-1].astype(np.uint64) * np.array(strides, dtype=np.uint64)).sum(
+        axis=1, dtype=np.uint64) % np.uint64((2 ** 63 - 1) // span_t)
+    return spatial.astype(np.int64) * span_t + rel[:, -1]
+
+
+def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
+                     alpha: float) -> np.ndarray:
+    """Cylinder masses for many centers at one scale, from a cell list.
+
+    Atoms are sorted by cell key, so the atoms of a spatial cell's
+    time-adjacent cells form one slice.  Centers are grouped by the box of
+    cells their cylinders can reach (``_cells`` with reach -1 and +1): the
+    3^d x 3 cells around their own, as a cell side equals the cylinder
+    half-width on every axis, or one more on an axis where a center lies
+    within rounding of a cell face.  Each group's candidate atoms are
+    gathered once and tested with the strict membership tests, at most
+    PAIR_BLOCK center-atom pairs at a time.
+    """
+    out = np.zeros(centers.shape[0])
+    if mu.n_atoms == 0 or centers.shape[0] == 0:
+        return out
+    d, th = mu.d, delta ** alpha
+    cells = _cells(as_point_array(mu), delta, alpha)
+    low, high = cells.min(axis=0), cells.max(axis=0)
+    span = high - low + 1
+    keys = _cell_keys(cells - low, span)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    pos, ts, ws = mu.positions[order], mu.times[order], mu.weights[order]
+
+    reach_lo = _cells(centers, delta, alpha, -1.0)
+    reach_hi = _cells(centers, delta, alpha, 1.0)
+    members, starts = _row_groups(np.hstack([reach_lo, reach_hi]))
+    lo = np.maximum(reach_lo[members[starts]], low)      # reach clipped to the atoms' box
+    hi = np.minimum(reach_hi[members[starts]], high)
+    width = hi - lo + 1
+    steps = np.maximum(width[:, :-1].max(axis=0), 1)
+    offsets = np.stack(np.meshgrid(*map(np.arange, steps), indexing="ij"), -1).reshape(-1, d)
+    valid = np.all(offsets < width[:, None, :-1], axis=2) & (width[:, None, -1] > 0)
+    rel = np.empty(valid.shape + (d + 1,), dtype=np.int64)
+    rel[..., :-1] = lo[:, None, :-1] - low[:-1] + offsets
+    run = []
+    for t_end, how in ((lo, "left"), (hi, "right")):
+        rel[..., -1] = (t_end[:, -1] - low[-1])[:, None]
+        found = np.searchsorted(keys, _cell_keys(rel.reshape(-1, d + 1), span), how)
+        run.append(np.where(valid, found.reshape(valid.shape), -1))
+    # spatial cells whose keys wrapped onto one another share a run: keep it once
+    begin, end = (np.where(run[1] > run[0], r, -1) for r in run)
+    by_begin = np.argsort(begin, axis=1)
+    begin = np.take_along_axis(begin, by_begin, axis=1)
+    end = np.take_along_axis(end, by_begin, axis=1)
+    end[:, 1:] = np.where(begin[:, 1:] == begin[:, :-1], begin[:, 1:], end[:, 1:])
+    length = end - begin
+
+    bounds = np.r_[starts, len(members)]
+    for g in range(len(starts)):
+        n = int(length[g].sum())
+        if n == 0:
+            continue
+        idx = np.repeat(begin[g] - np.cumsum(length[g]) + length[g], length[g]) + np.arange(n)
+        cp, ct, cw = pos[idx], ts[idx], ws[idx]
+        rows = max(1, PAIR_BLOCK // n)
+        for b in range(bounds[g], bounds[g + 1], rows):
+            ci = members[b:min(b + rows, bounds[g + 1])]
+            cs = centers[ci]
+            d2 = np.sum((cp[None, :, :] - cs[:, None, :-1]) ** 2, axis=2)
+            mask = (d2 < delta ** 2) & (np.abs(ct[None, :] - cs[:, None, -1]) < th)
+            out[ci] = mask @ cw
+    return out
 
 
 def box_counting_dimension(points, alpha, scales) -> BoxCountResult:

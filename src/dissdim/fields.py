@@ -67,6 +67,11 @@ class GriddedField(_NodeGrid):
             raise ValueError("need d >= 1, nx >= 2, nt >= 2")
         if not (self.b > self.a and self.T > 0):
             raise ValueError("need b > a and T > 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = [self.h, self.dt, self.a + self.h * (self.nx - 1), self.dt * (self.nt - 1)]
+        if not np.all(np.isfinite(ends)):
+            raise ValueError("grid spacing or end node overflows: need finite h, dt "
+                             "and axis end nodes")
         expected = (self.nt,) + (self.nx,) * self.d + (self.d,)
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != expected:

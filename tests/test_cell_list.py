@@ -1,0 +1,163 @@
+"""The cell-list cylinder masses against an all-pairs oracle, and the lattice's
+range check.
+
+The oracle applies the strict membership tests of ``Cylinder.contains`` to
+every center-atom pair.  Cases put centers and atoms on lattice cell faces,
+on cylinder boundaries and a few ulps to either side of both, where the
+rounded cell index and the rounded membership test could disagree.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dissdim import aniso_measure as am
+from dissdim import io as dio
+from dissdim.aniso_measure import AtomicMeasure
+from dissdim.cli import main
+
+
+def all_pairs(mu, centers, delta, alpha):
+    """Masses and member counts per center, testing every atom."""
+    d2 = np.sum((mu.positions[None, :, :] - centers[:, None, :-1]) ** 2, axis=2)
+    inside = (d2 < delta ** 2) & (np.abs(mu.times[None, :] - centers[:, None, -1])
+                                  < delta ** alpha)
+    return inside @ mu.weights, inside.sum(axis=1)
+
+
+def cell_list(mu, centers, delta, alpha):
+    """Masses and member counts per center from the cell list; the counts are
+    the masses of the same atoms with unit weights (exact float sums)."""
+    ones = AtomicMeasure(mu.positions, mu.times, np.ones(mu.n_atoms), d=mu.d)
+    return (am._masses_at_scale(mu, centers, delta, alpha),
+            am._masses_at_scale(ones, centers, delta, alpha))
+
+
+def nudge(x, ulps):
+    """Move each entry of x by the given number of ulps."""
+    x = np.array(x, dtype=float)
+    for step in range(int(np.max(np.abs(ulps), initial=0))):
+        move = np.abs(ulps) > step
+        x[move] = np.nextafter(x[move], np.where(ulps > 0, np.inf, -np.inf)[move])
+    return x
+
+
+ULPS = st.integers(-3, 3)
+
+
+@st.composite
+def cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    alpha = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    delta = draw(st.one_of(st.sampled_from([2.0 ** -3, 0.1, 1.0 / 3.0, 0.7]),
+                           st.floats(0.01, 1.0)))
+    sides = np.array([delta] * d + [delta ** alpha])
+    # scaled coordinates near powers of two, where the rounding of x / side
+    # changes its ulp from one cell to the next
+    base = draw(st.sampled_from([0.0, 1e3, 2.0 ** 30] + [sign * 2.0 ** m for sign in (1, -1)
+                                                         for m in (2, 7, 10, 19)])) * sides
+
+    def lattice_points(n):
+        # cell faces, cell midpoints or arbitrary positions, nudged by a few ulps
+        k = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * (d + 1),
+                                   max_size=n * (d + 1)))).reshape(n, d + 1)
+        frac = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 0.999, 0.37]),
+                                      min_size=n * (d + 1), max_size=n * (d + 1))))
+        pts = base + (k + frac.reshape(n, d + 1)) * sides
+        ulps = np.array(draw(st.lists(ULPS, min_size=pts.size, max_size=pts.size)))
+        return nudge(pts.ravel(), ulps).reshape(pts.shape)
+
+    centers = lattice_points(draw(st.integers(1, 6)))
+    # atoms one side or half a side from a center along each axis, then nudged:
+    # on, just inside and just outside the cylinder boundary
+    near = []
+    for c in centers:
+        for _ in range(draw(st.integers(0, 6))):
+            step = np.array(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                                          min_size=d + 1, max_size=d + 1)))
+            ulps = np.array(draw(st.lists(ULPS, min_size=d + 1, max_size=d + 1)))
+            near.append(nudge(c + step * sides, ulps))
+    atoms = np.vstack([lattice_points(draw(st.integers(0, 12))),
+                       np.reshape(near, (-1, d + 1))])
+    if len(atoms) and draw(st.booleans()):
+        atoms = np.vstack([atoms, atoms[:draw(st.integers(1, len(atoms)))]])   # duplicates
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 3.7]),
+                                     min_size=len(atoms), max_size=len(atoms))))
+    far = centers + 1e6 * delta   # no atom within reach
+    mu = AtomicMeasure(atoms[:, :-1].reshape(-1, d), atoms[:, -1], weights, d=d)
+    return mu, np.vstack([centers, far]), len(centers), delta, alpha
+
+
+class TestCellListOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=cases())
+    def test_matches_all_pairs(self, case):
+        mu, centers, n_near, delta, alpha = case
+        masses, counts = cell_list(mu, centers, delta, alpha)
+        want_masses, want_counts = all_pairs(mu, centers, delta, alpha)
+        assert np.array_equal(counts, want_counts)
+        assert np.all(np.abs(masses - want_masses) <= 1e-12 * mu.total_mass)
+        assert not np.any(masses[n_near:])
+
+    # member atoms in a cell below floor(c / side - 1), where the rounded
+    # subtraction lands on a power of two: (center, atom, side), found by a
+    # random search; the cell list must widen its reach past that cell
+    @pytest.mark.parametrize("c, x, side", [
+        (-54176.701044934955, -54176.804378988716, 0.10333405376241438),
+        (-27.215312802300904, -27.429606603893824, 0.21429380159292047),
+        (-121.79857693374535, -122.75762084660948, 0.9590439128641365),
+        (-102.37267186172618, -102.47274289971418, 0.10007103798800211),
+    ])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_atoms_past_the_neighbour_cells(self, c, x, side, axis):
+        atom, center = np.zeros(2), np.zeros((1, 2))
+        atom[axis], center[0, axis] = x, c
+        mu = AtomicMeasure(atom[None, :1], atom[1:], [1.0])
+        assert np.floor(x / side) < np.floor(c / side - 1)
+        assert all_pairs(mu, center, side, 1.0)[1][0] == 1
+        assert cell_list(mu, center, side, 1.0)[1][0] == 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_measure_without_atoms(self, d):
+        mu = AtomicMeasure(np.zeros((0, d)), np.zeros(0), np.zeros(0), d=d)
+        centers = np.zeros((3, d + 1))
+        assert np.array_equal(am._masses_at_scale(mu, centers, 0.5, 1.0), np.zeros(3))
+
+    def test_wrapped_keys_count_each_atom_once(self):
+        # spatial spans of 2**32 cells on axes 1 and 2 make the stride of axis 0
+        # 2**64, so all cells along axis 0 share one wrapped key
+        cluster = np.array([[x, 0.0, 0.0] for x in (-1.5, -0.5, 0.25, 0.75, 1.5)])
+        corners = np.array([[0.0, 2.0 ** 32 - 0.5, 0.0], [0.0, 0.0, 2.0 ** 32 - 0.5]])
+        pos = np.vstack([cluster, corners])
+        mu = AtomicMeasure(pos, np.zeros(len(pos)), np.arange(1.0, len(pos) + 1), d=3)
+        centers = np.array([[0.1, 0.0, 0.0, 0.0], [-0.9, 0.0, 0.0, 0.0]])
+        masses, counts = cell_list(mu, centers, 1.0, 1.0)
+        want_masses, want_counts = all_pairs(mu, centers, 1.0, 1.0)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(masses, want_masses)
+
+
+class TestLatticeRange:
+    FAR = [[1e19, 0.0], [3e19, 0.0], [5e19, 0.0]]
+
+    def test_unrepresentable_cells_raise(self):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            am.covering_premeasure(self.FAR, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            am.box_counting_dimension(self.FAR, 1.0, [1.0, 0.5, 0.25])
+        mu = AtomicMeasure([[1e19]], [0.0], [1.0])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            am.density_ladder(mu, 1.0, 0.0, [1.0, 0.5, 0.25])
+
+    def test_largest_exact_cells_still_count(self):
+        pts = [[2.0 ** 53 - 2, 0.0], [2.0 ** 53 - 1, 0.0], [-(2.0 ** 53 - 1), 0.0]]
+        assert am.covering_premeasure(pts, 1.0, 0.0, 1.0) == 3.0
+        with pytest.raises(ValueError):
+            am.covering_premeasure([[2.0 ** 53, 0.0]], 1.0, 0.0, 1.0)
+
+    def test_dimension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "far.measure"
+        pts = np.array(self.FAR)
+        dio.write_measure(path, AtomicMeasure(pts[:, :1], pts[:, 1], np.ones(3)))
+        assert main(["dimension", "--input", str(path), "--delta-max", "1.0"]) == 2
+        assert "2**53" in capsys.readouterr().out

@@ -18,6 +18,18 @@ class TestGriddedField:
         with pytest.raises(ValueError):
             GriddedField(1, 0.0, 1.0, 8, 1.0, 4, u)
 
+    @pytest.mark.parametrize("a, b, T", [
+        (-1.7e308, 1.7e308, 1.0),             # b - a overflows, so h = inf
+        (0.0, 1.0, np.finfo(float).max),      # dt * (nt - 1) overflows
+    ])
+    def test_rejects_overflowing_axes(self, a, b, T):
+        with pytest.raises(ValueError, match="overflow"):
+            GriddedField(1, a, b, 3, T, 4, np.zeros((4, 3, 1)))
+
+    def test_accepts_the_widest_finite_axes(self):
+        field = GriddedField(1, 0.0, 1.7e308, 3, 1.7e308, 2, np.zeros((2, 3, 1)))
+        assert np.all(np.isfinite(field.x_axis)) and np.all(np.isfinite(field.t_axis))
+
     def test_pressure_shape(self):
         u = np.zeros((4, 8, 1))
         with pytest.raises(ValueError):

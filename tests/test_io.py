@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -99,6 +101,19 @@ class TestFieldFormat:
         with pytest.raises(ValueError):
             dio.write_field(tmp_path / "f.csv", field, binary=False)
 
+    def test_overflowing_axes_exit_2(self, sample_field, tmp_path, capsys):
+        from dissdim.cli import main
+        path = tmp_path / "f.bin"
+        dio.write_field(path, sample_field)
+        head, body = path.read_bytes().split(b"\n", 1)
+        fields = [b"a=-1.7e308" if f.startswith(b"a=") else b"b=1.7e308" if f.startswith(b"b=")
+                  else f for f in head.split()]
+        path.write_bytes(b" ".join(fields) + b"\n" + body)
+        with pytest.raises(dio.MalformedFileError, match="overflow"):
+            dio.read_field(path)
+        assert main(["verify", "--input", str(path)]) == 2
+        assert "MalformedFileError" in capsys.readouterr().out
+
     def test_wrong_payload_size(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"dissdim-field v1 d=2 nx=4 nt=2 a=0.0 b=1.0 T=1.0 components=u\n1234")
@@ -133,7 +148,7 @@ def fields(draw):
     extra = {name: draw(arrays(np.float64, shape, elements=FINITE))
              for name in ("p", "theta") if draw(st.booleans())}
     u = draw(arrays(np.float64, shape + (d,), elements=FINITE))
-    return GriddedField(d, a, b, nx, big_t, nt, u, **extra)
+    return (d, a, b, nx, big_t, nt, u), extra
 
 
 class TestBodyCodec:
@@ -153,8 +168,16 @@ class TestBodyCodec:
             assert bits(got) == bits(want)
 
     @settings(max_examples=100, deadline=None)
-    @given(field=fields(), text=st.booleans())
-    def test_field_roundtrip_is_bit_exact(self, tmp_path_factory, field, text):
+    @given(grid=fields(), text=st.booleans())
+    def test_field_roundtrip_is_bit_exact(self, tmp_path_factory, grid, text):
+        (d, a, b, nx, big_t, nt, u), extra = grid
+        try:
+            field = GriddedField(d, a, b, nx, big_t, nt, u, **extra)
+        except ValueError:
+            # refused only where the spacing or an end node overflows
+            h, dt = (b - a) / (nx - 1), big_t / (nt - 1)
+            assert not all(map(math.isfinite, (h, dt, a + h * (nx - 1), dt * (nt - 1))))
+            return
         binary = not (text and field.d == 1)
         path = tmp_path_factory.mktemp("codec") / "f"
         dio.write_field(path, field, binary=binary)
