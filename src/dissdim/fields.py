@@ -26,6 +26,17 @@ class _NodeGrid:
     b: float
     nx: int
 
+    def __post_init__(self):
+        if self.d < 1 or self.nx < 2:
+            raise ValueError("need d >= 1 and nx >= 2")
+        if not self.b > self.a:
+            raise ValueError("need b > a")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = [self.h, self.a + self.h * (self.nx - 1)]
+        if not np.all(np.isfinite(ends)):
+            raise ValueError("grid spacing or end node overflows: need finite h "
+                             "and axis end node")
+
     @property
     def h(self) -> float:
         return (self.b - self.a) / (self.nx - 1)
@@ -63,15 +74,14 @@ class GriddedField(_NodeGrid):
     label: str = ""
 
     def __post_init__(self):
-        if self.d < 1 or self.nx < 2 or self.nt < 2:
-            raise ValueError("need d >= 1, nx >= 2, nt >= 2")
-        if not (self.b > self.a and self.T > 0):
-            raise ValueError("need b > a and T > 0")
-        with np.errstate(over="ignore", invalid="ignore"):
-            ends = [self.h, self.dt, self.a + self.h * (self.nx - 1), self.dt * (self.nt - 1)]
+        super().__post_init__()
+        if self.nt < 2 or not self.T > 0:
+            raise ValueError("need nt >= 2 and T > 0")
+        with np.errstate(over="ignore"):
+            ends = [self.dt, self.dt * (self.nt - 1)]
         if not np.all(np.isfinite(ends)):
-            raise ValueError("grid spacing or end node overflows: need finite h, dt "
-                             "and axis end nodes")
+            raise ValueError("time step or end node overflows: need finite dt "
+                             "and time end node")
         expected = (self.nt,) + (self.nx,) * self.d + (self.d,)
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != expected:
@@ -129,6 +139,7 @@ class SpatialVectorField(_NodeGrid):
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        super().__post_init__()
         expected = (self.nx,) * self.d + (self.d,)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != expected:

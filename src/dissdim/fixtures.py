@@ -4,10 +4,12 @@ measures with known dimension.
 
 The inviscid Burgers sampler stores exact cell averages of the entropy
 solution (conservative sampling); the viscous solver is a first-order
-conservative finite-volume scheme (local Lax-Friedrichs flux plus explicit
-centered diffusion).  Robustness beats accuracy here: the solver's role is
-to produce vanishing-viscosity dissipation measures whose totals are checked
-against the shock entropy-production rate by extrapolation in nu.
+conservative finite-volume scheme (explicit local Lax-Friedrichs flux, then
+an implicit backward-Euler diffusion step solved by FFT, so only the
+advective CFL rule bounds the substep).  Robustness beats accuracy here: the
+solver's role is to produce vanishing-viscosity dissipation measures whose
+totals are checked against the shock entropy-production rate by
+extrapolation in nu.
 """
 
 from __future__ import annotations
@@ -284,6 +286,14 @@ def burgers_dissipation_measure(datum: RiemannDatum, T: float, n_atoms: int) -> 
 
 @dataclass
 class ViscousRun:
+    """A viscous Burgers run and its diagnostics.
+
+    ``stability_margin`` is the advective Courant number dt_sub*max|u|/h, the
+    only stability number of the scheme (at most ``safety``).
+    ``diffusion_number`` is r = nu*dt_sub/h^2, the stiffness of the implicit
+    diffusion step; it has no stability limit.
+    """
+
     nu: float
     datum: RiemannDatum | None
     bc: str
@@ -294,6 +304,7 @@ class ViscousRun:
     steps: int = 0
     steady_time: float | None = None
     stability_margin: float = 0.0
+    diffusion_number: float = 0.0
 
     def manifest(self) -> dict:
         return {
@@ -308,6 +319,7 @@ class ViscousRun:
             "steps": self.steps,
             "steady_time": self.steady_time,
             "stability_margin": self.stability_margin,
+            "diffusion_number": self.diffusion_number,
             "total_dissipation": self.total_dissipation,
         }
 
@@ -324,10 +336,13 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
                         nx: int, T: float, nt: int, bc: str = "dirichlet_states",
                         initial: str = "riemann", initial_data=None,
                         steady_tol: float = 1e-9, safety: float = 0.9) -> ViscousRun:
-    """Explicit conservative finite-volume run of viscous Burgers.
+    """Conservative finite-volume run of viscous Burgers, implicit in the diffusion.
 
-    Local Lax-Friedrichs flux for u^2/2 plus centered second differences for
-    the diffusion; the substep obeys dt <= 0.9*min(h/max|u|, h^2/(2 nu)).
+    Each substep is a first-order IMEX step: an explicit local Lax-Friedrichs
+    update for u^2/2 gives u*, then the backward-Euler diffusion step
+    (I + r L) u^{n+1} = u* with r = nu*dt/h^2 and L = tridiag(-1, 2, -1),
+    solved exactly by FFT.  Both halves obey the maximum principle, so the
+    only step rule is the advective one, dt <= 0.9*h/max|u|.
     ``bc='dirichlet_states'`` pins the Riemann states at the ends,
     ``bc='periodic'`` wraps.  ``initial`` selects the sharp jump or the
     viscous traveling-wave profile; ``initial_data`` overrides both.
@@ -338,8 +353,8 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     reach that state quickly, which is what makes small-nu sweeps affordable.
 
     Returns the run with its sampled field, the cell dissipation measure
-    (atoms weighted nu*u_x^2*h*dt at sample times), and the accumulated
-    dissipation total over [0, T].
+    (atoms weighted nu*u_x^2*h*dt at sample times), and the dissipation total
+    over [0, T], the trapezoid rule in time over the substep rates.
     """
     _check_grid_sizes(nx, nt)
     if not nu > 0:
@@ -366,10 +381,12 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     umax = max(float(np.abs(u).max()), 1e-12)
     if datum is not None:
         umax = max(umax, abs(datum.u_l), abs(datum.u_r))
-    dt_limit = min(h / umax, h * h / (2.0 * nu))
+    dt_limit = h / umax
     dt_sub = safety * dt_limit
     n_sub = max(int(math.ceil(T / dt_sub)), 1)
     dt_sub = T / n_sub
+    r = nu * dt_sub / (h * h)
+    diffuse = _implicit_diffusion(nx, r, bc)
 
     sample_times = T / (nt - 1) * np.arange(nt)
     snapshots = np.empty((nt, nx))
@@ -377,20 +394,15 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     next_sample = 1
 
     total = 0.0
-    rate = 0.0
+    rate = _dissipation_rate(u, h, nu, bc)
     steady_time = None
     check_every = 64
     last_checked = u.copy()
 
     for step in range(1, n_sub + 1):
-        un = _viscous_step(u, h, dt_sub, nu, datum, bc)
-        ux = (un[2:] - un[:-2]) / (2.0 * h)
-        rate = nu * float(np.dot(ux, ux)) * h
-        if bc == "periodic":
-            # the wrap-around node (stored twice) enters the sum once
-            edge = (un[1] - un[-2]) / (2.0 * h)
-            rate += nu * edge * edge * h
-        total += rate * dt_sub
+        un = _viscous_step(u, h, dt_sub, datum, bc, diffuse)
+        rate_prev, rate = rate, _dissipation_rate(un, h, nu, bc)
+        total += 0.5 * (rate_prev + rate) * dt_sub
         t_now = step * dt_sub
         while next_sample < nt and sample_times[next_sample] <= t_now + 1e-12:
             snapshots[next_sample] = un
@@ -425,11 +437,57 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
         nu=nu, datum=datum, bc=bc, field=field, dissipation=dissipation,
         total_dissipation=total, dt_sub=dt_sub,
         steps=step, steady_time=steady_time,
-        stability_margin=dt_sub / dt_limit,
+        stability_margin=dt_sub / dt_limit, diffusion_number=r,
     )
 
 
-def _viscous_step(u, h, dt, nu, datum, bc):
+def _dissipation_rate(u, h, nu, bc):
+    """nu * sum of centred u_x^2 * h over the interior nodes."""
+    ux = (u[2:] - u[:-2]) / (2.0 * h)
+    rate = nu * float(np.dot(ux, ux)) * h
+    if bc == "periodic":
+        # the wrap-around node (stored twice) enters the sum once
+        edge = (u[1] - u[-2]) / (2.0 * h)
+        rate += nu * edge * edge * h
+    return rate
+
+
+def _implicit_diffusion(nx, r, bc):
+    """Exact solver of the backward-Euler diffusion step (I + r L) v = rhs.
+
+    L = tridiag(-1, 2, -1) is circulant on the nx - 1 distinct periodic nodes,
+    and on the nx - 2 Dirichlet interior nodes it is the restriction of the
+    circulant of period 2(nx - 1) to odd extensions (a DST-I).  Either way one
+    real FFT pair diagonalises it, with eigenvalues 1 + r(2 - 2 cos theta_k).
+    The returned function solves in place on the interior (Dirichlet, end
+    states moved to the right-hand side) or the distinct nodes (periodic).
+    """
+    period = nx - 1 if bc == "periodic" else 2 * (nx - 1)
+    theta = 2.0 * np.pi / period * np.arange(period // 2 + 1)
+    eig = 1.0 + r * (2.0 - 2.0 * np.cos(theta))
+
+    def solve(v):
+        return np.fft.irfft(np.fft.rfft(v) / eig, n=period)
+
+    if bc == "periodic":
+        def diffuse(u):
+            u[:-1] = solve(u[:-1])
+            u[-1] = u[0]
+    else:
+        odd = np.zeros(period)
+
+        def diffuse(u):
+            rhs = odd[1:nx - 1]
+            rhs[:] = u[1:-1]
+            rhs[:1] += r * u[0]
+            rhs[-1:] += r * u[-1]
+            odd[nx:] = -rhs[::-1]
+            u[1:-1] = solve(odd)[1:nx - 1]
+    return diffuse
+
+
+def _viscous_step(u, h, dt, datum, bc, diffuse):
+    """Explicit LLF advection to u*, then the implicit diffusion step."""
     if bc == "periodic":
         ue = np.concatenate([[u[-2]], u, [u[1]]])
     else:
@@ -437,12 +495,11 @@ def _viscous_step(u, h, dt, nu, datum, bc):
     f = 0.5 * ue * ue
     speed = np.maximum(np.abs(ue[:-1]), np.abs(ue[1:]))
     flux = 0.5 * (f[:-1] + f[1:]) - 0.5 * speed * (ue[1:] - ue[:-1])
-    un = u - dt / h * (flux[1:] - flux[:-1]) + nu * dt / h ** 2 * (ue[2:] - 2 * u + ue[:-2])
+    un = u - dt / h * (flux[1:] - flux[:-1])
     if bc == "dirichlet_states":
         un[0] = datum.u_l if datum is not None else u[0]
         un[-1] = datum.u_r if datum is not None else u[-1]
-    else:
-        un[-1] = un[0]
+    diffuse(un)
     return un
 
 

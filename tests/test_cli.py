@@ -216,6 +216,18 @@ class TestFixtureCommands:
         assert data["nu"] == 0.01
         assert data["total_dissipation"] > 0
         assert data["stability_margin"] <= 0.9 + 1e-12
+        assert data["diffusion_number"] == pytest.approx(
+            0.01 * data["dt_sub"] / (0.6 / 300) ** 2)
+
+    def test_vfield_coarse_grid_runs(self, capsys):
+        # cell Peclet number 0.63: the explicit diffusion step blew up here
+        code, data = run_json(["vfield", "--nu", "2e-3", "--ul", "1", "--ur", "-1",
+                               "--a", "-1", "--b", "1", "--nx", "801", "--T", "0.5"], capsys)
+        assert code == 0
+        assert data["steps"] <= math.ceil(0.5 / (0.9 * 2 / 800))
+        # the centred nu*u_x^2 rate misses the scheme's numerical dissipation,
+        # so the total stays below the shock's (u_l - u_r)^3 T / 12 = 1/3
+        assert 0.2 < data["total_dissipation"] < 1 / 3
 
     def test_rarefaction_measure_is_empty(self, capsys, tmp_path):
         mpath = str(tmp_path / "m.measure")

@@ -74,6 +74,22 @@ class TestSpatialVectorField:
         with pytest.raises(ValueError):
             SpatialVectorField(2, 0.0, 1.0, 4, np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("gridded", [False, True])
+    @pytest.mark.parametrize("d, a, b, nx, match", [
+        (1, 1.0, 0.0, 3, "b > a"),                 # reversed axis, h < 0
+        (1, 0.0, 0.0, 3, "b > a"),                 # empty axis, h = 0
+        (1, 0.0, 1.0, 1, "nx >= 2"),               # h would divide by zero
+        (0, 0.0, 1.0, 3, "d >= 1"),
+        (1, -1.7e308, 1.7e308, 3, "overflow"),     # b - a overflows, so h = inf
+    ])
+    def test_both_grid_types_reject_bad_axes(self, gridded, d, a, b, nx, match):
+        shape = (nx,) * d + (d,)
+        with pytest.raises(ValueError, match=match):
+            if gridded:
+                GriddedField(d, a, b, nx, 1.0, 2, np.zeros((2,) + shape))
+            else:
+                SpatialVectorField(d, a, b, nx, np.zeros(shape))
+
 
 class TestSpaceTimePoint:
     def test_rejects_non_finite(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dissdim import aniso_measure as am
 from dissdim import cutoffs as co
@@ -180,12 +181,50 @@ class TestViscousRuns:
         assert man["nu"] == 1e-3
         assert man["total_dissipation"] > 0
         assert 0 < man["stability_margin"] <= 0.9 + 1e-12
+        assert man["diffusion_number"] > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             fx.viscous_burgers_run(None, 1e-3, -1.0, 1.0, 65, 1.0, 65)
         with pytest.raises(ValueError):
             fx.viscous_burgers_run(fx.RiemannDatum(1.0, -1.0), 0.0, -1.0, 1.0, 65, 1.0, 65)
+
+
+@st.composite
+def viscous_cases(draw):
+    """Riemann runs over cell Peclet numbers |u|h/2nu from 1e-2 to 1e2."""
+    lo = draw(st.floats(-2.0, 1.9))
+    hi = draw(st.floats(lo + 0.1, 2.0))
+    shock = draw(st.booleans())
+    datum = fx.RiemannDatum(hi, lo) if shock else fx.RiemannDatum(lo, hi)
+    half_width = draw(st.floats(0.1, 2.0))
+    nx = draw(st.integers(3, 129))
+    h = 2 * half_width / (nx - 1)
+    umax = max(abs(lo), abs(hi))
+    peclet = 10.0 ** draw(st.floats(-2.0, 2.0))
+    nu = umax * h / (2 * peclet)
+    big_t = draw(st.floats(0.05, 1.0)) * 2 * half_width / umax
+    return dict(datum=datum, nu=nu, a=-half_width, b=half_width, nx=nx, T=big_t,
+                nt=draw(st.integers(2, 17)),
+                bc=draw(st.sampled_from(["dirichlet_states", "periodic"])),
+                initial=draw(st.sampled_from(["riemann", "viscous_profile"])))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(case=viscous_cases())
+def test_implicit_diffusion_has_no_viscous_step_limit(case):
+    run = fx.viscous_burgers_run(**case)
+    datum, u = case["datum"], run.field.u[..., 0]
+    lo = min(u[0].min(), datum.u_l, datum.u_r) - 1e-12
+    hi = max(u[0].max(), datum.u_l, datum.u_r) + 1e-12
+    assert np.all((lo <= u) & (u <= hi))
+    assert run.stability_margin <= 0.9
+    umax = max(abs(datum.u_l), abs(datum.u_r))
+    # the advective rule alone sets the substep count (1e-12 absorbs rounding)
+    assert run.steps <= math.ceil(case["T"] * umax / (0.9 * run.field.h) * (1 + 1e-12))
+    assert run.diffusion_number == pytest.approx(case["nu"] * run.dt_sub / run.field.h ** 2)
+    assert math.isfinite(run.total_dissipation) and run.total_dissipation >= 0
 
 
 class TestWeakConvergenceToShockMeasure:
