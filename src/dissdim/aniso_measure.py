@@ -26,7 +26,7 @@ Points 2**53 cells or more from the origin raise ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,20 +130,6 @@ class AtomicMeasure:
             arr.setflags(write=False)
         self.d = int(d)
         self.label = label
-
-    @classmethod
-    def from_atoms(cls, atoms: Sequence, d=None, label=""):
-        """Build from an iterable of (SpaceTimePoint, weight) pairs."""
-        pts = [a[0] for a in atoms]
-        ws = [a[1] for a in atoms]
-        if pts:
-            d = pts[0].d if d is None else d
-            pos = np.array([p.x for p in pts], dtype=float)
-            ts = np.array([p.t for p in pts], dtype=float)
-        else:
-            pos = np.zeros((0, d or 1))
-            ts = np.zeros(0)
-        return cls(pos, ts, np.asarray(ws, dtype=float), d=d, label=label)
 
     @property
     def positions(self) -> np.ndarray:

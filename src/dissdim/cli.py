@@ -99,7 +99,27 @@ def _fail(kind: str, message: str, code: int) -> int:
 # exponents
 # ---------------------------------------------------------------------------
 
+_EXPONENT_FLAGS_UNUSED = {
+    "euler": (),
+    "ns": ("--optimal", "--unbounded-pressure"),
+    "claw": ("--q", "--alpha", "--optimal", "--unbounded-pressure"),
+}
+
+
+def _check_exponent_flags(args) -> None:
+    """Reject flags the chosen regime would parse and then ignore."""
+    given = {"--q": args.q is not None, "--alpha": args.alpha is not None,
+             "--optimal": args.optimal, "--unbounded-pressure": args.unbounded_pressure}
+    for flag in _EXPONENT_FLAGS_UNUSED[args.regime]:
+        if given[flag]:
+            raise CliError(f"{flag} has no effect with --regime {args.regime}")
+    alpha_choices = [f for f in ("--alpha", "--optimal", "--unbounded-pressure") if given[f]]
+    if len(alpha_choices) > 1:
+        raise CliError(f"{' and '.join(alpha_choices)} each fix alpha; give at most one")
+
+
 def cmd_exponents(args) -> int:
+    _check_exponent_flags(args)
     regime = args.regime
     if regime == "claw":
         if args.r is None:

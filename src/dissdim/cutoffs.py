@@ -57,6 +57,11 @@ class _Cubic:
         s = np.clip(s, 0.0, 1.0)
         return np.where(inside, -6.0 + 12.0 * s, 0.0)
 
+    @staticmethod
+    def antiderivative(u):
+        """Integral of ``value`` over [0, u] on the unit ramp."""
+        return u - u ** 3 + u ** 4 / 2.0
+
 
 class _Quintic:
     slope_max = 1.875
@@ -77,12 +82,17 @@ class _Quintic:
         s = np.clip(s, 0.0, 1.0)
         return -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
+    @staticmethod
+    def antiderivative(u):
+        """Integral of ``value`` over [0, u] on the unit ramp."""
+        return u - 2.5 * u ** 4 + 3.0 * u ** 5 - u ** 6
+
 
 _PROFILES = {"cubic": _Cubic, "quintic": _Quintic}
 
 
 def taper_profile(name: str):
-    """Look up a taper shape (value/deriv/second on the unit ramp) by name."""
+    """Look up a taper shape (value/deriv/second/antiderivative on the unit ramp) by name."""
     try:
         return _PROFILES[name]
     except KeyError:
@@ -242,15 +252,6 @@ class CutoffPair:
 # Piecewise-cubic plateau/ramp profiles for generic test functions.
 # ---------------------------------------------------------------------------
 
-def _taper_antiderivative(profile: str):
-    """Antiderivative of the taper value on the unit ramp, vanishing at 0."""
-    if profile == "cubic":
-        return lambda u: u - u ** 3 + u ** 4 / 2.0
-    if profile == "quintic":
-        return lambda u: u - 2.5 * u ** 4 + 3.0 * u ** 5 - u ** 6
-    raise ValueError(f"unknown taper profile {profile!r}")
-
-
 @dataclass(frozen=True)
 class PlateauProfile:
     """1 on [lo, hi], tapering to 0 over ``ramp`` on both sides."""
@@ -329,7 +330,7 @@ class RampProfile:
         # value(x) = psi((hi - x)/w): the piece from lo to x_end is
         # w * int_{s}^{1} psi(u) du with s = (hi - x_end)/w
         s = (self.hi - x_end) / w
-        anti = _taper_antiderivative(self.profile)
+        anti = taper_profile(self.profile).antiderivative
         return w * (anti(1.0) - anti(s))
 
 

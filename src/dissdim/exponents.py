@@ -7,10 +7,10 @@ the optimal time-anisotropy parameter, and the admissibility condition for
 forced balances.
 
 Extended reals: ``math.inf`` is a legal value for the integrability
-exponents ``q`` and ``r``.  Each formula carries hand-written infinity
-branches instead of relying on IEEE ``inf`` arithmetic, because the limiting
-conventions differ between regimes and silent ``inf - inf`` propagation
-would hide a wrong branch.  All arithmetic flows through the input number
+exponents ``q`` and ``r``.  Each infinity limit is written once, in a small
+helper (``_part``, ``_per``, ``_conj``) that returns the limit at ``inf`` and
+the plain quotient otherwise, so no IEEE ``inf`` arithmetic runs and an
+``inf - inf`` can never appear.  All arithmetic flows through the input number
 types, so passing ``fractions.Fraction`` (or ints) yields exact rational
 results while floats yield floats.
 """
@@ -53,6 +53,26 @@ class RegimeError(ValueError):
 
 def _is_inf(x) -> bool:
     return x == math.inf
+
+
+def _part(x, p, k):
+    """x*(p-k)/p, which is x at p = inf."""
+    return x if _is_inf(p) else x * (p - k) / p
+
+
+def _per(x, p):
+    """x/p, which is 0 at p = inf."""
+    return 0 if _is_inf(p) else x / p
+
+
+def _conj(p):
+    """The Hoelder conjugate p/(p-1), which is 1 at p = inf."""
+    return 1 if _is_inf(p) else p / (p - 1)
+
+
+def _convention(q, r):
+    """Label naming the exponents that sit at infinity ("finite" if none)."""
+    return ",".join(f"{name}=inf" for name, p in (("q", q), ("r", r)) if _is_inf(p)) or "finite"
 
 
 def _check_finite_or_inf(name, x):
@@ -150,35 +170,21 @@ def _check_alpha(alpha):
 # ---------------------------------------------------------------------------
 
 def _euler_terms(d, q, r, alpha):
-    """The two cylinder-estimate exponents with their infinity conventions.
+    """The two cylinder-estimate exponents.
 
     Term one comes from the time-cutoff derivative, term two from the
     spatial-cutoff derivative against the cubic transport flux.
     """
-    if _is_inf(r) and _is_inf(q):
-        t1 = d
-        t2 = d - 1 + alpha
-        conv = "q=inf,r=inf"
-    elif _is_inf(r):
-        t1 = d - alpha * 2 / q
-        t2 = d - 1 + alpha * (q - 3) / q
-        conv = "r=inf"
-    elif _is_inf(q):
-        t1 = d * (r - 2) / r
-        t2 = d * (r - 3) / r - 1 + alpha
-        conv = "q=inf"
-    else:
-        t1 = d * (r - 2) / r - alpha * 2 / q
-        t2 = d * (r - 3) / r - 1 + alpha * (q - 3) / q
-        conv = "finite"
-    return [("time_cutoff", t1), ("transport_flux", t2)], conv
+    t1 = _part(d, r, 2) - _per(alpha * 2, q)
+    t2 = _part(d, r, 3) - 1 + _part(alpha, q, 3)
+    return [("time_cutoff", t1), ("transport_flux", t2)], _convention(q, r)
 
 
 def euler_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
     """Dimension exponent s = min of the two inviscid cylinder terms.
 
     s = min( d(r-2)/r - alpha*2/q,  d(r-3)/r - 1 + alpha*(q-3)/q )
-    with the r=inf / q=inf conventions applied branch by branch.
+    with the limits 1/q = 0 at q = inf and 1/r = 0 at r = inf.
     A negative minimum sets the ``vacuous`` flag rather than erroring.
     """
     _check_alpha(alpha)
@@ -187,10 +193,8 @@ def euler_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
 
 
 def _alpha_opt(d, q, r):
-    # q/(q-1) * (r+d)/r with the obvious limits; q >= 3 guarantees q > 1.
-    qfac = 1 if _is_inf(q) else q / (q - 1)
-    rfac = 1 if _is_inf(r) else (r + d) / r
-    return qfac * rfac
+    # q/(q-1) * (r+d)/r, each factor 1 at infinity; q >= 3 guarantees q > 1.
+    return _conj(q) * _part(1, r, -d)
 
 
 def euler_optimal(cls: IntegrabilityClass) -> ExponentReport:
@@ -229,7 +233,7 @@ def euler_unbounded_pressure(cls: IntegrabilityClass) -> ExponentReport:
         raise RegimeError(f"requires r = inf, got r = {cls.r!r}")
     if _is_inf(cls.q):
         raise RegimeError("requires a finite q; use euler_optimal for q = r = inf")
-    alpha = cls.q / (cls.q - 1)
+    alpha = _conj(cls.q)
     terms, conv = _euler_terms(cls.d, cls.q, cls.r, alpha)
     return _report(terms, alpha, "euler", conv, cls=cls, open_exponent=True)
 
@@ -247,16 +251,11 @@ def conservation_law_exponent(d: int, r) -> ExponentReport:
     if not isinstance(d, int) or d < 1:
         raise RegimeError(f"spatial dimension d must be an integer >= 1, got {d!r}")
     _check_finite_or_inf("r", r)
-    if _is_inf(r):
-        s = d
-    else:
-        if r * d < d + 1:
-            raise RegimeError(f"r must satisfy r >= (d+1)/d, got r = {r!r} for d = {d}")
-        s = d + 1 - r / (r - 1)
-    return _report(
-        [("space_time_divergence", s)], 1, "conservation_law", "r=inf" if _is_inf(r) else "finite",
-        d=d, q=None, r=r,
-    )
+    if r * d < d + 1:
+        raise RegimeError(f"r must satisfy r >= (d+1)/d, got r = {r!r} for d = {d}")
+    s = d + 1 - _conj(r)
+    return _report([("space_time_divergence", s)], 1, "conservation_law", _convention(None, r),
+                   d=d, q=None, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +263,9 @@ def conservation_law_exponent(d: int, r) -> ExponentReport:
 # ---------------------------------------------------------------------------
 
 def _ns_terms(d, q, r, alpha):
-    if _is_inf(r) and _is_inf(q):
-        t1, t2, t3 = d, d - 1 + alpha, d - 2 + alpha
-        conv = "q=inf,r=inf"
-    elif _is_inf(r):
-        t1 = d - alpha * 2 / q
-        t2 = d - 1 + alpha * (q - 3) / q
-        t3 = d - 2 + alpha * (q - 2) / q
-        conv = "r=inf"
-    elif _is_inf(q):
-        t1 = d * (r - 2) / r
-        t2 = -1 + d * (r - 3) / r + alpha
-        t3 = -2 + d * (r - 2) / r + alpha
-        conv = "q=inf"
-    else:
-        t1 = d * (r - 2) / r - alpha * 2 / q
-        t2 = -1 + d * (r - 3) / r + alpha * (q - 3) / q
-        t3 = -2 + d * (r - 2) / r + alpha * (q - 2) / q
-        conv = "finite"
-    return [("time_cutoff", t1), ("transport_flux", t2), ("laplacian", t3)], conv
+    terms, conv = _euler_terms(d, q, r, alpha)
+    t3 = _part(d, r, 2) - 2 + _part(alpha, q, 2)
+    return terms + [("laplacian", t3)], conv
 
 
 def navier_stokes_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
@@ -291,7 +274,7 @@ def navier_stokes_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
     s = min( d(r-2)/r - alpha*2/q,
              -1 + d(r-3)/r + alpha*(q-3)/q,
              -2 + d(r-2)/r + alpha*(q-2)/q )
-    with infinity conventions per branch.  At alpha = 2 and finite q, r with
+    with 1/q = 0 and 1/r = 0 at infinity.  At alpha = 2 and finite q, r with
     2/q + d/r >= 1, the minimum collapses to the parabolic closed form
     s = d+1 - 3(d/r + 2/q); negative s is reported via ``vacuous``.
     """
@@ -373,6 +356,4 @@ def forcing_admissible(d: int, alpha, s, m, l) -> bool:
         _check_finite_or_inf(name, value)
         if value < 1:
             raise RegimeError(f"{name} must satisfy {name} >= 1, got {value!r}")
-    lfac = 1 if _is_inf(l) else (l - 1) / l
-    mfac = 1 if _is_inf(m) else (m - 1) / m
-    return d * lfac + alpha * mfac >= s
+    return d * _part(1, l, 1) + alpha * _part(1, m, 1) >= s

@@ -29,7 +29,6 @@ __all__ = [
     "ViscousRun",
     "power_law_ball_mass",
     "power_law_vector_field",
-    "adaptive_interval_quadrature",
     "burgers_entropy_solution",
     "burgers_smooth_solution",
     "burgers_dissipation_measure",
@@ -88,55 +87,14 @@ class PowerLawField:
         return np.where(rho == 0, np.inf, self.eps * safe ** (self.eps - self.d))
 
 
-def adaptive_interval_quadrature(fn, lo: float, hi: float, rel_tol: float = 1e-8,
-                                 max_depth: int = 60) -> float:
-    """Adaptive Simpson quadrature by interval bisection to a relative tolerance.
-
-    The error budget halves with each bisection, so the accepted panels sum
-    to roughly rel_tol times the integral rather than accumulating.
-    """
-
-    def simpson(a, b, fa, fm, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        flm = fn(0.5 * (a + m))
-        frm = fn(0.5 * (m + b))
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        err = left + right - whole
-        if depth >= max_depth or abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
-
-    if hi <= lo:
-        return 0.0
-    fa, fb = fn(lo), fn(hi)
-    fm = fn(0.5 * (lo + hi))
-    whole = simpson(lo, hi, fa, fm, fb)
-    tol = rel_tol * max(abs(whole), 1e-300)
-    return recurse(lo, hi, fa, fm, fb, whole, tol, 0)
-
-
-def power_law_ball_mass(field: PowerLawField, delta: float, rel_tol: float = 1e-8) -> float:
+def power_law_ball_mass(field: PowerLawField, delta: float) -> float:
     """Mass the divergence assigns to the ball of radius delta about the origin.
 
-    Radial reduction plus adaptive quadrature of eps * rho**(eps-1); the
-    innermost dyadic slice uses the closed-form antiderivative rho**eps/eps to
-    tame the integrable singularity at zero.
+    Radial reduction: c_d * int_0^delta eps * rho**(eps-1) drho = c_d * delta**eps.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    n_octaves = 24
-    inner = field.c_d * (delta * 2.0 ** -n_octaves) ** field.eps
-    integrand = lambda rho: rho ** (field.eps - 1.0)
-    tail = 0.0
-    for k in range(n_octaves):
-        a, b = delta * 2.0 ** -(k + 1), delta * 2.0 ** -k
-        tail += adaptive_interval_quadrature(integrand, a, b, rel_tol)
-    return inner + field.c_d * field.eps * tail
+    return field.c_d * delta ** field.eps
 
 
 def power_law_vector_field(field: PowerLawField, a: float, b: float, nx: int) -> SpatialVectorField:
@@ -384,6 +342,8 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     dt_limit = h / umax
     dt_sub = safety * dt_limit
     n_sub = max(int(math.ceil(T / dt_sub)), 1)
+    if T / n_sub / dt_limit > safety:  # T/dt_sub rounded down onto a whole number
+        n_sub += 1
     dt_sub = T / n_sub
     r = nu * dt_sub / (h * h)
     diffuse = _implicit_diffusion(nx, r, bc)

@@ -331,32 +331,6 @@ class BalanceReport:
     nu: float | None = None
     pair_label: str = ""
 
-    def to_json_dict(self) -> dict:
-        def num(v):
-            if v is None:
-                return None
-            if v == math.inf:
-                return "inf"
-            return float(v)
-
-        return {
-            "center": [float(c) for c in self.center],
-            "t": float(self.t_center),
-            "delta": float(self.delta),
-            "alpha": float(self.alpha),
-            "terms": {k: float(v) for k, v in self.terms.items()},
-            "weak_mass": float(self.weak_mass),
-            "holder_bound": num(self.holder_bound),
-            "local_norms": {k: float(v) for k, v in self.local_norms.items()},
-            "constants": {k: float(v) for k, v in self.constants.items()},
-            "grad_mass_cutoff": num(self.grad_mass_cutoff),
-            "grad_mass_cylinder": num(self.grad_mass_cylinder),
-            "q": num(self.q),
-            "r": num(self.r),
-            "nu": num(self.nu),
-            "pair": self.pair_label,
-        }
-
 
 # the Euler energy flux split into its cubic velocity part (II) and its pressure part (III)
 _EULER_FLUXES = {
@@ -508,8 +482,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
              "eta_t": n_eta, "deta_t": n_deta}
     if "III" in fluxes:
         p_norm = _mixed_norm(win, np.abs(win.local.p),
-                             q / 2 if q != math.inf else math.inf,
-                             r / 2 if r != math.inf else math.inf, smask, tmask)
+                             q / 2, r / 2, smask, tmask)
         bound_terms["III"] = p_norm * u_norm * n_gchi * n_eta
         norms["p_Lq2Lr2"] = p_norm
     if nu > 0:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dissdim import fixtures as fx
@@ -23,3 +24,31 @@ def standing_shock_run(nu, T=1.0, nt=401, width_factor=30.0, h_factor=0.05):
 @pytest.fixture(scope="session")
 def shock_runs():
     return standing_shock_run
+
+
+def outward_sphere_flux(field, delta, n=64):
+    """Flux of ``field.value`` out of the sphere of radius delta about 0.
+
+    By the divergence theorem this is the ball mass of the divergence, found
+    here without the closed form: trapezoid rule in the angle for d = 2,
+    Gauss-Legendre in cos(theta) times the trapezoid rule in phi for d = 3.
+    """
+    phi = 2 * np.pi * np.arange(n) / n
+    if field.d == 2:
+        normal = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        area = np.full(n, 2 * np.pi / n) * delta
+    elif field.d == 3:
+        mu, w_mu = np.polynomial.legendre.leggauss(n)
+        sin_theta = np.sqrt(1 - mu ** 2)[:, None]
+        normal = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi),
+                           np.broadcast_to(mu[:, None], (n, n))], axis=-1)
+        area = np.outer(w_mu, np.full(n, 2 * np.pi / n)) * delta ** 2
+    else:
+        raise ValueError(f"sphere quadrature is written for d = 2, 3, got {field.d}")
+    flux_density = np.sum(field.value(delta * normal) * normal, axis=-1)
+    return float(np.sum(area * flux_density))
+
+
+@pytest.fixture(scope="session")
+def sphere_flux():
+    return outward_sphere_flux

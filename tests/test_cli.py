@@ -73,6 +73,23 @@ class TestExponentsCommand:
         assert "error" in data
 
 
+@pytest.mark.parametrize("flags", [
+    ["--regime", "ns", "--optimal"],
+    ["--regime", "ns", "--unbounded-pressure"],
+    ["--regime", "claw", "--r", "inf", "--optimal"],
+    ["--regime", "claw", "--r", "inf", "--unbounded-pressure"],
+    ["--regime", "claw", "--r", "inf", "--q", "4"],
+    ["--regime", "claw", "--r", "inf", "--alpha", "2"],
+    ["--regime", "euler", "--alpha", "2", "--optimal"],
+    ["--regime", "euler", "--q", "3", "--alpha", "2", "--unbounded-pressure"],
+    ["--regime", "euler", "--q", "3", "--optimal", "--unbounded-pressure"],
+])
+def test_exponents_rejects_ignored_flags(flags, capsys):
+    code, data = run_json(["exponents", "--d", "3"] + flags, capsys)
+    assert code == 2
+    assert data["error"]["type"] == "CliError"
+
+
 @pytest.fixture(scope="module")
 def shock_files(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli")

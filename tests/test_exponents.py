@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dissdim import exponents as ex
 
@@ -182,6 +183,35 @@ class TestNavierStokes:
     def test_inherits_class_validation(self):
         with pytest.raises(ex.RegimeError):
             ex.navier_stokes_exponent(ex.IntegrabilityClass(3, 4, 4), 0)
+
+
+def _recip(p):
+    """1/p in exact arithmetic, with 1/inf := 0."""
+    return F(0) if p == INF else 1 / F(p)
+
+
+# integrability exponents in [3, inf]: ints, Fractions and inf
+_EXPONENTS = st.one_of(st.integers(3, 60), st.fractions(3, 60, max_denominator=40), st.just(INF))
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.integers(1, 7), q=_EXPONENTS, r=_EXPONENTS,
+       alpha=st.fractions(F(1, 40), 8, max_denominator=40))
+def test_terms_match_the_paper_formula(d, q, r, alpha):
+    # the paper's terms in the reciprocal exponents, evaluated independently
+    iq, ir = _recip(q), _recip(r)
+    expected = [d * (1 - 2 * ir) - 2 * alpha * iq,
+                d * (1 - 3 * ir) - 1 + alpha * (1 - 3 * iq),
+                d * (1 - 2 * ir) - 2 + alpha * (1 - 2 * iq)]
+    cls = ex.IntegrabilityClass(d, q, r)
+    got = terms(ex.navier_stokes_exponent(cls, alpha))
+    assert terms(ex.euler_exponent(cls, alpha)) == got[:2]
+    if isinstance(q, int) or isinstance(r, int):
+        # int / int is a float quotient: equal up to rounding
+        assert got == pytest.approx([float(e) for e in expected], rel=1e-14, abs=1e-13)
+    else:
+        assert all(isinstance(v, (int, F)) for v in got)
+        assert got == expected
 
 
 class TestCaseNumerology:

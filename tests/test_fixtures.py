@@ -28,6 +28,14 @@ class TestPowerLaw:
         assert masses[1] / masses[0] == pytest.approx(math.sqrt(2), rel=1e-6)
         assert masses[2] / masses[1] == pytest.approx(math.sqrt(2), rel=1e-6)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 1.9])
+    def test_ball_mass_is_the_sphere_flux(self, d, eps, sphere_flux):
+        f = fx.PowerLawField(d, eps)
+        for delta in (0.01, 0.1, 0.5, 1.0):
+            assert fx.power_law_ball_mass(f, delta) == pytest.approx(sphere_flux(f, delta),
+                                                                     rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fx.PowerLawField(2, 2.5)
@@ -225,6 +233,13 @@ def test_implicit_diffusion_has_no_viscous_step_limit(case):
     assert run.steps <= math.ceil(case["T"] * umax / (0.9 * run.field.h) * (1 + 1e-12))
     assert run.diffusion_number == pytest.approx(case["nu"] * run.dt_sub / run.field.h ** 2)
     assert math.isfinite(run.total_dissipation) and run.total_dissipation >= 0
+
+
+def test_substep_never_exceeds_the_courant_limit_by_rounding():
+    # T/(0.9*h/umax) is 19 up to rounding here; 19 substeps overshoot 0.9 by an ulp
+    run = fx.viscous_burgers_run(fx.RiemannDatum(0.0, 1.0), 1 / 19, -1.0, 1.0, 20, 1.8, 2)
+    assert run.stability_margin <= 0.9
+    assert run.steps == 20
 
 
 class TestWeakConvergenceToShockMeasure:
