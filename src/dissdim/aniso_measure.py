@@ -151,9 +151,9 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(self._weights.sum())
 
-    def support_points(self, weight_cutoff=SUPPORT_WEIGHT_CUTOFF) -> np.ndarray:
-        """Atoms carrying weight above ``weight_cutoff`` x total mass, as (n, d+1) rows."""
-        mask = self._weights > weight_cutoff * max(self.total_mass, 0.0)
+    def support_points(self) -> np.ndarray:
+        """Atoms carrying weight above SUPPORT_WEIGHT_CUTOFF x total mass, as (n, d+1) rows."""
+        mask = self._weights > SUPPORT_WEIGHT_CUTOFF * max(self.total_mass, 0.0)
         return np.column_stack([self._positions[mask], self._times[mask]])
 
 

@@ -153,6 +153,10 @@ def cmd_dimension(args) -> int:
     for flag, value in (("--top-k", args.top_k), ("--sample-centers", args.sample_centers)):
         if value is not None and value < 1:
             raise CliError(f"{flag} must be at least 1, got {value!r}")
+    if args.sample_centers is not None and args.top_k is not None:
+        raise CliError("--top-k has no effect with --sample-centers")
+    if args.sample_centers is None and args.seed is not None:
+        raise CliError("--seed has no effect without --sample-centers")
     mu = dio.read_measure(args.input)
     points = mu.support_points()
     if points.shape[0] == 0:
@@ -165,7 +169,7 @@ def cmd_dimension(args) -> int:
     ladder_s = args.s if args.s is not None else 0.0
     centers = None
     if args.sample_centers is not None:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(args.seed or 0)
         idx = rng.choice(points.shape[0], size=min(args.sample_centers, points.shape[0]),
                          replace=False)
         centers = points[np.sort(idx)]
@@ -347,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=6)
     p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.add_argument("--sample-centers", dest="sample_centers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the --sample-centers draw (default 0)")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_dimension)
 

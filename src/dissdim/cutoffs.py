@@ -12,6 +12,12 @@ A spatial bump at radius delta equals 1 on the ball of radius delta and
 vanishes outside radius 2*delta; a time bump at (delta, alpha) equals 1 on
 the interval of half-length delta**alpha and vanishes outside half-length
 (2*delta)**alpha.
+
+Generic test functions are separable products of ``PlateauProfile``
+factors: 1 on [lo, hi] with a taper of width ``ramp`` on each side.  The one
+profile class also gives the one-sided plateau, hi = inf, which rises over
+[lo - ramp, lo] and stays 1 onward; as a time factor it keeps phi alive at
+t = T for the boundary-extended balance.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ __all__ = [
     "SpatialBump",
     "TimeBump",
     "PlateauProfile",
-    "RampProfile",
     "SpatialTestFunction",
     "SpaceTimeTestFunction",
 ]
@@ -57,11 +62,6 @@ class _Cubic:
         s = np.clip(s, 0.0, 1.0)
         return np.where(inside, -6.0 + 12.0 * s, 0.0)
 
-    @staticmethod
-    def antiderivative(u):
-        """Integral of ``value`` over [0, u] on the unit ramp."""
-        return u - u ** 3 + u ** 4 / 2.0
-
 
 class _Quintic:
     slope_max = 1.875
@@ -82,17 +82,12 @@ class _Quintic:
         s = np.clip(s, 0.0, 1.0)
         return -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
-    @staticmethod
-    def antiderivative(u):
-        """Integral of ``value`` over [0, u] on the unit ramp."""
-        return u - 2.5 * u ** 4 + 3.0 * u ** 5 - u ** 6
-
 
 _PROFILES = {"cubic": _Cubic, "quintic": _Quintic}
 
 
 def taper_profile(name: str):
-    """Look up a taper shape (value/deriv/second/antiderivative on the unit ramp) by name."""
+    """Look up a taper shape (value/deriv/second on the unit ramp) by name."""
     try:
         return _PROFILES[name]
     except KeyError:
@@ -249,12 +244,13 @@ class CutoffPair:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-cubic plateau/ramp profiles for generic test functions.
+# Plateau profiles for generic test functions.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PlateauProfile:
-    """1 on [lo, hi], tapering to 0 over ``ramp`` on both sides."""
+    """1 on [lo, hi], tapering to 0 over ``ramp`` on both sides; ``hi = math.inf``
+    gives the one-sided plateau, a rise over [lo - ramp, lo] and then 1 onward."""
 
     lo: float
     hi: float
@@ -287,51 +283,6 @@ class PlateauProfile:
     def integral(self) -> float:
         """Exact integral: plateau length plus one full ramp (half per side)."""
         return (self.hi - self.lo) + self.ramp
-
-
-@dataclass(frozen=True)
-class RampProfile:
-    """0 for x <= lo, tapered rise on [lo, hi], 1 for x >= hi (kept at 1 onward)."""
-
-    lo: float
-    hi: float
-    profile: str = "cubic"
-
-    def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError("need hi > lo")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.clip((self.hi - x) / (self.hi - self.lo), 0.0, 1.0)
-        return taper_profile(self.profile).value(s)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        s = (self.hi - x) / (self.hi - self.lo)
-        return -taper_profile(self.profile).deriv(np.clip(s, 0.0, 1.0)) / (self.hi - self.lo) * (
-            (x > self.lo) & (x < self.hi)
-        )
-
-    def second(self, x):
-        x = np.asarray(x, dtype=float)
-        s = (self.hi - x) / (self.hi - self.lo)
-        return taper_profile(self.profile).second(np.clip(s, 0.0, 1.0)) / (self.hi - self.lo) ** 2 * (
-            (x > self.lo) & (x < self.hi)
-        )
-
-    def integral_up_to(self, x_end: float) -> float:
-        """Exact integral of the profile over (-inf, x_end]."""
-        w = self.hi - self.lo
-        if x_end <= self.lo:
-            return 0.0
-        if x_end >= self.hi:
-            return w / 2.0 + (x_end - self.hi)
-        # value(x) = psi((hi - x)/w): the piece from lo to x_end is
-        # w * int_{s}^{1} psi(u) du with s = (hi - x_end)/w
-        s = (self.hi - x_end) / w
-        anti = taper_profile(self.profile).antiderivative
-        return w * (anti(1.0) - anti(s))
 
 
 class SpatialTestFunction:
@@ -377,8 +328,8 @@ class SpaceTimeTestFunction:
     """phi(x, t) = X(x) * H(t) with analytic space and time factors.
 
     ``space`` is a SpatialTestFunction (or any object with value/gradient/
-    laplacian); ``time`` any object with value/deriv (PlateauProfile,
-    RampProfile, TimeBump).
+    laplacian, such as a SpatialBump); ``time`` any object with value/deriv
+    (PlateauProfile, TimeBump).
     """
 
     def __init__(self, space, time):
@@ -387,12 +338,3 @@ class SpaceTimeTestFunction:
 
     def value(self, y, t):
         return self.space.value(y) * self.time.value(t)
-
-    def dt(self, y, t):
-        return self.space.value(y) * self.time.deriv(t)
-
-    def gradient(self, y, t):
-        return self.space.gradient(y) * np.asarray(self.time.value(t))[..., None]
-
-    def laplacian(self, y, t):
-        return self.space.laplacian(y) * self.time.value(t)

@@ -45,11 +45,13 @@ class _NodeGrid:
     def x_axis(self) -> np.ndarray:
         return self.a + self.h * np.arange(self.nx)
 
-    def _node_mesh(self) -> np.ndarray:
+    def spatial_mesh(self) -> np.ndarray:
+        """Node coordinates as an array of shape (nx, ..., nx, d)."""
         axes = np.meshgrid(*([self.x_axis] * self.d), indexing="ij")
         return np.stack(axes, axis=-1)
 
-    def _node_weights(self) -> np.ndarray:
+    def spatial_weights(self) -> np.ndarray:
+        """Product trapezoid weights over the spatial axes, shape (nx,)*d."""
         wx = _trapezoid_weights(self.h, self.nx)
         out = wx
         for _ in range(self.d - 1):
@@ -106,17 +108,9 @@ class GriddedField(_NodeGrid):
     def t_axis(self) -> np.ndarray:
         return self.dt * np.arange(self.nt)
 
-    def spatial_mesh(self) -> np.ndarray:
-        """Node coordinates as an array of shape (nx, ..., nx, d)."""
-        return self._node_mesh()
-
     def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoidal node weights (wx per axis, wt)."""
         return _trapezoid_weights(self.h, self.nx), _trapezoid_weights(self.dt, self.nt)
-
-    def spatial_weights(self) -> np.ndarray:
-        """Product quadrature weights over the spatial axes, shape (nx,)*d."""
-        return self._node_weights()
 
     def speed(self) -> np.ndarray:
         """Euclidean velocity magnitude per node, shape (nt, nx, ..., nx)."""
@@ -144,12 +138,6 @@ class SpatialVectorField(_NodeGrid):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != expected:
             raise ValueError(f"values have shape {self.values.shape}, expected {expected}")
-
-    def mesh(self) -> np.ndarray:
-        return self._node_mesh()
-
-    def weights(self) -> np.ndarray:
-        return self._node_weights()
 
     def divergence(self) -> np.ndarray:
         """Finite-difference divergence on the grid."""

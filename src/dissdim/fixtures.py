@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .aniso_measure import AtomicMeasure
-from .fields import GriddedField, SpatialVectorField
+from .fields import GriddedField, SpatialVectorField, _NodeGrid
 
 __all__ = [
     "NumericalError",
@@ -99,9 +99,7 @@ def power_law_ball_mass(field: PowerLawField, delta: float) -> float:
 
 def power_law_vector_field(field: PowerLawField, a: float, b: float, nx: int) -> SpatialVectorField:
     """Grid samples of the power-law field; use an even nx so no node hits 0."""
-    h = (b - a) / (nx - 1)
-    axis = a + h * np.arange(nx)
-    mesh = np.stack(np.meshgrid(*([axis] * field.d), indexing="ij"), axis=-1)
+    mesh = _NodeGrid(field.d, a, b, nx).spatial_mesh()
     return SpatialVectorField(field.d, a, b, nx, field.value(mesh))
 
 
@@ -116,6 +114,8 @@ class RiemannDatum:
     x0: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.u_l, self.u_r, self.x0)):
+            raise ValueError(f"datum must be finite, got {self!r}")
         if self.u_l == self.u_r:
             raise ValueError("degenerate datum: u_l must differ from u_r")
 
@@ -197,11 +197,16 @@ def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
     return GriddedField(1, a, b, nx, T, nt, u[..., None], label="burgers_riemann")
 
 
-def burgers_smooth_solution(a: float, b: float, nx: int, T: float, nt: int,
-                            amplitude: float = 0.5, wavenumber: float = 2 * math.pi,
-                            newton_steps: int = 60) -> GriddedField:
-    """Pre-breaking smooth solution with initial data amplitude*sin(k x),
-    evaluated by Newton iteration on the characteristic relation."""
+SMOOTH_AMPLITUDE = 0.5
+SMOOTH_WAVENUMBER = 2 * math.pi
+SMOOTH_NEWTON_STEPS = 60
+
+
+def burgers_smooth_solution(a: float, b: float, nx: int, T: float, nt: int) -> GriddedField:
+    """Pre-breaking smooth solution with initial data A*sin(k x), A =
+    SMOOTH_AMPLITUDE and k = SMOOTH_WAVENUMBER, evaluated by SMOOTH_NEWTON_STEPS
+    Newton steps on the characteristic relation."""
+    amplitude, wavenumber = SMOOTH_AMPLITUDE, SMOOTH_WAVENUMBER
     t_break = 1.0 / (amplitude * wavenumber)
     if T >= 0.8 * t_break:
         raise ValueError(f"T = {T} too close to breaking time {t_break:.4f}")
@@ -211,7 +216,7 @@ def burgers_smooth_solution(a: float, b: float, nx: int, T: float, nt: int,
     u = np.empty((nt, nx))
     for k, t in enumerate(t_axis):
         vals = amplitude * np.sin(wavenumber * xs)
-        for _ in range(newton_steps):
+        for _ in range(SMOOTH_NEWTON_STEPS):
             f = vals - amplitude * np.sin(wavenumber * (xs - vals * t))
             fp = 1.0 + amplitude * wavenumber * t * np.cos(wavenumber * (xs - vals * t))
             vals = vals - f / fp
@@ -247,7 +252,7 @@ class ViscousRun:
     """A viscous Burgers run and its diagnostics.
 
     ``stability_margin`` is the advective Courant number dt_sub*max|u|/h, the
-    only stability number of the scheme (at most ``safety``).
+    only stability number of the scheme (at most ``COURANT_SAFETY``).
     ``diffusion_number`` is r = nu*dt_sub/h^2, the stiffness of the implicit
     diffusion step; it has no stability limit.
     """
@@ -290,22 +295,25 @@ def viscous_profile(datum: RiemannDatum, nu: float, x, t: float = 0.0) -> np.nda
     return s - half * np.tanh(arg)
 
 
+COURANT_SAFETY = 0.9   # the substep's advective Courant number is at most this
+STEADY_TOL = 1e-9      # max update per unit time below which a run is steady
+
+
 def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: float,
                         nx: int, T: float, nt: int, bc: str = "dirichlet_states",
-                        initial: str = "riemann", initial_data=None,
-                        steady_tol: float = 1e-9, safety: float = 0.9) -> ViscousRun:
+                        initial: str = "riemann", initial_data=None) -> ViscousRun:
     """Conservative finite-volume run of viscous Burgers, implicit in the diffusion.
 
     Each substep is a first-order IMEX step: an explicit local Lax-Friedrichs
     update for u^2/2 gives u*, then the backward-Euler diffusion step
     (I + r L) u^{n+1} = u* with r = nu*dt/h^2 and L = tridiag(-1, 2, -1),
     solved exactly by FFT.  Both halves obey the maximum principle, so the
-    only step rule is the advective one, dt <= 0.9*h/max|u|.
+    only step rule is the advective one, dt <= COURANT_SAFETY*h/max|u|.
     ``bc='dirichlet_states'`` pins the Riemann states at the ends,
     ``bc='periodic'`` wraps.  ``initial`` selects the sharp jump or the
     viscous traveling-wave profile; ``initial_data`` overrides both.
 
-    Once consecutive states stop changing (max update below ``steady_tol``
+    Once consecutive states stop changing (max update below ``STEADY_TOL``
     per unit time) the run freezes: remaining samples repeat the steady
     profile and the dissipation total extends linearly.  Standing-shock runs
     reach that state quickly, which is what makes small-nu sweeps affordable.
@@ -315,8 +323,10 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     over [0, T], the trapezoid rule in time over the substep rates.
     """
     _check_grid_sizes(nx, nt)
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu!r}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T!r}")
     if bc not in ("dirichlet_states", "periodic"):
         raise ValueError(f"unknown bc {bc!r}")
     if datum is None and initial_data is None:
@@ -340,9 +350,9 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     if datum is not None:
         umax = max(umax, abs(datum.u_l), abs(datum.u_r))
     dt_limit = h / umax
-    dt_sub = safety * dt_limit
+    dt_sub = COURANT_SAFETY * dt_limit
     n_sub = max(int(math.ceil(T / dt_sub)), 1)
-    if T / n_sub / dt_limit > safety:  # T/dt_sub rounded down onto a whole number
+    if T / n_sub / dt_limit > COURANT_SAFETY:  # T/dt_sub rounded down onto a whole number
         n_sub += 1
     dt_sub = T / n_sub
     r = nu * dt_sub / (h * h)
@@ -372,7 +382,7 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
             if not np.all(np.isfinite(u)):
                 raise NumericalError(f"non-finite state at step {step}")
             drift = float(np.abs(u - last_checked).max()) / (check_every * dt_sub)
-            if drift < steady_tol:
+            if drift < STEADY_TOL:
                 steady_time = t_now
                 break
             last_checked = u.copy()

@@ -68,16 +68,19 @@ class CoverageError(ValueError):
 class EntropyPair:
     """A conserved density and its flux for a scalar/velocity model.
 
-    ``eta_fn(u, p, theta)`` returns the density per node, ``q_fn`` the flux
-    with a trailing component axis.  The growth coefficients certify
-    pointwise bounds |eta| <= eta_quad_coeff*|u|^2 and |Q| <= q_cubic_coeff*|u|^3
-    used when instantiating Hoelder bounds; pairs without velocity-cubic
-    structure leave them None and are rejected by the bound evaluator.
+    ``eta_fn(u, p, theta)`` returns the density per node; ``fluxes`` maps a
+    term name to a flux function of the same arguments (trailing component
+    axis), and the flux is their sum.  Each flux gives one balance term, in
+    the dict's order: "II" is the velocity flux and "III", when present, the
+    pressure flux u*p.  The growth coefficients certify pointwise bounds
+    |eta| <= eta_quad_coeff*|u|^2 and |Q_II| <= q_cubic_coeff*|u|^3 used when
+    instantiating Hoelder bounds; pairs without velocity-cubic structure
+    leave them None and are rejected by the bound evaluator.
     """
 
     label: str
     eta_fn: Callable
-    q_fn: Callable
+    fluxes: dict
     eta_quad_coeff: float | None = None
     q_cubic_coeff: float | None = None
 
@@ -90,7 +93,7 @@ def _burgers_q(u, p, theta):
     return (u[..., 0] ** 3 / 3.0)[..., None]
 
 
-BURGERS_PAIR = EntropyPair("burgers", _burgers_eta, _burgers_q,
+BURGERS_PAIR = EntropyPair("burgers", _burgers_eta, {"II": _burgers_q},
                            eta_quad_coeff=0.5, q_cubic_coeff=1.0 / 3.0)
 
 
@@ -107,20 +110,16 @@ def passive_scalar_pair() -> EntropyPair:
             raise ValueError("the passive-scalar pair needs a field with scalar samples")
         return u * (0.5 * theta ** 2)[..., None]
 
-    return EntropyPair("passive_scalar", eta, q)
+    return EntropyPair("passive_scalar", eta, {"II": q})
 
 
-def _euler_pair() -> EntropyPair:
-    def eta(u, p, theta):
-        return 0.5 * np.sum(u ** 2, axis=-1)
-
-    def q(u, p, theta):
-        return u * (0.5 * np.sum(u ** 2, axis=-1) + p)[..., None]
-
-    return EntropyPair("euler_energy", eta, q, eta_quad_coeff=0.5, q_cubic_coeff=0.5)
-
-
-EULER_ENERGY_PAIR = _euler_pair()
+# the Euler energy flux (|u|^2/2 + p) u, split into its cubic velocity part
+# and its pressure part
+EULER_ENERGY_PAIR = EntropyPair(
+    "euler_energy", lambda u, p, theta: 0.5 * np.sum(u ** 2, axis=-1),
+    {"II": lambda u, p, theta: u * (0.5 * np.sum(u ** 2, axis=-1))[..., None],
+     "III": lambda u, p, theta: u * p[..., None]},
+    eta_quad_coeff=0.5, q_cubic_coeff=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +247,11 @@ class _Pairing(NamedTuple):
     window: _Window
 
 
-def _pairing(field: GriddedField, phi, density: Callable, fluxes: dict, nu: float = 0.0,
+def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
              vanish=("t0", "T", "x")) -> _Pairing:
     """The one test-function pairing behind every weak balance.
 
-    With eta = density(u, p, theta) and Q_k = fluxes[k](u, p, theta):
+    With eta = pair.eta_fn(u, p, theta) and Q_k = pair.fluxes[k](u, p, theta):
 
         terms["I"] = quadrature of eta * dphi/dt
         terms[k]   = quadrature of Q_k . grad(phi)      (one entry per flux)
@@ -265,9 +264,9 @@ def _pairing(field: GriddedField, phi, density: Callable, fluxes: dict, nu: floa
     """
     win = _Window(field, phi, vanish)
     f = win.local
-    eta = density(f.u, f.p, f.theta)
+    eta = pair.eta_fn(f.u, f.p, f.theta)
     terms = {"I": win.quad(eta * win.x_dt, win.h_dt)}
-    for name, flux in fluxes.items():
+    for name, flux in pair.fluxes.items():
         q = flux(f.u, f.p, f.theta)
         terms[name] = win.quad(np.einsum("...i,...i->...", q, win.x_grad), win.h_val)
     if nu > 0:
@@ -303,8 +302,7 @@ def entropy_production(field: GriddedField, pair: EntropyPair, phi) -> float:
     on smooth exact solutions, and must be >= -tolerance when phi >= 0 and
     the dissipation is non-negative.
     """
-    terms = _pairing(field, phi, pair.eta_fn, {"II": pair.q_fn}).terms
-    return terms["I"] + terms["II"]
+    return sum(_pairing(field, phi, pair).terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +330,14 @@ class BalanceReport:
     pair_label: str = ""
 
 
-# the Euler energy flux split into its cubic velocity part (II) and its pressure part (III)
-_EULER_FLUXES = {
-    "II": lambda u, p, theta: u * (0.5 * np.sum(u ** 2, axis=-1))[..., None],
-    "III": lambda u, p, theta: u * p[..., None],
-}
-
-
-def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair,
-                   fluxes: dict, nu: float):
+def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair, nu: float):
     """Test the balance with chi(x)*eta(t); returns the report and the window.
 
     With nu > 0 the report also carries nu*|grad u|^2 paired with the cutoff
     and summed over the strict cylinder |x - c| < delta, |t - t0| < delta**alpha.
     """
     _check_cutoff_margin(field, cutoff)
-    res = _pairing(field, SpaceTimeTestFunction(cutoff.chi, cutoff.eta), pair.eta_fn,
-                   fluxes, nu)
+    res = _pairing(field, SpaceTimeTestFunction(cutoff.chi, cutoff.eta), pair, nu)
     win = res.window
     grad_cut = grad_cyl = None
     if nu > 0:
@@ -368,7 +357,7 @@ def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair,
 def pair_weak_mass(field: GriddedField, pair: EntropyPair, cutoff: CutoffPair) -> BalanceReport:
     """Cutoff-tested entropy balance: upper estimate of the dissipation mass
     on the cutoff's cylinder for non-negative dissipation."""
-    return _cutoff_report(field, cutoff, pair, {"II": pair.q_fn}, 0.0)[0]
+    return _cutoff_report(field, cutoff, pair, 0.0)[0]
 
 
 def euler_weak_mass(field: GriddedField, cutoff: CutoffPair) -> BalanceReport:
@@ -379,7 +368,7 @@ def euler_weak_mass(field: GriddedField, cutoff: CutoffPair) -> BalanceReport:
     """
     if field.p is None:
         raise ValueError("euler_weak_mass requires a pressure field")
-    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, _EULER_FLUXES, 0.0)[0]
+    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, 0.0)[0]
 
 
 def ns_weak_mass(field: GriddedField, cutoff: CutoffPair, nu: float) -> BalanceReport:
@@ -394,7 +383,7 @@ def ns_weak_mass(field: GriddedField, cutoff: CutoffPair, nu: float) -> BalanceR
         raise ValueError("ns_weak_mass requires a pressure field")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu!r}")
-    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, _EULER_FLUXES, nu)[0]
+    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, nu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +423,12 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
                           pair: EntropyPair | None = None, nu: float = 0.0) -> BalanceReport:
     """Explicit Hoelder bound on the cutoff-tested balance, with dominance check.
 
-    Computes the local mixed norms of |u| (and p when present) on the
-    2*delta collar and assembles the term-by-term bound using the realized
-    cutoff quadratures -- all Hoelder steps carry constant 1, so the weak
-    mass is dominated by the bound as an exact discrete inequality, which is
-    checked (VerificationError when it fails).  Exponent bookkeeping per term:
+    Computes the local mixed norms of |u| (and of p when the pair has a
+    pressure flux III) on the 2*delta collar and assembles the term-by-term
+    bound using the realized cutoff quadratures -- all Hoelder steps carry
+    constant 1, so the weak mass is dominated by the bound as an exact
+    discrete inequality, which is checked (VerificationError when it fails).
+    Exponent bookkeeping per term:
 
         |I|   <= c_eta * ||u||^2_{LqLr} * ||chi||_{r/(r-2)} * ||eta'||_{q/(q-2)}
         |II|  <= c_Q   * ||u||^3_{LqLr} * ||grad chi||_{r/(r-3)} * ||eta||_{q/(q-3)}
@@ -454,10 +444,9 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         pair = EULER_ENERGY_PAIR if field.p is not None else BURGERS_PAIR
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
         raise ValueError(f"pair {pair.label!r} lacks the growth coefficients for a bound")
-    fluxes = _EULER_FLUXES if pair.label == "euler_energy" else {"II": pair.q_fn}
-    if "III" in fluxes and field.p is None:
+    if "III" in pair.fluxes and field.p is None:
         raise ValueError("euler-mode bound requires a pressure field")
-    report, win = _cutoff_report(field, cutoff, pair, fluxes, nu)
+    report, win = _cutoff_report(field, cutoff, pair, nu)
 
     r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
     smask = r2 <= (2 * cutoff.delta) ** 2
@@ -480,7 +469,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     }
     norms = {"u_LqLr": u_norm, "chi": n_chi, "grad_chi": n_gchi,
              "eta_t": n_eta, "deta_t": n_deta}
-    if "III" in fluxes:
+    if "III" in pair.fluxes:
         p_norm = _mixed_norm(win, np.abs(win.local.p),
                              q / 2, r / 2, smask, tmask)
         bound_terms["III"] = p_norm * u_norm * n_gchi * n_eta
@@ -525,7 +514,7 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
             raise ValueError("no pressure present: pass an explicit entropy pair")
         pair = EULER_ENERGY_PAIR
     vanish = ("t0",) if allow_spatial_boundary else ("t0", "x")
-    res = _pairing(field, phi, pair.eta_fn, {"II": pair.q_fn}, nu, vanish)
+    res = _pairing(field, phi, pair, nu, vanish)
     return sum(res.terms.values()), res.terminal
 
 
@@ -575,7 +564,7 @@ def signed_support_bound(v_field: SpatialVectorField, covering, phi, r,
         raise ValueError(f"r must satisfy r >= d/(d-1), got {r!r}")
     if not covering:
         raise ValueError("need at least one covering ball")
-    mesh = v_field.mesh()
+    mesh = v_field.spatial_mesh()
     div = v_field.divergence()
     thr = threshold if threshold is not None else DEFAULT_DIV_THRESHOLD * float(np.abs(div).max())
 
@@ -603,7 +592,7 @@ def signed_support_bound(v_field: SpatialVectorField, covering, phi, r,
         if mask.any():
             grad_chi[mask] = b.gradient(mesh[mask])
 
-    w = v_field.weights()
+    w = v_field.spatial_weights()
     phi_vals = phi.value(mesh)
     phi_grad = phi.gradient(mesh)
     v = v_field.values

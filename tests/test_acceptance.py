@@ -194,7 +194,8 @@ def test_criterion_5_terminal_time_balance(shock_runs):
         hw = run.field.b
         space = co.SpatialTestFunction(
             [co.PlateauProfile(-hw / 2, hw / 2, hw / 3, profile="quintic")])
-        phi = co.SpaceTimeTestFunction(space, co.RampProfile(0.01, 0.025, profile="quintic"))
+        phi = co.SpaceTimeTestFunction(
+            space, co.PlateauProfile(0.025, INF, 0.015, profile="quintic"))
         interior, terminal = wb.boundary_extended_mass(run.field, phi,
                                                        pair=wb.BURGERS_PAIR, nu=nu)
         nupair = wb.grad_squared_pairing(run.field, phi, nu)
@@ -214,7 +215,7 @@ def _pairing_majorant(field, pair, phi):
     mesh = field.spatial_mesh()
     ts = field.t_axis
     eta = pair.eta_fn(field.u, field.p, field.theta)
-    q = pair.q_fn(field.u, field.p, field.theta)
+    q = sum(flux(field.u, field.p, field.theta) for flux in pair.fluxes.values())
     wsp = field.spatial_weights()
     _, wt = field.axis_weights()
     d = field.d
@@ -275,7 +276,7 @@ def test_criterion_6_grid_refinement_order():
         field = fx.decaying_shear_field(0.05, math.pi / 2, 0.0, 4.0, n, 4.0, n)
         space = co.SpatialTestFunction(
             [co.PlateauProfile(1.0, 3.0, 0.5, profile="quintic")] * 2)
-        phi = co.SpaceTimeTestFunction(space, co.RampProfile(0.5, 1.5, profile="quintic"))
+        phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(1.5, INF, 1.0, profile="quintic"))
         interior, terminal = wb.boundary_extended_mass(field, phi, nu=0.05)
         vals.append(interior - wb.grad_squared_pairing(field, phi, 0.05) - terminal)
     orders.append(math.log2(abs(vals[0]) / abs(vals[1])))

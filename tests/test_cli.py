@@ -267,6 +267,13 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     ["dimension", "--top-k", "-1"],
     ["dimension", "--top-k", "0"],
     ["dimension", "--sample-centers", "0"],
+    ["dimension", "--sample-centers", "64", "--top-k", "1"],
+    ["dimension", "--seed", "5"],
+    VFIELD + ["--nx", "301", "--T", "inf"],
+    VFIELD + ["--nx", "301", "--T", "0.2", "--ul", "inf"],
+    VFIELD + ["--nx", "301", "--T", "0.2", "--x0", "nan"],
+    VFIELD + ["--nx", "301", "--T", "0.2", "--x0", "inf"],
+    VFIELD + ["--nx", "301", "--T", "0.2", "--nu", "inf"],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files

@@ -76,18 +76,11 @@ class TestProfiles:
         assert np.trapezoid(p.value(xs), xs) == pytest.approx(p.integral, rel=1e-8)
 
     def test_plateau_derivative_consistency(self):
-        p = co.PlateauProfile(0.1, 0.6, 0.15, profile="quintic")
-        xs = np.linspace(-0.2, 0.9, 2 ** 15)
-        num = np.gradient(p.value(xs), xs)
-        assert np.max(np.abs(num - p.deriv(xs))) < 1e-3
-
-    def test_ramp_partial_integrals(self):
-        for profile in ("cubic", "quintic"):
-            r = co.RampProfile(0.2, 0.7, profile=profile)
-            for x_end in (0.1, 0.4, 0.7, 1.0):
-                xs = np.linspace(0, x_end, 400001)
-                ref = np.trapezoid(r.value(xs), xs)
-                assert r.integral_up_to(x_end) == pytest.approx(ref, abs=1e-9)
+        for hi in (0.6, math.inf):   # inf: the one-sided plateau
+            p = co.PlateauProfile(0.1, hi, 0.15, profile="quintic")
+            xs = np.linspace(-0.2, 0.9, 2 ** 15)
+            num = np.gradient(p.value(xs), xs)
+            assert np.max(np.abs(num - p.deriv(xs))) < 1e-3
 
     def test_separable_gradient_matches_finite_differences(self):
         # quintic: the derivative is C^1, so centered differences converge

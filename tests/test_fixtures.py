@@ -49,7 +49,7 @@ class TestPowerLaw:
         # finite-difference check of the vector field's divergence
         v = fx.power_law_vector_field(f, -1.0, 1.0, 1024)
         div = v.divergence()
-        mesh = v.mesh()
+        mesh = v.spatial_mesh()
         away = np.sum(mesh ** 2, axis=-1) > 0.25
         rel = np.abs(div[away] / f.divergence(mesh)[away] - 1)
         assert np.median(rel) < 1e-3
@@ -93,7 +93,7 @@ class TestBurgersEntropySolution:
         # the sampled shock is a weak solution of the momentum form: the
         # pairing with the (u, u^2/2) pair vanishes across the shock
         momentum = wb.EntropyPair("momentum", lambda u, p, th: u[..., 0],
-                                  lambda u, p, th: (0.5 * u[..., 0] ** 2)[..., None])
+                                  {"II": lambda u, p, th: (0.5 * u[..., 0] ** 2)[..., None]})
         datum = fx.RiemannDatum(2.0, 0.0)
         field = fx.burgers_entropy_solution(datum, -1.0, 3.0, 2049, 1.0, 1025)
         space = co.SpatialTestFunction([co.PlateauProfile(0.2, 1.6, 0.3)])
