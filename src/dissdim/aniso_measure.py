@@ -10,21 +10,50 @@ and the dimension tolerances used in tests absorb the gap.
 Membership is strict on both factors (open ball, open interval), so atoms
 sitting exactly on a cylinder boundary are excluded.
 
-One lattice serves every scale-by-scale computation: the origin-anchored
-cells of spatial side delta and temporal side delta**alpha, mapped from
-points by ``_cells``.  Box counting and the covering estimate count its
-occupied cells; the density ladder uses it as a cell list (the linked-cell
-neighbour search of molecular dynamics).  A cell side equals the cylinder
-half-width on every axis, so an atom inside a cylinder lies in one of the
-3^d x 3 cells around the center's cell (a cell further on an axis where
-rounding puts the center at a cell face), and each center is tested only
-against the atoms of those cells: the cost per center is the number of
-atoms in its neighbour cells, not the number of atoms of the measure.
-Points 2**53 cells or more from the origin raise ValueError.
+One lattice serves every scale-by-scale computation on boxes: the
+origin-anchored cells of spatial side delta and temporal side delta**alpha,
+mapped from points by ``_cells``.  Box counting and the covering estimate
+count its occupied cells.  Points 2**53 cells or more from the origin raise
+ValueError.
+
+The density ladder takes its cylinder masses from ``_masses``, one row per
+scale and one column per center, for all scales in one call.
+
+For d = 1 a cylinder is an open rectangle in (x, t), so its mass is a 2D
+orthogonal range sum, and one offline sweep over a merge-sort tree (a range
+tree with sorted lists at its nodes) answers every (scale, center) query:
+
+* Exactness.  Rounding is monotone, so fl((x - c)**2) < delta**2 can only
+  fail further from c on either side, and likewise |fl(t - t_c)| <
+  delta**alpha.  A cylinder's members are therefore one index range of the
+  atoms sorted by x and one range of time ranks, and a bisection that
+  evaluates exactly these strict tests finds both for all queries at once.
+  No rounded bound c +- delta is used, so the members are the atoms
+  ``Cylinder.contains`` accepts.
+* Sweep.  With the atoms sorted by x, each aligned block of 2**k of them
+  keeps its time ranks sorted, with prefix sums of their weights.  An x
+  range splits into at most two blocks per level (the bottom-up
+  segment-tree walk), and one ``np.searchsorted`` per level over all
+  queries finds each block's atoms inside the time-rank range.  Sums are
+  taken within a block, so their rounding scales with that block's mass.
+* Memory.  Each level is built from the one below and freed once every
+  query has read it, so the sweep holds O(atoms + queries) numbers, not
+  the O(atoms log atoms) of the whole tree; it takes
+  O((atoms + queries) log atoms) time.
+
+For d >= 2 a ball is not a box, and the lattice serves as a cell list (the
+linked-cell neighbour search of molecular dynamics), built at each scale.
+A cell side equals the cylinder half-width on every axis, so an atom inside
+a cylinder lies in one of the 3^d x 3 cells around the center's cell (a
+cell further on an axis where rounding puts the center at a cell face), and
+each center is tested only against the atoms of those cells: the cost per
+center is the number of atoms in its neighbour cells, not the number of
+atoms of the measure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -323,6 +352,93 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     return out
 
 
+def _first_true(test, n: int, size: int) -> np.ndarray:
+    """Per query, the first index k in [0, n) at which test(k) holds, or n;
+    test must be false and then true along the index for every query.  One
+    bisection over all ``size`` queries at once."""
+    lo = np.zeros(size, dtype=np.int64)
+    hi = np.full(size, n, dtype=np.int64)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        ok = test(np.minimum(mid, n - 1))
+        live = lo < hi
+        hi = np.where(live & ok, mid, hi)
+        lo = np.where(live & ~ok, mid + 1, lo)
+    return lo
+
+
+def _member_range(v: np.ndarray, c: np.ndarray, inside):
+    """Index range [lo, hi) of the sorted values v that pass inside(v), per
+    query with center c, for a test that can only fail further from c on
+    either side: members below c come after the non-members below it, and
+    members above c before the non-members above it.  Where the test fails
+    at c itself (a radius that underflows to 0) the range is empty."""
+    def reached(k):
+        y = v[k]
+        return (y > c) | inside(y)
+
+    def passed(k):
+        y = v[k]
+        return (y > c) & ~inside(y)
+
+    return _first_true(reached, len(v), len(c)), _first_true(passed, len(v), len(c))
+
+
+def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) -> np.ndarray:
+    """Cylinder masses of a d = 1 measure, one row per scale, by a
+    merge-sort tree swept one level at a time (see the module docstring)."""
+    n, m = mu.n_atoms, centers.shape[0]
+    c, tc = np.tile(centers[:, 0], len(scales)), np.tile(centers[:, 1], len(scales))
+    r2 = np.repeat([delta ** 2 for delta in scales], m)
+    th = np.repeat([delta ** alpha for delta in scales], m)
+    by_x = np.argsort(mu.positions[:, 0], kind="stable")
+    by_t = np.argsort(mu.times, kind="stable")
+    left, right = _member_range(mu.positions[by_x, 0], c, lambda x: (x - c) ** 2 < r2)
+    t_lo, t_hi = _member_range(mu.times[by_t], tc, lambda t: np.abs(t - tc) < th)
+    del c, tc, r2, th
+
+    # padded to a power of two: ranks n.. with zero weight sort after every atom
+    width = 1 << (n - 1).bit_length()
+    weight = np.zeros(width)
+    weight[:n] = mu.weights[by_t]                 # weight by time rank
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_t] = np.arange(n)                     # time rank of each atom
+    level = np.concatenate([rank[by_x], np.arange(n, width)])
+    del by_x, by_t, rank
+    out = np.zeros(len(left))
+    block = 1
+    live = left < right
+    while live.any():
+        if block > 1:   # merge each pair of sorted blocks
+            level = np.sort(level.reshape(-1, block), axis=1).ravel()
+        rows = level.reshape(-1, block)   # the sorted time ranks of each block
+        prefix = np.zeros((rows.shape[0], block + 1))
+        np.cumsum(weight[rows], axis=1, out=prefix[:, 1:])
+        # row b's ranks shifted past every earlier row's: one sorted array
+        keys = (rows + np.arange(0, width * rows.shape[0], width)[:, None]).ravel()
+        use_left, use_right = live & (left % 2 == 1), live & (right % 2 == 1)
+        for use, used_block in ((use_left, left), (use_right, right - 1)):
+            q = np.flatnonzero(use)
+            b = used_block[q]
+            lo, hi = (np.searchsorted(keys, b * width + r[q]) - b * block for r in (t_lo, t_hi))
+            out[q] += prefix[b, hi] - prefix[b, lo]
+        del prefix, keys   # free this level before the next is built
+        left, right = (left + use_left) // 2, (right - use_right) // 2
+        live = left < right
+        block *= 2
+    return out.reshape(len(scales), m)
+
+
+def _masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) -> np.ndarray:
+    """Cylinder masses, one row per scale and one column per center: the
+    merge-sort-tree sweep for d = 1, the cell list at each scale for d >= 2."""
+    if mu.n_atoms == 0 or centers.shape[0] == 0:
+        return np.zeros((len(scales), centers.shape[0]))
+    if mu.d == 1:
+        return _sweep_masses(mu, centers, scales, alpha)
+    return np.array([_masses_at_scale(mu, centers, delta, alpha) for delta in scales])
+
+
 def box_counting_dimension(points, alpha, scales) -> BoxCountResult:
     """Occupied-cell counts on anisotropic lattices plus a log-log slope.
 
@@ -369,8 +485,8 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None, top_k=None
     records whether the densities are non-increasing within a fixed factor,
     which is the numerical evidence for a bounded density modulus.
     """
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s!r}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be non-negative and finite, got {s!r}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     scales = _validate_scales(scales)
@@ -382,15 +498,13 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None, top_k=None
             centers = mu.support_points()
     else:
         centers = as_point_array(centers, d=mu.d)
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must have finite coordinates")
     if centers.shape[0] == 0:
         raise ValueError("empty support: no centers to scan")
 
-    densities = []
-    masses = []
-    for delta in scales:
-        m = float(_masses_at_scale(mu, centers, delta, alpha).max())
-        masses.append(m)
-        densities.append(m / delta ** s)
+    masses = [float(m) for m in _masses(mu, centers, scales, alpha).max(axis=1)]
+    densities = [m / delta ** s for m, delta in zip(masses, scales)]
 
     positive = [(d_, m_) for d_, m_ in zip(scales, masses) if m_ > 0]
     if len(positive) >= 3:

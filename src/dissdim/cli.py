@@ -207,8 +207,8 @@ def cmd_dimension(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    if args.nu is not None and not args.nu >= 0:
-        raise CliError(f"--nu must be non-negative, got {args.nu!r}")
+    if args.nu is not None and not 0 <= args.nu < math.inf:
+        raise CliError(f"--nu must be non-negative and finite, got {args.nu!r}")
     field = dio.read_field(args.input)
     q = _parse_number(args.q)
     r = _parse_number(args.r)

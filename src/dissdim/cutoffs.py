@@ -201,6 +201,9 @@ class CutoffPair:
             raise ValueError(f"alpha must be positive, got {alpha!r}")
         chi = SpatialBump(center.x, delta, profile)
         eta = TimeBump(center.t, delta, alpha, profile)
+        if not 0 < eta.inner < eta.outer < math.inf:
+            raise ValueError(f"time bump at delta={delta!r}, alpha={alpha!r} needs "
+                             "0 < delta**alpha < (2 delta)**alpha < inf")
         return cls(center, float(delta), float(alpha), chi, eta)
 
     @property

@@ -60,20 +60,15 @@ class _NodeGrid:
 
 
 @dataclass
-class GriddedField(_NodeGrid):
-    """Samples on the node grid x_i = a + i*h (per axis), t_k = k*dt.
+class _SpaceTimeGrid(_NodeGrid):
+    """The node grid crossed with the time nodes t_k = k*dt on [0, T], dt = T/(nt-1).
 
-    ``u`` has shape (nt, nx, ..., nx, d) with d spatial axes of length nx;
-    ``p`` and ``theta`` drop the trailing component axis.  Spacings follow the
-    node convention h = (b-a)/(nx-1), dt = T/(nt-1).
+    Constructing one checks a, b, nx, T and nt, so callers build their axes
+    from it only once the grid is known to be finite.
     """
 
     T: float
     nt: int
-    u: np.ndarray
-    p: np.ndarray | None = None
-    theta: np.ndarray | None = None
-    label: str = ""
 
     def __post_init__(self):
         super().__post_init__()
@@ -84,6 +79,32 @@ class GriddedField(_NodeGrid):
         if not np.all(np.isfinite(ends)):
             raise ValueError("time step or end node overflows: need finite dt "
                              "and time end node")
+
+    @property
+    def dt(self) -> float:
+        return self.T / (self.nt - 1)
+
+    @property
+    def t_axis(self) -> np.ndarray:
+        return self.dt * np.arange(self.nt)
+
+
+@dataclass
+class GriddedField(_SpaceTimeGrid):
+    """Samples on the node grid x_i = a + i*h (per axis), t_k = k*dt.
+
+    ``u`` has shape (nt, nx, ..., nx, d) with d spatial axes of length nx;
+    ``p`` and ``theta`` drop the trailing component axis.  Spacings follow the
+    node convention h = (b-a)/(nx-1), dt = T/(nt-1).
+    """
+
+    u: np.ndarray
+    p: np.ndarray | None = None
+    theta: np.ndarray | None = None
+    label: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
         expected = (self.nt,) + (self.nx,) * self.d + (self.d,)
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != expected:
@@ -99,14 +120,6 @@ class GriddedField(_NodeGrid):
                 setattr(self, name, arr)
         if not np.all(np.isfinite(self.u)):
             raise ValueError("u contains non-finite samples")
-
-    @property
-    def dt(self) -> float:
-        return self.T / (self.nt - 1)
-
-    @property
-    def t_axis(self) -> np.ndarray:
-        return self.dt * np.arange(self.nt)
 
     def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoidal node weights (wx per axis, wt)."""

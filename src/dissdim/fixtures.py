@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .aniso_measure import AtomicMeasure
-from .fields import GriddedField, SpatialVectorField, _NodeGrid
+from .fields import GriddedField, SpatialVectorField, _NodeGrid, _SpaceTimeGrid
 
 __all__ = [
     "NumericalError",
@@ -164,11 +164,6 @@ def _cell_average_fan(xl, xr, t, datum: RiemannDatum):
     return (antiderivative(xr) - antiderivative(xl)) / (xr - xl)
 
 
-def _check_grid_sizes(nx: int, nt: int) -> None:
-    if nx < 2 or nt < 2:
-        raise ValueError(f"grids need nx >= 2 and nt >= 2 nodes, got nx={nx!r}, nt={nt!r}")
-
-
 def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
                              T: float, nt: int) -> GriddedField:
     """Exact entropy solution of the Riemann problem, conservatively sampled.
@@ -179,14 +174,12 @@ def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
     f(u_l) - f(u_r) exactly.  Shock at x0 + t*(u_l+u_r)/2; a rarefaction fan
     when u_l < u_r.
     """
-    _check_grid_sizes(nx, nt)
-    h = (b - a) / (nx - 1)
-    xs = a + h * np.arange(nx)
+    grid = _SpaceTimeGrid(1, a, b, nx, T, nt)
+    h, xs = grid.h, grid.x_axis
     xl = np.maximum(xs - h / 2.0, a)
     xr = np.minimum(xs + h / 2.0, b)
-    t_axis = T / (nt - 1) * np.arange(nt)
     u = np.empty((nt, nx))
-    for k, t in enumerate(t_axis):
+    for k, t in enumerate(grid.t_axis):
         if datum.is_shock:
             u[k] = _cell_average_shock(xl, xr, datum.x0 + datum.shock_speed * t,
                                        datum.u_l, datum.u_r)
@@ -210,11 +203,10 @@ def burgers_smooth_solution(a: float, b: float, nx: int, T: float, nt: int) -> G
     t_break = 1.0 / (amplitude * wavenumber)
     if T >= 0.8 * t_break:
         raise ValueError(f"T = {T} too close to breaking time {t_break:.4f}")
-    h = (b - a) / (nx - 1)
-    xs = a + h * np.arange(nx)
-    t_axis = T / (nt - 1) * np.arange(nt)
+    grid = _SpaceTimeGrid(1, a, b, nx, T, nt)
+    xs = grid.x_axis
     u = np.empty((nt, nx))
-    for k, t in enumerate(t_axis):
+    for k, t in enumerate(grid.t_axis):
         vals = amplitude * np.sin(wavenumber * xs)
         for _ in range(SMOOTH_NEWTON_STEPS):
             f = vals - amplitude * np.sin(wavenumber * (xs - vals * t))
@@ -322,17 +314,14 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     (atoms weighted nu*u_x^2*h*dt at sample times), and the dissipation total
     over [0, T], the trapezoid rule in time over the substep rates.
     """
-    _check_grid_sizes(nx, nt)
+    grid = _SpaceTimeGrid(1, a, b, nx, T, nt)
     if not 0 < nu < math.inf:
         raise ValueError(f"nu must be positive and finite, got {nu!r}")
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T!r}")
     if bc not in ("dirichlet_states", "periodic"):
         raise ValueError(f"unknown bc {bc!r}")
     if datum is None and initial_data is None:
         raise ValueError("need a Riemann datum or explicit initial data")
-    h = (b - a) / (nx - 1)
-    xs = a + h * np.arange(nx)
+    h, xs = grid.h, grid.x_axis
     if initial_data is not None:
         u = np.array(initial_data, dtype=float)
         if u.shape != (nx,):
@@ -358,7 +347,7 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     r = nu * dt_sub / (h * h)
     diffuse = _implicit_diffusion(nx, r, bc)
 
-    sample_times = T / (nt - 1) * np.arange(nt)
+    sample_times = grid.t_axis
     snapshots = np.empty((nt, nx))
     snapshots[0] = u
     next_sample = 1
@@ -396,7 +385,7 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
         next_sample += 1
 
     field = GriddedField(1, a, b, nx, T, nt, snapshots[..., None], label="viscous_burgers")
-    dt_sample = T / (nt - 1)
+    dt_sample = grid.dt
     ux_all = np.gradient(snapshots, h, axis=1)
     weights = nu * ux_all ** 2 * h * dt_sample
     mesh_x = np.broadcast_to(xs, snapshots.shape).ravel()
@@ -523,8 +512,7 @@ def constant_field(value, d: int, a: float, b: float, nx: int, T: float, nt: int
 
 def shear_flow_field(profile, a: float, b: float, nx: int, T: float, nt: int) -> GriddedField:
     """Steady planar shear u = (f(y), 0), p = 0: an exact inviscid solution."""
-    h = (b - a) / (nx - 1)
-    ys = a + h * np.arange(nx)
+    ys = _SpaceTimeGrid(2, a, b, nx, T, nt).x_axis
     fy = np.asarray(profile(ys), dtype=float)
     u = np.zeros((nt, nx, nx, 2))
     u[..., 0] = fy[None, None, :]
@@ -535,10 +523,9 @@ def shear_flow_field(profile, a: float, b: float, nx: int, T: float, nt: int) ->
 def decaying_shear_field(nu: float, k: float, a: float, b: float, nx: int,
                          T: float, nt: int) -> GriddedField:
     """u = (exp(-nu k^2 t) sin(k y), 0), p = 0: exact viscous shear decay."""
-    h = (b - a) / (nx - 1)
-    ys = a + h * np.arange(nx)
-    ts = T / (nt - 1) * np.arange(nt)
-    amp = np.exp(-nu * k * k * ts)
+    grid = _SpaceTimeGrid(2, a, b, nx, T, nt)
+    ys = grid.x_axis
+    amp = np.exp(-nu * k * k * grid.t_axis)
     u = np.zeros((nt, nx, nx, 2))
     u[..., 0] = amp[:, None, None] * np.sin(k * ys)[None, None, :]
     p = np.zeros((nt, nx, nx))

@@ -166,8 +166,11 @@ class TestDensityLadder:
 
     def test_validation(self):
         mu = AtomicMeasure([[0.0]], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            am.density_ladder(mu, 1.0, -0.5, [0.4, 0.2, 0.1])
+        for s in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                am.density_ladder(mu, 1.0, s, [0.4, 0.2, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], centers=[[math.nan, 0.0]])
         empty = AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1)
         with pytest.raises(ValueError):
             am.density_ladder(empty, 1.0, 1.0, [0.4, 0.2, 0.1])

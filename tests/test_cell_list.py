@@ -1,10 +1,11 @@
-"""The cell-list cylinder masses against an all-pairs oracle, and the lattice's
-range check.
+"""Cylinder masses against an all-pairs oracle, and the lattice's range check.
 
-The oracle applies the strict membership tests of ``Cylinder.contains`` to
-every center-atom pair.  Cases put centers and atoms on lattice cell faces,
-on cylinder boundaries and a few ulps to either side of both, where the
-rounded cell index and the rounded membership test could disagree.
+``_masses`` runs the merge-sort-tree sweep for d = 1 and the cell list for
+d = 2, 3; the oracle applies the strict membership tests of
+``Cylinder.contains`` to every center-atom pair.  Cases put centers and atoms
+on lattice cell faces, on cylinder boundaries and a few ulps to either side
+of both, where the rounded cell index, the sweep's bisection and the rounded
+membership test could disagree.
 """
 
 import numpy as np
@@ -25,12 +26,21 @@ def all_pairs(mu, centers, delta, alpha):
     return inside @ mu.weights, inside.sum(axis=1)
 
 
-def cell_list(mu, centers, delta, alpha):
-    """Masses and member counts per center from the cell list; the counts are
-    the masses of the same atoms with unit weights (exact float sums)."""
+def masses(mu, centers, deltas, alpha):
+    """Masses and member counts from ``_masses``, one row per scale; the counts
+    are the masses of the same atoms with unit weights (exact float sums)."""
     ones = AtomicMeasure(mu.positions, mu.times, np.ones(mu.n_atoms), d=mu.d)
-    return (am._masses_at_scale(mu, centers, delta, alpha),
-            am._masses_at_scale(ones, centers, delta, alpha))
+    return am._masses(mu, centers, deltas, alpha), am._masses(ones, centers, deltas, alpha)
+
+
+def assert_matches_all_pairs(mu, centers, deltas, alpha):
+    got, counts = masses(mu, centers, deltas, alpha)
+    assert got.shape == counts.shape == (len(deltas), len(centers))
+    for row, delta in enumerate(deltas):
+        want, want_counts = all_pairs(mu, centers, delta, alpha)
+        assert np.array_equal(counts[row], want_counts)
+        assert np.all(np.abs(got[row] - want) <= 1e-12 * mu.total_mass)
+    return got
 
 
 def nudge(x, ulps):
@@ -49,9 +59,10 @@ ULPS = st.integers(-3, 3)
 def cases(draw):
     d = draw(st.sampled_from([1, 2, 3]))
     alpha = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
-    delta = draw(st.one_of(st.sampled_from([2.0 ** -3, 0.1, 1.0 / 3.0, 0.7]),
-                           st.floats(0.01, 1.0)))
-    sides = np.array([delta] * d + [delta ** alpha])
+    deltas = draw(st.lists(st.one_of(st.sampled_from([2.0 ** -3, 0.1, 1.0 / 3.0, 0.7]),
+                                     st.floats(0.01, 1.0)), min_size=1, max_size=3, unique=True))
+    all_sides = [np.array([delta] * d + [delta ** alpha]) for delta in deltas]
+    sides = all_sides[0]
     # scaled coordinates near powers of two, where the rounding of x / side
     # changes its ulp from one cell to the next
     base = draw(st.sampled_from([0.0, 1e3, 2.0 ** 30] + [sign * 2.0 ** m for sign in (1, -1)
@@ -68,36 +79,49 @@ def cases(draw):
         return nudge(pts.ravel(), ulps).reshape(pts.shape)
 
     centers = lattice_points(draw(st.integers(1, 6)))
-    # atoms one side or half a side from a center along each axis, then nudged:
-    # on, just inside and just outside the cylinder boundary
+    # atoms one side or half a side of some scale from a center along each
+    # axis, then nudged: on, just inside and just outside the cylinder boundary
     near = []
     for c in centers:
         for _ in range(draw(st.integers(0, 6))):
             step = np.array(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
                                           min_size=d + 1, max_size=d + 1)))
             ulps = np.array(draw(st.lists(ULPS, min_size=d + 1, max_size=d + 1)))
-            near.append(nudge(c + step * sides, ulps))
+            near.append(nudge(c + step * draw(st.sampled_from(all_sides)), ulps))
     atoms = np.vstack([lattice_points(draw(st.integers(0, 12))),
                        np.reshape(near, (-1, d + 1))])
     if len(atoms) and draw(st.booleans()):
         atoms = np.vstack([atoms, atoms[:draw(st.integers(1, len(atoms)))]])   # duplicates
     weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 3.7]),
                                      min_size=len(atoms), max_size=len(atoms))))
-    far = centers + 1e6 * delta   # no atom within reach
+    far = centers + 1e6 * max(deltas)   # no atom within reach
     mu = AtomicMeasure(atoms[:, :-1].reshape(-1, d), atoms[:, -1], weights, d=d)
-    return mu, np.vstack([centers, far]), len(centers), delta, alpha
+    return mu, np.vstack([centers, far]), len(centers), deltas, alpha
 
 
 class TestCellListOracle:
     @settings(max_examples=400, deadline=None)
     @given(case=cases())
     def test_matches_all_pairs(self, case):
-        mu, centers, n_near, delta, alpha = case
-        masses, counts = cell_list(mu, centers, delta, alpha)
-        want_masses, want_counts = all_pairs(mu, centers, delta, alpha)
-        assert np.array_equal(counts, want_counts)
-        assert np.all(np.abs(masses - want_masses) <= 1e-12 * mu.total_mass)
-        assert not np.any(masses[n_near:])
+        mu, centers, n_near, deltas, alpha = case
+        got = assert_matches_all_pairs(mu, centers, deltas, alpha)
+        assert not np.any(got[:, n_near:])
+
+    # atoms on a uniform lattice, each a center, with time step h**alpha: at
+    # delta = h every neighbour lies on the cylinder boundary (the sampled
+    # measures of the viscous solver have this shape)
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([1, 2]), alpha=st.sampled_from([0.5, 1.0, 2.0]),
+           h=st.sampled_from([5e-5, 2.0 ** -4, 0.1, 1.0 / 3.0, 0.7]),
+           origin=st.sampled_from([0.0, -0.03, -1.0 / 3.0, 1e3]),
+           n=st.integers(2, 7), data=st.data())
+    def test_lattice_at_its_spacing(self, d, alpha, h, origin, n, data):
+        axes = [origin + h * np.arange(n)] * d + [h ** alpha * np.arange(n)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d + 1)
+        weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 3.7]),
+                                              min_size=len(pts), max_size=len(pts))))
+        mu = AtomicMeasure(pts[:, :-1], pts[:, -1], weights, d=d)
+        assert_matches_all_pairs(mu, pts, [2.0 * h, 1.5 * h, h, 0.5 * h], alpha)
 
     # member atoms in a cell below floor(c / side - 1), where the rounded
     # subtraction lands on a power of two: (center, atom, side), found by a
@@ -108,20 +132,31 @@ class TestCellListOracle:
         (-121.79857693374535, -122.75762084660948, 0.9590439128641365),
         (-102.37267186172618, -102.47274289971418, 0.10007103798800211),
     ])
-    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_atoms_past_the_neighbour_cells(self, c, x, side, axis):
-        atom, center = np.zeros(2), np.zeros((1, 2))
+        # d = 2, so the cell list answers; the other axes stay at 0
+        atom, center = np.zeros(3), np.zeros((1, 3))
         atom[axis], center[0, axis] = x, c
-        mu = AtomicMeasure(atom[None, :1], atom[1:], [1.0])
+        mu = AtomicMeasure(atom[None, :2], atom[2:], [1.0])
         assert np.floor(x / side) < np.floor(c / side - 1)
         assert all_pairs(mu, center, side, 1.0)[1][0] == 1
-        assert cell_list(mu, center, side, 1.0)[1][0] == 1.0
+        assert masses(mu, center, [side], 1.0)[1][0, 0] == 1.0
+
+    # delta**alpha rounds to 0 at the second scale, and so does delta**2 in
+    # the first case: the open interval, so every cylinder, is empty, also
+    # at its center
+    @pytest.mark.parametrize("alpha, delta", [(2.0, 2.0 ** -600), (1100.0, 0.5)])
+    def test_radii_that_underflow(self, alpha, delta):
+        pts = np.array([[0.0, 0.0], [0.5, 0.0]])
+        mu = AtomicMeasure(pts[:, :1], pts[:, 1], [1.0, 2.0])
+        got = assert_matches_all_pairs(mu, pts, [0.75, delta], alpha)
+        assert got.tolist() == [[3.0, 3.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_measure_without_atoms(self, d):
         mu = AtomicMeasure(np.zeros((0, d)), np.zeros(0), np.zeros(0), d=d)
         centers = np.zeros((3, d + 1))
-        assert np.array_equal(am._masses_at_scale(mu, centers, 0.5, 1.0), np.zeros(3))
+        assert np.array_equal(am._masses(mu, centers, [0.5, 0.25], 1.0), np.zeros((2, 3)))
 
     def test_wrapped_keys_count_each_atom_once(self):
         # spatial spans of 2**32 cells on axes 1 and 2 make the stride of axis 0
@@ -131,10 +166,10 @@ class TestCellListOracle:
         pos = np.vstack([cluster, corners])
         mu = AtomicMeasure(pos, np.zeros(len(pos)), np.arange(1.0, len(pos) + 1), d=3)
         centers = np.array([[0.1, 0.0, 0.0, 0.0], [-0.9, 0.0, 0.0, 0.0]])
-        masses, counts = cell_list(mu, centers, 1.0, 1.0)
+        got, counts = masses(mu, centers, [1.0], 1.0)
         want_masses, want_counts = all_pairs(mu, centers, 1.0, 1.0)
-        assert np.array_equal(counts, want_counts)
-        assert np.array_equal(masses, want_masses)
+        assert np.array_equal(counts[0], want_counts)
+        assert np.array_equal(got[0], want_masses)
 
 
 class TestLatticeRange:
@@ -145,9 +180,16 @@ class TestLatticeRange:
             am.covering_premeasure(self.FAR, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             am.box_counting_dimension(self.FAR, 1.0, [1.0, 0.5, 0.25])
-        mu = AtomicMeasure([[1e19]], [0.0], [1.0])
+        # the ladder of a d >= 2 measure takes the cell list
+        mu = AtomicMeasure([[1e19, 0.0]], [0.0], [1.0])
         with pytest.raises(ValueError, match="2\\*\\*53"):
             am.density_ladder(mu, 1.0, 0.0, [1.0, 0.5, 0.25])
+
+    def test_sweep_needs_no_lattice(self):
+        # 1e19 + 2048 is the next float after 1e19
+        mu = AtomicMeasure([[1e19], [1e19 + 2048.0], [-1e19]], [0.0] * 3, [1.0, 2.0, 0.5])
+        ladder = am.density_ladder(mu, 1.0, 0.0, [4096.0, 1024.0, 1.0])
+        assert ladder.densities == (3.0, 2.0, 2.0)
 
     def test_largest_exact_cells_still_count(self):
         pts = [[2.0 ** 53 - 2, 0.0], [2.0 ** 53 - 1, 0.0], [-(2.0 ** 53 - 1), 0.0]]

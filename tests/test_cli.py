@@ -274,6 +274,14 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     VFIELD + ["--nx", "301", "--T", "0.2", "--x0", "nan"],
     VFIELD + ["--nx", "301", "--T", "0.2", "--x0", "inf"],
     VFIELD + ["--nx", "301", "--T", "0.2", "--nu", "inf"],
+    ["dimension", "--s", "nan"],
+    ["dimension", "--s", "inf"],
+    ["verify", "--alpha", "inf"],
+    ["verify", "--nu", "inf"],
+    # grids checked before any axis is built: no NaN axis, no RuntimeWarning
+    ["burgers", "--ul", "1", "--ur", "-1", "--T", "inf", "--nx", "9", "--nt", "5"],
+    ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a=-inf", "--b", "0.3",
+     "--nx", "31", "--T", "0.2"],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files

@@ -57,6 +57,10 @@ class TestCutoffPair:
             co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.1, -1.0)
+        # delta**alpha infinite, zero, or equal to (2 delta)**alpha after rounding
+        for alpha in (math.inf, 1000.0, 1e-20):
+            with pytest.raises(ValueError, match="delta\\*\\*alpha"):
+                co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.1, alpha)
 
     def test_support_values(self):
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.25, 1.0)
