@@ -13,8 +13,8 @@ sitting exactly on a cylinder boundary are excluded.
 One lattice serves every scale-by-scale computation on boxes: the
 origin-anchored cells of spatial side delta and temporal side delta**alpha,
 mapped from points by ``_cells``.  Box counting and the covering estimate
-count its occupied cells.  Points 2**53 cells or more from the origin raise
-ValueError.
+count its occupied cells.  Points 2**53 cells or more from the origin, and a
+temporal side that overflows a float64, raise ValueError.
 
 The density ladder takes its cylinder masses from ``_masses``, one row per
 scale and one column per center, for all scales in one call.
@@ -117,7 +117,7 @@ class Cylinder:
 
     @property
     def time_half_length(self) -> float:
-        return self.delta ** self.alpha
+        return scale_power(self.delta, self.alpha)
 
     def contains(self, x, t) -> np.ndarray:
         """Strict membership test, vectorized over rows of x and entries of t."""
@@ -235,6 +235,14 @@ def _loglog_fit(xs, ys):
     return float(coeffs[0]), rms
 
 
+def scale_power(delta, alpha) -> float:
+    """delta**alpha as a float, inf where it overflows (0.0 where it underflows)."""
+    try:
+        return float(delta) ** float(alpha)
+    except OverflowError:
+        return math.inf
+
+
 def _cells(pts: np.ndarray, delta: float, alpha: float, reach: float = 0.0) -> np.ndarray:
     """Integer cells of the origin-anchored lattice with spatial side delta and
     temporal side delta**alpha, one row per (n, d+1) point.
@@ -244,15 +252,16 @@ def _cells(pts: np.ndarray, delta: float, alpha: float, reach: float = 0.0) -> n
     cylinder centred at the point can occupy: the scaled coordinate q moves by
     one side plus 2**-50 * (|q| + 16), which exceeds the rounding of the
     division, of the shift and of the strict membership tests.  Raises
-    ValueError when a scaled coordinate is not finite or not below 2**53 in
-    magnitude, where floor() would no longer give distinct exact integers.
+    ValueError when the temporal side overflows, or when a scaled coordinate
+    is not finite or not below 2**53 in magnitude, where floor() would no
+    longer give distinct exact integers.
     """
-    sides = np.array([delta] * (pts.shape[1] - 1) + [delta ** alpha])
+    sides = np.array([delta] * (pts.shape[1] - 1) + [scale_power(delta, alpha)])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = pts / sides
-    if not np.all(np.abs(q) < CELL_INDEX_LIMIT):
-        raise ValueError(f"lattice cell index out of range at delta={delta!r}: "
-                         "|coordinate / cell side| must be finite and below 2**53")
+    if not (sides[-1] < math.inf and np.all(np.abs(q) < CELL_INDEX_LIMIT)):
+        raise ValueError(f"lattice cell index out of range at delta={delta!r}: the cell "
+                         "sides and |coordinate / cell side| must be finite, the latter below 2**53")
     if reach:
         q = q + reach * (1.0 + 2.0 ** -50 * (np.abs(q) + 16.0))
     return np.floor(q).astype(np.int64)
@@ -302,7 +311,7 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     out = np.zeros(centers.shape[0])
     if mu.n_atoms == 0 or centers.shape[0] == 0:
         return out
-    d, th = mu.d, delta ** alpha
+    d, th = mu.d, scale_power(delta, alpha)
     cells = _cells(as_point_array(mu), delta, alpha)
     low, high = cells.min(axis=0), cells.max(axis=0)
     span = high - low + 1
@@ -390,7 +399,7 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
     n, m = mu.n_atoms, centers.shape[0]
     c, tc = np.tile(centers[:, 0], len(scales)), np.tile(centers[:, 1], len(scales))
     r2 = np.repeat([delta ** 2 for delta in scales], m)
-    th = np.repeat([delta ** alpha for delta in scales], m)
+    th = np.repeat([scale_power(delta, alpha) for delta in scales], m)
     by_x = np.argsort(mu.positions[:, 0], kind="stable")
     by_t = np.argsort(mu.times, kind="stable")
     left, right = _member_range(mu.positions[by_x, 0], c, lambda x: (x - c) ** 2 < r2)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aniso_measure import SpaceTimePoint
+from .aniso_measure import SpaceTimePoint, scale_power
 from .errors import VerificationError
 
 __all__ = [
@@ -158,11 +158,11 @@ class TimeBump:
 
     @property
     def inner(self) -> float:
-        return self.delta ** self.alpha
+        return scale_power(self.delta, self.alpha)
 
     @property
     def outer(self) -> float:
-        return (2.0 * self.delta) ** self.alpha
+        return scale_power(2.0 * self.delta, self.alpha)
 
     def _ramp(self, t):
         return (np.abs(np.asarray(t, dtype=float) - self.t0) - self.inner) / (self.outer - self.inner)

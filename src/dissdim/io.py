@@ -5,7 +5,9 @@ header ends with ``body=binary`` (little-endian float64 records) or
 ``body=text`` (one line per row, every value as its Python ``repr``, so a
 text body reads back bit for bit; empty lines are skipped).  A header
 without the token, as written before it existed, is read as binary when the
-body is exactly rows * columns * 8 bytes long and as text otherwise.
+body is exactly rows * columns * 8 bytes long and as text otherwise.  Text
+lines end in LF or CRLF; a CR anywhere else in the header or in a text body
+is rejected with its line number.
 
     dissdim-measure v1 d=<int> n=<int> body=<binary|text>
 
@@ -16,13 +18,23 @@ is followed by ``n`` rows ``x_1 ... x_d t w`` (text values separated by spaces).
 is followed by one row of components per node in (t-major, then x
 lexicographic) order.  The text body is CSV for d = 1 only; its rows
 ``t,x,u[,p][,theta]`` lead with the grid axes, which are not read back.
+
+The text writer takes a field one time slice at a time (a measure, 4096 rows
+at a time) and calls ``repr`` once per distinct float64 bit pattern in it, so
+-0.0 and 0.0 keep their own text; the ``x,`` strings are made once per field
+and the ``t,`` string once per slice.  Each slice is joined into one string.
+The reader first checks the body in 64 KiB chunks for bytes that are not
+ASCII or a CR outside a CRLF, then hands ``np.loadtxt`` the file's path, so
+that numpy parses it with its chunked C reader.  Only a body that fails is
+read again line by line, to name the first bad line.
 """
 
 from __future__ import annotations
 
+import lzma
 import os
 import warnings
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -60,13 +72,20 @@ def _header_line(header: str, binary: bool) -> bytes:
 
 
 def _write_rows(fh, rows: np.ndarray, binary: bool, sep: str, lead=()) -> None:
-    """Append ``rows`` to the body; a text row starts with the ``lead`` string columns."""
+    """Append the C-contiguous float64 ``rows`` to the body.
+
+    A text row starts with one string from each iterable in ``lead``, each
+    string ending in its separator; ``repr`` runs once per distinct bit pattern.
+    """
     if binary:
         fh.write(rows.astype("<f8").tobytes())
         return
-    fmt = sep.join(["%s"] * len(lead) + ["%r"] * rows.shape[1]) + "\n"
-    values = chain.from_iterable(zip(*lead, *rows.T.tolist()))
-    fh.write(((fmt * rows.shape[0]) % tuple(values)).encode("ascii"))
+    keys, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
+    words = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    inverse = inverse.reshape(rows.shape)
+    ends = [sep] * (rows.shape[1] - 1) + ["\n"]
+    columns = [(words + end)[inverse[:, j]].tolist() for j, end in enumerate(ends)]
+    fh.write("".join(chain.from_iterable(zip(*lead, *columns))).encode("ascii"))
 
 
 def _read_header(fh, magic: str, path, **types):
@@ -75,6 +94,8 @@ def _read_header(fh, magic: str, path, **types):
     line = fh.readline()
     if not line.endswith(b"\n"):
         raise MalformedFileError(f"{path}: missing header line", line=1)
+    if b"\r" in line.removesuffix(b"\r\n").removesuffix(b"\n"):
+        raise MalformedFileError(f"{path}: CR inside the header line", line=1)
     parts = line.decode("ascii", "replace").split()
     if parts[: len(magic.split())] != magic.split():
         raise MalformedFileError(f"{path}: expected header {magic!r}", line=1)
@@ -117,19 +138,35 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
         raise MalformedFileError(f"{path}: a text body is only defined for d = 1", line=1)
     sep, lead = text
     width = lead + n_cols
-    problem = None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # loadtxt warns on an empty body
-            rows = np.loadtxt(fh, delimiter=sep, comments=None, ndmin=2, encoding="ascii")
-    except ValueError as exc:   # also UnicodeDecodeError
-        problem = str(exc)
-    else:
-        if len(rows) == n_rows and (n_rows == 0 or rows.shape[1] == width):
-            return rows.reshape(n_rows, width)[:, lead:]
+    problem = "a non-ASCII byte or a CR outside a CRLF"
+    if _plain_text(fh):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # loadtxt warns on an empty body
+                rows = np.loadtxt(os.fsdecode(path), delimiter=sep, comments=None, ndmin=2,
+                                  encoding="latin-1", skiprows=1)
+        except (ValueError, OSError, lzma.LZMAError) as exc:
+            # the last two from numpy's decompressor for a name ending in .gz, .bz2, .xz or .lzma
+            problem = str(exc)
+        else:
+            if len(rows) == n_rows and (n_rows == 0 or rows.shape[1] == width):
+                return rows.reshape(n_rows, width)[:, lead:]
     fh.seek(start)
     line, problem = _first_bad_line(fh, n_rows, width, sep) or (None, problem)
     raise MalformedFileError(f"{path}: {problem}", line=line)
+
+
+def _plain_text(fh) -> bool:
+    """Whether the rest of ``fh`` is ASCII with every CR in a CRLF.
+
+    ``np.loadtxt`` reads a path in text mode, where a lone CR would end a
+    line; it decodes as Latin-1, so the header may hold any byte.
+    """
+    # each chunk ends at a line end, so no CRLF is split between two chunks
+    for chunk in iter(lambda: fh.read(1 << 16) + fh.readline(), b""):
+        if not chunk.isascii() or (b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
+            return False
+    return True
 
 
 def _first_bad_line(fh, n_rows: int, width: int, sep):
@@ -140,7 +177,9 @@ def _first_bad_line(fh, n_rows: int, width: int, sep):
     found = 0
     line_no = 1
     for line_no, raw in enumerate(fh, start=2):
-        line = raw.decode("ascii", "replace").rstrip("\r\n")
+        line = raw.decode("ascii", "replace").removesuffix("\r\n").removesuffix("\n")
+        if "\r" in line:
+            return line_no, "CR outside a CRLF"
         parts = line.split(sep)
         if not line or not parts:
             continue
@@ -166,7 +205,8 @@ def write_measure(path, mu: AtomicMeasure, binary: bool = False) -> None:
     rows = np.column_stack([mu.positions, mu.times, mu.weights])
     with open(path, "wb") as fh:
         fh.write(_header_line(f"{MEASURE_MAGIC} d={mu.d} n={mu.n_atoms}", binary))
-        _write_rows(fh, rows, binary, " ")
+        for start in range(0, len(rows), 4096):   # bounds the text buffer like a field slice
+            _write_rows(fh, rows[start:start + 4096], binary, " ")
 
 
 def read_measure(path) -> AtomicMeasure:
@@ -192,12 +232,12 @@ def write_field(path, field: GriddedField, binary: bool = True) -> None:
               f"b={field.b!r} T={field.T!r} components={','.join(['u', *extra])}")
     samples = np.concatenate([field.u.reshape(field.nt, -1, field.d)]
                              + [arr.reshape(field.nt, -1, 1) for arr in extra.values()], axis=2)
-    xs = [repr(x) for x in field.x_axis.tolist()]
+    xs = [f"{x!r}," for x in field.x_axis.tolist()]
     with open(path, "wb") as fh:
         fh.write(_header_line(header, binary))
-        # one time slice at a time keeps the text buffer small
+        # one time slice at a time keeps the text buffer and the repr cache small
         for t, block in zip(field.t_axis.tolist(), samples):
-            _write_rows(fh, block, binary, ",", ([repr(t)] * len(xs), xs))
+            _write_rows(fh, block, binary, ",", (repeat(f"{t!r},"), xs))
 
 
 def read_field(path) -> GriddedField:

@@ -185,6 +185,17 @@ class TestLatticeRange:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             am.density_ladder(mu, 1.0, 0.0, [1.0, 0.5, 0.25])
 
+    def test_an_overflowing_time_side(self):
+        # 8**400 overflows a float64: no lattice has that time side, while the
+        # time interval of a d = 1 cylinder then holds every finite atom
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            am.box_counting_dimension([[0.0, 1.0]], 400.0, [8.0, 4.0, 2.0])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            am.density_ladder(AtomicMeasure([[0.0, 0.0]], [0.0], [1.0]), 400.0, 0.0,
+                              [8.0, 4.0, 2.0])
+        mu = AtomicMeasure([[0.0], [0.5]], [0.0, 1e300], [1.0, 2.0])
+        assert am.density_ladder(mu, 400.0, 0.0, [8.0, 4.0, 2.0]).densities == (3.0, 2.0, 2.0)
+
     def test_sweep_needs_no_lattice(self):
         # 1e19 + 2048 is the next float after 1e19
         mu = AtomicMeasure([[1e19], [1e19 + 2048.0], [-1e19]], [0.0] * 3, [1.0, 2.0, 0.5])

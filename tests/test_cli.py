@@ -282,6 +282,10 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     ["burgers", "--ul", "1", "--ur", "-1", "--T", "inf", "--nx", "9", "--nt", "5"],
     ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a=-inf", "--b", "0.3",
      "--nx", "31", "--T", "0.2"],
+    # delta**alpha overflows a float64: (2 delta)**alpha of the time bump, the lattice side
+    ["verify", "--pair", "burgers", "--center", "0.0:0.5", "--delta-max", "1", "--count", "3",
+     "--alpha", "1e300"],
+    ["dimension", "--alpha", "400", "--delta-max", "8"],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files

@@ -57,10 +57,11 @@ class TestCutoffPair:
             co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.1, -1.0)
-        # delta**alpha infinite, zero, or equal to (2 delta)**alpha after rounding
-        for alpha in (math.inf, 1000.0, 1e-20):
+        # delta**alpha infinite, zero, or equal to (2 delta)**alpha after rounding,
+        # or (2 delta)**alpha overflowing a float64
+        for delta, alpha in ((0.1, math.inf), (0.1, 1000.0), (0.1, 1e-20), (1.0, 1e300)):
             with pytest.raises(ValueError, match="delta\\*\\*alpha"):
-                co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.1, alpha)
+                co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), delta, alpha)
 
     def test_support_values(self):
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.25, 1.0)

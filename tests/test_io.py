@@ -1,4 +1,6 @@
+import io
 import math
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -151,6 +153,14 @@ def fields(draw):
     return (d, a, b, nx, big_t, nt, u), extra
 
 
+FIELD_HEADER = "dissdim-field v1 d=1 nx=2 nt=2 a=0.0 b=1.0 T=1.0 components=u body=text"
+FIELD_ROWS = ["0.0,0.0,1.0", "0.0,1.0,2.0", "1.0,0.0,3.0", "1.0,1.0,4.0"]
+
+
+def field_csv(rows=FIELD_ROWS, eol="\n", header=FIELD_HEADER):
+    return (header + eol + "".join(row + eol for row in rows)).encode()
+
+
 class TestBodyCodec:
     @settings(max_examples=150, deadline=None)
     @given(rows=measure_rows(), binary=st.booleans())
@@ -239,6 +249,148 @@ class TestBodyCodec:
         read = dio.read_measure if "measure" in header else dio.read_field
         with pytest.raises(dio.MalformedFileError):
             read(path)
+
+    @pytest.mark.parametrize("data, line", [
+        pytest.param(field_csv(FIELD_ROWS[:1] + ["0.0,1.0,2.0,5.0"] + FIELD_ROWS[2:]), 3,
+                     id="extra-column"),
+        pytest.param(field_csv(FIELD_ROWS[:1] + ["0.0,1.0"] + FIELD_ROWS[2:]), 3, id="short-row"),
+        pytest.param(field_csv(FIELD_ROWS[:2] + ["t,0.0,3.0"] + FIELD_ROWS[3:]), 4, id="text-t"),
+        pytest.param(field_csv(FIELD_ROWS[:2] + ["1.0,x,3.0"] + FIELD_ROWS[3:]), 4, id="text-x"),
+        pytest.param(field_csv(FIELD_ROWS[:3] + ["1.0,1.0,u"]), 5, id="text-u"),
+        pytest.param(field_csv(FIELD_ROWS + ["2.0,0.0,5.0"]), 6, id="row-too-many"),
+        pytest.param(field_csv(FIELD_ROWS[:3]), 5, id="row-too-few"),
+    ])
+    def test_field_csv_faults_name_the_line(self, tmp_path, data, line):
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        with pytest.raises(dio.MalformedFileError) as err:
+            dio.read_field(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("data, line", [
+        pytest.param(field_csv([FIELD_ROWS[0] + "\r" + FIELD_ROWS[1]] + FIELD_ROWS[2:]), 2,
+                     id="joins-two-rows"),
+        pytest.param(field_csv([FIELD_ROWS[0], "0.0,1.0\r,2.0"] + FIELD_ROWS[2:]), 3,
+                     id="inside-a-row"),
+        pytest.param(field_csv(FIELD_ROWS[:2] + ["\r" + FIELD_ROWS[2]] + FIELD_ROWS[3:]), 4,
+                     id="row-start"),
+        pytest.param(field_csv(FIELD_ROWS[:2] + [FIELD_ROWS[2] + "\r"] + FIELD_ROWS[3:],
+                               eol="\r\n"), 4, id="before-crlf"),
+        pytest.param(field_csv(FIELD_ROWS).removesuffix(b"\n") + b"\r", 5, id="file-end"),
+        pytest.param(field_csv(header=FIELD_HEADER.replace(" body", "\rbody")), 1,
+                     id="header"),
+        pytest.param(field_csv(header=FIELD_HEADER.replace(" body", "\rbody"), eol="\r\n"), 1,
+                     id="header-crlf"),
+    ])
+    def test_a_lone_cr_is_rejected(self, tmp_path, data, line):
+        from dissdim.cli import main
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        with pytest.raises(dio.MalformedFileError, match="CR") as err:
+            dio.read_field(path)
+        assert err.value.line == line
+        assert main(["verify", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(field_csv(FIELD_ROWS[:2] + [""] + FIELD_ROWS[2:] + [""]), id="blank"),
+        pytest.param(field_csv(eol="\r\n"), id="crlf"),
+        pytest.param(field_csv(FIELD_ROWS[:2] + [""] + FIELD_ROWS[2:], eol="\r\n"),
+                     id="blank-crlf"),
+    ])
+    def test_blank_lines_and_crlf_are_accepted(self, tmp_path, data):
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        assert dio.read_field(path).u.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_name_numpy_would_decompress(self, sample_field, tmp_path, suffix):
+        from dissdim.cli import main
+        path = tmp_path / f"f{suffix}"
+        path.write_bytes(field_csv())
+        with pytest.raises(dio.MalformedFileError):
+            dio.read_field(path)
+        assert main(["verify", "--input", str(path)]) == 2
+        dio.write_field(path, sample_field)   # a binary body is read as it stands
+        assert bits(dio.read_field(path).u) == bits(sample_field.u)
+
+
+def percent_rows(rows, sep, lead=()):
+    """Text rows as the %-formatter wrote them before the repr cache: the oracle."""
+    fmt = sep.join(["%s"] * len(lead) + ["%r"] * rows.shape[1]) + "\n"
+    values = chain.from_iterable(zip(*lead, *rows.T.tolist()))
+    return ((fmt * rows.shape[0]) % tuple(values)).encode("ascii")
+
+
+def _between(a, b):
+    return [np.nextafter(a, -math.inf), a, np.nextafter(a, math.inf), b]
+
+
+# signed zeros, subnormals and the values where repr switches notation
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, -1.0,
+         *_between(1e-4, -1e-4), *_between(1e16, -1e16)]
+NON_FINITE = [math.inf, -math.inf, math.nan,
+              *np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)]
+
+
+@st.composite
+def slices(draw, n_rows, n_cols, finite=True):
+    """An (n_rows, n_cols) block: one value throughout, all values distinct, or any."""
+    values = st.one_of(st.sampled_from(EDGES if finite else EDGES + NON_FINITE),
+                       st.floats(allow_nan=not finite, allow_infinity=not finite))
+    kind = draw(st.sampled_from(["same", "distinct", "any"]))
+    if kind == "same":
+        return np.full((n_rows, n_cols), draw(values))
+    flat = draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols,
+                         unique_by=(lambda v: bits([v])) if kind == "distinct" else None))
+    return np.array(flat, dtype=float).reshape(n_rows, n_cols)
+
+
+class TestTextWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(0, 8), n_cols=st.integers(1, 5),
+           lead=st.booleans())
+    def test_rows_match_the_percent_formatter(self, data, n_rows, n_cols, lead):
+        rows = data.draw(slices(n_rows, n_cols, finite=False))
+        t, xs = -0.0, [repr(v) for v in np.linspace(-1, 1, n_rows).tolist()]
+        fh = io.BytesIO()
+        if lead:
+            dio._write_rows(fh, rows, False, ",", (repeat(f"{t!r},"), [x + "," for x in xs]))
+            assert fh.getvalue() == percent_rows(rows, ",", ([repr(t)] * n_rows, xs))
+        else:
+            dio._write_rows(fh, rows, False, " ")
+            assert fh.getvalue() == percent_rows(rows, " ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nx=st.integers(2, 6), nt=st.integers(2, 4),
+           extra=st.sampled_from([(), ("p",), ("theta",), ("p", "theta")]))
+    def test_field_file_matches_the_percent_formatter(self, tmp_path_factory, data, nx, nt,
+                                                      extra):
+        samples = np.stack([data.draw(slices(nx, 1 + len(extra))) for _ in range(nt)])
+        field = GriddedField(1, -1.0, 1.0, nx, 1.0, nt, samples[:, :, :1],
+                             **{name: samples[:, :, 1 + i] for i, name in enumerate(extra)})
+        path = tmp_path_factory.mktemp("writer") / "f"
+        dio.write_field(path, field, binary=False)
+        head, body = path.read_bytes().split(b"\n", 1)
+        assert head.endswith(b" components=" + ",".join(["u", *extra]).encode() + b" body=text")
+        xs = [repr(x) for x in field.x_axis.tolist()]
+        assert body == b"".join(percent_rows(block, ",", ([repr(t)] * nx, xs))
+                                for t, block in zip(field.t_axis.tolist(), samples))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(0, 12))
+    def test_measure_file_matches_the_percent_formatter(self, tmp_path_factory, data, d, n):
+        rows = data.draw(slices(n, d + 2))
+        rows[:, -1] = np.copysign(rows[:, -1], 1.0)   # weights >= 0
+        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, -1], d=d)
+        path = tmp_path_factory.mktemp("writer") / "m"
+        dio.write_measure(path, mu, binary=False)
+        assert path.read_bytes() == (f"dissdim-measure v1 d={d} n={n} body=text\n".encode()
+                                     + percent_rows(rows, " "))
+
+    def test_measure_written_in_blocks(self, tmp_path):
+        rows = np.random.default_rng(5).random((2 * 4096 + 3, 3))
+        dio.write_measure(tmp_path / "m", am.AtomicMeasure(rows[:, :1], rows[:, 1], rows[:, 2]))
+        assert (tmp_path / "m").read_bytes().split(b"\n", 1)[1] == percent_rows(rows, " ")
 
 
 class TestReportCsv:
