@@ -124,7 +124,7 @@ class Cylinder:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         c = np.asarray(self.center.x)
-        spatial = np.sum((x - c) ** 2, axis=1) < self.delta ** 2
+        spatial = np.sum((x - c) ** 2, axis=1) < scale_power(self.delta, 2)
         temporal = np.abs(t - self.center.t) < self.time_half_length
         return spatial & temporal
 
@@ -190,8 +190,6 @@ def as_point_array(points, d=None) -> np.ndarray:
     """Normalize a point collection to an (n, d+1) array of [x..., t] rows."""
     if isinstance(points, AtomicMeasure):
         return np.column_stack([points.positions, points.times])
-    if len(points) and isinstance(points[0], SpaceTimePoint):
-        return np.array([[*p.x, p.t] for p in points], dtype=float)
     arr = np.atleast_2d(np.asarray(points, dtype=float))
     if d is not None and arr.shape[1] != d + 1:
         raise ValueError(f"expected points with {d + 1} columns, got {arr.shape[1]}")
@@ -311,7 +309,7 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     out = np.zeros(centers.shape[0])
     if mu.n_atoms == 0 or centers.shape[0] == 0:
         return out
-    d, th = mu.d, scale_power(delta, alpha)
+    d, th, r2 = mu.d, scale_power(delta, alpha), scale_power(delta, 2)
     cells = _cells(as_point_array(mu), delta, alpha)
     low, high = cells.min(axis=0), cells.max(axis=0)
     span = high - low + 1
@@ -356,7 +354,7 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
             ci = members[b:min(b + rows, bounds[g + 1])]
             cs = centers[ci]
             d2 = np.sum((cp[None, :, :] - cs[:, None, :-1]) ** 2, axis=2)
-            mask = (d2 < delta ** 2) & (np.abs(ct[None, :] - cs[:, None, -1]) < th)
+            mask = (d2 < r2) & (np.abs(ct[None, :] - cs[:, None, -1]) < th)
             out[ci] = mask @ cw
     return out
 
@@ -398,7 +396,7 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
     merge-sort tree swept one level at a time (see the module docstring)."""
     n, m = mu.n_atoms, centers.shape[0]
     c, tc = np.tile(centers[:, 0], len(scales)), np.tile(centers[:, 1], len(scales))
-    r2 = np.repeat([delta ** 2 for delta in scales], m)
+    r2 = np.repeat([scale_power(delta, 2) for delta in scales], m)
     th = np.repeat([scale_power(delta, alpha) for delta in scales], m)
     by_x = np.argsort(mu.positions[:, 0], kind="stable")
     by_t = np.argsort(mu.times, kind="stable")
@@ -485,26 +483,26 @@ class DensityLadder:
         return tuple(rho * delta ** self.s for rho, delta in zip(self.densities, self.scales))
 
 
-def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None, top_k=None) -> DensityLadder:
+def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> DensityLadder:
     """Sup of mu(C^alpha_delta(center))/delta**s over centers, per scale.
 
     Default centers are the atoms of the measure carrying non-negligible
-    weight (the discrete support); ``top_k`` keeps only the heaviest ones and
-    ``centers`` overrides the policy with an explicit (n, d+1) list.  Also
-    records whether the densities are non-increasing within a fixed factor,
-    which is the numerical evidence for a bounded density modulus.
+    weight (the discrete support); ``centers`` replaces them with an explicit
+    (n, d+1) array.  Raises ValueError when delta**s underflows to 0 or
+    overflows at some scale.  Also records whether the densities are
+    non-increasing within a fixed factor, which is the numerical evidence for
+    a bounded density modulus.
     """
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be non-negative and finite, got {s!r}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     scales = _validate_scales(scales)
+    gauges = [scale_power(delta, s) for delta in scales]
+    if not all(0 < g < math.inf for g in gauges):
+        raise ValueError(f"delta**s leaves the float range on the ladder at s={s!r}")
     if centers is None:
-        if top_k is not None:
-            order = np.argsort(mu.weights)[::-1][:top_k]
-            centers = np.column_stack([mu.positions[order], mu.times[order]])
-        else:
-            centers = mu.support_points()
+        centers = mu.support_points()
     else:
         centers = as_point_array(centers, d=mu.d)
         if not np.all(np.isfinite(centers)):
@@ -513,7 +511,7 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None, top_k=None
         raise ValueError("empty support: no centers to scan")
 
     masses = [float(m) for m in _masses(mu, centers, scales, alpha).max(axis=1)]
-    densities = [m / delta ** s for m, delta in zip(masses, scales)]
+    densities = [m / g for m, g in zip(masses, gauges)]
 
     positive = [(d_, m_) for d_, m_ in zip(scales, masses) if m_ > 0]
     if len(positive) >= 3:

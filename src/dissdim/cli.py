@@ -26,8 +26,8 @@ import numpy as np
 
 from . import exponents as ex
 from . import io as dio
-from .aniso_measure import (SpaceTimePoint, box_counting_dimension, certify_lower_bound,
-                            density_ladder)
+from .aniso_measure import (SpaceTimePoint, _loglog_fit, box_counting_dimension,
+                            certify_lower_bound, density_ladder)
 from .cutoffs import CutoffPair
 from .errors import VerificationError
 from .fixtures import (NumericalError, RiemannDatum, burgers_dissipation_measure,
@@ -150,11 +150,8 @@ def cmd_exponents(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dimension(args) -> int:
-    for flag, value in (("--top-k", args.top_k), ("--sample-centers", args.sample_centers)):
-        if value is not None and value < 1:
-            raise CliError(f"{flag} must be at least 1, got {value!r}")
-    if args.sample_centers is not None and args.top_k is not None:
-        raise CliError("--top-k has no effect with --sample-centers")
+    if args.sample_centers is not None and args.sample_centers < 1:
+        raise CliError(f"--sample-centers must be at least 1, got {args.sample_centers!r}")
     if args.sample_centers is None and args.seed is not None:
         raise CliError("--seed has no effect without --sample-centers")
     mu = dio.read_measure(args.input)
@@ -173,8 +170,7 @@ def cmd_dimension(args) -> int:
         idx = rng.choice(points.shape[0], size=min(args.sample_centers, points.shape[0]),
                          replace=False)
         centers = points[np.sort(idx)]
-    ladder = density_ladder(mu, args.alpha, ladder_s, scales, centers=centers,
-                            top_k=args.top_k)
+    ladder = density_ladder(mu, args.alpha, ladder_s, scales, centers=centers)
     certified, verdict = certify_lower_bound(ladder)
 
     if args.csv:
@@ -259,11 +255,9 @@ def cmd_verify(args) -> int:
         sys.stderr.write(csv_text)
 
     pos = [(d_, rep.weak_mass) for _, d_, rep in rows if rep.weak_mass > 0]
+    slope = None
     if len(pos) >= 3:
-        slope = float(np.polyfit(np.log([p[0] for p in pos]),
-                                 np.log([p[1] for p in pos]), 1)[0])
-    else:
-        slope = None
+        slope = _loglog_fit(np.log([p[0] for p in pos]), [p[1] for p in pos])[0]
     bounded = [rep.weak_mass <= rep.holder_bound * (1 + 1e-9) for _, _, rep in rows]
     _emit({
         "schema": SCHEMA,
@@ -286,6 +280,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_burgers(args) -> int:
+    if args.measure_atoms is not None and not args.measure_out:
+        raise CliError("--measure-atoms has no effect without --measure-out")
+    if args.text and not (args.field_out or args.measure_out):
+        raise CliError("--text has no effect without --field-out or --measure-out")
     datum = RiemannDatum(args.ul, args.ur, args.x0)
     field = burgers_entropy_solution(datum, args.a, args.b, args.nx, args.T, args.nt)
     payload = {"schema": SCHEMA, "shock": datum.is_shock,
@@ -294,7 +292,8 @@ def cmd_burgers(args) -> int:
         dio.write_field(args.field_out, field, binary=not args.text)
         payload["field_out"] = args.field_out
     if args.measure_out:
-        mu = burgers_dissipation_measure(datum, args.T, args.measure_atoms)
+        mu = burgers_dissipation_measure(
+            datum, args.T, 2048 if args.measure_atoms is None else args.measure_atoms)
         dio.write_measure(args.measure_out, mu, binary=not args.text)
         payload["measure_out"] = args.measure_out
         payload["measure_atoms"] = mu.n_atoms
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--count", type=int, default=6)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.add_argument("--sample-centers", dest="sample_centers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the --sample-centers draw (default 0)")
@@ -380,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=1025)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--nt", type=int, default=513)
-    p.add_argument("--measure-atoms", dest="measure_atoms", type=int, default=2048)
+    p.add_argument("--measure-atoms", dest="measure_atoms", type=int, default=None,
+                   help="atoms of the --measure-out measure (default 2048)")
     p.add_argument("--field-out", dest="field_out", default=None)
     p.add_argument("--measure-out", dest="measure_out", default=None)
     p.add_argument("--text", action="store_true", help="write text bodies instead of binary")

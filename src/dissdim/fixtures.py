@@ -221,13 +221,13 @@ def burgers_dissipation_measure(datum: RiemannDatum, T: float, n_atoms: int) -> 
 
     Atoms sit at times (k+1/2)*T/n, each holding rate*T/n, so the total mass
     equals (u_l-u_r)^3/12 * T exactly.  A rarefaction datum yields an empty
-    measure labelled as such.
+    measure labelled as such; n_atoms < 1 is rejected for both.
     """
+    if n_atoms < 1:
+        raise ValueError("need at least one atom")
     if not datum.is_shock:
         return AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1,
                              label="rarefaction_no_shock")
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
     dt = T / n_atoms
     t = (np.arange(n_atoms) + 0.5) * dt
     x = datum.x0 + datum.shock_speed * t

@@ -147,11 +147,9 @@ def _equal_lengths(slices: tuple, n: int) -> tuple:
     return tuple(slice(i, i + length) for i in starts)
 
 
-def _check_vanishing(time_vals: np.ndarray, space_vals: np.ndarray, d: int, vanish) -> None:
-    """Raise MarginError unless phi vanishes on the 2-cell margins named in
-    ``vanish`` ("t0", "T", "x").  ``time_vals`` has time on axis 0 and
-    ``space_vals`` its spatial axes last: the two factors of a separable phi,
-    or a sampled phi twice."""
+def _check_vanishing(time_vals: np.ndarray, space_vals: np.ndarray, vanish) -> None:
+    """Raise MarginError unless phi = space_vals * time_vals vanishes on the
+    2-cell margins named in ``vanish`` ("t0", "T", "x")."""
     t_scale = max(float(np.abs(time_vals).max()), SUPPORT_TOL)
     x_scale = max(float(np.abs(space_vals).max()), SUPPORT_TOL)
     if "t0" in vanish and np.abs(time_vals[:2]).max() > SUPPORT_TOL * t_scale:
@@ -159,19 +157,19 @@ def _check_vanishing(time_vals: np.ndarray, space_vals: np.ndarray, d: int, vani
     if "T" in vanish and np.abs(time_vals[-2:]).max() > SUPPORT_TOL * t_scale:
         raise MarginError("test function does not vanish on the last 2 time cells")
     if "x" in vanish:
-        for axis in range(space_vals.ndim - d, space_vals.ndim):
+        for axis in range(space_vals.ndim):
             edge = np.take(space_vals, [0, 1, -2, -1], axis=axis)
             if np.abs(edge).max() > SUPPORT_TOL * x_scale:
                 raise MarginError("test function does not vanish on a 2-cell spatial margin")
 
 
 class _Window:
-    """A test function phi and the field samples on the index box of phi's support.
+    """A separable test function phi = X(x) * H(t) and the field samples on
+    the index box of phi's support.
 
-    For a SpaceTimeTestFunction the box is the smallest index box holding
-    every node where a factor of phi or one of its derivatives is nonzero,
-    widened by a one-node halo and then to equal spatial sides; a sampled phi
-    (space-time array, centered difference derivatives) takes the whole grid.
+    The box is the smallest index box holding every node where a factor of
+    phi or one of its derivatives is nonzero, widened by a one-node halo and
+    then to equal spatial sides.
     The halo makes centered differences on the box equal to the global ones
     wherever phi is nonzero, and it holds the support's boundary nodes, where
     the Hoelder masks are closed.  Nodes keep their global trapezoid weights,
@@ -181,42 +179,27 @@ class _Window:
     the global one in the last bit); the window's own ``mesh`` and
     ``t_axis`` carry the global coordinates.
 
-    phi = h_val * x_val, dphi/dt = h_dt * x_dt, grad phi = h_val * x_grad and
+    phi = h_val * x_val, dphi/dt = h_dt * x_val, grad phi = h_val * x_grad and
     lap phi = h_val * x_lap: the h_* are time vectors on the box, the x_*
-    spatial arrays with a leading time axis (of length 1 when phi is
-    separable).
+    spatial arrays on it.
     """
 
-    def __init__(self, field: GriddedField, phi, vanish=("t0", "T", "x")):
+    def __init__(self, field: GriddedField, phi: SpaceTimeTestFunction, vanish):
         d = field.d
         self.d = d
         mesh = field.spatial_mesh()
-        if isinstance(phi, SpaceTimeTestFunction):
-            t = field.t_axis
-            X, grad = phi.space.value(mesh), phi.space.gradient(mesh)
-            lap = phi.space.laplacian(mesh)
-            H, dH = phi.time.value(t), phi.time.deriv(t)
-            _check_vanishing(H, X, d, vanish)
-            nonzero = (X != 0) | np.any(grad != 0, axis=-1) | (lap != 0)
-            self.t = _halo_slice((H != 0) | (dH != 0))
-            self.x = _equal_lengths(
-                tuple(_halo_slice(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
-                      for i in range(d)), field.nx)
-            self.h_val, self.h_dt = H[self.t], dH[self.t]
-            self.x_val, self.x_grad, self.x_lap = (arr[self.x][None] for arr in (X, grad, lap))
-            self.x_dt = self.x_val
-        else:
-            phi = np.asarray(phi, dtype=float)
-            if phi.shape != (field.nt,) + (field.nx,) * d:
-                raise ValueError(f"sampled phi has shape {phi.shape}, expected field scalar shape")
-            _check_vanishing(phi, phi, d, vanish)
-            self.t, self.x = slice(0, field.nt), (slice(0, field.nx),) * d
-            self.h_val = self.h_dt = np.ones(field.nt)
-            self.x_val = phi
-            self.x_dt = np.gradient(phi, field.dt, axis=0)
-            grads = [np.gradient(phi, field.h, axis=1 + i) for i in range(d)]
-            self.x_grad = np.stack(grads, axis=-1)
-            self.x_lap = sum(np.gradient(g, field.h, axis=1 + i) for i, g in enumerate(grads))
+        t = field.t_axis
+        X, grad = phi.space.value(mesh), phi.space.gradient(mesh)
+        lap = phi.space.laplacian(mesh)
+        H, dH = phi.time.value(t), phi.time.deriv(t)
+        _check_vanishing(H, X, vanish)
+        nonzero = (X != 0) | np.any(grad != 0, axis=-1) | (lap != 0)
+        self.t = _halo_slice((H != 0) | (dH != 0))
+        self.x = _equal_lengths(
+            tuple(_halo_slice(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
+                  for i in range(d)), field.nx)
+        self.h_val, self.h_dt = H[self.t], dH[self.t]
+        self.x_val, self.x_grad, self.x_lap = X[self.x], grad[self.x], lap[self.x]
         box = (self.t,) + self.x
         self.mesh = mesh[self.x]
         self.t_axis = field.t_axis[self.t]
@@ -247,8 +230,8 @@ class _Pairing(NamedTuple):
     window: _Window
 
 
-def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
-             vanish=("t0", "T", "x")) -> _Pairing:
+def _pairing(field: GriddedField, phi: SpaceTimeTestFunction, pair: EntropyPair,
+             nu: float = 0.0, vanish=("t0", "T", "x")) -> _Pairing:
     """The one test-function pairing behind every weak balance.
 
     With eta = pair.eta_fn(u, p, theta) and Q_k = pair.fluxes[k](u, p, theta):
@@ -260,12 +243,15 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
 
     all evaluated on the support window of phi (see ``_Window``), which is
     returned too: ``window.grad_mass(nu)`` is the quadrature of
-    nu * |grad u|^2 * phi.
+    nu * |grad u|^2 * phi.  A pair with a pressure flux "III" needs a field
+    with pressure samples (ValueError otherwise).
     """
+    if "III" in pair.fluxes and field.p is None:
+        raise ValueError(f"pair {pair.label!r} has a pressure flux and needs a pressure field")
     win = _Window(field, phi, vanish)
     f = win.local
     eta = pair.eta_fn(f.u, f.p, f.theta)
-    terms = {"I": win.quad(eta * win.x_dt, win.h_dt)}
+    terms = {"I": win.quad(eta * win.x_val, win.h_dt)}
     for name, flux in pair.fluxes.items():
         q = flux(f.u, f.p, f.theta)
         terms[name] = win.quad(np.einsum("...i,...i->...", q, win.x_grad), win.h_val)
@@ -273,7 +259,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         terms["IV"] = nu * win.quad(eta * win.x_lap, win.h_val)
     terminal = 0.0
     if win.t.stop == field.nt:
-        terminal = float(np.sum(win.wsp * eta[-1] * (win.x_val[-1] * win.h_val[-1])))
+        terminal = float(np.sum(win.wsp * eta[-1] * (win.x_val * win.h_val[-1])))
     return _Pairing(terms, terminal, win)
 
 
@@ -313,21 +299,12 @@ def entropy_production(field: GriddedField, pair: EntropyPair, phi) -> float:
 class BalanceReport:
     """Terms and bounds from testing a balance with one cutoff pair."""
 
-    center: tuple
-    t_center: float
-    delta: float
-    alpha: float
     terms: dict
     weak_mass: float
     holder_bound: float | None = None
     local_norms: dict = dc_field(default_factory=dict)
-    constants: dict = dc_field(default_factory=dict)
     grad_mass_cutoff: float | None = None
     grad_mass_cylinder: float | None = None
-    q: object = None
-    r: object = None
-    nu: float | None = None
-    pair_label: str = ""
 
 
 def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair, nu: float):
@@ -345,12 +322,8 @@ def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair, n
         inside_t = np.abs(win.t_axis - cutoff.center.t) < cutoff.delta ** cutoff.alpha
         grad_cut = win.grad_mass(nu)
         grad_cyl = nu * win.quad(win.grad_squared * (r2 < cutoff.delta ** 2), inside_t)
-    report = BalanceReport(
-        center=cutoff.center.x, t_center=cutoff.center.t, delta=cutoff.delta,
-        alpha=cutoff.alpha, terms=res.terms, weak_mass=sum(res.terms.values()),
-        constants=cutoff.constants, grad_mass_cutoff=grad_cut, grad_mass_cylinder=grad_cyl,
-        nu=nu if nu > 0 else None, pair_label=pair.label,
-    )
+    report = BalanceReport(terms=res.terms, weak_mass=sum(res.terms.values()),
+                           grad_mass_cutoff=grad_cut, grad_mass_cylinder=grad_cyl)
     return report, win
 
 
@@ -366,8 +339,6 @@ def euler_weak_mass(field: GriddedField, cutoff: CutoffPair) -> BalanceReport:
     weak_mass = I + II + III with I the time-cutoff term against |u|^2/2,
     II the cubic transport term, III the pressure flux term.
     """
-    if field.p is None:
-        raise ValueError("euler_weak_mass requires a pressure field")
     return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, 0.0)[0]
 
 
@@ -379,8 +350,6 @@ def ns_weak_mass(field: GriddedField, cutoff: CutoffPair, nu: float) -> BalanceR
     of nu*|grad u|^2, against the cutoff and over the strict cylinder, the
     latter being the Morrey-type quantity bounded by delta**s.
     """
-    if field.p is None:
-        raise ValueError("ns_weak_mass requires a pressure field")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu!r}")
     return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, nu)[0]
@@ -444,8 +413,6 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         pair = EULER_ENERGY_PAIR if field.p is not None else BURGERS_PAIR
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
         raise ValueError(f"pair {pair.label!r} lacks the growth coefficients for a bound")
-    if "III" in pair.fluxes and field.p is None:
-        raise ValueError("euler-mode bound requires a pressure field")
     report, win = _cutoff_report(field, cutoff, pair, nu)
 
     r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
@@ -456,9 +423,9 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     w_s = win.wsp[smask]
     w_t = win.wt[tmask]
     # tapers can round to tiny negative values near their outer edge
-    chi, eta_t = np.abs(win.x_val[0])[smask], np.abs(win.h_val)[tmask]
+    chi, eta_t = np.abs(win.x_val)[smask], np.abs(win.h_val)[tmask]
     n_chi = _weighted_pnorm(chi, w_s, _ratio(r, 2))
-    gmag = np.sqrt(np.sum(win.x_grad[0] ** 2, axis=-1))
+    gmag = np.sqrt(np.sum(win.x_grad ** 2, axis=-1))
     n_gchi = _weighted_pnorm(gmag[smask], w_s, _ratio(r, 3))
     n_eta = _weighted_pnorm(eta_t, w_t, _ratio(q, 3))
     n_deta = _weighted_pnorm(np.abs(win.h_dt)[tmask], w_t, _ratio(q, 2))
@@ -475,7 +442,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         bound_terms["III"] = p_norm * u_norm * n_gchi * n_eta
         norms["p_Lq2Lr2"] = p_norm
     if nu > 0:
-        n_lchi = _weighted_pnorm(np.abs(win.x_lap[0])[smask], w_s, _ratio(r, 2))
+        n_lchi = _weighted_pnorm(np.abs(win.x_lap)[smask], w_s, _ratio(r, 2))
         n_eta2 = _weighted_pnorm(eta_t, w_t, _ratio(q, 2))
         bound_terms["IV"] = pair.eta_quad_coeff * nu * u_norm ** 2 * n_lchi * n_eta2
         norms["lap_chi"] = n_lchi
@@ -485,7 +452,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         raise VerificationError(
             f"discrete dominance failed: weak_mass {report.weak_mass!r} > bound {bound!r}"
         )
-    report.holder_bound, report.local_norms, report.q, report.r = bound, norms, q, r
+    report.holder_bound, report.local_norms = bound, norms
     return report
 
 

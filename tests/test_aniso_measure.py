@@ -169,16 +169,25 @@ class TestDensityLadder:
         for s in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 am.density_ladder(mu, 1.0, s, [0.4, 0.2, 0.1])
+        # delta**s underflows to 0 (s = 400) or overflows (s = 1e6, delta = 2)
+        for s, scales in ((400.0, [0.125, 0.0625, 0.03125]), (1e6, [2.0, 1.0, 0.5])):
+            with pytest.raises(ValueError, match="float range"):
+                am.density_ladder(mu, 1.0, s, scales)
         with pytest.raises(ValueError, match="finite"):
             am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], centers=[[math.nan, 0.0]])
         empty = AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1)
         with pytest.raises(ValueError):
             am.density_ladder(empty, 1.0, 1.0, [0.4, 0.2, 0.1])
 
-    def test_top_k_policy(self):
-        mu = AtomicMeasure([[0.0], [0.5]], [0.0, 0.5], [1.0, 10.0])
-        lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], top_k=1)
-        assert lad.densities == pytest.approx([10.0] * 3)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_radius_whose_square_overflows(self, d):
+        # delta**2 = inf is a valid radius: every atom lies inside
+        rng = np.random.default_rng(d)
+        mu = AtomicMeasure(rng.random((50, d)), rng.random(50), rng.random(50))
+        lad = am.density_ladder(mu, 1.0, 0.0, [1e300, 1e299, 1e298])
+        assert lad.densities == pytest.approx([mu.total_mass] * 3, rel=1e-12)
+        cyl = Cylinder(SpaceTimePoint((0.0,) * d, 0.0), 1e300, 1.0)
+        assert am.cylinder_mass(mu, cyl) == pytest.approx(mu.total_mass, rel=1e-12)
 
 
 def ladder_scales(base_count, unit):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -111,6 +112,14 @@ class TestDimensionCommand:
         assert code == 0
         assert data["dim_estimate"] == pytest.approx(1.0, abs=0.1)
         assert data["verdict"] == "certified"
+
+    def test_a_radius_whose_square_overflows(self, shock_files, capsys):
+        # delta**2 = inf at delta = 1e300 is a valid radius: every atom is inside
+        _, measure_path = shock_files
+        code, data = run_json(["dimension", "--input", measure_path, "--delta-max", "1e300"],
+                              capsys)
+        assert code == 0
+        assert data["densities"] == pytest.approx([data["total_mass"]] * 6, rel=1e-12)
 
     def test_csv_output(self, shock_files, capsys, tmp_path):
         _, measure_path = shock_files
@@ -264,10 +273,7 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     VFIELD + ["--nx", "1", "--T", "0.2"],
     VFIELD + ["--nx", "301", "--T", "0.2", "--nt", "1"],
     ["verify", "--nu", "-1"],
-    ["dimension", "--top-k", "-1"],
-    ["dimension", "--top-k", "0"],
     ["dimension", "--sample-centers", "0"],
-    ["dimension", "--sample-centers", "64", "--top-k", "1"],
     ["dimension", "--seed", "5"],
     VFIELD + ["--nx", "301", "--T", "inf"],
     VFIELD + ["--nx", "301", "--T", "0.2", "--ul", "inf"],
@@ -286,6 +292,14 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     ["verify", "--pair", "burgers", "--center", "0.0:0.5", "--delta-max", "1", "--count", "3",
      "--alpha", "1e300"],
     ["dimension", "--alpha", "400", "--delta-max", "8"],
+    # delta**s underflows to 0, or overflows, at some ladder scale
+    ["dimension", "--s", "400", "--delta-max", "0.125"],
+    ["dimension", "--s", "1e6", "--delta-max", "2"],
+    # flags that would be parsed and then ignored
+    ["burgers", "--ul", "1", "--ur", "-1", "--measure-atoms", "64"],
+    ["burgers", "--ul", "1", "--ur", "-1", "--text"],
+    # a rarefaction measure has no atoms, yet the count is still checked
+    ["burgers", "--ul", "-1", "--ur", "1", "--measure-atoms", "0", "--measure-out", os.devnull],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files

@@ -396,7 +396,7 @@ class TestTextWriter:
 class TestReportCsv:
     def test_ladder_csv_shape(self):
         mu = fx.burgers_dissipation_measure(fx.RiemannDatum(1.0, -1.0), 1.0, 512)
-        lad = am.density_ladder(mu, 1.0, 1.0, [0.1, 0.05, 0.025], top_k=32)
+        lad = am.density_ladder(mu, 1.0, 1.0, [0.1, 0.05, 0.025])
         text = dio.ladder_csv(lad)
         lines = text.strip().split("\n")
         assert lines[0] == "delta,density,fit_slope,residual"

@@ -29,6 +29,19 @@ def shock_phi(t_lo=0.1, t_hi=0.9, t_ramp=0.05):
     return co.SpaceTimeTestFunction(space, time), time.integral
 
 
+class _SumOfTimeFactors:
+    """H1 + H2 as one time factor."""
+
+    def __init__(self, *factors):
+        self.factors = factors
+
+    def value(self, t):
+        return sum(h.value(t) for h in self.factors)
+
+    def deriv(self, t):
+        return sum(h.deriv(t) for h in self.factors)
+
+
 class TestEntropyProduction:
     def test_constant_solution_vanishes(self):
         field = fx.constant_field([0.7], 1, -1.0, 1.0, 128, 1.0, 64)
@@ -54,16 +67,14 @@ class TestEntropyProduction:
             assert abs(wb.entropy_production(field, wb.BURGERS_PAIR, phi)) < 2e-3
 
     def test_linearity_in_phi(self, shock_field):
-        # sampled-phi path: pairing is exactly additive
-        mesh = shock_field.spatial_mesh()
-        ts = shock_field.t_axis
+        # X*H1 + X*H2 = X*(H1 + H2): the pairing is additive up to summation
+        # order (the sum's window is the union of the two windows)
         phi1, _ = shock_phi(0.1, 0.5)
         phi2, _ = shock_phi(0.4, 0.9)
-        a1 = phi1.space.value(mesh)[None, :] * phi1.time.value(ts)[:, None]
-        a2 = phi2.space.value(mesh)[None, :] * phi2.time.value(ts)[:, None]
-        p1 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, a1)
-        p2 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, a2)
-        p12 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, a1 + a2)
+        phi12 = co.SpaceTimeTestFunction(phi1.space, _SumOfTimeFactors(phi1.time, phi2.time))
+        p1 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi1)
+        p2 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi2)
+        p12 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi12)
         assert p12 == pytest.approx(p1 + p2, rel=1e-12, abs=1e-14)
 
     def test_margin_enforced(self, shock_field):
@@ -116,9 +127,17 @@ class TestCutoffMasses:
         assert abs(rep.weak_mass) < 1e-3
 
     def test_requires_pressure(self, shock_field):
+        # one check in the kernel serves every entry point of a pair with flux III
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
-        with pytest.raises(ValueError):
-            wb.euler_weak_mass(shock_field, cut)
+        phi = co.SpaceTimeTestFunction(cut.chi, cut.eta)
+        euler = wb.EULER_ENERGY_PAIR
+        for call in (lambda: wb.euler_weak_mass(shock_field, cut),
+                     lambda: wb.ns_weak_mass(shock_field, cut, 0.01),
+                     lambda: wb.holder_cylinder_bound(shock_field, cut, INF, INF, pair=euler),
+                     lambda: wb.entropy_production(shock_field, euler, phi),
+                     lambda: wb.boundary_extended_mass(shock_field, phi, pair=euler)):
+            with pytest.raises(ValueError, match="pressure field"):
+                call()
 
     def test_shock_weak_mass_upper_bounds_cylinder(self, shock_field):
         # the cutoff-tested mass at the shock is (2/3) * time-mass of eta:
