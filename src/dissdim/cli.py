@@ -30,6 +30,7 @@ from .aniso_measure import (SpaceTimePoint, _loglog_fit, box_counting_dimension,
                             certify_lower_bound, density_ladder)
 from .cutoffs import CutoffPair
 from .errors import VerificationError
+from .fields import _SpaceTimeGrid
 from .fixtures import (NumericalError, RiemannDatum, burgers_dissipation_measure,
                        burgers_entropy_solution, viscous_burgers_run)
 from .weak_balance import (BURGERS_PAIR, MarginError, holder_cylinder_bound)
@@ -285,10 +286,11 @@ def cmd_burgers(args) -> int:
     if args.text and not (args.field_out or args.measure_out):
         raise CliError("--text has no effect without --field-out or --measure-out")
     datum = RiemannDatum(args.ul, args.ur, args.x0)
-    field = burgers_entropy_solution(datum, args.a, args.b, args.nx, args.T, args.nt)
+    _SpaceTimeGrid(1, args.a, args.b, args.nx, args.T, args.nt)   # grid flags exit 2
     payload = {"schema": SCHEMA, "shock": datum.is_shock,
                "shock_speed": datum.shock_speed if datum.is_shock else None}
     if args.field_out:
+        field = burgers_entropy_solution(datum, args.a, args.b, args.nx, args.T, args.nt)
         dio.write_field(args.field_out, field, binary=not args.text)
         payload["field_out"] = args.field_out
     if args.measure_out:

@@ -23,6 +23,7 @@ t = T for the boundary-extended balance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,16 @@ class SpatialBump:
         scaled = rho / self.delta
         d = len(self.center)
         dpsi = p.deriv(scaled - 1.0) / self.delta
-        d2psi = p.second(scaled - 1.0) / self.delta ** 2
+        d2psi = p.second(scaled - 1.0) / scale_power(self.delta, 2)
         with np.errstate(invalid="ignore", divide="ignore"):
             radial = np.where(rho > 0, dpsi * (d - 1) / np.where(rho == 0, 1.0, rho), 0.0)
         return d2psi + radial
+
+    @property
+    def support(self) -> tuple:
+        """Per-axis (lo, hi) of a box outside which value, gradient and
+        laplacian vanish: the center +- 2 delta."""
+        return tuple((c - 2 * self.delta, c + 2 * self.delta) for c in self.center)
 
     @property
     def grad_constant(self) -> float:
@@ -182,6 +189,11 @@ class TimeBump:
         return taper_profile(self.profile).slope_max * self.inner / (self.outer - self.inner)
 
 
+def _is_normal(x: float) -> bool:
+    """x is a finite float64 of at least the smallest positive normal."""
+    return sys.float_info.min <= x < math.inf
+
+
 @dataclass(frozen=True)
 class CutoffPair:
     """A spatial bump and a time bump localizing one space-time cylinder."""
@@ -199,11 +211,16 @@ class CutoffPair:
             raise ValueError(f"delta must be positive, got {delta!r}")
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha!r}")
+        if not _is_normal(scale_power(delta, 2)):
+            raise ValueError(f"delta={delta!r}: delta**2, which scales the laplacian "
+                             "of the spatial bump, is not a positive normal float")
         chi = SpatialBump(center.x, delta, profile)
         eta = TimeBump(center.t, delta, alpha, profile)
-        if not 0 < eta.inner < eta.outer < math.inf:
+        if not (0 < eta.inner < eta.outer < math.inf and _is_normal(eta.outer - eta.inner)):
             raise ValueError(f"time bump at delta={delta!r}, alpha={alpha!r} needs "
-                             "0 < delta**alpha < (2 delta)**alpha < inf")
+                             "0 < delta**alpha < (2 delta)**alpha < inf with a ramp "
+                             "width (2 delta)**alpha - delta**alpha that is a positive "
+                             "normal float")
         return cls(center, float(delta), float(alpha), chi, eta)
 
     @property
@@ -233,7 +250,7 @@ class CutoffPair:
         if np.any(grad > self.chi.grad_constant / self.delta * (1 + 1e-12)):
             raise VerificationError("spatial gradient bound violated")
         if np.any(np.abs(self.chi.laplacian(x_nodes)) >
-                  self.chi.laplacian_constant / self.delta ** 2 * (1 + 1e-12)):
+                  self.chi.laplacian_constant / scale_power(self.delta, 2) * (1 + 1e-12)):
             raise VerificationError("spatial curvature bound violated")
         eta = self.eta.value(t_nodes)
         if np.any(eta < -1e-14) or np.any(eta > 1 + 1e-14):
@@ -283,6 +300,11 @@ class PlateauProfile:
         return taper_profile(self.profile).second(s) / self.ramp ** 2
 
     @property
+    def support(self) -> tuple:
+        """(lo, hi) outside which value, deriv and second vanish."""
+        return (self.lo - self.ramp, self.hi + self.ramp)
+
+    @property
     def integral(self) -> float:
         """Exact integral: plateau length plus one full ramp (half per side)."""
         return (self.hi - self.lo) + self.ramp
@@ -294,6 +316,12 @@ class SpatialTestFunction:
     def __init__(self, profiles):
         self.profiles = tuple(profiles)
         self.d = len(self.profiles)
+
+    @property
+    def support(self) -> tuple:
+        """Per-axis (lo, hi) of a box outside which value, gradient and
+        laplacian vanish."""
+        return tuple(p.support for p in self.profiles)
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
@@ -331,8 +359,8 @@ class SpaceTimeTestFunction:
     """phi(x, t) = X(x) * H(t) with analytic space and time factors.
 
     ``space`` is a SpatialTestFunction (or any object with value/gradient/
-    laplacian, such as a SpatialBump); ``time`` any object with value/deriv
-    (PlateauProfile, TimeBump).
+    laplacian and a per-axis ``support`` box, such as a SpatialBump); ``time``
+    any object with value/deriv (PlateauProfile, TimeBump).
     """
 
     def __init__(self, space, time):

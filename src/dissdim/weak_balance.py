@@ -3,9 +3,11 @@
 Every pairing below is one trapezoid quadrature over the field's nodes,
 made by the kernel ``_pairing``; cutoff and test-function derivatives are
 analytic, field derivatives (only ever needed for the viscous gradient
-density) are centered differences.  The kernel evaluates the field only on
-the index box of the test function's support, plus a one-node halo, and
-gives each node of the box its global quadrature weight.
+density) are centered differences.  The kernel works only on the index box
+of the test function's support, plus a one-node halo: the spatial factor and
+its derivatives are evaluated on the factor's stated support box (a few
+nodes wider), the field samples are copied once into a contiguous window,
+and each node of the box keeps its global quadrature weight.
 
 Dissipation is accessed exclusively through test functions: testing the
 balance with a cutoff pair localizing a cylinder gives an upper estimate of
@@ -29,9 +31,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .aniso_measure import scale_power
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
-from .fields import GriddedField, SpatialVectorField
+from .fields import GriddedField, SpatialVectorField, component_dot
 
 __all__ = [
     "MarginError",
@@ -113,11 +116,15 @@ def passive_scalar_pair() -> EntropyPair:
     return EntropyPair("passive_scalar", eta, {"II": q})
 
 
+def _euler_eta(u, p, theta):
+    return 0.5 * component_dot(u, u)
+
+
 # the Euler energy flux (|u|^2/2 + p) u, split into its cubic velocity part
 # and its pressure part
 EULER_ENERGY_PAIR = EntropyPair(
-    "euler_energy", lambda u, p, theta: 0.5 * np.sum(u ** 2, axis=-1),
-    {"II": lambda u, p, theta: u * (0.5 * np.sum(u ** 2, axis=-1))[..., None],
+    "euler_energy", _euler_eta,
+    {"II": lambda u, p, theta: u * _euler_eta(u, p, theta)[..., None],
      "III": lambda u, p, theta: u * p[..., None]},
     eta_quad_coeff=0.5, q_cubic_coeff=0.5)
 
@@ -147,20 +154,89 @@ def _equal_lengths(slices: tuple, n: int) -> tuple:
     return tuple(slice(i, i + length) for i in starts)
 
 
-def _check_vanishing(time_vals: np.ndarray, space_vals: np.ndarray, vanish) -> None:
-    """Raise MarginError unless phi = space_vals * time_vals vanishes on the
-    2-cell margins named in ``vanish`` ("t0", "T", "x")."""
+def _check_vanishing(time_vals: np.ndarray, space_max: float, edge_vals, vanish) -> None:
+    """Raise MarginError unless phi = X * H vanishes on the 2-cell margins
+    named in ``vanish`` ("t0", "T", "x"); ``time_vals`` is H on the time
+    axis, ``space_max`` the largest |X| and ``edge_vals`` X on the nodes of
+    the 2-cell spatial edge slabs."""
     t_scale = max(float(np.abs(time_vals).max()), SUPPORT_TOL)
-    x_scale = max(float(np.abs(space_vals).max()), SUPPORT_TOL)
     if "t0" in vanish and np.abs(time_vals[:2]).max() > SUPPORT_TOL * t_scale:
         raise MarginError("test function does not vanish on the first 2 time cells")
     if "T" in vanish and np.abs(time_vals[-2:]).max() > SUPPORT_TOL * t_scale:
         raise MarginError("test function does not vanish on the last 2 time cells")
     if "x" in vanish:
-        for axis in range(space_vals.ndim):
-            edge = np.take(space_vals, [0, 1, -2, -1], axis=axis)
-            if np.abs(edge).max() > SUPPORT_TOL * x_scale:
-                raise MarginError("test function does not vanish on a 2-cell spatial margin")
+        edge_max = float(np.abs(edge_vals).max())
+        if edge_max > SUPPORT_TOL * max(space_max, edge_max, SUPPORT_TOL):
+            raise MarginError("test function does not vanish on a 2-cell spatial margin")
+
+
+def _edge_nodes(mesh: np.ndarray) -> np.ndarray:
+    """The nodes (n, d) of the slabs two nodes deep along each face of the grid."""
+    d = mesh.shape[-1]
+    return np.concatenate([np.take(mesh, [0, 1, -2, -1], axis=i).reshape(-1, d)
+                           for i in range(d)])
+
+
+# nodes added on each side of a factor's stated support box, against rounding
+SUPPORT_PAD = 2
+
+
+def _support_box(field: GriddedField, space) -> tuple | None:
+    """Equal-sided index box of the nodes in ``space.support``, widened by
+    SUPPORT_PAD nodes and clipped to the grid; None when it holds no node."""
+    slices = []
+    for lo, hi in space.support:
+        i, j = ((v - field.a) / field.h for v in (lo, hi))
+        if not i <= j:   # also a NaN bound
+            return None
+        # clamped first: floor and ceil reject inf
+        start = max(math.floor(min(max(i, -1.0), field.nx)) - SUPPORT_PAD, 0)
+        stop = min(math.ceil(min(max(j, -1.0), field.nx)) + SUPPORT_PAD + 1, field.nx)
+        if not start < stop:
+            return None
+        slices.append(slice(start, stop))
+    return _equal_lengths(tuple(slices), field.nx)
+
+
+def _spatial_factors(field: GriddedField, mesh: np.ndarray, space):
+    """The window's spatial index box and the factor X, grad X, lap X on it.
+
+    The box is the smallest index box holding every node where X or a
+    derivative is nonzero, widened by a one-node halo and then to equal
+    sides.  The factors are evaluated on the stated support box, whose inner
+    faces must hold no nonzero node (a support statement that is too small
+    fails an assertion).  They are evaluated on the whole grid instead when
+    no node of the support box is nonzero, or when the equal-sided box,
+    shifted at a grid edge, leaves it.  Also returns max |X| over the nodes
+    evaluated.
+    """
+    full = (slice(0, field.nx),) * field.d
+    for box in (_support_box(field, space), full):
+        if box is None:
+            continue
+        nodes = mesh[box]
+        X, grad, lap = space.value(nodes), space.gradient(nodes), space.laplacian(nodes)
+        nonzero = (X != 0) | (grad != 0).any(axis=-1) | (lap != 0)
+        if box is not full and not nonzero.any():
+            continue
+        # per axis: which of the box's node indices hold a nonzero node
+        hit = [nonzero.any(axis=tuple(j for j in range(field.d) if j != i))
+               for i in range(field.d)]
+        assert all((b.start == 0 or not h[0]) and (b.stop == field.nx or not h[-1])
+                   for b, h in zip(box, hit)), "nonzero node outside the stated support"
+        x = _equal_lengths(tuple(slice(b.start + s.start, b.start + s.stop)
+                                 for b, s in zip(box, map(_halo_slice, hit))), field.nx)
+        if all(b.start <= s.start and s.stop <= b.stop for b, s in zip(box, x)):
+            cut = tuple(slice(s.start - b.start, s.stop - b.start) for b, s in zip(box, x))
+            return x, X[cut], grad[cut], lap[cut], float(np.abs(X).max())
+
+
+def _window_samples(samples: np.ndarray | None, box: tuple) -> np.ndarray | None:
+    """samples[box] copied once into contiguous memory, so that the component
+    sums and the differences along each axis run on contiguous memory even
+    when the samples are strided (a file with interleaved components reads
+    back that way)."""
+    return None if samples is None else np.ascontiguousarray(samples[box])
 
 
 class _Window:
@@ -169,15 +245,18 @@ class _Window:
 
     The box is the smallest index box holding every node where a factor of
     phi or one of its derivatives is nonzero, widened by a one-node halo and
-    then to equal spatial sides.
+    then to equal spatial sides; X and its derivatives are evaluated only on
+    X's stated support box (see ``_spatial_factors``), and the margin check
+    evaluates X on the 2-cell edge slabs themselves.
     The halo makes centered differences on the box equal to the global ones
     wherever phi is nonzero, and it holds the support's boundary nodes, where
     the Hoelder masks are closed.  Nodes keep their global trapezoid weights,
     so a quadrature over the box is the full-grid quadrature summed in
-    another order.  ``local`` holds the box's samples as a GriddedField of
-    the same spacings whose coordinates start at 0 (its h can differ from
-    the global one in the last bit); the window's own ``mesh`` and
-    ``t_axis`` carry the global coordinates.
+    another order.  ``local`` holds the box's samples (see
+    ``_window_samples``) as a GriddedField of the same spacings whose
+    coordinates start at 0 (its h can differ from the global one in the last
+    bit); the window's own ``mesh`` and ``t_axis`` carry the global
+    coordinates.
 
     phi = h_val * x_val, dphi/dt = h_dt * x_val, grad phi = h_val * x_grad and
     lap phi = h_val * x_lap: the h_* are time vectors on the box, the x_*
@@ -189,27 +268,22 @@ class _Window:
         self.d = d
         mesh = field.spatial_mesh()
         t = field.t_axis
-        X, grad = phi.space.value(mesh), phi.space.gradient(mesh)
-        lap = phi.space.laplacian(mesh)
         H, dH = phi.time.value(t), phi.time.deriv(t)
-        _check_vanishing(H, X, vanish)
-        nonzero = (X != 0) | np.any(grad != 0, axis=-1) | (lap != 0)
+        self.x, self.x_val, self.x_grad, self.x_lap, x_max = \
+            _spatial_factors(field, mesh, phi.space)
+        edge_vals = phi.space.value(_edge_nodes(mesh)) if "x" in vanish else None
+        _check_vanishing(H, x_max, edge_vals, vanish)
         self.t = _halo_slice((H != 0) | (dH != 0))
-        self.x = _equal_lengths(
-            tuple(_halo_slice(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
-                  for i in range(d)), field.nx)
         self.h_val, self.h_dt = H[self.t], dH[self.t]
-        self.x_val, self.x_grad, self.x_lap = X[self.x], grad[self.x], lap[self.x]
         box = (self.t,) + self.x
         self.mesh = mesh[self.x]
         self.t_axis = field.t_axis[self.t]
         self.wsp = field.spatial_weights()[self.x]
         self.wt = field.axis_weights()[1][self.t]
         n, nt = self.x[0].stop - self.x[0].start, self.t.stop - self.t.start
-        self.local = GriddedField(
-            d, 0.0, (n - 1) * field.h, n, (nt - 1) * field.dt, nt, field.u[box],
-            None if field.p is None else field.p[box],
-            None if field.theta is None else field.theta[box])
+        u, p, theta = (_window_samples(a, box) for a in (field.u, field.p, field.theta))
+        self.local = GriddedField(d, 0.0, (n - 1) * field.h, n, (nt - 1) * field.dt, nt,
+                                  u, p, theta)
 
     def quad(self, vals: np.ndarray, time: np.ndarray) -> float:
         """Space-time quadrature of vals * time over the box."""
@@ -251,15 +325,18 @@ def _pairing(field: GriddedField, phi: SpaceTimeTestFunction, pair: EntropyPair,
     win = _Window(field, phi, vanish)
     f = win.local
     eta = pair.eta_fn(f.u, f.p, f.theta)
-    terms = {"I": win.quad(eta * win.x_val, win.h_dt)}
+    term_i = win.quad(eta * win.x_val, win.h_dt)
+    term_iv = nu * win.quad(eta * win.x_lap, win.h_val) if nu > 0 else None
+    terminal = (float(np.sum(win.wsp * eta[-1] * (win.x_val * win.h_val[-1])))
+                if win.t.stop == field.nt else 0.0)
+    # freed before the fluxes are formed: one window-sized array less at the peak
+    del eta
+    terms = {"I": term_i}
     for name, flux in pair.fluxes.items():
         q = flux(f.u, f.p, f.theta)
-        terms[name] = win.quad(np.einsum("...i,...i->...", q, win.x_grad), win.h_val)
-    if nu > 0:
-        terms["IV"] = nu * win.quad(eta * win.x_lap, win.h_val)
-    terminal = 0.0
-    if win.t.stop == field.nt:
-        terminal = float(np.sum(win.wsp * eta[-1] * (win.x_val * win.h_val[-1])))
+        terms[name] = win.quad(component_dot(q, win.x_grad), win.h_val)
+    if term_iv is not None:
+        terms["IV"] = term_iv
     return _Pairing(terms, terminal, win)
 
 
@@ -396,7 +473,8 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     pressure flux III) on the 2*delta collar and assembles the term-by-term
     bound using the realized cutoff quadratures -- all Hoelder steps carry
     constant 1, so the weak mass is dominated by the bound as an exact
-    discrete inequality, which is checked (VerificationError when it fails).
+    discrete inequality, which is checked (VerificationError when it fails,
+    and when the weak mass or the bound is not finite).
     Exponent bookkeeping per term:
 
         |I|   <= c_eta * ||u||^2_{LqLr} * ||chi||_{r/(r-2)} * ||eta'||_{q/(q-2)}
@@ -430,9 +508,11 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     n_eta = _weighted_pnorm(eta_t, w_t, _ratio(q, 3))
     n_deta = _weighted_pnorm(np.abs(win.h_dt)[tmask], w_t, _ratio(q, 2))
 
+    # u_norm**k as inf, not OverflowError, where it overflows
+    u2, u3 = scale_power(u_norm, 2), scale_power(u_norm, 3)
     bound_terms = {
-        "I": pair.eta_quad_coeff * u_norm ** 2 * n_chi * n_deta,
-        "II": pair.q_cubic_coeff * u_norm ** 3 * n_gchi * n_eta,
+        "I": pair.eta_quad_coeff * u2 * n_chi * n_deta,
+        "II": pair.q_cubic_coeff * u3 * n_gchi * n_eta,
     }
     norms = {"u_LqLr": u_norm, "chi": n_chi, "grad_chi": n_gchi,
              "eta_t": n_eta, "deta_t": n_deta}
@@ -444,10 +524,13 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     if nu > 0:
         n_lchi = _weighted_pnorm(np.abs(win.x_lap)[smask], w_s, _ratio(r, 2))
         n_eta2 = _weighted_pnorm(eta_t, w_t, _ratio(q, 2))
-        bound_terms["IV"] = pair.eta_quad_coeff * nu * u_norm ** 2 * n_lchi * n_eta2
+        bound_terms["IV"] = pair.eta_quad_coeff * nu * u2 * n_lchi * n_eta2
         norms["lap_chi"] = n_lchi
 
     bound = sum(bound_terms.values())
+    if not (math.isfinite(report.weak_mass) and math.isfinite(bound)):
+        raise VerificationError(
+            f"non-finite weak mass {report.weak_mass!r} or bound {bound!r}")
     if report.weak_mass > bound * (1 + DOMINANCE_TOL) + 1e-300:
         raise VerificationError(
             f"discrete dominance failed: weak_mass {report.weak_mass!r} > bound {bound!r}"

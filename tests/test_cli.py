@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dissdim import io as dio
@@ -198,6 +199,22 @@ class TestVerifyCommand:
         assert data["error"]["type"] == "VerificationError"
         assert "dominance" in data["error"]["message"]
 
+    def test_non_finite_weak_mass_exit_3(self, shock_files, capsys, monkeypatch):
+        # the dominance check fails closed: NaN never passes as bounded
+        from dissdim import cli
+        from dissdim import weak_balance as wb
+        nan_pair = wb.EntropyPair("nan", lambda u, p, theta: np.full(u.shape[:-1], np.nan),
+                                  wb.BURGERS_PAIR.fluxes, eta_quad_coeff=0.5,
+                                  q_cubic_coeff=1.0 / 3.0)
+        monkeypatch.setattr(cli, "BURGERS_PAIR", nan_pair)
+        field_path, _ = shock_files
+        code, data = run_json(["verify", "--input", field_path, "--pair", "burgers",
+                               "--center", "0.0:0.5", "--delta-max", "0.125",
+                               "--count", "3"], capsys)
+        assert code == 3
+        assert data["error"]["type"] == "VerificationError"
+        assert "non-finite" in data["error"]["message"]
+
     def test_viscous_mode_emits_morrey_column(self, capsys, tmp_path):
         nu = 2e-3
         hw, h = 30 * nu, 0.05 * nu
@@ -255,6 +272,19 @@ class TestFixtureCommands:
         # so the total stays below the shock's (u_l - u_r)^3 T / 12 = 1/3
         assert 0.2 < data["total_dissipation"] < 1 / 3
 
+    def test_measure_only_run_builds_no_field(self, capsys, tmp_path, monkeypatch):
+        from dissdim import cli
+
+        def no_field(*args):
+            raise AssertionError("the field is built without --field-out")
+
+        monkeypatch.setattr(cli, "burgers_entropy_solution", no_field)
+        mpath = str(tmp_path / "m.measure")
+        code, data = run_json(["burgers", "--ul", "1", "--ur", "-1",
+                               "--measure-out", mpath], capsys)
+        assert code == 0
+        assert data["measure_atoms"] == 2048
+
     def test_rarefaction_measure_is_empty(self, capsys, tmp_path):
         mpath = str(tmp_path / "m.measure")
         code, data = run_json(["burgers", "--ul", "-1", "--ur", "1",
@@ -300,6 +330,14 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     ["burgers", "--ul", "1", "--ur", "-1", "--text"],
     # a rarefaction measure has no atoms, yet the count is still checked
     ["burgers", "--ul", "-1", "--ur", "1", "--measure-atoms", "0", "--measure-out", os.devnull],
+    # the grid is checked even when only the measure is written
+    ["burgers", "--ul", "1", "--ur", "-1", "--nx", "1", "--measure-out", os.devnull],
+    # delta = 1.25e-201 at the last scale: delta**2 underflows to 0, which made
+    # the laplacian of the spatial bump NaN and passed a NaN weak mass
+    ["verify", "--center", "0.0:0.5", "--delta-max", "0.125", "--ratio", "1e-100",
+     "--count", "3", "--nu", "1e-3"],
+    ["verify", "--center", "0.0:0.5", "--delta-max", "0.125", "--ratio", "1e-100",
+     "--count", "3"],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files

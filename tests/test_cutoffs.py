@@ -63,6 +63,24 @@ class TestCutoffPair:
             with pytest.raises(ValueError, match="delta\\*\\*alpha"):
                 co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), delta, alpha)
 
+    def test_rejects_scales_that_are_not_normal_floats(self):
+        # delta**2 underflows (the laplacian of the bump divided by 0) or
+        # overflows; the ramp width (2 delta)**alpha - delta**alpha is subnormal
+        for delta in (1.25e-201, 1e-155, 1e155):
+            with pytest.raises(ValueError, match="delta\\*\\*2"):
+                co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), delta, 1.0)
+        with pytest.raises(ValueError, match="ramp width"):
+            co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 1e-100, 3.09)
+        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 1.25e-101, 1.0)
+        assert np.isfinite(cut.chi.laplacian(np.array([[1e-101], [2e-101]]))).all()
+
+    def test_stated_supports(self):
+        bump = co.SpatialBump((0.5, -1.0), 0.25)
+        assert bump.support == ((0.0, 1.0), (-1.5, -0.5))
+        f = co.SpatialTestFunction([co.PlateauProfile(-0.4, 0.4, 0.3),
+                                    co.PlateauProfile(0.2, math.inf, 0.1)])
+        assert f.support == ((-0.4 - 0.3, 0.4 + 0.3), (0.2 - 0.1, math.inf))
+
     def test_support_values(self):
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.25, 1.0)
         pts = np.array([[0.1], [0.25], [0.3], [0.5], [0.6]])

@@ -20,7 +20,7 @@ from dissdim.fields import GriddedField
 
 INF = math.inf
 REL = 1e-12
-GRIDS = {1: (41, 41), 2: (25, 25)}   # (nx, nt) on [0, 1]^d x [0, 1]
+GRIDS = {1: (41, 41), 2: (25, 25), 3: (23, 23)}   # (nx, nt) on [0, 1]^d x [0, 1]
 _FIELDS = {}
 
 
@@ -73,9 +73,9 @@ fractions = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.sampled_from([1, 2]), profile=st.sampled_from(["cubic", "quintic"]),
+@given(d=st.sampled_from([1, 2, 3]), profile=st.sampled_from(["cubic", "quintic"]),
        delta_frac=st.floats(0.0, 1.0), alpha=st.floats(1.0, 3.0),
-       x_fracs=st.tuples(fractions, fractions), t_frac=fractions,
+       x_fracs=st.tuples(fractions, fractions, fractions), t_frac=fractions,
        q=st.sampled_from([3, 4.5, INF]), r=st.sampled_from([3, 4.5, INF]),
        euler=st.booleans(), nu=st.sampled_from([0.0, 0.01]))
 def test_cutoff_balance_matches_full_grid(d, profile, delta_frac, alpha, x_fracs, t_frac,
@@ -134,7 +134,7 @@ def test_cutoff_balance_matches_full_grid(d, profile, delta_frac, alpha, x_fracs
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.sampled_from([1, 2]), profile=st.sampled_from(["cubic", "quintic"]),
+@given(d=st.sampled_from([1, 2, 3]), profile=st.sampled_from(["cubic", "quintic"]),
        lo=st.floats(0.0, 0.6), width=st.floats(0.0, 0.3), ramp=st.floats(0.02, 0.3),
        t_lo=st.floats(0.06, 0.8), nu=st.sampled_from([0.0, 0.05]))
 def test_boundary_extended_mass_matches_full_grid(d, profile, lo, width, ramp, t_lo, nu):
@@ -172,3 +172,88 @@ def test_boundary_extended_mass_matches_full_grid(d, profile, lo, width, ramp, t
 
     value, scale = grid.quad(field.grad_squared(), X, H)
     assert close(grad_mass, (nu * value, nu * scale))
+
+
+# ---------------------------------------------------------------------------
+# The window's spatial factors against a full-mesh evaluation.
+# ---------------------------------------------------------------------------
+
+def full_mesh_window(field, space, vanish):
+    """Spatial box, factors on it, and the margin verdict, from X, grad X and
+    lap X evaluated on every node of the grid."""
+    d = field.d
+    mesh = field.spatial_mesh()
+    X, grad, lap = space.value(mesh), space.gradient(mesh), space.laplacian(mesh)
+    nonzero = (X != 0) | np.any(grad != 0, axis=-1) | (lap != 0)
+    ranges = []
+    for i in range(d):
+        idx = np.flatnonzero(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
+        ranges.append((max(idx[0] - 1, 0), min(idx[-1] + 2, field.nx)) if idx.size
+                      else (0, field.nx))
+    length = max(hi - lo for lo, hi in ranges)
+    box = tuple(slice(min(lo, field.nx - length), min(lo, field.nx - length) + length)
+                for lo, _ in ranges)
+    scale = max(np.abs(X).max(), wb.SUPPORT_TOL)
+    margin = "x" in vanish and any(
+        np.abs(np.take(X, [0, 1, -2, -1], axis=i)).max() > wb.SUPPORT_TOL * scale
+        for i in range(d))
+    return box, X[box], grad[box], lap[box], margin
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+WINDOW_GRIDS = {1: 41, 2: 17, 3: 9}
+
+
+def node_coordinate(draw, nx):
+    """A coordinate on [0, 1] near a node, often within a few cells of an edge."""
+    k = draw(st.one_of(st.integers(0, 3), st.integers(nx - 4, nx - 1),
+                       st.integers(0, nx - 1)))
+    offset = draw(st.one_of(st.just(0.0), st.just(0.5), st.floats(-1.0, 1.0)))
+    return (k + offset) / (nx - 1)
+
+
+@st.composite
+def spatial_factors(draw, d):
+    nx = WINDOW_GRIDS[d]
+    h = 1.0 / (nx - 1)
+    profile = draw(st.sampled_from(["cubic", "quintic"]))
+    if draw(st.booleans()):
+        center = tuple(node_coordinate(draw, nx) for _ in range(d))
+        # radii from a quarter cell up to a third of the domain, some with
+        # 2*delta a whole number of cells
+        delta = draw(st.one_of(st.floats(h / 4, 0.33),
+                               st.integers(1, nx // 3).map(lambda m: m * h / 2)))
+        return co.SpatialBump(center, delta, profile)
+    profiles = []
+    for _ in range(d):
+        lo = node_coordinate(draw, nx)
+        hi = draw(st.one_of(st.just(math.inf), st.floats(0.0, 0.5).map(lambda w: lo + w)))
+        ramp = draw(st.one_of(st.floats(h / 4, 0.4), st.integers(1, 4).map(lambda m: m * h)))
+        profiles.append(co.PlateauProfile(lo, hi, ramp, profile=profile))
+    return co.SpatialTestFunction(profiles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]),
+       vanish=st.sampled_from([("t0", "T", "x"), ("t0",), ()]))
+def test_window_factors_equal_full_mesh_evaluation(data, d, vanish):
+    # the window evaluates X only on its stated support box and on the 2-cell
+    # edge slabs; box, factors and margin verdict must be those of the full mesh
+    nx = WINDOW_GRIDS[d]
+    field = GriddedField(d, 0.0, 1.0, nx, 1.0, 5, np.zeros((5,) + (nx,) * d + (d,)))
+    space = data.draw(spatial_factors(d))
+    # nonzero only at the middle time node, clear of both 2-cell time margins
+    phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, 0.5, 0.2))
+    box, X, grad, lap, margin = full_mesh_window(field, space, vanish)
+    if margin:
+        with pytest.raises(wb.MarginError):
+            wb._Window(field, phi, vanish)
+        return
+    win = wb._Window(field, phi, vanish)
+    assert win.x == box
+    assert same_bits(win.x_val, X)
+    assert same_bits(win.x_grad, grad)
+    assert same_bits(win.x_lap, lap)

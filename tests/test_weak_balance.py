@@ -8,6 +8,7 @@ from dissdim import cutoffs as co
 from dissdim import fixtures as fx
 from dissdim import weak_balance as wb
 from dissdim.aniso_measure import SpaceTimePoint
+from dissdim.errors import VerificationError
 from dissdim.fields import SpatialVectorField
 
 INF = math.inf
@@ -185,6 +186,15 @@ class TestHolderBound:
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
         rep = wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
         assert rep.holder_bound == 0.0
+
+    def test_overflowing_bound_fails_closed(self):
+        # |u|^3 overflows a float64: the bound is inf and the check fails
+        # (u_norm ** 3 raised OverflowError before)
+        field = fx.constant_field([1e110], 1, -1.0, 1.0, 65, 1.0, 65)
+        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(VerificationError, match="non-finite"):
+            wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
 
     def test_rejects_small_exponents(self, shock_field):
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
