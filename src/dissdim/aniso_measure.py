@@ -59,6 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fields import all_finite
+
 __all__ = [
     "SpaceTimePoint",
     "Cylinder",
@@ -137,8 +139,8 @@ class AtomicMeasure:
 
     def __init__(self, positions, times, weights, d=None, label=""):
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        times = np.asarray(times, dtype=float).ravel()
-        weights = np.asarray(weights, dtype=float).ravel()
+        times = np.asarray(times, dtype=float).reshape(-1)   # ravel would copy a strided column
+        weights = np.asarray(weights, dtype=float).reshape(-1)
         if positions.shape[0] != times.shape[0] or times.shape[0] != weights.shape[0]:
             raise ValueError("positions, times and weights must have matching lengths")
         if d is None:
@@ -147,10 +149,9 @@ class AtomicMeasure:
             raise ValueError(f"positions have dimension {positions.shape[1]}, expected {d}")
         if positions.size == 0:
             positions = positions.reshape(0, d)
-        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(times))
-                and np.all(np.isfinite(weights))):
+        if not (all_finite(positions) and all_finite(times) and all_finite(weights)):
             raise ValueError("atoms must have finite coordinates and weights")
-        if np.any(weights < 0):
+        if weights.size and weights.min() < 0:
             raise ValueError("weights must be non-negative (positive measure)")
         self._positions = positions
         self._times = times

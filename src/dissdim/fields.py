@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GriddedField", "SpatialVectorField", "component_dot"]
+__all__ = ["GriddedField", "SpatialVectorField", "all_finite", "component_dot"]
 
 
 def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -21,6 +21,15 @@ def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(1, a.shape[-1]):
         out += a[..., i] * b[..., i]
     return out
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite (True when ``a`` is empty).
+
+    The min and the max are NaN when any entry is, so two reductions decide
+    it without the boolean array the size of ``a`` that ``np.isfinite`` builds.
+    """
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _trapezoid_weights(step: float, n: int) -> np.ndarray:
@@ -129,10 +138,10 @@ class GriddedField(_SpaceTimeGrid):
                 arr = np.asarray(arr, dtype=float)
                 if arr.shape != expected[:-1]:
                     raise ValueError(f"{name} has shape {arr.shape}, expected {expected[:-1]}")
-                if not np.all(np.isfinite(arr)):
+                if not all_finite(arr):
                     raise ValueError(f"{name} contains non-finite samples")
                 setattr(self, name, arr)
-        if not np.all(np.isfinite(self.u)):
+        if not all_finite(self.u):
             raise ValueError("u contains non-finite samples")
 
     def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:

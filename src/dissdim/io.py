@@ -27,6 +27,13 @@ The reader first checks the body in 64 KiB chunks for bytes that are not
 ASCII or a CR outside a CRLF, then hands ``np.loadtxt`` the file's path, so
 that numpy parses it with its chunked C reader.  Only a body that fails is
 read again line by line, to name the first bad line.
+
+A read holds each body in memory once.  A binary body is read straight into
+one read-only (rows, columns) float64 array, which the returned object's
+arrays view; a text body is held as numpy's full parse result, leading t and
+x columns included.  The writers gather one time slice (or 4096 measure rows)
+at a time and write a binary block from the array's own buffer, so a write
+makes no copy of the whole body.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ def _write_rows(fh, rows: np.ndarray, binary: bool, sep: str, lead=()) -> None:
     string ending in its separator; ``repr`` runs once per distinct bit pattern.
     """
     if binary:
-        fh.write(rows.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(rows, dtype="<f8"))   # the array's own buffer
         return
     keys, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
     words = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
@@ -131,7 +138,13 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
         if size != expected:
             raise MalformedFileError(
                 f"{path}: binary body has {size} bytes, expected {expected}", line=2)
-        return np.frombuffer(fh.read(), dtype="<f8").reshape(n_rows, n_cols)
+        rows = np.empty((n_rows, n_cols), dtype="<f8")
+        # memoryview.cast rejects a zero-size view, and an empty body has nothing to read
+        if rows.size and fh.readinto(memoryview(rows).cast("B")) != expected:
+            raise MalformedFileError(f"{path}: binary body ended before {expected} bytes",
+                                     line=2)
+        rows.flags.writeable = False
+        return rows
     if token != "text":
         raise MalformedFileError(f"{path}: unknown body token {token!r}", line=1)
     if text is None:
@@ -202,11 +215,13 @@ def _first_bad_line(fh, n_rows: int, width: int, sep):
 # ---------------------------------------------------------------------------
 
 def write_measure(path, mu: AtomicMeasure, binary: bool = False) -> None:
-    rows = np.column_stack([mu.positions, mu.times, mu.weights])
     with open(path, "wb") as fh:
         fh.write(_header_line(f"{MEASURE_MAGIC} d={mu.d} n={mu.n_atoms}", binary))
-        for start in range(0, len(rows), 4096):   # bounds the text buffer like a field slice
-            _write_rows(fh, rows[start:start + 4096], binary, " ")
+        # 4096 rows at a time bound the gathered rows and the text buffer like a field slice
+        for start in range(0, mu.n_atoms, 4096):
+            chunk = slice(start, start + 4096)
+            rows = np.column_stack([mu.positions[chunk], mu.times[chunk], mu.weights[chunk]])
+            _write_rows(fh, rows, binary, " ")
 
 
 def read_measure(path) -> AtomicMeasure:
@@ -230,13 +245,13 @@ def write_field(path, field: GriddedField, binary: bool = True) -> None:
              if arr is not None}
     header = (f"{FIELD_MAGIC} d={field.d} nx={field.nx} nt={field.nt} a={field.a!r} "
               f"b={field.b!r} T={field.T!r} components={','.join(['u', *extra])}")
-    samples = np.concatenate([field.u.reshape(field.nt, -1, field.d)]
-                             + [arr.reshape(field.nt, -1, 1) for arr in extra.values()], axis=2)
     xs = [f"{x!r}," for x in field.x_axis.tolist()]
     with open(path, "wb") as fh:
         fh.write(_header_line(header, binary))
-        # one time slice at a time keeps the text buffer and the repr cache small
-        for t, block in zip(field.t_axis.tolist(), samples):
+        # one time slice at a time bounds the gathered rows, the text buffer and the repr cache
+        for k, t in enumerate(field.t_axis.tolist()):
+            block = np.concatenate([field.u[k].reshape(-1, field.d)]
+                                   + [arr[k].reshape(-1, 1) for arr in extra.values()], axis=1)
             _write_rows(fh, block, binary, ",", (repeat(f"{t!r},"), xs))
 
 

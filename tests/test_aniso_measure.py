@@ -71,6 +71,32 @@ class TestCylinderMass:
         with pytest.raises(ValueError):
             AtomicMeasure([[0.0]], [0.0], [-1.0])
 
+    @pytest.mark.parametrize("weights, problem", [
+        ([1.0, 2.0, -5e-324], "non-negative"),   # the least negative float, last
+        ([-np.inf, 1.0, 2.0], "finite"),
+        ([1.0, np.nan, -1.0], "finite"),
+        ([0.0, -0.0, 5e-324], None),
+    ])
+    def test_weight_checks_see_every_atom(self, weights, problem):
+        args = (np.zeros((3, 1)), np.zeros(3), weights)
+        if problem is None:
+            assert AtomicMeasure(*args).n_atoms == 3
+        else:
+            with pytest.raises(ValueError, match=problem):
+                AtomicMeasure(*args)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, column, value):
+        rows = np.zeros((4, 3))
+        rows[-1, column] = value
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure(rows[:, :1], rows[:, 1], rows[:, 2])
+
+    def test_empty_measure_accepted(self):
+        mu = AtomicMeasure(np.zeros((0, 2)), [], [], d=2)
+        assert mu.n_atoms == 0 and mu.total_mass == 0.0
+
 
 class TestBoxCounting:
     SCALES = [2.0 ** -k for k in range(2, 8)]

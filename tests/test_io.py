@@ -1,6 +1,8 @@
 import io
 import math
+import tracemalloc
 from itertools import chain, repeat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -391,6 +393,143 @@ class TestTextWriter:
         rows = np.random.default_rng(5).random((2 * 4096 + 3, 3))
         dio.write_measure(tmp_path / "m", am.AtomicMeasure(rows[:, :1], rows[:, 1], rows[:, 2]))
         assert (tmp_path / "m").read_bytes().split(b"\n", 1)[1] == percent_rows(rows, " ")
+
+
+def traced_peak(call):
+    """The high-water mark of the bytes traced while ``call()`` runs, and its result.
+
+    numpy reports its data buffers to ``tracemalloc``, so the peak counts
+    every array and bytes object the call makes, freed or kept.
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def edge_field(d, extra, nx=3, nt=2):
+    """A field whose samples cycle through EDGES: signed zeros, subnormals, ..."""
+    shape = (nt,) + (nx,) * d
+    cycle = np.resize(np.array(EDGES), int(np.prod(shape)) * (d + len(extra)))
+    cols = cycle.reshape(-1, d + len(extra))
+    return GriddedField(d, 0.0, 1.0, nx, 1.0, nt, cols[:, :d].reshape(shape + (d,)),
+                        **{name: cols[:, d + i].reshape(shape) for i, name in enumerate(extra)})
+
+
+MIB = 1 << 20
+
+
+class TestBinaryBody:
+    """The binary read fills one array from the file; the writers gather a slice at a time."""
+
+    def test_empty_measure(self, tmp_path):
+        path = tmp_path / "m"
+        dio.write_measure(path, am.AtomicMeasure(np.zeros((0, 2)), [], [], d=2), binary=True)
+        assert path.read_bytes() == b"dissdim-measure v1 d=2 n=0 body=binary\n"
+        back = dio.read_measure(path)
+        assert back.n_atoms == 0 and back.positions.shape == (0, 2)
+
+    @pytest.mark.parametrize("kind", ["field", "measure"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_body_one_byte_off_exits_2(self, sample_field, sample_measure, tmp_path, capsys,
+                                         kind, change):
+        from dissdim.cli import main
+        path = tmp_path / kind
+        if kind == "field":
+            dio.write_field(path, sample_field)
+            read, argv = dio.read_field, ["verify", "--input", str(path)]
+        else:
+            dio.write_measure(path, sample_measure, binary=True)
+            read, argv = dio.read_measure, ["dimension", "--input", str(path)]
+        data = path.read_bytes()
+        expected = len(data) - len(data.split(b"\n", 1)[0]) - 1
+        path.write_bytes(data[:change] if change < 0 else data + b"\0")
+        message = f"binary body has {expected + change} bytes, expected {expected}"
+        with pytest.raises(dio.MalformedFileError, match=message) as err:
+            read(path)
+        assert err.value.line == 2
+        assert main(argv) == 2
+        assert message in capsys.readouterr().out
+
+    def test_a_body_that_shrinks_after_the_size_check(self, sample_field, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "f"
+        dio.write_field(path, sample_field)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(dio.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+        with pytest.raises(dio.MalformedFileError, match="binary body ended before") as err:
+            dio.read_field(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["u", "p", "theta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_a_non_finite_sample_exits_2(self, tmp_path, capsys, d, name, value, node):
+        from dissdim.cli import main
+        field = edge_field(d, ("p", "theta"))
+        rows = np.concatenate([field.u.reshape(-1, d), field.p.reshape(-1, 1),
+                               field.theta.reshape(-1, 1)], axis=1)
+        rows[node, {"u": d - 1, "p": d, "theta": d + 1}[name]] = value
+        path = tmp_path / "f"
+        dio.write_field(path, field)
+        head = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(head + b"\n" + rows.astype("<f8").tobytes())
+        with pytest.raises(dio.MalformedFileError, match=f"{name} contains non-finite samples"):
+            dio.read_field(path)
+        assert main(["verify", "--input", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_signed_zeros_and_subnormals_read_back_bit_exact(self, tmp_path, d):
+        field = edge_field(d, ("p", "theta"))
+        dio.write_field(tmp_path / "f", field)
+        back = dio.read_field(tmp_path / "f")
+        for name in ("u", "p", "theta"):
+            assert bits(getattr(back, name)) == bits(getattr(field, name))
+        rows = np.resize(np.array(EDGES), (len(EDGES), d + 2))
+        rows[:, -1] = np.copysign(rows[:, -1], 1.0)
+        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        dio.write_measure(tmp_path / "m", mu, binary=True)
+        back = dio.read_measure(tmp_path / "m")
+        for name in ("positions", "times", "weights"):
+            assert bits(getattr(back, name)) == bits(getattr(mu, name))
+
+    def test_arrays_are_read_only(self, sample_measure, tmp_path):
+        dio.write_field(tmp_path / "f", edge_field(2, ("p", "theta")))
+        dio.write_measure(tmp_path / "m", sample_measure, binary=True)
+        field, mu = dio.read_field(tmp_path / "f"), dio.read_measure(tmp_path / "m")
+        for arr in (field.u, field.p, field.theta, mu.positions, mu.times, mu.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+
+    @pytest.mark.parametrize("d, nx, nt, extra", [(1, 4097, 129, ("p", "theta")),
+                                                  (2, 129, 33, ("p",))])
+    def test_field_io_holds_the_body_once(self, tmp_path, d, nx, nt, extra):
+        rng = np.random.default_rng(d)
+        shape = (nt,) + (nx,) * d
+        field = GriddedField(d, 0.0, 1.0, nx, 1.0, nt, rng.standard_normal(shape + (d,)),
+                             **{name: rng.standard_normal(shape) for name in extra})
+        body = np.prod(shape) * (d + len(extra)) * 8   # 12.1 and 12.6 MiB
+        written, _ = traced_peak(lambda: dio.write_field(tmp_path / "f", field))
+        assert written < MIB   # one time slice is 96 and 390 KiB
+        read, back = traced_peak(lambda: dio.read_field(tmp_path / "f"))
+        assert read <= body + MIB
+        assert bits(back.u) == bits(field.u)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_measure_io_holds_the_body_once(self, tmp_path, d):
+        rows = np.random.default_rng(d).random((300_000, d + 2))
+        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        written, _ = traced_peak(lambda: dio.write_measure(tmp_path / "m", mu, binary=True))
+        assert written < MIB   # 4096 rows are 96 and 128 KiB
+        read, back = traced_peak(lambda: dio.read_measure(tmp_path / "m"))
+        assert read <= rows.nbytes + MIB
+        assert bits(back.weights) == bits(mu.weights)
 
 
 class TestReportCsv:
