@@ -48,8 +48,6 @@ from .weak_balance import (
     BURGERS_PAIR,
     entropy_production,
     pair_weak_mass,
-    euler_weak_mass,
-    ns_weak_mass,
     holder_cylinder_bound,
     boundary_extended_mass,
     signed_support_bound,

@@ -137,7 +137,7 @@ class AtomicMeasure:
     Immutable after construction; all queries are read-only.
     """
 
-    def __init__(self, positions, times, weights, d=None, label=""):
+    def __init__(self, positions, times, weights, d=None):
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         times = np.asarray(times, dtype=float).reshape(-1)   # ravel would copy a strided column
         weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -159,7 +159,6 @@ class AtomicMeasure:
         for arr in (self._positions, self._times, self._weights):
             arr.setflags(write=False)
         self.d = int(d)
-        self.label = label
 
     @property
     def positions(self) -> np.ndarray:

@@ -124,7 +124,6 @@ class GriddedField(_SpaceTimeGrid):
     u: np.ndarray
     p: np.ndarray | None = None
     theta: np.ndarray | None = None
-    label: str = ""
 
     def __post_init__(self):
         super().__post_init__()

@@ -187,7 +187,7 @@ def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
             u[k] = _cell_average_shock(xl, xr, datum.x0, datum.u_l, datum.u_r)
         else:
             u[k] = _cell_average_fan(xl, xr, t, datum)
-    return GriddedField(1, a, b, nx, T, nt, u[..., None], label="burgers_riemann")
+    return GriddedField(1, a, b, nx, T, nt, u[..., None])
 
 
 SMOOTH_AMPLITUDE = 0.5
@@ -213,7 +213,7 @@ def burgers_smooth_solution(a: float, b: float, nx: int, T: float, nt: int) -> G
             fp = 1.0 + amplitude * wavenumber * t * np.cos(wavenumber * (xs - vals * t))
             vals = vals - f / fp
         u[k] = vals
-    return GriddedField(1, a, b, nx, T, nt, u[..., None], label="burgers_smooth")
+    return GriddedField(1, a, b, nx, T, nt, u[..., None])
 
 
 def burgers_dissipation_measure(datum: RiemannDatum, T: float, n_atoms: int) -> AtomicMeasure:
@@ -221,18 +221,17 @@ def burgers_dissipation_measure(datum: RiemannDatum, T: float, n_atoms: int) -> 
 
     Atoms sit at times (k+1/2)*T/n, each holding rate*T/n, so the total mass
     equals (u_l-u_r)^3/12 * T exactly.  A rarefaction datum yields an empty
-    measure labelled as such; n_atoms < 1 is rejected for both.
+    measure; n_atoms < 1 is rejected for both.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     if not datum.is_shock:
-        return AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1,
-                             label="rarefaction_no_shock")
+        return AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1)
     dt = T / n_atoms
     t = (np.arange(n_atoms) + 0.5) * dt
     x = datum.x0 + datum.shock_speed * t
     w = np.full(n_atoms, shock_entropy_rate(datum) * dt)
-    return AtomicMeasure(x[:, None], t, w, d=1, label="burgers_shock_dissipation")
+    return AtomicMeasure(x[:, None], t, w, d=1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +383,13 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
         snapshots[next_sample] = u
         next_sample += 1
 
-    field = GriddedField(1, a, b, nx, T, nt, snapshots[..., None], label="viscous_burgers")
+    field = GriddedField(1, a, b, nx, T, nt, snapshots[..., None])
     dt_sample = grid.dt
     ux_all = np.gradient(snapshots, h, axis=1)
     weights = nu * ux_all ** 2 * h * dt_sample
     mesh_x = np.broadcast_to(xs, snapshots.shape).ravel()
     mesh_t = np.repeat(sample_times, nx)
-    dissipation = AtomicMeasure(mesh_x[:, None], mesh_t, weights.ravel(), d=1,
-                                label="viscous_dissipation_cells")
+    dissipation = AtomicMeasure(mesh_x[:, None], mesh_t, weights.ravel(), d=1)
     return ViscousRun(
         nu=nu, datum=datum, bc=bc, field=field, dissipation=dissipation,
         total_dissipation=total, dt_sub=dt_sub,
@@ -481,12 +479,10 @@ def time_singular_measure_fixture(d: int, n_atoms: int, t_star: float = 0.5,
         axes = (np.arange(m) + 0.5) / m
         mesh = np.stack(np.meshgrid(*([axes] * d), indexing="ij"), axis=-1).reshape(-1, d)
         n = mesh.shape[0]
-        return AtomicMeasure(mesh, np.full(n, t_star), np.full(n, 1.0 / n), d=d,
-                             label="time_singular_lattice")
+        return AtomicMeasure(mesh, np.full(n, t_star), np.full(n, 1.0 / n), d=d)
     rng = np.random.default_rng(seed)
     pos = rng.random((n_atoms, d))
-    return AtomicMeasure(pos, np.full(n_atoms, t_star), np.full(n_atoms, 1.0 / n_atoms),
-                         d=d, label="time_singular")
+    return AtomicMeasure(pos, np.full(n_atoms, t_star), np.full(n_atoms, 1.0 / n_atoms), d=d)
 
 
 def grid_measure(d: int, m_space: int, m_time: int, total_mass: float = 1.0) -> AtomicMeasure:
@@ -496,8 +492,7 @@ def grid_measure(d: int, m_space: int, m_time: int, total_mass: float = 1.0) -> 
     grids = np.meshgrid(*([axes_x] * d + [axes_t]), indexing="ij")
     pts = np.stack(grids, axis=-1).reshape(-1, d + 1)
     n = pts.shape[0]
-    return AtomicMeasure(pts[:, :d], pts[:, d], np.full(n, total_mass / n), d=d,
-                         label="uniform_grid")
+    return AtomicMeasure(pts[:, :d], pts[:, d], np.full(n, total_mass / n), d=d)
 
 
 def constant_field(value, d: int, a: float, b: float, nx: int, T: float, nt: int,
@@ -507,7 +502,7 @@ def constant_field(value, d: int, a: float, b: float, nx: int, T: float, nt: int
     shape = (nt,) + (nx,) * d
     u = np.broadcast_to(value, shape + (d,)).copy()
     p = np.full(shape, float(pressure))
-    return GriddedField(d, a, b, nx, T, nt, u, p=p, label="constant")
+    return GriddedField(d, a, b, nx, T, nt, u, p=p)
 
 
 def shear_flow_field(profile, a: float, b: float, nx: int, T: float, nt: int) -> GriddedField:
@@ -517,7 +512,7 @@ def shear_flow_field(profile, a: float, b: float, nx: int, T: float, nt: int) ->
     u = np.zeros((nt, nx, nx, 2))
     u[..., 0] = fy[None, None, :]
     p = np.zeros((nt, nx, nx))
-    return GriddedField(2, a, b, nx, T, nt, u, p=p, label="shear")
+    return GriddedField(2, a, b, nx, T, nt, u, p=p)
 
 
 def decaying_shear_field(nu: float, k: float, a: float, b: float, nx: int,
@@ -529,4 +524,4 @@ def decaying_shear_field(nu: float, k: float, a: float, b: float, nx: int,
     u = np.zeros((nt, nx, nx, 2))
     u[..., 0] = amp[:, None, None] * np.sin(k * ys)[None, None, :]
     p = np.zeros((nt, nx, nx))
-    return GriddedField(2, a, b, nx, T, nt, u, p=p, label="decaying_shear")
+    return GriddedField(2, a, b, nx, T, nt, u, p=p)

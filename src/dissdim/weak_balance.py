@@ -5,9 +5,13 @@ made by the kernel ``_pairing``; cutoff and test-function derivatives are
 analytic, field derivatives (only ever needed for the viscous gradient
 density) are centered differences.  The kernel works only on the index box
 of the test function's support, plus a one-node halo: the spatial factor and
-its derivatives are evaluated on the factor's stated support box (a few
-nodes wider), the field samples are copied once into a contiguous window,
-and each node of the box keeps its global quadrature weight.
+its derivatives are evaluated once, on the factor's stated support box (a
+few nodes wider), which also holds the window and gives the spatial margin
+verdict; no case evaluates the factor on the whole grid.  The field
+samples are copied once into a contiguous window, and each node of the box
+keeps its global quadrature weight.  The balance extended to t = T returns
+its interior mass, its terminal term and the viscous gradient mass from
+that one window.
 
 Dissipation is accessed exclusively through test functions: testing the
 balance with a cutoff pair localizing a cylinder gives an upper estimate of
@@ -19,7 +23,7 @@ The Hoelder bounds are computed with the same discrete weights as the weak
 masses, so the dominance ``weak_mass <= holder_bound`` is an exact discrete
 inequality: every hidden constant is instantiated, the norm factors carry
 constant exactly 1, and the cutoff factors enter through their realized
-quadratures.
+quadratures.  The exponents q and r are evaluated as floats.
 """
 
 from __future__ import annotations
@@ -47,11 +51,8 @@ __all__ = [
     "passive_scalar_pair",
     "entropy_production",
     "pair_weak_mass",
-    "euler_weak_mass",
-    "ns_weak_mass",
     "holder_cylinder_bound",
     "boundary_extended_mass",
-    "grad_squared_pairing",
     "signed_support_bound",
 ]
 
@@ -148,88 +149,79 @@ def _halo_slice(mask: np.ndarray) -> slice:
     return slice(max(int(idx[0]) - 1, 0), min(int(idx[-1]) + 2, mask.size))
 
 
-def _equal_lengths(slices: tuple, n: int) -> tuple:
-    """Widen index ranges on axes of length n to the length of the longest one."""
+def _equal_lengths(slices: tuple, bound: tuple) -> tuple:
+    """Widen index ranges to the length of the longest one, each inside its
+    axis's range in the ``bound`` box (which must be at least that long)."""
     length = max(s.stop - s.start for s in slices)
-    starts = [min(s.start, n - length) for s in slices]
+    starts = [min(s.start, b.stop - length) for s, b in zip(slices, bound)]
     return tuple(slice(i, i + length) for i in starts)
 
 
-def _check_vanishing(time_vals: np.ndarray, space_max: float, edge_vals, vanish) -> None:
+def _check_vanishing(time_vals: np.ndarray, space_max: float, edge_max: float,
+                     vanish) -> None:
     """Raise MarginError unless phi = X * H vanishes on the 2-cell margins
     named in ``vanish`` ("t0", "T", "x"); ``time_vals`` is H on the time
-    axis, ``space_max`` the largest |X| and ``edge_vals`` X on the nodes of
-    the 2-cell spatial edge slabs."""
+    axis, ``space_max`` the largest |X| and ``edge_max`` the largest |X| on
+    the nodes of the 2-cell spatial edge slabs."""
     t_scale = max(float(np.abs(time_vals).max()), SUPPORT_TOL)
     if "t0" in vanish and np.abs(time_vals[:2]).max() > SUPPORT_TOL * t_scale:
         raise MarginError("test function does not vanish on the first 2 time cells")
     if "T" in vanish and np.abs(time_vals[-2:]).max() > SUPPORT_TOL * t_scale:
         raise MarginError("test function does not vanish on the last 2 time cells")
-    if "x" in vanish:
-        edge_max = float(np.abs(edge_vals).max())
-        if edge_max > SUPPORT_TOL * max(space_max, edge_max, SUPPORT_TOL):
-            raise MarginError("test function does not vanish on a 2-cell spatial margin")
-
-
-def _edge_nodes(mesh: np.ndarray) -> np.ndarray:
-    """The nodes (n, d) of the slabs two nodes deep along each face of the grid."""
-    d = mesh.shape[-1]
-    return np.concatenate([np.take(mesh, [0, 1, -2, -1], axis=i).reshape(-1, d)
-                           for i in range(d)])
+    if "x" in vanish and edge_max > SUPPORT_TOL * max(space_max, edge_max, SUPPORT_TOL):
+        raise MarginError("test function does not vanish on a 2-cell spatial margin")
 
 
 # nodes added on each side of a factor's stated support box, against rounding
 SUPPORT_PAD = 2
 
 
-def _support_box(field: GriddedField, space) -> tuple | None:
+def _support_box(field: GriddedField, space) -> tuple:
     """Equal-sided index box of the nodes in ``space.support``, widened by
-    SUPPORT_PAD nodes and clipped to the grid; None when it holds no node."""
+    SUPPORT_PAD nodes and clipped to the grid (never empty: a support off the
+    grid gives the SUPPORT_PAD nodes along the nearest face).  ValueError
+    when a bound is NaN or a lower bound exceeds its upper one."""
     slices = []
     for lo, hi in space.support:
         i, j = ((v - field.a) / field.h for v in (lo, hi))
         if not i <= j:   # also a NaN bound
-            return None
+            raise ValueError(f"spatial support {space.support!r} is not a box")
         # clamped first: floor and ceil reject inf
         start = max(math.floor(min(max(i, -1.0), field.nx)) - SUPPORT_PAD, 0)
         stop = min(math.ceil(min(max(j, -1.0), field.nx)) + SUPPORT_PAD + 1, field.nx)
-        if not start < stop:
-            return None
         slices.append(slice(start, stop))
-    return _equal_lengths(tuple(slices), field.nx)
+    return _equal_lengths(tuple(slices), (slice(0, field.nx),) * field.d)
 
 
 def _spatial_factors(field: GriddedField, mesh: np.ndarray, space):
-    """The window's spatial index box and the factor X, grad X, lap X on it.
+    """The window's spatial index box, the factor X, grad X, lap X on it, and
+    max |X| over all nodes and over the nodes of the 2-cell edge slabs.
 
-    The box is the smallest index box holding every node where X or a
-    derivative is nonzero, widened by a one-node halo and then to equal
-    sides.  The factors are evaluated on the stated support box, whose inner
-    faces must hold no nonzero node (a support statement that is too small
-    fails an assertion).  They are evaluated on the whole grid instead when
-    no node of the support box is nonzero, or when the equal-sided box,
-    shifted at a grid edge, leaves it.  Also returns max |X| over the nodes
-    evaluated.
+    X and its derivatives are evaluated once, on the stated support box
+    (``_support_box``), whose inner faces must hold no nonzero node (a
+    support statement that is too small fails an assertion); outside that
+    box they are 0, so both maxima are read on it.  The window is the
+    smallest index box holding every nonzero node, widened by a one-node
+    halo and then to equal sides inside the support box; a support box with
+    no nonzero node is the window itself, with zero factors.
     """
-    full = (slice(0, field.nx),) * field.d
-    for box in (_support_box(field, space), full):
-        if box is None:
-            continue
-        nodes = mesh[box]
-        X, grad, lap = space.value(nodes), space.gradient(nodes), space.laplacian(nodes)
-        nonzero = (X != 0) | (grad != 0).any(axis=-1) | (lap != 0)
-        if box is not full and not nonzero.any():
-            continue
-        # per axis: which of the box's node indices hold a nonzero node
-        hit = [nonzero.any(axis=tuple(j for j in range(field.d) if j != i))
-               for i in range(field.d)]
-        assert all((b.start == 0 or not h[0]) and (b.stop == field.nx or not h[-1])
-                   for b, h in zip(box, hit)), "nonzero node outside the stated support"
-        x = _equal_lengths(tuple(slice(b.start + s.start, b.start + s.stop)
-                                 for b, s in zip(box, map(_halo_slice, hit))), field.nx)
-        if all(b.start <= s.start and s.stop <= b.stop for b, s in zip(box, x)):
-            cut = tuple(slice(s.start - b.start, s.stop - b.start) for b, s in zip(box, x))
-            return x, X[cut], grad[cut], lap[cut], float(np.abs(X).max())
+    box = _support_box(field, space)
+    nodes = mesh[box]
+    X, grad, lap = space.value(nodes), space.gradient(nodes), space.laplacian(nodes)
+    nonzero = (X != 0) | (grad != 0).any(axis=-1) | (lap != 0)
+    # per axis: which of the box's node indices hold a nonzero node
+    hit = [nonzero.any(axis=tuple(j for j in range(field.d) if j != i))
+           for i in range(field.d)]
+    assert all((b.start == 0 or not h[0]) and (b.stop == field.nx or not h[-1])
+               for b, h in zip(box, hit)), "nonzero node outside the stated support"
+    x = _equal_lengths(tuple(slice(b.start + s.start, b.start + s.stop)
+                             for b, s in zip(box, map(_halo_slice, hit))), box)
+    cut = tuple(slice(s.start - b.start, s.stop - b.start) for b, s in zip(box, x))
+    # the box's nodes in the 2-cell edge slabs: global index 0, 1, nx-2 or nx-1 on some axis
+    index = np.ix_(*(np.arange(b.start, b.stop) for b in box))
+    edge = functools.reduce(np.logical_or, [(i < 2) | (i >= field.nx - 2) for i in index])
+    return (x, X[cut], grad[cut], lap[cut], float(np.abs(X).max()),
+            float(np.abs(X[edge]).max(initial=0.0)))
 
 
 def _window_samples(samples: np.ndarray | None, box: tuple) -> np.ndarray | None:
@@ -246,9 +238,10 @@ class _Window:
 
     The box is the smallest index box holding every node where a factor of
     phi or one of its derivatives is nonzero, widened by a one-node halo and
-    then to equal spatial sides; X and its derivatives are evaluated only on
-    X's stated support box (see ``_spatial_factors``), and the margin check
-    evaluates X on the 2-cell edge slabs themselves.
+    then to equal spatial sides.  X and its derivatives are evaluated once,
+    on X's stated support box, which holds the spatial box; the spatial
+    margin check reads X on that box's nodes in the 2-cell edge slabs (see
+    ``_spatial_factors``).  No case evaluates X on the whole grid.
     The halo makes centered differences on the box equal to the global ones
     wherever phi is nonzero, and it holds the support's boundary nodes, where
     the Hoelder masks are closed.  Nodes keep their global trapezoid weights,
@@ -270,10 +263,9 @@ class _Window:
         mesh = field.spatial_mesh()
         t = field.t_axis
         H, dH = phi.time.value(t), phi.time.deriv(t)
-        self.x, self.x_val, self.x_grad, self.x_lap, x_max = \
+        self.x, self.x_val, self.x_grad, self.x_lap, x_max, edge_max = \
             _spatial_factors(field, mesh, phi.space)
-        edge_vals = phi.space.value(_edge_nodes(mesh)) if "x" in vanish else None
-        _check_vanishing(H, x_max, edge_vals, vanish)
+        _check_vanishing(H, x_max, edge_max, vanish)
         self.t = _halo_slice((H != 0) | (dH != 0))
         self.h_val, self.h_dt = H[self.t], dH[self.t]
         box = (self.t,) + self.x
@@ -319,8 +311,11 @@ def _pairing(field: GriddedField, phi: SpaceTimeTestFunction, pair: EntropyPair,
     all evaluated on the support window of phi (see ``_Window``), which is
     returned too: ``window.grad_mass(nu)`` is the quadrature of
     nu * |grad u|^2 * phi.  A pair with a pressure flux "III" needs a field
-    with pressure samples (ValueError otherwise).
+    with pressure samples, and nu must be finite and non-negative
+    (ValueError otherwise).
     """
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"nu must be non-negative and finite, got {nu!r}")
     if "III" in pair.fluxes and field.p is None:
         raise ValueError(f"pair {pair.label!r} has a pressure flux and needs a pressure field")
     win = _Window(field, phi, vanish)
@@ -405,32 +400,19 @@ def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair, n
     return report, win
 
 
-def pair_weak_mass(field: GriddedField, pair: EntropyPair, cutoff: CutoffPair) -> BalanceReport:
-    """Cutoff-tested entropy balance: upper estimate of the dissipation mass
-    on the cutoff's cylinder for non-negative dissipation."""
-    return _cutoff_report(field, cutoff, pair, 0.0)[0]
+def pair_weak_mass(field: GriddedField, pair: EntropyPair, cutoff: CutoffPair,
+                   nu: float = 0.0) -> BalanceReport:
+    """Cutoff-tested entropy balance: terms I, the pair's flux terms and,
+    for nu > 0, IV = nu * eta * lap(phi).
 
-
-def euler_weak_mass(field: GriddedField, cutoff: CutoffPair) -> BalanceReport:
-    """Energy balance of an inviscid velocity/pressure field tested with a cutoff.
-
-    weak_mass = I + II + III with I the time-cutoff term against |u|^2/2,
-    II the cubic transport term, III the pressure flux term.
+    The weak mass upper-bounds the dissipation mass on the cutoff's cylinder
+    for non-negative dissipation (with nu > 0, the cylinder mass of the
+    positive measure defect + nu*|grad u|^2).  With nu > 0 the report also
+    carries the direct quadratures of nu*|grad u|^2, against the cutoff and
+    over the strict cylinder, the latter being the Morrey-type quantity
+    bounded by delta**s.
     """
-    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, 0.0)[0]
-
-
-def ns_weak_mass(field: GriddedField, cutoff: CutoffPair, nu: float) -> BalanceReport:
-    """Viscous energy balance tested with a cutoff: terms I-IV.
-
-    The weak mass upper-bounds the cylinder mass of the positive measure
-    (defect + nu*|grad u|^2); the report also carries the direct quadratures
-    of nu*|grad u|^2, against the cutoff and over the strict cylinder, the
-    latter being the Morrey-type quantity bounded by delta**s.
-    """
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu!r}")
-    return _cutoff_report(field, cutoff, EULER_ENERGY_PAIR, nu)[0]
+    return _cutoff_report(field, cutoff, pair, nu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +470,8 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     for name, value in (("q", q), ("r", r)):
         if value < 3:
             raise ValueError(f"{name} must satisfy {name} >= 3, got {value!r}")
+    # a Fraction would turn every norm into object-dtype arithmetic
+    q, r = float(q), float(r)
     if pair is None:
         pair = EULER_ENERGY_PAIR if field.p is not None else BURGERS_PAIR
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
@@ -549,13 +533,14 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
     """Balance tested with phi allowed nonzero at t = T (and, by flag, on the
     spatial boundary).
 
-    Returns (interior, terminal):
+    Returns (interior, terminal, grad_mass), all from one window:
 
-        interior = quadrature of eta*dphi/dt + Q.grad(phi) + nu*eta*lap(phi)
-        terminal = quadrature of eta(., T) * phi(., T)
+        interior  = quadrature of eta*dphi/dt + Q.grad(phi) + nu*eta*lap(phi)
+        terminal  = quadrature of eta(., T) * phi(., T)
+        grad_mass = quadrature of nu * |grad u|^2 * phi   (0.0 when nu = 0)
 
     For a smooth viscous field the identity
-    ``interior = <nu |grad u|^2, phi> + terminal`` holds up to quadrature and
+    ``interior = grad_mass + terminal`` holds up to quadrature and
     discretization error; the terminal term is the half-energy density paired
     with phi at the final time (the Dirac-in-time part of the extended
     dissipation).  phi must still vanish near t = 0.
@@ -566,12 +551,8 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
         pair = EULER_ENERGY_PAIR
     vanish = ("t0",) if allow_spatial_boundary else ("t0", "x")
     res = _pairing(field, phi, pair, nu, vanish)
-    return sum(res.terms.values()), res.terminal
-
-
-def grad_squared_pairing(field: GriddedField, phi, nu: float) -> float:
-    """Quadrature of nu * |grad u|^2 against a test function."""
-    return _Window(field, phi, vanish=()).grad_mass(nu)
+    grad_mass = res.window.grad_mass(nu) if nu > 0 else 0.0
+    return sum(res.terms.values()), res.terminal, grad_mass
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,23 @@ class TestVerifyCommand:
         assert data["error"]["type"] == "VerificationError"
         assert "non-finite" in data["error"]["message"]
 
+    def test_fraction_exponents_match_their_decimals(self, capsys, tmp_path):
+        # q and r are floats inside the bound: 9/2 gives the bytes of 4.5
+        field_path = str(tmp_path / "shear.field")
+        dio.write_field(field_path, fx.decaying_shear_field(1e-2, 2 * math.pi, 0.0, 1.0,
+                                                             33, 1.0, 33))
+        bodies = []
+        for value in ("9/2", "4.5"):
+            csv_path = tmp_path / f"{value.replace('/', '_')}.csv"
+            code, data = run_json(["verify", "--input", field_path, "--nu", "1e-2",
+                                   "--q", value, "--r", value, "--delta-max", "0.125",
+                                   "--count", "5", "--center", "0.4,0.45:0.5",
+                                   "--center", "0.55,0.6:0.45", "--csv", str(csv_path)],
+                                  capsys)
+            assert code == 0 and (data["q"], data["r"], data["rows"]) == (4.5, 4.5, 10)
+            bodies.append(csv_path.read_bytes())
+        assert bodies[0] == bodies[1]
+
     def test_viscous_mode_emits_morrey_column(self, capsys, tmp_path):
         nu = 2e-3
         hw, h = 30 * nu, 0.05 * nu

@@ -148,9 +148,8 @@ def test_boundary_extended_mass_matches_full_grid(d, profile, lo, width, ramp, t
     phi = co.SpaceTimeTestFunction(space, time)
     pair = wb.EULER_ENERGY_PAIR
 
-    interior, terminal = wb.boundary_extended_mass(field, phi, pair=pair, nu=nu,
-                                                   allow_spatial_boundary=True)
-    grad_mass = wb.grad_squared_pairing(field, phi, nu)
+    interior, terminal, grad_mass = wb.boundary_extended_mass(field, phi, pair=pair, nu=nu,
+                                                              allow_spatial_boundary=True)
 
     grid = FullGrid(field)
     mesh, t = field.spatial_mesh(), field.t_axis
@@ -179,25 +178,24 @@ def test_boundary_extended_mass_matches_full_grid(d, profile, lo, width, ramp, t
 # ---------------------------------------------------------------------------
 
 def full_mesh_window(field, space, vanish):
-    """Spatial box, factors on it, and the margin verdict, from X, grad X and
-    lap X evaluated on every node of the grid."""
+    """The halo box of the nonzero nodes (None when there is none), the
+    factors on every node, and the margin verdict, from X, grad X and lap X
+    evaluated on every node of the grid."""
     d = field.d
     mesh = field.spatial_mesh()
     X, grad, lap = space.value(mesh), space.gradient(mesh), space.laplacian(mesh)
     nonzero = (X != 0) | np.any(grad != 0, axis=-1) | (lap != 0)
-    ranges = []
-    for i in range(d):
-        idx = np.flatnonzero(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
-        ranges.append((max(idx[0] - 1, 0), min(idx[-1] + 2, field.nx)) if idx.size
-                      else (0, field.nx))
-    length = max(hi - lo for lo, hi in ranges)
-    box = tuple(slice(min(lo, field.nx - length), min(lo, field.nx - length) + length)
-                for lo, _ in ranges)
+    halo = None
+    if nonzero.any():
+        halo = []
+        for i in range(d):
+            idx = np.flatnonzero(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
+            halo.append((max(idx[0] - 1, 0), min(idx[-1] + 2, field.nx)))
     scale = max(np.abs(X).max(), wb.SUPPORT_TOL)
     margin = "x" in vanish and any(
         np.abs(np.take(X, [0, 1, -2, -1], axis=i)).max() > wb.SUPPORT_TOL * scale
         for i in range(d))
-    return box, X[box], grad[box], lap[box], margin
+    return halo, X, grad, lap, margin
 
 
 def same_bits(a, b):
@@ -236,24 +234,103 @@ def spatial_factors(draw, d):
     return co.SpatialTestFunction(profiles)
 
 
+class Recording:
+    """A spatial factor that keeps the node arrays passed to each method."""
+
+    def __init__(self, space):
+        self.space = space
+        self.support = space.support
+        self.calls = {"value": [], "gradient": [], "laplacian": []}
+
+    def __getattr__(self, name):
+        method = getattr(self.space, name)
+
+        def record(y):
+            self.calls[name].append(np.asarray(y))
+            return method(y)
+        return record
+
+
+def evaluated_inside_support_box(field, recording):
+    """Each factor method ran once, on exactly the nodes of the stated support
+    box (no node outside it, none twice); returns that box."""
+    box = wb._support_box(field, recording.space)
+    size = math.prod(b.stop - b.start for b in box)
+    for name, arrays in recording.calls.items():
+        assert len(arrays) == 1, name
+        idx = np.rint((arrays[0].reshape(-1, field.d) - field.a) / field.h).astype(int)
+        assert idx.shape[0] == size, name
+        assert all(((idx[:, i] >= b.start) & (idx[:, i] < b.stop)).all()
+                   for i, b in enumerate(box)), name
+    return box
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), d=st.sampled_from([1, 2, 3]),
        vanish=st.sampled_from([("t0", "T", "x"), ("t0",), ()]))
 def test_window_factors_equal_full_mesh_evaluation(data, d, vanish):
-    # the window evaluates X only on its stated support box and on the 2-cell
-    # edge slabs; box, factors and margin verdict must be those of the full mesh
+    # the window evaluates X only on its stated support box; it must hold
+    # the full-mesh halo box, and its factors and margin verdict must be
+    # those of the full mesh
     nx = WINDOW_GRIDS[d]
     field = GriddedField(d, 0.0, 1.0, nx, 1.0, 5, np.zeros((5,) + (nx,) * d + (d,)))
     space = data.draw(spatial_factors(d))
+    recording = Recording(space)
     # nonzero only at the middle time node, clear of both 2-cell time margins
-    phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, 0.5, 0.2))
-    box, X, grad, lap, margin = full_mesh_window(field, space, vanish)
+    phi = co.SpaceTimeTestFunction(recording, co.PlateauProfile(0.5, 0.5, 0.2))
+    halo, X, grad, lap, margin = full_mesh_window(field, space, vanish)
     if margin:
         with pytest.raises(wb.MarginError):
             wb._Window(field, phi, vanish)
         return
     win = wb._Window(field, phi, vanish)
-    assert win.x == box
-    assert same_bits(win.x_val, X)
-    assert same_bits(win.x_grad, grad)
-    assert same_bits(win.x_lap, lap)
+    box = evaluated_inside_support_box(field, recording)
+    axis = field.x_axis
+    for (lo, hi), b in zip(space.support, box):
+        stated = np.flatnonzero((axis >= lo) & (axis <= hi))
+        assert stated.size == 0 or (b.start <= stated[0] and stated[-1] < b.stop)
+    assert len({s.stop - s.start for s in win.x}) == 1
+    assert all(b.start <= s.start and s.stop <= b.stop for b, s in zip(box, win.x))
+    if halo is not None:
+        assert all(s.start <= lo and hi <= s.stop for s, (lo, hi) in zip(win.x, halo))
+    assert same_bits(win.x_val, X[win.x])
+    assert same_bits(win.x_grad, grad[win.x])
+    assert same_bits(win.x_lap, lap[win.x])
+
+
+def _support_cases():
+    cases = []
+    for d, nx in WINDOW_GRIDS.items():
+        h = 1.0 / (nx - 1)
+        cases += [pytest.param(d, space, id=f"d{d}-{name}") for name, space in (
+            ("bump-2delta-below-h-between-nodes", co.SpatialBump((0.5 + h / 2,) * d, h / 8)),
+            ("bump-2delta-below-h-on-a-node", co.SpatialBump((0.5,) * d, h / 4)),
+            ("bump-clipped-at-low-corner", co.SpatialBump((0.0,) * d, 0.2)),
+            ("bump-2delta-below-h-clipped", co.SpatialBump((1.0 - h / 3,) * d, h / 4)),
+            ("plateau-to-inf-clipped",
+             co.SpatialTestFunction([co.PlateauProfile(0.9, INF, 0.3)] * d)),
+            ("plateau-off-the-grid",
+             co.SpatialTestFunction([co.PlateauProfile(-0.6, -0.3, 0.1)] * d)))]
+    return cases
+
+
+@pytest.mark.parametrize("d,space", _support_cases())
+def test_factors_are_evaluated_only_on_the_support_box(d, space):
+    nx = WINDOW_GRIDS[d]
+    field = GriddedField(d, 0.0, 1.0, nx, 1.0, 5, np.zeros((5,) + (nx,) * d + (d,)))
+    recording = Recording(space)
+    phi = co.SpaceTimeTestFunction(recording, co.PlateauProfile(0.5, 0.5, 0.2))
+    interior, terminal, grad_mass = wb.boundary_extended_mass(
+        field, phi, pair=wb.BURGERS_PAIR, nu=0.1, allow_spatial_boundary=True)
+    assert interior == terminal == grad_mass == 0.0
+    box = evaluated_inside_support_box(field, recording)
+    assert math.prod(b.stop - b.start for b in box) < nx ** d
+
+
+@pytest.mark.parametrize("space", [co.SpatialBump((0.5, math.nan), 0.1),
+                                   co.SpatialBump((0.5, 0.5), math.nan)])
+def test_nan_support_is_rejected(space):
+    field = GriddedField(2, 0.0, 1.0, 17, 1.0, 5, np.zeros((5, 17, 17, 2)))
+    phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, 0.5, 0.2))
+    with pytest.raises(ValueError, match="not a box"):
+        wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR)

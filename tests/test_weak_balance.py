@@ -118,12 +118,12 @@ class TestCutoffMasses:
     def test_constant_field_weak_mass_zero(self):
         field = fx.constant_field([0.4, -0.3], 2, -1.0, 1.0, 96, 1.0, 96)
         cut = co.CutoffPair.build(SpaceTimePoint((0.0, 0.0), 0.5), 0.15, 1.0)
-        rep = wb.euler_weak_mass(field, cut)
+        rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut)
         assert abs(rep.weak_mass) < 1e-10
 
     def test_shear_flow_weak_mass_small(self, shear_field):
         cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.5, 1.0)
-        rep = wb.euler_weak_mass(shear_field, cut)
+        rep = wb.pair_weak_mass(shear_field, wb.EULER_ENERGY_PAIR, cut)
         # exact solution: mass is pure quadrature error
         assert abs(rep.weak_mass) < 1e-3
 
@@ -132,8 +132,8 @@ class TestCutoffMasses:
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
         phi = co.SpaceTimeTestFunction(cut.chi, cut.eta)
         euler = wb.EULER_ENERGY_PAIR
-        for call in (lambda: wb.euler_weak_mass(shock_field, cut),
-                     lambda: wb.ns_weak_mass(shock_field, cut, 0.01),
+        for call in (lambda: wb.pair_weak_mass(shock_field, euler, cut),
+                     lambda: wb.pair_weak_mass(shock_field, euler, cut, nu=0.01),
                      lambda: wb.holder_cylinder_bound(shock_field, cut, INF, INF, pair=euler),
                      lambda: wb.entropy_production(shock_field, euler, phi),
                      lambda: wb.boundary_extended_mass(shock_field, phi, pair=euler)):
@@ -251,11 +251,11 @@ class TestHolderBound:
                 assert rep_nu.weak_mass <= rep_nu.holder_bound * (1 + 1e-9)
 
     def test_euler_pair_mode_matches_split_flux(self, shear_field):
-        # the pair carries the split II + III itself, so the generic pair path
-        # and the Euler entry point make the same pairing
+        # the pair carries the split II + III itself, so the bare balance and
+        # the balance under the Hoelder bound make the same pairing
         cut = co.CutoffPair.build(SpaceTimePoint((2.1, 3.3), 1.7), 0.4, 1.0)
         via_pair = wb.pair_weak_mass(shear_field, wb.EULER_ENERGY_PAIR, cut)
-        split = wb.euler_weak_mass(shear_field, cut)
+        split = wb.holder_cylinder_bound(shear_field, cut, INF, INF, pair=wb.EULER_ENERGY_PAIR)
         assert list(via_pair.terms) == ["I", "II", "III"]
         assert via_pair.terms == split.terms
         assert via_pair.weak_mass == split.weak_mass
@@ -293,14 +293,14 @@ class TestNsWeakMass:
         field = fx.decaying_shear_field(nu, 1.0, 0.0, 2 * math.pi, 128, 4.0, 128)
         cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.5, 2.0,
                                   profile="quintic")
-        rep = wb.ns_weak_mass(field, cut, nu)
+        rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=nu)
         assert rep.weak_mass == pytest.approx(rep.grad_mass_cutoff, rel=0.02)
         assert rep.weak_mass >= rep.grad_mass_cylinder > 0
 
     def test_zero_field_all_terms_zero(self):
         field = fx.constant_field([0.0, 0.0], 2, -1.0, 1.0, 64, 1.0, 64)
         cut = co.CutoffPair.build(SpaceTimePoint((0.0, 0.0), 0.5), 0.15, 2.0)
-        rep = wb.ns_weak_mass(field, cut, 0.01)
+        rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=0.01)
         for value in rep.terms.values():
             assert value == 0.0
         assert rep.grad_mass_cylinder == 0.0
@@ -314,14 +314,26 @@ class TestNsWeakMass:
         field = run.field
         field.p = np.zeros((field.nt, field.nx))
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.025), 0.008, 2.0)
-        rep = wb.ns_weak_mass(field, cut, nu)
+        rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=nu)
         assert rep.grad_mass_cylinder > 0
         assert rep.weak_mass >= rep.grad_mass_cylinder * (1 - 1e-9)
 
-    def test_requires_positive_nu(self, shear_field):
+    def test_rejects_negative_or_non_finite_nu(self, shear_field):
+        # nu = 0 is the inviscid balance; one check in the kernel rejects the
+        # rest for every entry point
         cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.4, 2.0)
-        with pytest.raises(ValueError):
-            wb.ns_weak_mass(shear_field, cut, 0.0)
+        phi = co.SpaceTimeTestFunction(cut.chi, cut.eta)
+        euler = wb.EULER_ENERGY_PAIR
+        for nu in (-1.0, -1e-300, math.nan, INF, -INF):
+            for call in (lambda: wb.pair_weak_mass(shear_field, euler, cut, nu=nu),
+                         lambda: wb.holder_cylinder_bound(shear_field, cut, INF, INF, nu=nu),
+                         lambda: wb.boundary_extended_mass(shear_field, phi, nu=nu)):
+                with pytest.raises(ValueError, match="nu must be non-negative and finite"):
+                    call()
+        inviscid = wb.pair_weak_mass(shear_field, euler, cut, nu=0.0)
+        assert list(inviscid.terms) == ["I", "II", "III"]
+        assert inviscid.grad_mass_cutoff is None
+        assert inviscid.terms == wb.pair_weak_mass(shear_field, euler, cut).terms
 
 
 class TestRefinementOrder:
@@ -348,8 +360,7 @@ class TestRefinementOrder:
                 [co.PlateauProfile(1.0, 3.0, 0.5, profile="quintic")] * 2)
             phi = co.SpaceTimeTestFunction(
                 space, co.PlateauProfile(1.5, INF, 1.0, profile="quintic"))
-            interior, terminal = wb.boundary_extended_mass(field, phi, nu=0.05)
-            nupair = wb.grad_squared_pairing(field, phi, 0.05)
+            interior, terminal, nupair = wb.boundary_extended_mass(field, phi, nu=0.05)
             vals.append(interior - nupair - terminal)
         order = math.log2(abs(vals[0]) / abs(vals[1]))
         order2 = math.log2(abs(vals[1]) / abs(vals[2]))
@@ -361,7 +372,7 @@ class TestRefinementOrder:
             field = fx.decaying_shear_field(0.05, 1.0, 0.0, 2 * math.pi, n, 4.0, n)
             cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.5, 2.0,
                                       profile="quintic")
-            rep = wb.ns_weak_mass(field, cut, 0.05)
+            rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=0.05)
             gaps.append(rep.weak_mass - rep.grad_mass_cutoff)
         assert abs(gaps[2]) < abs(gaps[0])
         assert math.log2(abs(gaps[0]) / abs(gaps[2])) / 2 >= 0.75
@@ -383,13 +394,12 @@ class TestBoundaryExtended:
         space = co.SpatialTestFunction([co.PlateauProfile(-hw / 2, hw / 2, hw / 3)])
         time = co.PlateauProfile(0.01, 0.03, 0.005)
         phi = co.SpaceTimeTestFunction(space, time)
-        interior, terminal = wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR,
-                                                       nu=viscous_run.nu)
+        interior, terminal, nupair = wb.boundary_extended_mass(
+            field, phi, pair=wb.BURGERS_PAIR, nu=viscous_run.nu)
         assert terminal == 0.0
         plain = wb.entropy_production(field, wb.BURGERS_PAIR, phi)
         # the plain pairing lacks the diffusion-flux term; both equal the
         # dissipation pairing up to quadrature and O(nu * lap phi) effects
-        nupair = wb.grad_squared_pairing(field, phi, viscous_run.nu)
         assert interior == pytest.approx(nupair, rel=0.02)
         assert plain == pytest.approx(nupair, rel=0.05)
 
@@ -398,9 +408,8 @@ class TestBoundaryExtended:
         hw = field.b
         space = co.SpatialTestFunction([co.PlateauProfile(-hw / 2, hw / 2, hw / 3)])
         phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.025, INF, 0.015))
-        interior, terminal = wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR,
-                                                       nu=viscous_run.nu)
-        nupair = wb.grad_squared_pairing(field, phi, viscous_run.nu)
+        interior, terminal, nupair = wb.boundary_extended_mass(
+            field, phi, pair=wb.BURGERS_PAIR, nu=viscous_run.nu)
         assert terminal > 0
         assert abs(interior - nupair - terminal) / terminal < 0.02
 
@@ -408,8 +417,9 @@ class TestBoundaryExtended:
         field = fx.constant_field([0.0], 1, -1.0, 1.0, 64, 1.0, 64)
         space = co.SpatialTestFunction([co.PlateauProfile(-0.4, 0.4, 0.2)])
         phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, INF, 0.3))
-        interior, terminal = wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR)
-        assert interior == terminal == 0.0
+        interior, terminal, grad_mass = wb.boundary_extended_mass(field, phi,
+                                                                  pair=wb.BURGERS_PAIR)
+        assert interior == terminal == grad_mass == 0.0
 
     def test_rejects_phi_alive_at_t0(self, viscous_run):
         field = viscous_run.field
