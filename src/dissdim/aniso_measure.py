@@ -48,7 +48,9 @@ a cylinder lies in one of the 3^d x 3 cells around the center's cell (a
 cell further on an axis where rounding puts the center at a cell face), and
 each center is tested only against the atoms of those cells: the cost per
 center is the number of atoms in its neighbour cells, not the number of
-atoms of the measure.
+atoms of the measure.  The cell list identifies cells exactly, as box
+counting does, by one sort of their integer rows (``_row_groups``): distinct
+cells never share an id, however far apart the atoms lie.
 """
 
 from __future__ import annotations
@@ -216,9 +218,9 @@ def _validate_scales(scales):
     scales = [float(s) for s in scales]
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
-    if any(s <= 0 for s in scales):
+    if not all(s > 0 for s in scales):
         raise ValueError("scales must be positive")
-    if any(b >= a for a, b in zip(scales, scales[1:])):
+    if not all(b < a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
     return scales
 
@@ -278,69 +280,53 @@ def _occupied_cells(pts: np.ndarray, delta: float, alpha: float) -> int:
     return len(_row_groups(_cells(pts, delta, alpha))[1])
 
 
-def _cell_keys(rel: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """int64 sort keys of cells given relative to the atoms' lowest cell, with
-    the time index fastest, so the time-adjacent cells of one spatial cell
-    have consecutive keys.  Injective while the spatial index box fits in
-    int64 next to the time span; beyond that the spatial part wraps and
-    distinct spatial cells may share a key."""
-    span_t = int(span[-1])
-    strides = [1]
-    for n in span[-2:0:-1]:
-        strides.insert(0, strides[0] * int(n) % 2 ** 64)
-    spatial = (rel[:, :-1].astype(np.uint64) * np.array(strides, dtype=np.uint64)).sum(
-        axis=1, dtype=np.uint64) % np.uint64((2 ** 63 - 1) // span_t)
-    return spatial.astype(np.int64) * span_t + rel[:, -1]
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """Dense integer ids of integer rows: equal rows share one id and distinct
+    rows get distinct ids, numbered from 0 in the order of ``_row_groups``."""
+    order, starts = _row_groups(rows)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(rows)]))
+    return ids
 
 
 def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
                      alpha: float) -> np.ndarray:
     """Cylinder masses for many centers at one scale, from a cell list.
 
-    Atoms are sorted by cell key, so the atoms of a spatial cell's
-    time-adjacent cells form one slice.  Centers are grouped by the box of
-    cells their cylinders can reach (``_cells`` with reach -1 and +1): the
-    3^d x 3 cells around their own, as a cell side equals the cylinder
-    half-width on every axis, or one more on an axis where a center lies
-    within rounding of a cell face.  Each group's candidate atoms are
-    gathered once and tested with the strict membership tests, at most
-    PAIR_BLOCK center-atom pairs at a time.
+    Centers are grouped by the box of cells their cylinders can reach
+    (``_cells`` with reach -1 and +1): the 3^d x 3 cells around their own, as
+    a cell side equals the cylinder half-width on every axis, or one more on
+    an axis where a center lies within rounding of a cell face.  Cells are
+    identified exactly: ``_row_ids`` numbers the atoms' spatial cells together
+    with every spatial cell a group can reach, and atoms sorted by (that id,
+    rank of their time cell) put the time-adjacent cells of one spatial cell
+    in one slice; a reachable cell without atoms finds an empty slice.  Each
+    group's candidate atoms are gathered once and tested with the strict
+    membership tests, at most PAIR_BLOCK center-atom pairs at a time.
     """
     out = np.zeros(centers.shape[0])
-    if mu.n_atoms == 0 or centers.shape[0] == 0:
-        return out
     d, th, r2 = mu.d, scale_power(delta, alpha), scale_power(delta, 2)
     cells = _cells(as_point_array(mu), delta, alpha)
-    low, high = cells.min(axis=0), cells.max(axis=0)
-    span = high - low + 1
-    keys = _cell_keys(cells - low, span)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    pos, ts, ws = mu.positions[order], mu.times[order], mu.weights[order]
-
     reach_lo = _cells(centers, delta, alpha, -1.0)
     reach_hi = _cells(centers, delta, alpha, 1.0)
     members, starts = _row_groups(np.hstack([reach_lo, reach_hi]))
-    lo = np.maximum(reach_lo[members[starts]], low)      # reach clipped to the atoms' box
-    hi = np.minimum(reach_hi[members[starts]], high)
-    width = hi - lo + 1
-    steps = np.maximum(width[:, :-1].max(axis=0), 1)
-    offsets = np.stack(np.meshgrid(*map(np.arange, steps), indexing="ij"), -1).reshape(-1, d)
-    valid = np.all(offsets < width[:, None, :-1], axis=2) & (width[:, None, -1] > 0)
-    rel = np.empty(valid.shape + (d + 1,), dtype=np.int64)
-    rel[..., :-1] = lo[:, None, :-1] - low[:-1] + offsets
-    run = []
-    for t_end, how in ((lo, "left"), (hi, "right")):
-        rel[..., -1] = (t_end[:, -1] - low[-1])[:, None]
-        found = np.searchsorted(keys, _cell_keys(rel.reshape(-1, d + 1), span), how)
-        run.append(np.where(valid, found.reshape(valid.shape), -1))
-    # spatial cells whose keys wrapped onto one another share a run: keep it once
-    begin, end = (np.where(run[1] > run[0], r, -1) for r in run)
-    by_begin = np.argsort(begin, axis=1)
-    begin = np.take_along_axis(begin, by_begin, axis=1)
-    end = np.take_along_axis(end, by_begin, axis=1)
-    end[:, 1:] = np.where(begin[:, 1:] == begin[:, :-1], begin[:, 1:], end[:, 1:])
-    length = end - begin
+    lo, hi = reach_lo[members[starts]], reach_hi[members[starts]]
+    width = hi[:, :-1] - lo[:, :-1] + 1
+    offsets = np.stack(np.meshgrid(*map(np.arange, width.max(axis=0)), indexing="ij"),
+                       -1).reshape(-1, d)
+    valid = np.all(offsets < width[:, None, :], axis=2)
+    ids = _row_ids(np.vstack([cells[:, :-1], (lo[:, None, :-1] + offsets).reshape(-1, d)]))
+
+    # keys below (atoms + reachable cells) x atoms: exact in int64
+    times = np.unique(cells[:, -1])
+    keys = ids[:mu.n_atoms] * len(times) + np.searchsorted(times, cells[:, -1])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    pos, ts, ws = mu.positions[order], mu.times[order], mu.weights[order]
+    first = ids[mu.n_atoms:].reshape(valid.shape) * len(times)
+    begin, end = (np.searchsorted(keys, first + np.searchsorted(times, t, how)[:, None])
+                  for t, how in ((lo[:, -1], "left"), (hi[:, -1], "right")))
+    length = np.where(valid, end - begin, 0)
 
     bounds = np.r_[starts, len(members)]
     for g in range(len(starts)):
@@ -468,19 +454,17 @@ def box_counting_dimension(points, alpha, scales) -> BoxCountResult:
 
 @dataclass(frozen=True)
 class DensityLadder:
-    """Per-scale record of the sup cylinder density mu(C^alpha_delta)/delta**s."""
+    """Per-scale record of the sup cylinder mass mu(C^alpha_delta) over the centers
+    and of its density, that mass / delta**s."""
 
     alpha: float
     s: float
     scales: tuple
     densities: tuple
+    sup_masses: tuple
     fitted_slope: float
     fit_residual: float
     densities_nonincreasing: bool
-
-    @property
-    def sup_masses(self) -> tuple:
-        return tuple(rho * delta ** self.s for rho, delta in zip(self.densities, self.scales))
 
 
 def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> DensityLadder:
@@ -525,7 +509,8 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> Density
     )
     return DensityLadder(
         alpha=float(alpha), s=float(s), scales=tuple(scales), densities=tuple(densities),
-        fitted_slope=slope, fit_residual=rms, densities_nonincreasing=nonincr,
+        sup_masses=tuple(masses), fitted_slope=slope, fit_residual=rms,
+        densities_nonincreasing=nonincr,
     )
 
 

@@ -468,7 +468,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     The norms are masked reductions over the same window as the weak mass.
     """
     for name, value in (("q", q), ("r", r)):
-        if value < 3:
+        if not value >= 3:
             raise ValueError(f"{name} must satisfy {name} >= 3, got {value!r}")
     # a Fraction would turn every norm into object-dtype arithmetic
     q, r = float(q), float(r)
@@ -592,7 +592,7 @@ def signed_support_bound(v_field: SpatialVectorField, covering, phi, r,
     balls are.
     """
     d = v_field.d
-    if r < d / (d - 1):
+    if not r >= d / (d - 1):
         raise ValueError(f"r must satisfy r >= d/(d-1), got {r!r}")
     if not covering:
         raise ValueError("need at least one covering ball")

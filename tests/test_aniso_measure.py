@@ -132,6 +132,10 @@ class TestBoxCounting:
         with pytest.raises(ValueError):
             am.box_counting_dimension(np.zeros((0, 2)), 1.0, self.SCALES)
 
+    def test_nan_scale_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            am.box_counting_dimension(np.zeros((5, 2)), 1.0, [math.nan, 0.5, 0.25])
+
     def test_union_bounded_by_max(self):
         rng = np.random.default_rng(3)
         cloud = rng.random((20000, 2))
@@ -205,6 +209,22 @@ class TestDensityLadder:
         with pytest.raises(ValueError):
             am.density_ladder(empty, 1.0, 1.0, [0.4, 0.2, 0.1])
 
+    def test_nan_scale_rejected(self):
+        mu = AtomicMeasure([[0.0]], [0.0], [1.0])
+        with pytest.raises(ValueError, match="positive"):
+            am.density_ladder(mu, 1.0, 0.0, [math.nan, 0.5, 0.25])
+
+    def test_sup_masses_are_the_measured_maxima(self):
+        # not rebuilt as density * delta**s, which can differ in the last bit
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            mu = AtomicMeasure(rng.random((50, 1)), rng.random(50), rng.random(50))
+            s = rng.uniform(0.1, 2.0)
+            scales = np.sort(rng.uniform(0.01, 0.5, 5))[::-1].tolist()
+            lad = am.density_ladder(mu, 1.0, s, scales)
+            want = am._masses(mu, mu.support_points(), scales, 1.0).max(axis=1)
+            assert lad.sup_masses == tuple(want.tolist())
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_a_radius_whose_square_overflows(self, d):
         # delta**2 = inf is a valid radius: every atom lies inside
@@ -269,6 +289,7 @@ class TestCertifyLowerBound:
         lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1])
         noisy = am.DensityLadder(
             alpha=1.0, s=0.0, scales=lad.scales, densities=(1.0, 0.0, 0.0),
+            sup_masses=(1.0, 0.0, 0.0),
             fitted_slope=float("nan"), fit_residual=float("nan"),
             densities_nonincreasing=True,
         )

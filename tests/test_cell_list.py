@@ -92,6 +92,15 @@ def cases(draw):
                        np.reshape(near, (-1, d + 1))])
     if len(atoms) and draw(st.booleans()):
         atoms = np.vstack([atoms, atoms[:draw(st.integers(1, len(atoms)))]])   # duplicates
+    if d >= 2 and draw(st.booleans()):
+        # a copy of every center and atom 2**32 to 2**40 cells away on two
+        # spatial axes: the cell index box holds more cells than an int64 counts
+        shift = np.zeros(d + 1)
+        for axis in draw(st.permutations(range(d)))[:2]:
+            shift[axis] = draw(st.sampled_from([-1, 1])) * draw(
+                st.integers(2 ** 32, 2 ** 40)) * sides[axis]
+        centers = np.vstack([centers, centers + shift])
+        atoms = np.vstack([atoms, atoms + shift])
     weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 3.7]),
                                      min_size=len(atoms), max_size=len(atoms))))
     far = centers + 1e6 * max(deltas)   # no atom within reach
@@ -170,6 +179,34 @@ class TestCellListOracle:
         want_masses, want_counts = all_pairs(mu, centers, 1.0, 1.0)
         assert np.array_equal(counts[0], want_counts)
         assert np.array_equal(got[0], want_masses)
+
+
+@st.composite
+def int_rows(draw, cols):
+    """Integer rows, with near-equal rows (one entry off by one) and entries
+    near +-2**53, the ends of the lattice's exact cell indices."""
+    value = st.one_of(st.integers(-3, 3), st.integers(-2 ** 53, 2 ** 53),
+                      st.sampled_from([s * (2 ** 53 + k) for s in (1, -1) for k in (-2, -1, 0)]))
+    pool = draw(st.lists(st.lists(value, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    for row in list(pool):
+        near = list(row)
+        near[draw(st.integers(0, cols - 1))] += draw(st.sampled_from([-1, 1]))
+        pool.append(near)
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+class TestRowIds:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), cols=st.integers(1, 4))
+    def test_equal_ids_exactly_for_equal_rows(self, data, cols):
+        rows = np.array(data.draw(int_rows(cols)), dtype=np.int64).reshape(-1, cols)
+        ids = am._row_ids(rows)
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        assert ids.dtype == np.int64 and ids.shape == (len(rows),)
+        assert sorted(set(ids.tolist())) == list(range(len(distinct)))   # dense
+        # one id per distinct row and one row per id
+        assert len(set(zip(ids.tolist(), inverse.tolist()))) == len(distinct)
 
 
 class TestLatticeRange:

@@ -149,6 +149,49 @@ class TestDimensionCommand:
         assert "line" in data["error"]["message"]
 
 
+@pytest.fixture(scope="module")
+def spatial_measure_files(tmp_path_factory):
+    """d >= 2 measure files, whose density ladder runs the cell list."""
+    base = tmp_path_factory.mktemp("spatial")
+    slab = fx.time_singular_measure_fixture(2, 64 ** 2, lattice=True)
+    paths = {}
+    for name, mu, binary in (("slab-binary", slab, True), ("slab-text", slab, False),
+                             ("grid-3d", fx.grid_measure(3, 8, 8), True)):
+        paths[name] = str(base / f"{name}.measure")
+        dio.write_measure(paths[name], mu, binary=binary)
+    return paths
+
+
+def sup_densities(mu, centers, scales, s):
+    """Sup cylinder density per scale at alpha = 1, testing every center-atom pair."""
+    best = np.zeros(len(scales))
+    for start in range(0, len(centers), 512):
+        c = centers[start:start + 512]
+        d2 = np.sum((mu.positions[None, :, :] - c[:, None, :-1]) ** 2, axis=2)
+        dt = np.abs(mu.times[None, :] - c[:, None, -1])
+        for k, delta in enumerate(scales):
+            inside = (d2 < delta ** 2) & (dt < delta)
+            best[k] = max(best[k], (inside @ mu.weights).max())
+    return [m / delta ** s for m, delta in zip(best.tolist(), scales)]
+
+
+class TestDimensionOnSpatialMeasures:
+    @pytest.mark.parametrize("name", ["slab-binary", "slab-text", "grid-3d"])
+    @pytest.mark.parametrize("sample", [[], ["--sample-centers", "64", "--seed", "3"]])
+    def test_densities_match_all_pairs(self, spatial_measure_files, name, sample, capsys):
+        path = spatial_measure_files[name]
+        code, data = run_json(["dimension", "--input", path, "--s", "2", "--delta-max", "0.25",
+                               "--count", "4"] + sample, capsys)
+        assert code == 0
+        mu = dio.read_measure(path)
+        centers = mu.support_points()
+        if sample:   # the draw of --sample-centers 64 --seed 3
+            idx = np.random.default_rng(3).choice(len(centers), size=64, replace=False)
+            centers = centers[np.sort(idx)]
+        want = sup_densities(mu, centers, data["scales"], 2.0)
+        assert data["densities"] == pytest.approx(want, rel=1e-12)
+
+
 class TestVerifyCommand:
     def test_shock_sweep(self, shock_files, capsys, tmp_path):
         field_path, _ = shock_files

@@ -201,6 +201,13 @@ class TestHolderBound:
         with pytest.raises(ValueError):
             wb.holder_cylinder_bound(shock_field, cut, 2.5, INF, pair=wb.BURGERS_PAIR)
 
+    @pytest.mark.parametrize("q, r", [(math.nan, INF), (INF, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan_exponents(self, shock_field, q, r):
+        # a bad argument, not a failed dominance check (VerificationError)
+        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        with pytest.raises(ValueError, match=">= 3"):
+            wb.holder_cylinder_bound(shock_field, cut, q, r, pair=wb.BURGERS_PAIR)
+
     def test_dominance_across_exponents(self, shock_field):
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.05, 1.0)
         for q in (3, 4, 6, INF):
@@ -510,16 +517,19 @@ class TestSignedSupport:
         with pytest.raises(ValueError):
             wb.signed_support_bound(v, [((0.0, 0.0), 0.2)], phi, 1.5)
 
+    def test_rejects_nan_r(self, power_law_grid):
+        _, v = power_law_grid
+        phi = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.3)] * 2)
+        with pytest.raises(ValueError, match="d/\\(d-1\\)"):
+            wb.signed_support_bound(v, [((0.0, 0.0), 0.2)], phi, math.nan, enforce_cover=False)
+
 
 def _annulus_pairing(field, phi, rho_lo, rho_hi, n_rho=400, n_ang=720):
-    total = 0.0
-    for i in range(n_rho):
-        rho = rho_lo + (i + 0.5) * (rho_hi - rho_lo) / n_rho
-        ring = 0.0
-        for j in range(n_ang):
-            ang = 2 * math.pi * (j + 0.5) / n_ang
-            y = np.array([rho * math.cos(ang), rho * math.sin(ang)])
-            ring += phi.value(y[None, :])[0]
-        ring *= 2 * math.pi / n_ang
-        total += field.eps * rho ** (field.eps - field.d) * ring * rho * (rho_hi - rho_lo) / n_rho
-    return total
+    """Midpoint rule in polar coordinates for phi paired with the power-law
+    divergence eps * rho**(eps - d) on the annulus rho_lo < rho < rho_hi."""
+    step = (rho_hi - rho_lo) / n_rho
+    rho = rho_lo + (np.arange(n_rho) + 0.5) * step
+    ang = 2 * math.pi * (np.arange(n_ang) + 0.5) / n_ang
+    y = np.stack([np.outer(rho, np.cos(ang)), np.outer(rho, np.sin(ang))], axis=-1)
+    ring = phi.value(y.reshape(-1, 2)).reshape(n_rho, n_ang).sum(axis=1) * (2 * math.pi / n_ang)
+    return float(np.sum(field.eps * rho ** (field.eps - field.d) * ring * rho * step))
