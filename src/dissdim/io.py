@@ -25,20 +25,24 @@ at a time) and calls ``repr`` once per distinct float64 bit pattern in it, so
 and the ``t,`` string once per slice.  Each slice is joined into one string.
 The reader first checks the body in 64 KiB chunks for bytes that are not
 ASCII or a CR outside a CRLF, then hands ``np.loadtxt`` the file's path, so
-that numpy parses it with its chunked C reader.  Only a body that fails is
-read again line by line, to name the first bad line.
+that numpy parses it with its chunked C reader.  numpy would decompress a
+path ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, so under such a name
+it gets the open file as a text stream instead, which it reads line by line.
+Only a body that fails is read again line by line, to name the first bad
+line.
 
 A read holds each body in memory once.  A binary body is read straight into
 one read-only (rows, columns) float64 array, which the returned object's
-arrays view; a text body is held as numpy's full parse result, leading t and
-x columns included.  The writers gather one time slice (or 4096 measure rows)
-at a time and write a binary block from the array's own buffer, so a write
-makes no copy of the whole body.
+arrays view.  A text body is parsed into one record per row: the leading t
+and x columns as float32, still parsed and so still checked, and the values
+as float64, which the returned field views.  The writers gather one time
+slice (or 4096 measure rows) at a time and write a binary block from the
+array's own buffer, so a write makes no copy of the whole body.
 """
 
 from __future__ import annotations
 
-import lzma
+import io
 import os
 import warnings
 from itertools import chain, repeat
@@ -127,7 +131,9 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     ``token`` is the header's body token (None when absent).  ``text`` is
     the text layout ``(sep, lead)``: the column separator (None for
     whitespace) and the count of leading columns to drop; None when this
-    file has no text body.
+    file has no text body.  A text body is parsed into one record per row,
+    the lead columns as float32 and the rest as float64, and the float64
+    part is returned as a strided view: 4 * lead + 8 * n_cols bytes per row.
     """
     start = fh.tell()
     size = os.fstat(fh.fileno()).st_size - start
@@ -150,22 +156,30 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     if text is None:
         raise MalformedFileError(f"{path}: a text body is only defined for d = 1", line=1)
     sep, lead = text
-    width = lead + n_cols
+    # one record per row: the dropped lead columns as float32, which numpy parses
+    # (and so checks) as float64 and then casts, beside the float64 body columns
+    dtype = np.dtype([("lead", "<f4", (lead,)), ("body", "<f8", (n_cols,))])
     problem = "a non-ASCII byte or a CR outside a CRLF"
     if _plain_text(fh):
+        # numpy would decompress a path with these suffixes; the open handle it reads as it stands
+        stream = os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma"))
+        fh.seek(start)
+        source = io.TextIOWrapper(fh, encoding="latin-1") if stream else os.fsdecode(path)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # loadtxt warns on an empty body
-                rows = np.loadtxt(os.fsdecode(path), delimiter=sep, comments=None, ndmin=2,
-                                  encoding="latin-1", skiprows=1)
-        except (ValueError, OSError, lzma.LZMAError) as exc:
-            # the last two from numpy's decompressor for a name ending in .gz, .bz2, .xz or .lzma
+                rows = np.loadtxt(source, dtype, delimiter=sep, comments=None, ndmin=1,
+                                  encoding="latin-1", skiprows=0 if stream else 1)
+        except ValueError as exc:
             problem = str(exc)
         else:
-            if len(rows) == n_rows and (n_rows == 0 or rows.shape[1] == width):
-                return rows.reshape(n_rows, width)[:, lead:]
+            if len(rows) == n_rows:
+                return rows["body"]
+        finally:
+            if stream:
+                source.detach()   # leaves fh open
     fh.seek(start)
-    line, problem = _first_bad_line(fh, n_rows, width, sep) or (None, problem)
+    line, problem = _first_bad_line(fh, n_rows, lead + n_cols, sep) or (None, problem)
     raise MalformedFileError(f"{path}: {problem}", line=line)
 
 
@@ -202,6 +216,8 @@ def _first_bad_line(fh, n_rows: int, width: int, sep):
         if len(parts) != width:
             return line_no, f"expected {width} columns, found {len(parts)}"
         try:
+            if "_" in line:   # float() reads 1_0, numpy's parser does not
+                raise ValueError
             [float(v) for v in parts]
         except ValueError:
             return line_no, "non-numeric entry"

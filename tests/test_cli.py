@@ -422,3 +422,12 @@ class TestDeterminism:
     def test_missing_file_exit_2(self, capsys):
         code, data = run_json(["dimension", "--input", "/does/not/exist"], capsys)
         assert code == 2
+
+
+def test_the_cli_loads_only_the_standard_library_and_numpy():
+    """numpy is the one dependency pyproject.toml declares; another package
+    that happens to be installed (scipy, say) must not be imported."""
+    code = ("import sys; before = set(sys.modules); import dissdim.cli; "
+            "print(*{name.split('.')[0] for name in set(sys.modules) - before})")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"dissdim", "numpy"}

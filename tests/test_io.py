@@ -308,12 +308,53 @@ class TestBodyCodec:
     def test_a_name_numpy_would_decompress(self, sample_field, tmp_path, suffix):
         from dissdim.cli import main
         path = tmp_path / f"f{suffix}"
-        path.write_bytes(field_csv())
-        with pytest.raises(dio.MalformedFileError):
+        dio.write_field(path, sample_field, binary=False)   # a text body is read as it stands
+        assert bits(dio.read_field(path).u) == bits(sample_field.u)
+        assert main(["verify", "--input", str(path)]) == 0
+        path.write_bytes(field_csv(FIELD_ROWS[:2] + ["1.0,x,3.0"] + FIELD_ROWS[3:]))
+        with pytest.raises(dio.MalformedFileError) as err:
             dio.read_field(path)
-        assert main(["verify", "--input", str(path)]) == 2
+        assert err.value.line == 4
         dio.write_field(path, sample_field)   # a binary body is read as it stands
         assert bits(dio.read_field(path).u) == bits(sample_field.u)
+
+    @pytest.mark.parametrize("token", ["1e39", "-1e39", "1e-400", "nan", "-inf", " 1 ", "+1.5",
+                                       "", "1_0", "0x1p3"])
+    def test_the_dropped_columns_are_checked_as_the_values_are(self, tmp_path, token):
+        """The t and x columns, parsed as float32, accept exactly the tokens the
+        float64 u column accepts, and a rejected token is named at its line."""
+        path = tmp_path / "f"
+
+        def verdict(column):
+            row = ["1.0", "0.0", "3.0"]
+            row[column] = token
+            path.write_bytes(field_csv(FIELD_ROWS[:2] + [",".join(row)] + FIELD_ROWS[3:]))
+            try:
+                dio.read_field(path)
+            except dio.MalformedFileError as err:
+                # a u that parses to a non-finite sample is refused by the field, with no line
+                return "parsed" if err.line is None and "non-finite" in str(err) else err.line
+            return "parsed"
+
+        t, x, u = map(verdict, range(3))
+        assert t == x == u
+        assert u in ("parsed", 4)
+
+    def test_a_text_read_holds_its_body_at_final_size(self, tmp_path):
+        nx, nt = 2049, 101
+        rng = np.random.default_rng(5)
+        field = GriddedField(1, -1.0, 1.0, nx, 1.0, nt, rng.standard_normal((nt, nx, 1)))
+        dio.write_field(tmp_path / "f", field, binary=False)
+        tracemalloc.start()
+        try:
+            back = dio.read_field(tmp_path / "f")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        final = (4 * 2 + 8 * 1 + 1) * nx * nt   # float32 t and x, float64 u, 1 B spare
+        assert held <= final
+        assert peak <= 1.4 * final
+        assert bits(back.u) == bits(field.u)
 
 
 def percent_rows(rows, sep, lead=()):
