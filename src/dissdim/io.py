@@ -164,7 +164,10 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
         # numpy would decompress a path with these suffixes; the open handle it reads as it stands
         stream = os.fsdecode(path).endswith((".gz", ".bz2", ".xz", ".lzma"))
         fh.seek(start)
-        source = io.TextIOWrapper(fh, encoding="latin-1") if stream else os.fsdecode(path)
+        # absolute, because numpy fetches a name that parses as a URL (a local
+        # "http://host/f" included) over the network instead of opening it
+        source = (io.TextIOWrapper(fh, encoding="latin-1") if stream
+                  else os.path.abspath(os.fsdecode(path)))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # loadtxt warns on an empty body

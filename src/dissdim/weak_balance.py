@@ -7,11 +7,18 @@ density) are centered differences.  The kernel works only on the index box
 of the test function's support, plus a one-node halo: the spatial factor and
 its derivatives are evaluated once, on the factor's stated support box (a
 few nodes wider), which also holds the window and gives the spatial margin
-verdict; no case evaluates the factor on the whole grid.  The field
-samples are copied once into a contiguous window, and each node of the box
-keeps its global quadrature weight.  The balance extended to t = T returns
-its interior mass, its terminal term and the viscous gradient mass from
-that one window.
+verdict; no case evaluates the factor on the whole grid.  Each node of the
+box keeps its global quadrature weight.  Every term differentiates the field
+only in space, so the kernel walks the box's time rows in blocks of about
+``WINDOW_BLOCK`` nodes (at least two rows): each block's samples are copied
+into contiguous memory, and every field-derived array (densities, fluxes,
+|grad u|^2, the speed) is block-sized.  A block reduces each term to one
+number per time row; the time quadratures, the Hoelder norms and every check
+then run on those row vectors.  The spatial contraction is an ``np.einsum``, whose row
+results do not depend on how many rows go in together, so a pairing has the
+same bits for every block size.  The balance extended to t = T returns its
+interior mass, its terminal term and the viscous gradient mass from that one
+walk.
 
 Dissipation is accessed exclusively through test functions: testing the
 balance with a cutoff pair localizing a cylinder gives an upper estimate of
@@ -74,9 +81,9 @@ class EntropyPair:
 
     ``eta_fn(u, p, theta)`` returns the density per node; ``fluxes`` maps a
     term name to a flux function of the same arguments (trailing component
-    axis), and the flux is their sum.  Each flux gives one balance term, in
-    the dict's order: "II" is the velocity flux and "III", when present, the
-    pressure flux u*p.  The growth coefficients certify pointwise bounds
+    axis; a length-1 axis stands for every component), and the flux is their
+    sum.  Each flux gives one balance term, in the dict's order: "II" is the
+    velocity flux and "III", when present, the pressure flux u*p.  The growth coefficients certify pointwise bounds
     |eta| <= eta_quad_coeff*|u|^2 and |Q_II| <= q_cubic_coeff*|u|^3 used when
     instantiating Hoelder bounds; pairs without velocity-cubic structure
     leave them None and are rejected by the bound evaluator.
@@ -134,11 +141,6 @@ EULER_ENERGY_PAIR = EntropyPair(
 # ---------------------------------------------------------------------------
 # The pairing kernel.
 # ---------------------------------------------------------------------------
-
-def _contract_space(vals: np.ndarray, weighted: np.ndarray, d: int) -> np.ndarray:
-    """Sum vals * weighted over the spatial axes; vals has a leading time axis."""
-    return np.tensordot(vals, weighted, axes=(tuple(range(1, 1 + d)), tuple(range(d))))
-
 
 def _halo_slice(mask: np.ndarray) -> slice:
     """Index range of the True entries widened by one node on each side
@@ -224,17 +226,25 @@ def _spatial_factors(field: GriddedField, mesh: np.ndarray, space):
             float(np.abs(X[edge]).max(initial=0.0)))
 
 
-def _window_samples(samples: np.ndarray | None, box: tuple) -> np.ndarray | None:
-    """samples[box] copied once into contiguous memory, so that the component
-    sums and the differences along each axis run on contiguous memory even
-    when the samples are strided (a file with interleaved components reads
-    back that way)."""
-    return None if samples is None else np.ascontiguousarray(samples[box])
+# a pairing walks its window's time rows in blocks of about this many nodes (at
+# least two rows), which bounds the samples and field-derived arrays it holds
+WINDOW_BLOCK = 2 ** 14
+
+
+def _row_blocks(nt: int, row_nodes: int) -> list:
+    """(start, stop) ranges that cover range(nt) in order, each of
+    max(2, WINDOW_BLOCK // row_nodes) rows but the last; a one-row tail joins
+    the block before it, since a GriddedField needs nt >= 2."""
+    rows = max(2, WINDOW_BLOCK // row_nodes)
+    starts = list(range(0, nt, rows))
+    if len(starts) > 1 and nt - starts[-1] < 2:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [nt]))
 
 
 class _Window:
-    """A separable test function phi = X(x) * H(t) and the field samples on
-    the index box of phi's support.
+    """A separable test function phi = X(x) * H(t) on the index box of its
+    support, and the field whose samples it walks in blocks of time rows.
 
     The box is the smallest index box holding every node where a factor of
     phi or one of its derivatives is nonzero, widened by a one-node halo and
@@ -246,11 +256,12 @@ class _Window:
     wherever phi is nonzero, and it holds the support's boundary nodes, where
     the Hoelder masks are closed.  Nodes keep their global trapezoid weights,
     so a quadrature over the box is the full-grid quadrature summed in
-    another order.  ``local`` holds the box's samples (see
-    ``_window_samples``) as a GriddedField of the same spacings whose
-    coordinates start at 0 (its h can differ from the global one in the last
-    bit); the window's own ``mesh`` and ``t_axis`` carry the global
-    coordinates.
+    another order.
+
+    The window holds what spans the whole box: the spatial factors, H and
+    dH/dt, the weights ``wsp`` and ``wt``, and the global coordinates
+    ``mesh`` and ``t_axis``.  It holds no samples: ``block`` copies those of
+    a few time rows (see ``row_blocks``) into contiguous memory.
 
     phi = h_val * x_val, dphi/dt = h_dt * x_val, grad phi = h_val * x_grad and
     lap phi = h_val * x_lap: the h_* are time vectors on the box, the x_*
@@ -258,8 +269,8 @@ class _Window:
     """
 
     def __init__(self, field: GriddedField, phi: SpaceTimeTestFunction, vanish):
-        d = field.d
-        self.d = d
+        self.field = field
+        self.d = field.d
         mesh = field.spatial_mesh()
         t = field.t_axis
         H, dH = phi.time.value(t), phi.time.deriv(t)
@@ -268,50 +279,90 @@ class _Window:
         _check_vanishing(H, x_max, edge_max, vanish)
         self.t = _halo_slice((H != 0) | (dH != 0))
         self.h_val, self.h_dt = H[self.t], dH[self.t]
-        box = (self.t,) + self.x
         self.mesh = mesh[self.x]
-        self.t_axis = field.t_axis[self.t]
-        self.wsp = field.spatial_weights()[self.x]
+        self.t_axis = t[self.t]
+        # contiguous, so that every block's contraction runs the same einsum loop
+        self.wsp = np.ascontiguousarray(field.spatial_weights()[self.x])
         self.wt = field.axis_weights()[1][self.t]
-        n, nt = self.x[0].stop - self.x[0].start, self.t.stop - self.t.start
-        u, p, theta = (_window_samples(a, box) for a in (field.u, field.p, field.theta))
-        self.local = GriddedField(d, 0.0, (n - 1) * field.h, n, (nt - 1) * field.dt, nt,
-                                  u, p, theta)
 
-    def quad(self, vals: np.ndarray, time: np.ndarray) -> float:
-        """Space-time quadrature of vals * time over the box."""
-        return float(np.sum(self.wt * time * _contract_space(vals, self.wsp, self.d)))
+    def row_blocks(self) -> list:
+        """The box's time rows, in blocks of about WINDOW_BLOCK nodes."""
+        return _row_blocks(self.t.stop - self.t.start, self.wsp.size)
 
-    @functools.cached_property
-    def grad_squared(self) -> np.ndarray:
-        return self.local.grad_squared()
+    def block(self, start: int, stop: int) -> GriddedField:
+        """The samples of the box's time rows start..stop-1, copied once into
+        contiguous memory (so that the component sums and the differences
+        along each axis run on contiguous memory even when the samples are
+        strided: a file with interleaved components reads back that way), as
+        a GriddedField of the same spacings whose coordinates start at 0 (its
+        h can differ from the global one in the last bit)."""
+        f = self.field
+        n = self.x[0].stop - self.x[0].start
+        box = (slice(self.t.start + start, self.t.start + stop),) + self.x
+        u, p, theta = (None if a is None else np.ascontiguousarray(a[box])
+                       for a in (f.u, f.p, f.theta))
+        return GriddedField(f.d, 0.0, (n - 1) * f.h, n, (stop - start - 1) * f.dt,
+                            stop - start, u, p, theta)
 
-    def grad_mass(self, nu: float) -> float:
-        """Quadrature of nu * |grad u|^2 * phi."""
-        return nu * self.quad(self.grad_squared * self.x_val, self.h_val)
+    def contract(self, vals: np.ndarray) -> np.ndarray:
+        """Spatial quadrature of vals per time row (vals has a leading time
+        axis).  einsum gives each row the same bits however many rows come
+        in together; tensordot (BLAS) does not."""
+        space = list(range(1, 1 + self.d))
+        return np.einsum(vals, [0] + space, self.wsp, space, [0])
+
+    def quad(self, rows: np.ndarray, time: np.ndarray) -> float:
+        """Time quadrature of rows * time over the box's time rows."""
+        return float(np.sum(self.wt * time * rows))
+
+    def radius2(self, center) -> np.ndarray:
+        """|x - center|^2 on the box's spatial nodes."""
+        return np.sum((self.mesh - np.asarray(center)) ** 2, axis=-1)
+
+
+def _row_norms(vals: np.ndarray, weights: np.ndarray, mask: np.ndarray, r) -> np.ndarray:
+    """Per time row: the discrete L^r norm of vals (>= 0, leading time axis)
+    over the flat spatial ``mask``, with the masked nodes' ``weights``."""
+    flat = vals.reshape(vals.shape[0], -1)[:, mask]
+    if r == math.inf:
+        return np.max(flat, axis=1) if flat.shape[1] else np.zeros(vals.shape[0])
+    return np.sum(weights * flat ** r, axis=1) ** (1.0 / r)
 
 
 class _Pairing(NamedTuple):
     terms: dict
     terminal: float
     window: _Window
+    rows: dict
+    widths: dict
 
 
 def _pairing(field: GriddedField, phi: SpaceTimeTestFunction, pair: EntropyPair,
-             nu: float = 0.0, vanish=("t0", "T", "x")) -> _Pairing:
+             nu: float = 0.0, vanish=("t0", "T", "x"), cutoff: CutoffPair | None = None,
+             r=None) -> _Pairing:
     """The one test-function pairing behind every weak balance.
 
     With eta = pair.eta_fn(u, p, theta) and Q_k = pair.fluxes[k](u, p, theta):
 
-        terms["I"] = quadrature of eta * dphi/dt
-        terms[k]   = quadrature of Q_k . grad(phi)      (one entry per flux)
+        terms["I"]  = quadrature of eta * dphi/dt
+        terms[k]    = quadrature of Q_k . grad(phi)      (one entry per flux)
         terms["IV"] = quadrature of nu * eta * lap(phi)  (nu > 0)
-        terminal   = spatial quadrature of eta(., T) * phi(., T)
+        terminal    = spatial quadrature of eta(., T) * phi(., T)
 
     all evaluated on the support window of phi (see ``_Window``), which is
-    returned too: ``window.grad_mass(nu)`` is the quadrature of
-    nu * |grad u|^2 * phi.  A pair with a pressure flux "III" needs a field
-    with pressure samples, and nu must be finite and non-negative
+    returned too, one block of time rows at a time.  ``rows`` holds vectors
+    over the window's time rows:
+
+        rows["grad"]     = spatial quadrature of |grad u|^2 * X      (nu > 0)
+        rows["cylinder"] = spatial quadrature of |grad u|^2 over the open
+                           ball |x - c| < delta of ``cutoff``        (nu > 0)
+        rows["u"]        = L^r norm of |u| over the closed ball
+                           |x - c| <= 2*delta of ``cutoff``          (r given)
+        rows["p"]        = L^(r/2) norm of |p| there (r given, pressure flux)
+
+    and ``widths`` the component count of each flux (1 for a flux that
+    broadcasts over every axis).  A pair with a pressure flux "III" needs a
+    field with pressure samples, and nu must be finite and non-negative
     (ValueError otherwise).
     """
     if not 0 <= nu < math.inf:
@@ -319,21 +370,45 @@ def _pairing(field: GriddedField, phi: SpaceTimeTestFunction, pair: EntropyPair,
     if "III" in pair.fluxes and field.p is None:
         raise ValueError(f"pair {pair.label!r} has a pressure flux and needs a pressure field")
     win = _Window(field, phi, vanish)
-    f = win.local
-    eta = pair.eta_fn(f.u, f.p, f.theta)
-    term_i = win.quad(eta * win.x_val, win.h_dt)
-    term_iv = nu * win.quad(eta * win.x_lap, win.h_val) if nu > 0 else None
-    terminal = (float(np.sum(win.wsp * eta[-1] * (win.x_val * win.h_val[-1])))
-                if win.t.stop == field.nt else 0.0)
-    # freed before the fluxes are formed: one window-sized array less at the peak
-    del eta
-    terms = {"I": term_i}
-    for name, flux in pair.fluxes.items():
-        q = flux(f.u, f.p, f.theta)
-        terms[name] = win.quad(component_dot(q, win.x_grad), win.h_val)
-    if term_iv is not None:
-        terms["IV"] = term_iv
-    return _Pairing(terms, terminal, win)
+    if cutoff is not None:
+        r2 = win.radius2(cutoff.center.x)
+        ball = r2 < cutoff.delta ** 2
+        collar = (r2 <= (2 * cutoff.delta) ** 2).ravel()
+        w_collar = win.wsp.ravel()[collar]
+    parts, widths, terminal = {}, {}, 0.0
+    blocks = win.row_blocks()
+    for start, stop in blocks:
+        f = win.block(start, stop)
+        eta = pair.eta_fn(f.u, f.p, f.theta)
+        row = {"I": win.contract(eta * win.x_val)}
+        if nu > 0:
+            row["IV"] = win.contract(eta * win.x_lap)
+        if stop == blocks[-1][1] and win.t.stop == field.nt:
+            terminal = float(np.sum(win.wsp * eta[-1] * (win.x_val * win.h_val[-1])))
+        # freed before the fluxes are formed: one block-sized array less at the peak
+        del eta
+        for name, flux in pair.fluxes.items():
+            q = flux(f.u, f.p, f.theta)
+            widths[name] = q.shape[-1]
+            row[name] = win.contract(component_dot(q, win.x_grad))
+        if nu > 0:
+            g2 = f.grad_squared()
+            row["grad"] = win.contract(g2 * win.x_val)
+            if cutoff is not None:
+                row["cylinder"] = win.contract(g2 * ball)
+        if r is not None:
+            row["u"] = _row_norms(f.speed(), w_collar, collar, r)
+            if "III" in pair.fluxes:
+                row["p"] = _row_norms(np.abs(f.p), w_collar, collar, r / 2)
+        for name, vals in row.items():
+            parts.setdefault(name, []).append(vals)
+    rows = {name: np.concatenate(vals) for name, vals in parts.items()}
+    terms = {"I": win.quad(rows.pop("I"), win.h_dt)}
+    for name in pair.fluxes:
+        terms[name] = win.quad(rows.pop(name), win.h_val)
+    if nu > 0:
+        terms["IV"] = nu * win.quad(rows.pop("IV"), win.h_val)
+    return _Pairing(terms, terminal, win, rows, widths)
 
 
 def _check_cutoff_margin(field: GriddedField, cutoff: CutoffPair) -> None:
@@ -380,24 +455,26 @@ class BalanceReport:
     grad_mass_cylinder: float | None = None
 
 
-def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair, nu: float):
-    """Test the balance with chi(x)*eta(t); returns the report and the window.
+def _cutoff_report(field: GriddedField, cutoff: CutoffPair, pair: EntropyPair, nu: float,
+                   r=None):
+    """Test the balance with chi(x)*eta(t); returns the report and the pairing
+    (with the row norms of ``_pairing`` when r is given).
 
     With nu > 0 the report also carries nu*|grad u|^2 paired with the cutoff
     and summed over the strict cylinder |x - c| < delta, |t - t0| < delta**alpha.
     """
     _check_cutoff_margin(field, cutoff)
-    res = _pairing(field, SpaceTimeTestFunction(cutoff.chi, cutoff.eta), pair, nu)
+    res = _pairing(field, SpaceTimeTestFunction(cutoff.chi, cutoff.eta), pair, nu,
+                   cutoff=cutoff, r=r)
     win = res.window
     grad_cut = grad_cyl = None
     if nu > 0:
-        r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
         inside_t = np.abs(win.t_axis - cutoff.center.t) < cutoff.delta ** cutoff.alpha
-        grad_cut = win.grad_mass(nu)
-        grad_cyl = nu * win.quad(win.grad_squared * (r2 < cutoff.delta ** 2), inside_t)
+        grad_cut = nu * win.quad(res.rows["grad"], win.h_val)
+        grad_cyl = nu * win.quad(res.rows["cylinder"], inside_t)
     report = BalanceReport(terms=res.terms, weak_mass=sum(res.terms.values()),
                            grad_mass_cutoff=grad_cut, grad_mass_cylinder=grad_cyl)
-    return report, win
+    return report, res
 
 
 def pair_weak_mass(field: GriddedField, pair: EntropyPair, cutoff: CutoffPair,
@@ -436,18 +513,6 @@ def _weighted_pnorm(vals: np.ndarray, weights: np.ndarray, p) -> float:
     return float(np.sum(weights * vals ** p) ** (1.0 / p))
 
 
-def _mixed_norm(win: _Window, vals: np.ndarray, q, r,
-                smask: np.ndarray, tmask: np.ndarray) -> float:
-    """Discrete L^q_t L^r_x norm of |vals| over the masked part of a window."""
-    flat = vals.reshape(vals.shape[0], -1)[:, smask.ravel()]
-    w = win.wsp.ravel()[smask.ravel()]
-    if r == math.inf:
-        g = np.max(flat, axis=1) if flat.shape[1] else np.zeros(vals.shape[0])
-    else:
-        g = np.sum(w * flat ** r, axis=1) ** (1.0 / r)
-    return _weighted_pnorm(g[tmask], win.wt[tmask], q)
-
-
 def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
                           pair: EntropyPair | None = None, nu: float = 0.0) -> BalanceReport:
     """Explicit Hoelder bound on the cutoff-tested balance, with dominance check.
@@ -461,11 +526,16 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     Exponent bookkeeping per term:
 
         |I|   <= c_eta * ||u||^2_{LqLr} * ||chi||_{r/(r-2)} * ||eta'||_{q/(q-2)}
-        |II|  <= c_Q   * ||u||^3_{LqLr} * ||grad chi||_{r/(r-3)} * ||eta||_{q/(q-3)}
-        |III| <=         ||p|| * ||u||  * ||grad chi||_{r/(r-3)} * ||eta||_{q/(q-3)}
+        |II|  <= c_Q   * ||u||^3_{LqLr} * ||g_II||_{r/(r-3)} * ||eta||_{q/(q-3)}
+        |III| <=         ||p|| * ||u||  * ||g_III||_{r/(r-3)} * ||eta||_{q/(q-3)}
         |IV|  <= c_eta * nu * ||u||^2   * ||lap chi||_{r/(r-2)}  * ||eta||_{q/(q-2)}
 
-    The norms are masked reductions over the same window as the weak mass.
+    g_k is the vector the flux is paired with: |grad chi| for a flux with a
+    component per axis (Euler's II and III, and every flux at d = 1), and
+    |sum_i d_i chi| for a one-component flux at d >= 2, which stands for
+    every component (Burgers' u_0^3/3), so that term II is Q * sum_i d_i chi;
+    ``local_norms["sum_grad_chi"]`` records that norm.  The norms are masked
+    reductions over the same window as the weak mass.
     """
     for name, value in (("q", q), ("r", r)):
         if not value >= 3:
@@ -476,15 +546,15 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         pair = EULER_ENERGY_PAIR if field.p is not None else BURGERS_PAIR
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
         raise ValueError(f"pair {pair.label!r} lacks the growth coefficients for a bound")
-    report, win = _cutoff_report(field, cutoff, pair, nu)
+    report, res = _cutoff_report(field, cutoff, pair, nu, r)
+    win = res.window
 
-    r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
-    smask = r2 <= (2 * cutoff.delta) ** 2
+    smask = win.radius2(cutoff.center.x) <= (2 * cutoff.delta) ** 2
     tmask = np.abs(win.t_axis - cutoff.center.t) <= cutoff.eta.outer
-    u_norm = _mixed_norm(win, win.local.speed(), q, r, smask, tmask)
-
     w_s = win.wsp[smask]
     w_t = win.wt[tmask]
+    u_norm = _weighted_pnorm(res.rows["u"][tmask], w_t, q)
+
     # tapers can round to tiny negative values near their outer edge
     chi, eta_t = np.abs(win.x_val)[smask], np.abs(win.h_val)[tmask]
     n_chi = _weighted_pnorm(chi, w_s, _ratio(r, 2))
@@ -492,19 +562,25 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     n_gchi = _weighted_pnorm(gmag[smask], w_s, _ratio(r, 3))
     n_eta = _weighted_pnorm(eta_t, w_t, _ratio(q, 3))
     n_deta = _weighted_pnorm(np.abs(win.h_dt)[tmask], w_t, _ratio(q, 2))
+    norms = {"u_LqLr": u_norm, "chi": n_chi, "grad_chi": n_gchi,
+             "eta_t": n_eta, "deta_t": n_deta}
+    # each flux term by the norm of the vector it is paired with: a flux of one
+    # component at d >= 2 stands for every component, so it meets sum_i d_i chi
+    n_flux = {name: n_gchi for name in pair.fluxes}
+    for name, width in res.widths.items():
+        if width == 1 < win.d:
+            n_flux[name] = norms["sum_grad_chi"] = _weighted_pnorm(
+                np.abs(np.sum(win.x_grad, axis=-1))[smask], w_s, _ratio(r, 3))
 
     # u_norm**k as inf, not OverflowError, where it overflows
     u2, u3 = scale_power(u_norm, 2), scale_power(u_norm, 3)
     bound_terms = {
         "I": pair.eta_quad_coeff * u2 * n_chi * n_deta,
-        "II": pair.q_cubic_coeff * u3 * n_gchi * n_eta,
+        "II": pair.q_cubic_coeff * u3 * n_flux["II"] * n_eta,
     }
-    norms = {"u_LqLr": u_norm, "chi": n_chi, "grad_chi": n_gchi,
-             "eta_t": n_eta, "deta_t": n_deta}
     if "III" in pair.fluxes:
-        p_norm = _mixed_norm(win, np.abs(win.local.p),
-                             q / 2, r / 2, smask, tmask)
-        bound_terms["III"] = p_norm * u_norm * n_gchi * n_eta
+        p_norm = _weighted_pnorm(res.rows["p"][tmask], w_t, q / 2)
+        bound_terms["III"] = p_norm * u_norm * n_flux["III"] * n_eta
         norms["p_Lq2Lr2"] = p_norm
     if nu > 0:
         n_lchi = _weighted_pnorm(np.abs(win.x_lap)[smask], w_s, _ratio(r, 2))
@@ -551,7 +627,8 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
         pair = EULER_ENERGY_PAIR
     vanish = ("t0",) if allow_spatial_boundary else ("t0", "x")
     res = _pairing(field, phi, pair, nu, vanish)
-    grad_mass = res.window.grad_mass(nu) if nu > 0 else 0.0
+    win = res.window
+    grad_mass = nu * win.quad(res.rows["grad"], win.h_val) if nu > 0 else 0.0
     return sum(res.terms.values()), res.terminal, grad_mass
 
 

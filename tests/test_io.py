@@ -318,6 +318,22 @@ class TestBodyCodec:
         dio.write_field(path, sample_field)   # a binary body is read as it stands
         assert bits(dio.read_field(path).u) == bits(sample_field.u)
 
+    def test_a_name_that_parses_as_a_url_is_read_locally(self, sample_field, tmp_path,
+                                                         monkeypatch):
+        """numpy's loader fetches a name with a scheme and a host; the local
+        file of that relative name is read, and nothing is fetched."""
+        import urllib.request
+
+        def no_fetch(*args, **kwargs):
+            raise AssertionError(f"fetch attempted: {args!r}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        name = "http://localhost/f.field"
+        dio.write_field(name, sample_field, binary=False)
+        assert bits(dio.read_field(name).u) == bits(sample_field.u)
+
     @pytest.mark.parametrize("token", ["1e39", "-1e39", "1e-400", "nan", "-inf", " 1 ", "+1.5",
                                        "", "1_0", "0x1p3"])
     def test_the_dropped_columns_are_checked_as_the_values_are(self, tmp_path, token):

@@ -8,6 +8,7 @@ of the quadrature of its absolute integrand.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dissdim import cutoffs as co
 from dissdim import weak_balance as wb
 from dissdim.aniso_measure import SpaceTimePoint
 from dissdim.fields import GriddedField
+from dissdim.fixtures import decaying_shear_field
 
 INF = math.inf
 REL = 1e-12
@@ -334,3 +336,72 @@ def test_nan_support_is_rejected(space):
     phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, 0.5, 0.2))
     with pytest.raises(ValueError, match="not a box"):
         wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR)
+
+
+# ---------------------------------------------------------------------------
+# Blocks of time rows.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nt", [2, 3, 4, 5, 9, 10, 65])
+@pytest.mark.parametrize("block, row_nodes", [(1, 7), (10, 3), (12, 3), (2 ** 14, 4356)])
+def test_row_blocks_cover_the_rows_in_order(monkeypatch, nt, block, row_nodes):
+    monkeypatch.setattr(wb, "WINDOW_BLOCK", block)
+    blocks = wb._row_blocks(nt, row_nodes)
+    rows = max(2, block // row_nodes)
+    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == nt
+    # every block but the last has the block's rows; the last holds 2 to rows + 1
+    assert all(stop - start == rows for start, stop in blocks[:-1])
+    assert 2 <= blocks[-1][1] - blocks[-1][0] <= rows + 1
+
+
+def every_entry_point(field, nu):
+    """The results of the four public pairings, as reprs (bits of every float),
+    on cutoffs and test functions whose windows are 7 to 23 time rows tall;
+    the boundary-extended window reaches t = T."""
+    d = field.d
+    cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), 0.15, 1.0)
+    out = []
+    for pair in (wb.BURGERS_PAIR, wb.EULER_ENERGY_PAIR):
+        out.append(wb.pair_weak_mass(field, pair, cut, nu))
+        out.append(wb.holder_cylinder_bound(field, cut, 4.5, 3, pair=pair, nu=nu))
+        out.append(wb.holder_cylinder_bound(field, cut, INF, INF, pair=pair, nu=nu))
+    out.append(wb.entropy_production(field, wb.EULER_ENERGY_PAIR,
+                                     co.SpaceTimeTestFunction(cut.chi, cut.eta)))
+    space = co.SpatialTestFunction([co.PlateauProfile(0.3, 0.6, 0.2)] * d)
+    time = co.PlateauProfile(0.5, INF, 0.3)
+    out.append(wb.boundary_extended_mass(field, co.SpaceTimeTestFunction(space, time),
+                                         pair=wb.EULER_ENERGY_PAIR, nu=nu,
+                                         allow_spatial_boundary=True))
+    return [repr(r) for r in out]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_two_row_blocks_give_the_bits_of_one_block(monkeypatch, d, nu):
+    field = random_field(d)
+    phi = co.SpaceTimeTestFunction(co.SpatialBump((0.5,) * d, 0.15), co.TimeBump(0.5, 0.15, 1.0))
+    monkeypatch.setattr(wb, "WINDOW_BLOCK", 2 ** 62)
+    assert len(wb._Window(field, phi, ()).row_blocks()) == 1
+    whole = every_entry_point(field, nu)
+    monkeypatch.setattr(wb, "WINDOW_BLOCK", 1)   # the minimum: two rows per block
+    assert len(wb._Window(field, phi, ()).row_blocks()) > 3
+    assert every_entry_point(field, nu) == whole
+
+
+def test_a_tall_window_holds_block_sized_arrays():
+    # d = 2, 97^2 x 97 nodes, delta = 1/8: the window is 49 x 49^2 nodes and
+    # 8 blocks tall; holding its samples alone takes 2.7 MiB, and the kernel
+    # peaked at 7 MiB when every field-derived array spanned the window
+    field = decaying_shear_field(1e-2, 2 * math.pi, 0.0, 1.0, 97, 1.0, 97)
+    cut = co.CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 0.125, 1.0)
+    win = wb._Window(field, co.SpaceTimeTestFunction(cut.chi, cut.eta), ())
+    assert len(win.row_blocks()) >= 8
+    samples = len(win.t_axis) * win.wsp.size * (field.d + 1) * 8
+    tracemalloc.start()
+    try:
+        wb.holder_cylinder_bound(field, cut, 3, 3, nu=1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dissdim import cutoffs as co
 from dissdim import fixtures as fx
+from dissdim import io as dio
 from dissdim import weak_balance as wb
 from dissdim.aniso_measure import SpaceTimePoint
+from dissdim.cli import main
 from dissdim.errors import VerificationError
-from dissdim.fields import SpatialVectorField
+from dissdim.fields import GriddedField, SpatialVectorField
 
 INF = math.inf
 
@@ -292,6 +295,97 @@ class TestHolderBound:
         rep = wb.holder_cylinder_bound(shear_field, cut, 4, 6, nu=0.05)
         assert "IV" in rep.terms
         assert rep.weak_mass <= rep.holder_bound * (1 + 1e-9)
+
+
+def blob_field(d, nx, amplitude, width, direction, rho, delta=0.125, alpha=1.0,
+               along=False, pressure=None):
+    """A Gaussian blob of velocity at 0.5 - rho * direction (unit vector),
+    switched on inside the time plateau |t - 1/2| < delta**alpha of the
+    cutoff centered at (1/2, ..., 1/2; 1/2), on [0, 1]^d x [0, 1] with nt = nx.
+    The velocity is ``amplitude`` times the blob in component 0, or along
+    ``direction``; ``pressure`` (a number) adds p = pressure * blob.  With
+    rho = 1.5 * delta the blob sits where |grad chi| peaks, and grad chi is
+    parallel to ``direction`` there."""
+    axis = np.linspace(0.0, 1.0, nx)
+    mesh = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
+    e = np.asarray(direction, dtype=float)
+    blob = np.exp(-np.sum((mesh - (0.5 - rho * e)) ** 2, axis=-1) / (2 * width ** 2))
+    on = (np.abs(axis - 0.5) < delta ** alpha).astype(float)[(slice(None),) + (None,) * d]
+    vec = e if along else np.eye(d)[0]
+    u = amplitude * (on * blob)[..., None] * vec
+    p = None if pressure is None else pressure * on * blob
+    return GriddedField(d, 0.0, 1.0, nx, 1.0, nx, u, p=p)
+
+
+def diagonal(d, sign=1.0):
+    return np.full(d, sign / math.sqrt(d))
+
+
+class TestBroadcastFluxBound:
+    """The Burgers flux u_0^3/3 has one component, which the pairing applies
+    to every axis: at d >= 2 term II is Q * sum_i d_i chi, up to sqrt(d) times
+    Q * |grad chi|, so its bound uses ||sum_i d_i chi||."""
+
+    # each failed dominance with the ||grad chi|| bound
+    # (d = 2: weak_mass 1008.4 > bound 783.9; d = 3: 88.3 > 62.4)
+    @pytest.mark.parametrize("d, nx, width", [(2, 33, 0.02), (3, 25, 0.03)])
+    def test_blob_along_the_diagonal_is_dominated(self, d, nx, width):
+        field = blob_field(d, nx, 100.0, width, diagonal(d), 1.5 * 0.125)
+        cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), 0.125, 1.0)
+        rep = wb.holder_cylinder_bound(field, cut, 3, 3, pair=wb.BURGERS_PAIR)
+        assert 0.5 < rep.weak_mass <= rep.holder_bound
+        norms = rep.local_norms
+        assert norms["grad_chi"] < norms["sum_grad_chi"]
+        assert norms["sum_grad_chi"] <= math.sqrt(d) * norms["grad_chi"] * (1 + 1e-12)
+
+    def test_cli_verifies_the_blob_field(self, tmp_path):
+        path = tmp_path / "blob.field"
+        dio.write_field(path, blob_field(2, 33, 100.0, 0.02, diagonal(2), 1.5 * 0.125))
+        assert main(["verify", "--input", str(path), "--pair", "burgers", "--q", "3",
+                     "--r", "3", "--center", "0.5,0.5:0.5", "--delta-max", "0.125",
+                     "--count", "3", "--csv", str(tmp_path / "sweep.csv")]) == 0
+
+    @pytest.mark.parametrize("pair", [wb.BURGERS_PAIR, wb.EULER_ENERGY_PAIR])
+    def test_full_width_and_one_dimensional_fluxes_keep_the_gradient_norm(self, pair):
+        for d in (1, 2):
+            field = blob_field(d, 33, 100.0, 0.02, diagonal(d), 1.5 * 0.125, pressure=1.0)
+            cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), 0.125, 1.0)
+            rep = wb.holder_cylinder_bound(field, cut, 3, 3, pair=pair)
+            broadcast = pair is wb.BURGERS_PAIR and d > 1
+            assert ("sum_grad_chi" in rep.local_norms) == broadcast
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]),
+           direction=st.one_of(st.just("diagonal"), st.just("anti-diagonal"), st.just("axis"),
+                               st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
+           rho=st.floats(1.0, 2.0), width=st.floats(1.0, 3.0),
+           amplitude=st.floats(1e-3, 1e3), sign=st.sampled_from([1.0, -1.0]),
+           along=st.booleans(), alpha=st.sampled_from([1.0, 2.0]),
+           pair=st.sampled_from(["burgers", "euler", "euler-p"]),
+           q=st.sampled_from([3, 4.5, INF]), r=st.sampled_from([3, 4.5, INF]),
+           nu=st.sampled_from([0.0, 0.01]))
+    def test_blobs_along_grad_chi_are_dominated(self, d, direction, rho, width, amplitude,
+                                                sign, along, alpha, pair, q, r, nu):
+        amplitude *= sign
+        nx, delta = {1: (41, 0.15), 2: (25, 0.15), 3: (17, 0.15)}[d]
+        if direction == "diagonal":
+            e = diagonal(d)
+        elif direction == "anti-diagonal":
+            e = diagonal(d, -1.0)
+        elif direction == "axis":
+            e = np.eye(d)[d - 1]
+        else:
+            e = np.asarray(direction[:d])
+            if not np.linalg.norm(e) > 0.1:
+                e = diagonal(d)
+            e = e / np.linalg.norm(e)
+        field = blob_field(d, nx, amplitude, width / (nx - 1), e, rho * delta, delta, alpha,
+                           along, None if pair == "burgers" else (0.0 if pair == "euler" else
+                                                                  amplitude))
+        cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), delta, alpha)
+        entropy_pair = wb.BURGERS_PAIR if pair == "burgers" else wb.EULER_ENERGY_PAIR
+        rep = wb.holder_cylinder_bound(field, cut, q, r, pair=entropy_pair, nu=nu)
+        assert rep.weak_mass <= rep.holder_bound * (1 + wb.DOMINANCE_TOL)
 
 
 class TestNsWeakMass:
