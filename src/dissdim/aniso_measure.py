@@ -83,7 +83,6 @@ SUPPORT_WEIGHT_CUTOFF = 1e-12    # relative to total mass, for the default cente
 FIT_RESIDUAL_LIMIT = 0.25        # log-space RMS beyond which verdicts are inconclusive
 CERTIFY_SCAN_STEP = 0.005
 CERTIFY_CONSTANT = 2.0           # density cap = CERTIFY_CONSTANT x coarsest density
-NONINCREASING_FACTOR = 1.25      # slack when checking densities for a bounded modulus
 CELL_INDEX_LIMIT = 2.0 ** 53     # |coordinate / cell side| below which floor() is exact
 PAIR_BLOCK = 2 ** 16             # center-atom pairs tested at once by _masses_at_scale
 
@@ -464,7 +463,6 @@ class DensityLadder:
     sup_masses: tuple
     fitted_slope: float
     fit_residual: float
-    densities_nonincreasing: bool
 
 
 def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> DensityLadder:
@@ -473,9 +471,7 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> Density
     Default centers are the atoms of the measure carrying non-negligible
     weight (the discrete support); ``centers`` replaces them with an explicit
     (n, d+1) array.  Raises ValueError when delta**s underflows to 0 or
-    overflows at some scale.  Also records whether the densities are
-    non-increasing within a fixed factor, which is the numerical evidence for
-    a bounded density modulus.
+    overflows at some scale.
     """
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be non-negative and finite, got {s!r}")
@@ -503,15 +499,9 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> Density
     else:
         slope, rms = float("nan"), float("nan")
 
-    nonincr = all(
-        densities[i + 1] <= densities[i] * NONINCREASING_FACTOR + 1e-300
-        for i in range(len(densities) - 1)
-    )
     return DensityLadder(
         alpha=float(alpha), s=float(s), scales=tuple(scales), densities=tuple(densities),
-        sup_masses=tuple(masses), fitted_slope=slope, fit_residual=rms,
-        densities_nonincreasing=nonincr,
-    )
+        sup_masses=tuple(masses), fitted_slope=slope, fit_residual=rms)
 
 
 def certify_lower_bound(ladder: DensityLadder):

@@ -5,6 +5,7 @@ Every tolerance is pinned here, not calibrated elsewhere.  The final check
 covering estimate at exponent deficit 0.2; see its docstring.
 """
 
+import itertools
 import json
 import math
 import subprocess
@@ -413,3 +414,40 @@ def test_criterion_7_premeasure_growth():
            "dyadic cap-halvings and strictly on the ladder",
            all(dyadic_ok.values()) and all(ladder_ok.values()), detail)
     elapsed_ok("premeasure growth", t0, 30.0)
+
+
+# ---------------------------------------------------------------------------
+# 8. Sharpness of the Hoelder bound.
+# ---------------------------------------------------------------------------
+
+def test_criterion_8_holder_bound_ratios():
+    """Largest weak_mass / holder_bound per entropy pair over a fixed sweep.
+
+    Gaussian blobs sit where |grad chi| peaks (1.5 delta from the center) on
+    the diagonal, the anti-diagonal and the last axis, with the velocity in
+    component 0 or along that direction, at amplitudes 100 and -1e-60, at
+    d = 1, 2, 3, over (q, r) in {3, 9/2, inf}^2 and nu in {0, 0.01}.  Each
+    ratio must be at most 1: the bound dominates the weak mass exactly; the
+    largest one states how sharp the realized constants are.
+    """
+    from test_weak_balance import blob_field, diagonal
+
+    t0 = time.time()
+    pairs = {"burgers": (wb.BURGERS_PAIR, None), "euler p=0": (wb.EULER_ENERGY_PAIR, 0.0),
+             "euler p!=0": (wb.EULER_ENERGY_PAIR, 1.0)}
+    worst = dict.fromkeys(pairs, -INF)
+    for d, nx in ((1, 41), (2, 25), (3, 17)):
+        delta = 0.15
+        cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), delta, 1.0)
+        blobs = itertools.product((diagonal(d), diagonal(d, -1.0), np.eye(d)[d - 1]),
+                                  (False, True), (100.0, -1e-60), pairs.items())
+        for e, along, amplitude, (name, (pair, pressure)) in blobs:
+            field = blob_field(d, nx, amplitude, 1.5 / (nx - 1), e, 1.5 * delta, delta, 1.0,
+                               along, None if pressure is None else pressure * amplitude)
+            for q, r, nu in itertools.product((3, 4.5, INF), (3, 4.5, INF), (0.0, 0.01)):
+                rep = wb.holder_cylinder_bound(field, cut, q, r, pair=pair, nu=nu)
+                worst[name] = max(worst[name], rep.weak_mass / rep.holder_bound)
+    report("weak_mass / holder_bound <= 1 for every pair",
+           all(v <= 1.0 for v in worst.values()),
+           ", ".join(f"{k}: {v:.4f}" for k, v in worst.items()))
+    elapsed_ok("Hoelder bound sweep", t0, 30.0)

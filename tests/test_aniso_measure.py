@@ -171,7 +171,6 @@ class TestDensityLadder:
         lad = am.density_ladder(mu, 1.0, 2.0, scales, centers=center)
         assert lad.densities == pytest.approx([4.0] * 5, rel=1e-12)
         assert lad.fitted_slope == pytest.approx(2.0, abs=1e-9)
-        assert lad.densities_nonincreasing
 
     def test_dirac_at_s0(self):
         mu = AtomicMeasure([[0.25]], [0.25], [2.5])
@@ -291,7 +290,6 @@ class TestCertifyLowerBound:
             alpha=1.0, s=0.0, scales=lad.scales, densities=(1.0, 0.0, 0.0),
             sup_masses=(1.0, 0.0, 0.0),
             fitted_slope=float("nan"), fit_residual=float("nan"),
-            densities_nonincreasing=True,
         )
         certified, verdict = am.certify_lower_bound(noisy)
         assert verdict == "inconclusive"

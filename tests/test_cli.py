@@ -242,6 +242,26 @@ class TestVerifyCommand:
         assert data["error"]["type"] == "VerificationError"
         assert "dominance" in data["error"]["message"]
 
+    def test_all_bounded_is_the_kernels_dominance_test(self, shock_files, capsys,
+                                                        monkeypatch):
+        # a subnormal weak mass over a bound of 0.0 passes the kernel's test
+        # (1e-300 absolute slack), so it is reported as bounded too
+        from dissdim import cli
+        from dissdim import weak_balance as wb
+
+        def tiny(*args, **kwargs):
+            return wb.BalanceReport(terms={}, weak_mass=1.3e-320, holder_bound=0.0)
+
+        monkeypatch.setattr(cli, "holder_cylinder_bound", tiny)
+        field_path, _ = shock_files
+        code, data = run_json(["verify", "--input", field_path, "--pair", "burgers",
+                               "--center", "0.0:0.5", "--delta-max", "0.125",
+                               "--count", "3"], capsys)
+        assert code == 0
+        assert (data["rows"], data["all_bounded"]) == (3, True)
+        assert wb.dominated(1.3e-320, 0.0)
+        assert not wb.dominated(1.0, 1.0 - 1e-6) and not wb.dominated(math.nan, 1.0)
+
     def test_non_finite_weak_mass_exit_3(self, shock_files, capsys, monkeypatch):
         # the dominance check fails closed: NaN never passes as bounded
         from dissdim import cli

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -359,7 +360,8 @@ class TestBroadcastFluxBound:
            direction=st.one_of(st.just("diagonal"), st.just("anti-diagonal"), st.just("axis"),
                                st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)),
            rho=st.floats(1.0, 2.0), width=st.floats(1.0, 3.0),
-           amplitude=st.floats(1e-3, 1e3), sign=st.sampled_from([1.0, -1.0]),
+           amplitude=st.floats(-90.0, 3.0).map(lambda e: 10.0 ** e),
+           sign=st.sampled_from([1.0, -1.0]),
            along=st.booleans(), alpha=st.sampled_from([1.0, 2.0]),
            pair=st.sampled_from(["burgers", "euler", "euler-p"]),
            q=st.sampled_from([3, 4.5, INF]), r=st.sampled_from([3, 4.5, INF]),
@@ -386,6 +388,48 @@ class TestBroadcastFluxBound:
         entropy_pair = wb.BURGERS_PAIR if pair == "burgers" else wb.EULER_ENERGY_PAIR
         rep = wb.holder_cylinder_bound(field, cut, q, r, pair=entropy_pair, nu=nu)
         assert rep.weak_mass <= rep.holder_bound * (1 + wb.DOMINANCE_TOL)
+
+
+class TestTinyAmplitudes:
+    """A norm at finite p divides by the largest value before the power, so
+    |u|^r does not underflow to 0 while the weak mass (|u|^3) stays above it."""
+
+    def test_holder_bound_does_not_underflow(self):
+        # failed with "weak_mass 3.81e-239 > bound 0.0" when |u|^4.5 underflowed
+        field = blob_field(2, 25, 1.43e-79, 2 / 24, diagonal(2), 0.225, 0.15, 1.0)
+        cut = co.CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 0.15, 1.0)
+        rep = wb.holder_cylinder_bound(field, cut, 3, 4.5, pair=wb.BURGERS_PAIR)
+        assert 0 < rep.weak_mass <= rep.holder_bound
+        assert rep.local_norms["u_LqLr"] > 1e-80
+
+    @pytest.mark.parametrize("extra, rows", [
+        ([], 6),
+        (["--center", "0.5,0.5:0.5", "--delta-max", "0.15", "--ratio", "0.999",
+          "--count", "3"], 3)])
+    def test_cli_verifies_a_tiny_blob(self, tmp_path, capsys, extra, rows):
+        # exited 3 at the default ladder, and the other ladder reported
+        # "all_bounded": false for rows the kernel accepted (bound 0.0)
+        path = tmp_path / "tiny.field"
+        dio.write_field(path, blob_field(2, 25, 1e-106, 2 / 24, diagonal(2), 0.225, 0.15))
+        code = main(["verify", "--input", str(path), "--pair", "burgers", "--q", "4.5",
+                     "--r", "inf", "--csv", str(tmp_path / "sweep.csv")]
+                    + extra)
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (data["rows"], data["all_bounded"]) == (rows, True)
+
+    def test_pnorm_keeps_unit_exponent_bits_and_scales_the_rest(self):
+        rng = np.random.default_rng(5)
+        vals, weights = rng.random((4, 50)) * 1e-200, rng.random(50)
+        assert np.array_equal(wb._pnorm(vals, weights, 1), np.sum(weights * vals, axis=1))
+        assert np.array_equal(wb._pnorm(vals, weights, INF), vals.max(axis=1))
+        for p in (1.5, 3.0, 4.5):
+            scaled = wb._pnorm(vals * 1e200, weights, p) * 1e-200
+            assert wb._pnorm(vals, weights, p) == pytest.approx(scaled, rel=1e-14)
+            assert wb._pnorm(vals[0], weights, p) == pytest.approx(scaled[0], rel=1e-14)
+        assert wb._pnorm(np.zeros((2, 3)), np.ones(3), 4.5).tolist() == [0.0, 0.0]
+        assert wb._pnorm(np.zeros((2, 0)), np.ones(0), 4.5).tolist() == [0.0, 0.0]
+        assert type(wb._pnorm(vals[0], weights, 3.0)) is float
 
 
 class TestNsWeakMass:
