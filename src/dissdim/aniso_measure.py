@@ -27,19 +27,25 @@ tree with sorted lists at its nodes) answers every (scale, center) query:
   fail further from c on either side, and likewise |fl(t - t_c)| <
   delta**alpha.  A cylinder's members are therefore one index range of the
   atoms sorted by x and one range of time ranks, and a bisection that
-  evaluates exactly these strict tests finds both for all queries at once.
+  evaluates exactly these strict tests finds both, a block of queries at a
+  time.
   No rounded bound c +- delta is used, so the members are the atoms
   ``Cylinder.contains`` accepts.
 * Sweep.  With the atoms sorted by x, each aligned block of 2**k of them
   keeps its time ranks sorted, with prefix sums of their weights.  An x
   range splits into at most two blocks per level (the bottom-up
-  segment-tree walk), and one ``np.searchsorted`` per level over all
-  queries finds each block's atoms inside the time-rank range.  Sums are
-  taken within a block, so their rounding scales with that block's mass.
-* Memory.  Each level is built from the one below and freed once every
-  query has read it, so the sweep holds O(atoms + queries) numbers, not
-  the O(atoms log atoms) of the whole tree; it takes
-  O((atoms + queries) log atoms) time.
+  segment-tree walk), and one ``np.searchsorted`` per level over a block
+  of queries finds each tree block's atoms inside the time-rank range.
+  Sums are taken within a tree block, so their rounding scales with that
+  block's mass.
+* Memory.  The sweep holds one level of the tree at a time, in place: an
+  int64 key per atom (its block's first index above its time rank), which
+  a row sort merges into the next level, and the blocks' prefix sums, about
+  28 bytes per atom at the peak rather than the O(atoms log atoms) of the
+  whole tree.  Queries are answered QUERY_BLOCK at a time, so a (scale,
+  center) query keeps only its two index ranges (int32) and its mass, 24
+  bytes.  It takes O((atoms + queries) log atoms) time; a measure of 2**31
+  atoms or more raises ValueError.
 
 For d >= 2 a ball is not a box, and the lattice serves as a cell list (the
 linked-cell neighbour search of molecular dynamics), built at each scale.
@@ -85,6 +91,7 @@ CERTIFY_SCAN_STEP = 0.005
 CERTIFY_CONSTANT = 2.0           # density cap = CERTIFY_CONSTANT x coarsest density
 CELL_INDEX_LIMIT = 2.0 ** 53     # |coordinate / cell side| below which floor() is exact
 PAIR_BLOCK = 2 ** 16             # center-atom pairs tested at once by _masses_at_scale
+QUERY_BLOCK = 2 ** 14            # (scale, center) queries answered at once by _sweep_masses
 
 
 @dataclass(frozen=True)
@@ -376,47 +383,88 @@ def _member_range(v: np.ndarray, c: np.ndarray, inside):
     return _first_true(reached, len(v), len(c)), _first_true(passed, len(v), len(c))
 
 
+def _blocks(a: np.ndarray, block: int):
+    """The aligned blocks of ``block`` entries of a 1-D array as rows of two
+    views: the full blocks, then the partial last one (maybe empty)."""
+    full = len(a) - len(a) % block
+    return a[:full].reshape(-1, block), a[full:].reshape(1, -1)
+
+
 def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) -> np.ndarray:
     """Cylinder masses of a d = 1 measure, one row per scale, by a
-    merge-sort tree swept one level at a time (see the module docstring)."""
-    n, m = mu.n_atoms, centers.shape[0]
-    c, tc = np.tile(centers[:, 0], len(scales)), np.tile(centers[:, 1], len(scales))
-    r2 = np.repeat([scale_power(delta, 2) for delta in scales], m)
-    th = np.repeat([scale_power(delta, alpha) for delta in scales], m)
-    by_x = np.argsort(mu.positions[:, 0], kind="stable")
-    by_t = np.argsort(mu.times, kind="stable")
-    left, right = _member_range(mu.positions[by_x, 0], c, lambda x: (x - c) ** 2 < r2)
-    t_lo, t_hi = _member_range(mu.times[by_t], tc, lambda t: np.abs(t - tc) < th)
-    del c, tc, r2, th
+    merge-sort tree swept one level at a time (see the module docstring).
 
-    # padded to a power of two: ranks n.. with zero weight sort after every atom
-    width = 1 << (n - 1).bit_length()
-    weight = np.zeros(width)
-    weight[:n] = mu.weights[by_t]                 # weight by time rank
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_t] = np.arange(n)                     # time rank of each atom
-    level = np.concatenate([rank[by_x], np.arange(n, width)])
-    del by_x, by_t, rank
-    out = np.zeros(len(left))
+    Query k is scale k // m at center k % m.  Per query only its x range
+    [left, right) of nodes, its time-rank range [t_lo, t_hi) (int32) and its
+    mass are kept; everything else is built QUERY_BLOCK queries at a time.
+    Raises ValueError for 2**31 atoms or more, where the int32 ranks and the
+    int64 block keys would overflow.
+    """
+    n, m = mu.n_atoms, centers.shape[0]
+    if n >= 2 ** 31:
+        raise ValueError(f"the d = 1 density ladder takes fewer than 2**31 atoms, got {n}")
+    size = len(scales) * m
+    blocks = [slice(s, s + QUERY_BLOCK) for s in range(0, size, QUERY_BLOCK)]
+
+    def member_ranges(v, column, radius, inside):
+        """Each query's index range in the sorted values v, as two int32 arrays."""
+        lo, hi = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+        for b in blocks:
+            k = np.arange(b.start, min(b.stop, size))
+            c, r = centers[k % m, column], radius[k // m]
+            lo[b], hi[b] = _member_range(v, c, lambda y: inside(y, c, r))
+        return lo, hi
+
+    r2 = np.array([scale_power(delta, 2) for delta in scales])
+    th = np.array([scale_power(delta, alpha) for delta in scales])
+    by_x = np.argsort(mu.positions[:, 0], kind="stable")
+    left, right = member_ranges(mu.positions[by_x, 0], 0, r2, lambda x, c, r: (x - c) ** 2 < r)
+    by_x = by_x.astype(np.int32)
+    by_t = np.argsort(mu.times, kind="stable")
+    t_lo, t_hi = member_ranges(mu.times[by_t], 1, th, lambda t, c, r: np.abs(t - c) < r)
+    weight = mu.weights[by_t]                           # weight by time rank
+    rank = np.empty(n, dtype=np.int32)
+    rank[by_t] = np.arange(n, dtype=np.int32)           # time rank of each atom
+    del by_t
+    rank = rank[by_x]                                   # in x order
+    del by_x
+
+    # A block key is (index of the block's first atom << shift) | time rank:
+    # with each block sorted, the level is one sorted array, and one
+    # np.searchsorted finds a query's time-rank range in any block.
+    shift = (n - 1).bit_length()                        # 2**shift >= n > every rank
+    ranks = (1 << shift) - 1
+    level = np.arange(n, dtype=np.int64)
+    level <<= shift
+    level |= rank
+    del rank
+    prefix = np.empty(n)
+    out = np.zeros(size)
     block = 1
-    live = left < right
-    while live.any():
-        if block > 1:   # merge each pair of sorted blocks
-            level = np.sort(level.reshape(-1, block), axis=1).ravel()
-        rows = level.reshape(-1, block)   # the sorted time ranks of each block
-        prefix = np.zeros((rows.shape[0], block + 1))
-        np.cumsum(weight[rows], axis=1, out=prefix[:, 1:])
-        # row b's ranks shifted past every earlier row's: one sorted array
-        keys = (rows + np.arange(0, width * rows.shape[0], width)[:, None]).ravel()
-        use_left, use_right = live & (left % 2 == 1), live & (right % 2 == 1)
-        for use, used_block in ((use_left, left), (use_right, right - 1)):
-            q = np.flatnonzero(use)
-            b = used_block[q]
-            lo, hi = (np.searchsorted(keys, b * width + r[q]) - b * block for r in (t_lo, t_hi))
-            out[q] += prefix[b, hi] - prefix[b, lo]
-        del prefix, keys   # free this level before the next is built
-        left, right = (left + use_left) // 2, (right - use_right) // 2
-        live = left < right
+    live = bool(np.any(left < right))
+    while live:
+        if block > 1:   # merge each pair of sorted blocks under the first one's start
+            level &= ~(block // 2 << shift)
+            for rows in _blocks(level, block):
+                rows.sort(axis=1)
+        for s in range(0, n, QUERY_BLOCK):
+            prefix[s:s + QUERY_BLOCK] = weight[level[s:s + QUERY_BLOCK] & ranks]
+        for rows in _blocks(prefix, block):
+            np.cumsum(rows, axis=1, out=rows)           # block sums of weight by time rank
+        live = False
+        for b in blocks:
+            lb, rb = left[b], right[b]                  # views, advanced in place
+            live_b = lb < rb
+            use_left, use_right = live_b & (lb % 2 == 1), live_b & (rb % 2 == 1)
+            for use, node in ((use_left, lb), (use_right, rb - 1)):
+                q = np.flatnonzero(use)
+                start = node[q].astype(np.int64) * block
+                lo, hi = (np.searchsorted(level, (start << shift) + r[b][q]) for r in (t_lo, t_hi))
+                # the prefix sums are inclusive: none before the block's start
+                out[b][q] += (np.where(hi > start, prefix[hi - 1], 0.0)
+                              - np.where(lo > start, prefix[lo - 1], 0.0))
+            lb[:], rb[:] = (lb + use_left) // 2, (rb - use_right) // 2
+            live = live or bool(np.any(lb < rb))
         block *= 2
     return out.reshape(len(scales), m)
 

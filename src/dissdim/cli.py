@@ -84,6 +84,10 @@ class LadderSpec:
         top = self.delta_max if self.delta_max is not None else domain_width / 8.0
         if not top > 0:
             raise CliError("ladder delta_max must be positive")
+        # the smallest scale first: a count whose tail underflows is refused
+        # before its list is built
+        if not top * self.ratio ** (self.count - 1) > 0:
+            raise CliError(f"the smallest ladder scale underflows to 0 at count {self.count!r}")
         return [top * self.ratio ** k for k in range(self.count)]
 
 

@@ -171,8 +171,12 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # loadtxt warns on an empty body
+                # a row bound lets numpy allocate the records once: one row past
+                # n_rows, so a longer body fails at its line, and no more rows
+                # than the bytes hold (2 or more a column), so a huge count is cheap
                 rows = np.loadtxt(source, dtype, delimiter=sep, comments=None, ndmin=1,
-                                  encoding="latin-1", skiprows=0 if stream else 1)
+                                  encoding="latin-1", skiprows=0 if stream else 1,
+                                  max_rows=min(n_rows + 1, size // (2 * (lead + n_cols)) + 1))
         except ValueError as exc:
             problem = str(exc)
         else:

@@ -8,6 +8,8 @@ of both, where the rounded cell index, the sweep's bisection and the rounded
 membership test could disagree.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,68 @@ class TestCellListOracle:
         want_masses, want_counts = all_pairs(mu, centers, 1.0, 1.0)
         assert np.array_equal(counts[0], want_counts)
         assert np.array_equal(got[0], want_masses)
+
+
+def grid_measure(rng, n):
+    """n atoms of a d = 1 measure on the grid of step 1/8 in x and t, so many
+    share an x, a t or both, with weights in {0, 0.25, 1, 3.5}: every partial
+    sum of such weights is exact, so masses compare bit for bit."""
+    x, t = rng.integers(-8, 9, n) / 8.0, rng.integers(0, 9, n) / 8.0
+    return AtomicMeasure(x[:, None], t, rng.choice([0.0, 0.25, 1.0, 3.5], n))
+
+
+class TestSweep:
+    """The d = 1 sweep answers its queries QUERY_BLOCK at a time."""
+
+    # the atom counts 2**k and 2**k + 1 fill the merge-sort tree's last block
+    # exactly or with one atom; scales 1/4 and 1/8 put grid atoms on the
+    # boundary of grid-centred cylinders
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65])
+    @pytest.mark.parametrize("query_block", [1, 3, 64])
+    def test_blocks_of_queries_match_all_pairs_exactly(self, n, query_block, monkeypatch):
+        rng = np.random.default_rng(n)
+        mu = grid_measure(rng, n)
+        centers = np.vstack([am.as_point_array(mu), rng.integers(-9, 10, (40, 2)) / 8.0,
+                             rng.uniform(-1.1, 1.1, (10, 2))])
+        monkeypatch.setattr(am, "QUERY_BLOCK", query_block)
+        deltas = [0.5, 0.3, 0.25, 0.125]
+        got = am._masses(mu, centers, deltas, 2.0)
+        for row, delta in enumerate(deltas):
+            assert np.array_equal(got[row], all_pairs(mu, centers, delta, 2.0)[0])
+
+    def test_more_queries_than_one_block(self):
+        rng = np.random.default_rng(7)
+        mu = grid_measure(rng, 65)
+        centers = rng.integers(-9, 10, (6000, 2)) / 8.0
+        deltas = [0.5, 0.25, 0.125]
+        assert len(deltas) * len(centers) > am.QUERY_BLOCK
+        got = am._masses(mu, centers, deltas, 1.0)
+        for row, delta in enumerate(deltas):
+            assert np.array_equal(got[row], all_pairs(mu, centers, delta, 1.0)[0])
+
+    # traced bytes: 28 per atom and 24 per query (four int32 range ends and
+    # the float64 mass) plus the temporaries of one block of queries.  Holding
+    # every query's bisection and search arrays at once, as an unblocked sweep
+    # does, takes about 100 B per query and 48 per atom.
+    @pytest.mark.parametrize("n, m", [(2 ** 17 + 1, 256), (20000, 20000)])
+    def test_memory_is_bounded_per_atom_and_per_query(self, n, m):
+        rng = np.random.default_rng(1)
+        mu = AtomicMeasure(rng.random((n, 1)), rng.random(n), rng.random(n))
+        centers = rng.random((m, 2))
+        deltas = [0.1 * 0.5 ** k for k in range(6)]
+        tracemalloc.start()
+        try:
+            am._masses(mu, centers, deltas, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n + 28 * len(deltas) * m + 64 * am.QUERY_BLOCK
+
+    def test_too_many_atoms_for_int32_ranks(self):
+        class Huge:
+            n_atoms, d = 2 ** 31, 1
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            am._masses(Huge(), np.zeros((1, 2)), [0.5], 1.0)
 
 
 @st.composite

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,26 @@ def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     assert data["schema"] == "dissdim/1"
     assert data["error"]["type"] in ("ValueError", "CliError")
 
+
+
+@pytest.mark.parametrize("command", ["dimension", "verify"])
+def test_a_huge_count_is_refused_before_its_ladder_is_built(command, tmp_path, capsys):
+    # 0.5 ** (10**12 - 1) underflows to 0: the list of 10**12 scales is never built
+    datum = fx.RiemannDatum(1.0, -1.0)
+    path = str(tmp_path / command)
+    if command == "verify":
+        dio.write_field(path, fx.burgers_entropy_solution(datum, -1.0, 1.0, 17, 1.0, 9))
+    else:
+        dio.write_measure(path, fx.burgers_dissipation_measure(datum, 1.0, 16))
+    tracemalloc.start()
+    try:
+        code, data = run_json([command, "--input", path, "--count", str(10 ** 12)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert data["error"]["type"] == "CliError"
+    assert peak < 2 ** 20
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, shock_files):
