@@ -88,7 +88,15 @@ class LadderSpec:
         # before its list is built
         if not top * self.ratio ** (self.count - 1) > 0:
             raise CliError(f"the smallest ladder scale underflows to 0 at count {self.count!r}")
-        return [top * self.ratio ** k for k in range(self.count)]
+        # one scale at a time, so that a ratio whose scales round onto each
+        # other is refused at the first repeat, not after the whole list
+        scales = [top]
+        for k in range(1, self.count):
+            scales.append(top * self.ratio ** k)
+            if not scales[-1] < scales[-2]:
+                raise CliError(f"scales must be strictly decreasing: scale {k} = {scales[-1]!r}"
+                               f" is not below scale {k - 1} = {scales[-2]!r}")
+        return scales
 
 
 def _emit(payload: dict) -> None:

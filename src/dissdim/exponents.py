@@ -161,8 +161,8 @@ def _report(terms, alpha, regime, convention, cls=None, d=None, q=None, r=None, 
 
 
 def _check_alpha(alpha):
-    if not alpha > 0:
-        raise RegimeError(f"alpha must be positive, got {alpha!r}")
+    if not 0 < alpha < math.inf:
+        raise RegimeError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@ it gets the open file as a text stream instead, which it reads line by line.
 Only a body that fails is read again line by line, to name the first bad
 line.
 
-A read holds each body in memory once.  A binary body is read straight into
-one read-only (rows, columns) float64 array, which the returned object's
-arrays view.  A text body is parsed into one record per row: the leading t
-and x columns as float32, still parsed and so still checked, and the values
-as float64, which the returned field views.  The writers gather one time
+A read holds each body in memory once, as one (rows, columns) float64 array
+that the returned object's arrays view; a binary body is read straight into
+it, read-only.  A text body is parsed into it as one record of 8 bytes per
+value: the leading t and x columns of a field, still parsed and so still
+checked, go as float32 into the bytes of the row's first value, which numpy
+converts after them and so writes over them.  The writers gather one time
 slice (or 4096 measure rows) at a time and write a binary block from the
 array's own buffer, so a write makes no copy of the whole body.
 """
@@ -131,9 +132,10 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     ``token`` is the header's body token (None when absent).  ``text`` is
     the text layout ``(sep, lead)``: the column separator (None for
     whitespace) and the count of leading columns to drop; None when this
-    file has no text body.  A text body is parsed into one record per row,
-    the lead columns as float32 and the rest as float64, and the float64
-    part is returned as a strided view: 4 * lead + 8 * n_cols bytes per row.
+    file has no text body.  Either body kind is returned as one C-contiguous
+    float64 array.  A text body is parsed into one record of 8 * n_cols
+    bytes per row: the lead columns, as float32, overlap the first value,
+    which numpy converts after them and so writes over them.
     """
     start = fh.tell()
     size = os.fstat(fh.fileno()).st_size - start
@@ -156,9 +158,11 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     if text is None:
         raise MalformedFileError(f"{path}: a text body is only defined for d = 1", line=1)
     sep, lead = text
-    # one record per row: the dropped lead columns as float32, which numpy parses
-    # (and so checks) as float64 and then casts, beside the float64 body columns
-    dtype = np.dtype([("lead", "<f4", (lead,)), ("body", "<f8", (n_cols,))])
+    # one record per row, the float64 values at offset 0; numpy parses (and so
+    # checks) each dropped lead column into float32 bytes that the values,
+    # converted next in field order, overwrite
+    dtype = np.dtype({"names": ["lead", "body"], "formats": [("<f4", (lead,)), ("<f8", (n_cols,))],
+                      "offsets": [0, 0], "itemsize": 8 * n_cols})
     problem = "a non-ASCII byte or a CR outside a CRLF"
     if _plain_text(fh):
         # numpy would decompress a path with these suffixes; the open handle it reads as it stands

@@ -19,9 +19,13 @@ def run_cli(args, capsys):
     return code, out
 
 
+def not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def run_json(args, capsys):
     code, out = run_cli(args, capsys)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=not_json)
 
 
 class TestExponentsCommand:
@@ -419,6 +423,10 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
      "--count", "3", "--nu", "1e-3"],
     ["verify", "--center", "0.0:0.5", "--delta-max", "0.125", "--ratio", "1e-100",
      "--count", "3"],
+    # an infinite alpha gives NaN and -inf terms, which JSON cannot carry
+    ["exponents", "--regime", "euler", "--d", "3", "--q", "3", "--r", "3", "--alpha", "inf"],
+    ["exponents", "--regime", "euler", "--d", "3", "--q", "3", "--r", "3", "--alpha", "1e400"],
+    ["exponents", "--regime", "ns", "--d", "3", "--q", "3", "--r", "3", "--alpha", "inf"],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files
@@ -427,7 +435,10 @@ def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     code, data = run_json(argv, capsys)
     assert code == 2
     assert data["schema"] == "dissdim/1"
-    assert data["error"]["type"] in ("ValueError", "CliError")
+    if argv[0] == "exponents":
+        assert data["error"]["type"] == "RegimeError"
+    else:
+        assert data["error"]["type"] in ("ValueError", "CliError")
 
 
 
@@ -449,6 +460,24 @@ def test_a_huge_count_is_refused_before_its_ladder_is_built(command, tmp_path, c
     assert code == 2
     assert data["error"]["type"] == "CliError"
     assert peak < 2 ** 20
+
+
+def test_a_ladder_is_refused_at_its_first_repeated_scale(shock_files, capsys):
+    # on the shock measure, 1 - 2**-53 rounds scale 1025 onto scale 1024: the other
+    # 998,975 of the 10**6 scales are never built
+    _, measure_path = shock_files
+    tracemalloc.start()
+    try:
+        code, data = run_json(["dimension", "--input", measure_path, "--ratio",
+                               "0.9999999999999999", "--count", str(10 ** 6)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert data["error"]["type"] == "CliError"
+    assert data["error"]["message"].startswith("scales must be strictly decreasing: scale 1025 ")
+    assert peak < 2 ** 20
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, shock_files):

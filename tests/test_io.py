@@ -359,18 +359,22 @@ class TestBodyCodec:
     def test_a_text_read_holds_its_body_at_final_size(self, tmp_path):
         nx, nt = 2049, 101
         rng = np.random.default_rng(5)
-        field = GriddedField(1, -1.0, 1.0, nx, 1.0, nt, rng.standard_normal((nt, nx, 1)))
-        dio.write_field(tmp_path / "f", field, binary=False)
-        tracemalloc.start()
-        try:
-            back = dio.read_field(tmp_path / "f")
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        final = (4 * 2 + 8 * 1 + 1) * nx * nt   # float32 t and x, float64 u, 1 B spare
-        assert held <= final
-        assert peak <= 1.05 * final
-        assert bits(back.u) == bits(field.u)
+        for extra in ((), ("p", "theta")):
+            field = GriddedField(1, -1.0, 1.0, nx, 1.0, nt, rng.standard_normal((nt, nx, 1)),
+                                 **{name: rng.standard_normal((nt, nx)) for name in extra})
+            dio.write_field(tmp_path / "f", field, binary=False)
+            tracemalloc.start()
+            try:
+                back = dio.read_field(tmp_path / "f")
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # float64 values, with t and x parsed into the first one's bytes; 1 B spare
+            final = (8 * (1 + len(extra)) + 1) * nx * nt
+            assert held <= final
+            assert peak <= 1.05 * final
+            for name in ("u", *extra):
+                assert bits(getattr(back, name)) == bits(getattr(field, name))
 
 
 def percent_rows(rows, sep, lead=()):
@@ -402,6 +406,37 @@ def slices(draw, n_rows, n_cols, finite=True):
     flat = draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols,
                          unique_by=(lambda v: bits([v])) if kind == "distinct" else None))
     return np.array(flat, dtype=float).reshape(n_rows, n_cols)
+
+
+# t and x tokens parse to float32 bytes unlike the value's: signed zeros, subnormals,
+# magnitudes past float32's range, and any token that parses as a float64
+LEAD_TOKENS = st.one_of(
+    st.sampled_from([repr(float(v)) for v in EDGES]
+                    + ["1e39", "-1e39", "1e-50", "-1e-50", "3.4028236e38", "1e400"]),
+    st.floats().map(repr))
+
+
+class TestTextRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 8), n_cols=st.integers(1, 3))
+    def test_the_values_read_back_over_the_dropped_columns(self, tmp_path_factory, data,
+                                                           n_rows, n_cols):
+        """t and x are parsed into the first value's bytes, which that value then
+        overwrites: u, p and theta read back bit for bit into one C-contiguous
+        array whatever t and x hold, as long as numpy converts a row in column order."""
+        values = data.draw(slices(n_rows, n_cols))
+        lead = data.draw(st.lists(st.tuples(LEAD_TOKENS, LEAD_TOKENS),
+                                  min_size=n_rows, max_size=n_rows))
+        path = tmp_path_factory.mktemp("records") / "f"
+        path.write_bytes(b"header\n" + "".join(
+            ",".join([t, x, *map(repr, row)]) + "\n"
+            for (t, x), row in zip(lead, values.tolist())).encode("ascii"))
+        with open(path, "rb") as fh:
+            fh.readline()
+            rows = dio._read_rows(fh, path, "text", n_rows, n_cols, (",", 2))
+        assert rows.shape == (n_rows, n_cols) and rows.dtype == np.float64
+        assert rows.flags.c_contiguous
+        assert bits(rows) == bits(values)
 
 
 class TestTextWriter:
