@@ -40,9 +40,10 @@ tree with sorted lists at its nodes) answers every (scale, center) query:
   block's mass.
 * Memory.  The sweep holds one level of the tree at a time, in place: an
   int64 key per atom (its block's first index above its time rank), which
-  a row sort merges into the next level, and the blocks' prefix sums, about
-  28 bytes per atom at the peak rather than the O(atoms log atoms) of the
-  whole tree.  Queries are answered QUERY_BLOCK at a time, so a (scale,
+  a row sort merges into the next level, the blocks' prefix sums, and the
+  atom of each time rank (int32), through which the sums read the weights:
+  about 20 bytes per atom at the peak rather than the O(atoms log atoms) of
+  the whole tree.  Queries are answered QUERY_BLOCK at a time, so a (scale,
   center) query keeps only its two index ranges (int32) and its mass, 24
   bytes.  It takes O((atoms + queries) log atoms) time; a measure of 2**31
   atoms or more raises ValueError.
@@ -422,10 +423,9 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
     by_x = by_x.astype(np.int32)
     by_t = np.argsort(mu.times, kind="stable")
     t_lo, t_hi = member_ranges(mu.times[by_t], 1, th, lambda t, c, r: np.abs(t - c) < r)
-    weight = mu.weights[by_t]                           # weight by time rank
+    by_t = by_t.astype(np.int32)                        # atom of each time rank
     rank = np.empty(n, dtype=np.int32)
     rank[by_t] = np.arange(n, dtype=np.int32)           # time rank of each atom
-    del by_t
     rank = rank[by_x]                                   # in x order
     del by_x
 
@@ -448,7 +448,7 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
             for rows in _blocks(level, block):
                 rows.sort(axis=1)
         for s in range(0, n, QUERY_BLOCK):
-            prefix[s:s + QUERY_BLOCK] = weight[level[s:s + QUERY_BLOCK] & ranks]
+            prefix[s:s + QUERY_BLOCK] = mu.weights[by_t[level[s:s + QUERY_BLOCK] & ranks]]
         for rows in _blocks(prefix, block):
             np.cumsum(rows, axis=1, out=rows)           # block sums of weight by time rank
         live = False

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,6 +168,8 @@ def cmd_dimension(args) -> int:
         raise CliError(f"--sample-centers must be at least 1, got {args.sample_centers!r}")
     if args.sample_centers is None and args.seed is not None:
         raise CliError("--seed has no effect without --sample-centers")
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed!r}")
     mu = dio.read_measure(args.input)
     points = mu.support_points()
     if points.shape[0] == 0:
@@ -179,10 +182,10 @@ def cmd_dimension(args) -> int:
     ladder_s = args.s if args.s is not None else 0.0
     centers = None
     if args.sample_centers is not None:
-        rng = np.random.default_rng(args.seed or 0)
-        idx = rng.choice(points.shape[0], size=min(args.sample_centers, points.shape[0]),
-                         replace=False)
-        centers = points[np.sort(idx)]
+        n = points.shape[0]
+        idx = random.Random(args.seed or 0).sample(range(n), min(args.sample_centers, n))
+        centers = points[sorted(idx)]
+    del points   # the ladder holds its own arrays, not a second copy of the support
     ladder = density_ladder(mu, args.alpha, ladder_s, scales, centers=centers)
     certified, verdict = certify_lower_bound(ladder)
 

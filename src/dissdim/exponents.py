@@ -75,9 +75,24 @@ def _convention(q, r):
     return ",".join(f"{name}=inf" for name, p in (("q", q), ("r", r)) if _is_inf(p)) or "finite"
 
 
+def _as_float(name, x) -> float:
+    """x as a float64; RegimeError for an int or fraction beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise RegimeError(f"{name} does not fit a float64, got {x!r}") from None
+
+
 def _check_finite_or_inf(name, x):
     if x == -math.inf or (isinstance(x, float) and math.isnan(x)):
         raise RegimeError(f"{name} must be a real number or +inf, got {x!r}")
+    _as_float(name, x)
+
+
+def _check_dimension(d):
+    if not isinstance(d, int) or d < 1:
+        raise RegimeError(f"spatial dimension d must be an integer >= 1, got {d!r}")
+    _as_float("d", d)
 
 
 @dataclass(frozen=True)
@@ -94,8 +109,7 @@ class IntegrabilityClass:
     r: object = math.inf
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise RegimeError(f"spatial dimension d must be an integer >= 1, got {self.d!r}")
+        _check_dimension(self.d)
         for name, value in (("q", self.q), ("r", self.r)):
             _check_finite_or_inf(name, value)
             if value < 3:
@@ -143,6 +157,11 @@ def _json_number(x):
 
 
 def _report(terms, alpha, regime, convention, cls=None, d=None, q=None, r=None, **flags):
+    """The report of the minimum term; RegimeError where a term overflows to
+    a non-finite value or beyond the float range, which JSON cannot carry."""
+    for label, val in terms:
+        if not math.isfinite(_as_float(label, val)):
+            raise RegimeError(f"term {label} is not finite ({val!r}): the inputs overflow a float64")
     s = min(val for _, val in terms)
     if cls is not None:
         d, q, r = cls.d, cls.q, cls.r
@@ -163,6 +182,7 @@ def _report(terms, alpha, regime, convention, cls=None, d=None, q=None, r=None, 
 def _check_alpha(alpha):
     if not 0 < alpha < math.inf:
         raise RegimeError(f"alpha must be positive and finite, got {alpha!r}")
+    _as_float("alpha", alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +268,7 @@ def conservation_law_exponent(d: int, r) -> ExponentReport:
     Isotropic (alpha = 1); s = d at r = inf and s = 0 at the lower endpoint
     r = (d+1)/d, below which the formula would go negative and is rejected.
     """
-    if not isinstance(d, int) or d < 1:
-        raise RegimeError(f"spatial dimension d must be an integer >= 1, got {d!r}")
+    _check_dimension(d)
     _check_finite_or_inf("r", r)
     if r * d < d + 1:
         raise RegimeError(f"r must satisfy r >= (d+1)/d, got r = {r!r} for d = {d}")
@@ -349,8 +368,7 @@ def forcing_admissible(d: int, alpha, s, m, l) -> bool:
 
     True iff d*(l-1)/l + alpha*(m-1)/m >= s, with (x-1)/x -> 1 as x -> inf.
     """
-    if not isinstance(d, int) or d < 1:
-        raise RegimeError(f"spatial dimension d must be an integer >= 1, got {d!r}")
+    _check_dimension(d)
     _check_alpha(alpha)
     for name, value in (("m", m), ("l", l)):
         _check_finite_or_inf(name, value)

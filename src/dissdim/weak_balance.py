@@ -549,7 +549,10 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         if not value >= 3:
             raise ValueError(f"{name} must satisfy {name} >= 3, got {value!r}")
     # a Fraction would turn every norm into object-dtype arithmetic
-    q, r = float(q), float(r)
+    try:
+        q, r = float(q), float(r)
+    except OverflowError:
+        raise ValueError(f"q and r must fit a float64, got q={q!r}, r={r!r}") from None
     if pair is None:
         pair = EULER_ENERGY_PAIR if field.p is not None else BURGERS_PAIR
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,8 @@ import pytest
 
 from dissdim import io as dio
 from dissdim import fixtures as fx
+from dissdim import cli
+from dissdim.aniso_measure import AtomicMeasure
 from dissdim.cli import main
 
 
@@ -154,14 +157,29 @@ class TestDimensionCommand:
         assert "line" in data["error"]["message"]
 
 
+def few_heavy_atoms(d):
+    """4,096 light atoms on a lattice in (0, 1)^(d+1), 32 of them heavy with
+    distinct weights: a sampled sup depends on which centers are drawn, where
+    on a lattice measure every draw gives the same sup."""
+    side = round(4096 ** (1 / (d + 1)))
+    axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * (d + 1), indexing="ij")
+    points = np.column_stack([a.ravel() for a in axes])
+    weights = np.full(len(points), 1e-3)
+    weights[np.arange(32) * 127] = np.arange(1.0, 33.0)
+    return AtomicMeasure(points[:, :-1], points[:, -1], weights)
+
+
 @pytest.fixture(scope="module")
 def spatial_measure_files(tmp_path_factory):
-    """d >= 2 measure files, whose density ladder runs the cell list."""
+    """Measure files for the density-ladder oracle: d >= 2 runs the cell
+    list, d = 1 the merge-sort-tree sweep."""
     base = tmp_path_factory.mktemp("spatial")
     slab = fx.time_singular_measure_fixture(2, 64 ** 2, lattice=True)
     paths = {}
     for name, mu, binary in (("slab-binary", slab, True), ("slab-text", slab, False),
-                             ("grid-3d", fx.grid_measure(3, 8, 8), True)):
+                             ("grid-3d", fx.grid_measure(3, 8, 8), True),
+                             ("heavy-1d", few_heavy_atoms(1), True),
+                             ("heavy-2d", few_heavy_atoms(2), True)):
         paths[name] = str(base / f"{name}.measure")
         dio.write_measure(paths[name], mu, binary=binary)
     return paths
@@ -181,7 +199,8 @@ def sup_densities(mu, centers, scales, s):
 
 
 class TestDimensionOnSpatialMeasures:
-    @pytest.mark.parametrize("name", ["slab-binary", "slab-text", "grid-3d"])
+    @pytest.mark.parametrize("name", ["slab-binary", "slab-text", "grid-3d",
+                                      "heavy-1d", "heavy-2d"])
     @pytest.mark.parametrize("sample", [[], ["--sample-centers", "64", "--seed", "3"]])
     def test_densities_match_all_pairs(self, spatial_measure_files, name, sample, capsys):
         path = spatial_measure_files[name]
@@ -189,12 +208,32 @@ class TestDimensionOnSpatialMeasures:
                                "--count", "4"] + sample, capsys)
         assert code == 0
         mu = dio.read_measure(path)
-        centers = mu.support_points()
+        support = centers = mu.support_points()
         if sample:   # the draw of --sample-centers 64 --seed 3
-            idx = np.random.default_rng(3).choice(len(centers), size=64, replace=False)
-            centers = centers[np.sort(idx)]
+            centers = support[sorted(random.Random(3).sample(range(len(support)), 64))]
         want = sup_densities(mu, centers, data["scales"], 2.0)
         assert data["densities"] == pytest.approx(want, rel=1e-12)
+        if sample and name.startswith("heavy"):   # these 64 centers miss the heaviest atoms
+            every = sup_densities(mu, support, data["scales"], 2.0)
+            assert want != pytest.approx(every, rel=1e-12)
+
+    def test_the_drawn_centers(self, tmp_path, capsys, monkeypatch):
+        """The draw of --sample-centers 5 --seed 3 over 100 support atoms, as
+        literals, so that every supported Python shows the same indices."""
+        path = str(tmp_path / "line.measure")
+        dio.write_measure(path, AtomicMeasure(np.arange(100.0)[:, None], np.zeros(100),
+                                              np.ones(100)))
+        drawn, ladder = [], cli.density_ladder
+
+        def spy(mu, *args, centers):
+            drawn.append(centers[:, 0].tolist())   # atom i sits at x = i
+            return ladder(mu, *args, centers=centers)
+
+        monkeypatch.setattr(cli, "density_ladder", spy)
+        code, _ = run_json(["dimension", "--input", path, "--sample-centers", "5",
+                            "--seed", "3"], capsys)
+        assert code == 0
+        assert drawn == [[16.0, 30.0, 47.0, 69.0, 75.0]]
 
 
 class TestVerifyCommand:
@@ -427,6 +466,13 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     ["exponents", "--regime", "euler", "--d", "3", "--q", "3", "--r", "3", "--alpha", "inf"],
     ["exponents", "--regime", "euler", "--d", "3", "--q", "3", "--r", "3", "--alpha", "1e400"],
     ["exponents", "--regime", "ns", "--d", "3", "--q", "3", "--r", "3", "--alpha", "inf"],
+    # 2 alpha overflows to inf, which printed "s": -Infinity with exit 0
+    ["exponents", "--regime", "euler", "--d", "3", "--q", "3", "--r", "3", "--alpha", "1e308"],
+    # an integer alpha beyond the float range, which raised OverflowError (exit 1)
+    ["exponents", "--regime", "ns", "--d", "3", "--q", "3", "--r", "3", "--alpha",
+     "1" + "0" * 400],
+    ["exponents", "--regime", "claw", "--d", "1", "--r", "1" + "0" * 400],
+    ["verify", "--q", "1" + "0" * 400],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files
@@ -479,25 +525,48 @@ def test_a_ladder_is_refused_at_its_first_repeated_scale(shock_files, capsys):
     assert peak < 2 ** 20
 
 
+def test_a_negative_seed_is_refused(shock_files, capsys):
+    code, data = run_json(["dimension", "--input", shock_files[1], "--sample-centers", "4",
+                           "--seed", "-3"], capsys)
+    assert code == 2
+    assert data["error"] == {"type": "CliError", "message": "--seed must be non-negative, got -3"}
+
+
 class TestDeterminism:
-    def test_byte_identical_reruns(self, shock_files):
-        _, measure_path = shock_files
+    @staticmethod
+    def rerun(measure_path, *flags):
         cmd = [sys.executable, "-m", "dissdim.cli", "dimension", "--input",
-               measure_path, "--alpha", "1", "--delta-max", "0.125", "--count", "6"]
+               measure_path, "--alpha", "1", "--delta-max", "0.125", "--count", "6", *flags]
         first = subprocess.run(cmd, capture_output=True)
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_byte_identical_reruns(self, shock_files):
+        self.rerun(shock_files[1])
+
+    def test_byte_identical_sampled_reruns(self, shock_files):
+        self.rerun(shock_files[1], "--sample-centers", "16", "--seed", "5")
 
     def test_missing_file_exit_2(self, capsys):
         code, data = run_json(["dimension", "--input", "/does/not/exist"], capsys)
         assert code == 2
 
 
-def test_the_cli_loads_only_the_standard_library_and_numpy():
+def test_the_cli_loads_only_the_standard_library_and_numpy(shock_files):
     """numpy is the one dependency pyproject.toml declares; another package
-    that happens to be installed (scipy, say) must not be imported."""
+    that happens to be installed (scipy, say) must not be imported.  A
+    sampled dimension run draws its centers with the standard library's
+    random, so it loads neither numpy.random nor OpenSSL's _hashlib."""
     code = ("import sys; before = set(sys.modules); import dissdim.cli; "
             "print(*{name.split('.')[0] for name in set(sys.modules) - before})")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert set(run.stdout.split()) - set(sys.stdlib_module_names) == {"dissdim", "numpy"}
+
+    code = ("import sys; from dissdim.cli import main; "
+            f"code = main(['dimension', '--input', {shock_files[1]!r}, "
+            "'--sample-centers', '16', '--seed', '1']); "
+            "print(code, *sorted({'numpy.random', '_hashlib'} & set(sys.modules)), "
+            "file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stderr.split() == ["0"]

@@ -268,6 +268,43 @@ class TestForcingAdmissible:
             ex.forcing_admissible(3, 1, 3, F(1, 2), INF)
 
 
+class TestFloatRange:
+    """Reports are JSON numbers: inputs beyond a float64, and terms that
+    overflow to infinity, are rejected rather than printed or raised as
+    OverflowError."""
+
+    BIG = 10 ** 400
+
+    @pytest.mark.parametrize("make", [
+        lambda b: ex.euler_exponent(ex.IntegrabilityClass(3, 3, 3), b),
+        lambda b: ex.navier_stokes_exponent(ex.IntegrabilityClass(3, 3, 3), b),
+        lambda b: ex.euler_exponent(ex.IntegrabilityClass(3, 3, 3), F(b, 3)),
+        lambda b: ex.euler_optimal(ex.IntegrabilityClass(3, b, 3)),
+        lambda b: ex.euler_optimal(ex.IntegrabilityClass(3, 3, b)),
+        lambda b: ex.euler_optimal(ex.IntegrabilityClass(b, INF, INF)),
+        lambda b: ex.conservation_law_exponent(1, b),
+        lambda b: ex.conservation_law_exponent(b, 3),
+        lambda b: ex.forcing_admissible(3, b, 3, 2, 2),
+    ], ids=["euler-alpha", "ns-alpha", "fraction-alpha", "q", "r", "d", "claw-r", "claw-d",
+            "forcing-alpha"])
+    def test_inputs_beyond_a_float64(self, make):
+        with pytest.raises(ex.RegimeError, match="does not fit a float64"):
+            make(self.BIG)
+
+    @pytest.mark.parametrize("exponent", [ex.euler_exponent, ex.navier_stokes_exponent])
+    def test_a_term_that_overflows(self, exponent):
+        # 2 alpha / q: alpha * 2 overflows to inf before the division
+        with pytest.raises(ex.RegimeError, match="time_cutoff is not finite"):
+            exponent(ex.IntegrabilityClass(3, 3, 3), 1e308)
+
+    def test_the_largest_inputs_that_fit(self):
+        # the same alpha as an exact integer: 2 alpha / 3 stays in range
+        rep = ex.euler_exponent(ex.IntegrabilityClass(3, 3, 3), 10 ** 308)
+        assert [t["value"] for t in rep.to_json_dict()["terms"]] == [1 - 2 * 10 ** 308 / 3, -1.0]
+        # q, r = 10**308: s = 3 - O(10**-308), which rounds to 3
+        assert ex.euler_optimal(ex.IntegrabilityClass(3, 10 ** 308, 10 ** 308)).s == 3.0
+
+
 class TestPurity:
     def test_bit_identical_reruns(self):
         a = ex.euler_optimal(ex.IntegrabilityClass(3, 7.0, 11.0))
