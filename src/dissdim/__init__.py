@@ -42,7 +42,7 @@ from .aniso_measure import (
 )
 from .cutoffs import CutoffPair, SpaceTimeTestFunction, SpatialTestFunction
 from .errors import VerificationError
-from .fields import GriddedField, SpatialVectorField
+from .fields import GriddedField
 from .weak_balance import (
     EntropyPair,
     BURGERS_PAIR,

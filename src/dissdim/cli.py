@@ -44,7 +44,10 @@ class CliError(ValueError):
 
 
 def _parse_number(text: str):
-    """Extended-real CLI numbers: 'inf', integers, fractions 'a/b', decimals."""
+    """Extended-real CLI numbers: 'inf', integers, fractions 'a/b', decimals.
+
+    A decimal beyond the float64 range (1e400) stays the exact Fraction, so
+    it is refused where too large exactly as its 401-digit integer is."""
     text = text.strip()
     if text in ("inf", "Inf", "INF"):
         return math.inf
@@ -53,7 +56,10 @@ def _parse_number(text: str):
             return Fraction(text)
         if "." not in text and "e" not in text and "E" not in text:
             return int(text)
-        return float(text)
+        value = float(text)
+        if math.isinf(value) and "inf" not in text.lower():
+            return Fraction(text)
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse number {text!r}: {exc}")
 

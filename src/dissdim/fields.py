@@ -1,12 +1,17 @@
-"""Uniform space-time grids carrying velocity (and optional pressure/scalar) samples."""
+"""Uniform space-time grids carrying velocity (and optional pressure/scalar) samples.
+
+``GriddedField`` is the one grid type.  A time-independent vector field V(x)
+is a steady GriddedField: nt = 2 (T = 1, say) whose two time rows are one
+array, e.g. ``np.broadcast_to(v, (2,) + v.shape)``, which costs no copy.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GriddedField", "SpatialVectorField", "all_finite", "component_dot"]
+__all__ = ["GriddedField", "all_finite", "component_dot"]
 
 
 def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -41,13 +46,20 @@ def _trapezoid_weights(step: float, n: int) -> np.ndarray:
 
 
 @dataclass
-class _NodeGrid:
-    """The spatial node grid x_i = a + i*h on [a, b]^d, h = (b-a)/(nx-1)."""
+class _SpaceTimeGrid:
+    """The node grid x_i = a + i*h on [a, b]^d, h = (b-a)/(nx-1), crossed with
+    the time nodes t_k = k*dt on [0, T], dt = T/(nt-1).
+
+    Constructing one checks a, b, nx, T and nt, so callers build their axes
+    from it only once the grid is known to be finite.
+    """
 
     d: int
     a: float
     b: float
     nx: int
+    T: float
+    nt: int
 
     def __post_init__(self):
         if self.d < 1 or self.nx < 2:
@@ -59,6 +71,13 @@ class _NodeGrid:
         if not np.all(np.isfinite(ends)):
             raise ValueError("grid spacing or end node overflows: need finite h "
                              "and axis end node")
+        if self.nt < 2 or not self.T > 0:
+            raise ValueError("need nt >= 2 and T > 0")
+        with np.errstate(over="ignore"):
+            ends = [self.dt, self.dt * (self.nt - 1)]
+        if not np.all(np.isfinite(ends)):
+            raise ValueError("time step or end node overflows: need finite dt "
+                             "and time end node")
 
     @property
     def h(self) -> float:
@@ -67,6 +86,14 @@ class _NodeGrid:
     @property
     def x_axis(self) -> np.ndarray:
         return self.a + self.h * np.arange(self.nx)
+
+    @property
+    def dt(self) -> float:
+        return self.T / (self.nt - 1)
+
+    @property
+    def t_axis(self) -> np.ndarray:
+        return self.dt * np.arange(self.nt)
 
     def spatial_mesh(self) -> np.ndarray:
         """Node coordinates as an array of shape (nx, ..., nx, d)."""
@@ -80,36 +107,6 @@ class _NodeGrid:
         for _ in range(self.d - 1):
             out = np.multiply.outer(out, wx)
         return out
-
-
-@dataclass
-class _SpaceTimeGrid(_NodeGrid):
-    """The node grid crossed with the time nodes t_k = k*dt on [0, T], dt = T/(nt-1).
-
-    Constructing one checks a, b, nx, T and nt, so callers build their axes
-    from it only once the grid is known to be finite.
-    """
-
-    T: float
-    nt: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.nt < 2 or not self.T > 0:
-            raise ValueError("need nt >= 2 and T > 0")
-        with np.errstate(over="ignore"):
-            ends = [self.dt, self.dt * (self.nt - 1)]
-        if not np.all(np.isfinite(ends)):
-            raise ValueError("time step or end node overflows: need finite dt "
-                             "and time end node")
-
-    @property
-    def dt(self) -> float:
-        return self.T / (self.nt - 1)
-
-    @property
-    def t_axis(self) -> np.ndarray:
-        return self.dt * np.arange(self.nt)
 
 
 @dataclass
@@ -158,25 +155,4 @@ class GriddedField(_SpaceTimeGrid):
             for axis in range(self.d):
                 g = np.gradient(self.u[..., comp], self.h, axis=1 + axis)
                 out += g ** 2
-        return out
-
-
-@dataclass
-class SpatialVectorField(_NodeGrid):
-    """A d-dimensional vector field sampled on the node grid of [a, b]^d."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        expected = (self.nx,) * self.d + (self.d,)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != expected:
-            raise ValueError(f"values have shape {self.values.shape}, expected {expected}")
-
-    def divergence(self) -> np.ndarray:
-        """Finite-difference divergence on the grid."""
-        out = np.zeros(self.values.shape[:-1])
-        for axis in range(self.d):
-            out += np.gradient(self.values[..., axis], self.h, axis=axis)
         return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .aniso_measure import AtomicMeasure
-from .fields import GriddedField, SpatialVectorField, _NodeGrid, _SpaceTimeGrid
+from .fields import GriddedField, _SpaceTimeGrid
 
 __all__ = [
     "NumericalError",
@@ -97,10 +97,11 @@ def power_law_ball_mass(field: PowerLawField, delta: float) -> float:
     return field.c_d * delta ** field.eps
 
 
-def power_law_vector_field(field: PowerLawField, a: float, b: float, nx: int) -> SpatialVectorField:
-    """Grid samples of the power-law field; use an even nx so no node hits 0."""
-    mesh = _NodeGrid(field.d, a, b, nx).spatial_mesh()
-    return SpatialVectorField(field.d, a, b, nx, field.value(mesh))
+def power_law_vector_field(field: PowerLawField, a: float, b: float, nx: int) -> GriddedField:
+    """The power-law field as a steady GriddedField (nt = 2, T = 1, both rows
+    one array); use an even nx so no node hits 0."""
+    v = field.value(_SpaceTimeGrid(field.d, a, b, nx, 1.0, 2).spatial_mesh())
+    return GriddedField(field.d, a, b, nx, 1.0, 2, np.broadcast_to(v, (2,) + v.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Weak-form energy/entropy balances tested against cutoffs on gridded fields.
 
-Every pairing below is one trapezoid quadrature over the field's nodes,
+Every balance below is one trapezoid quadrature over the field's nodes,
 made by the kernel ``_pairing``; cutoff and test-function derivatives are
 analytic, field derivatives (only ever needed for the viscous gradient
 density) are centered differences.  The kernel works only on the index box
@@ -21,7 +21,9 @@ t = T returns its interior mass, its terminal term and the viscous gradient
 mass from that one walk.  The kernel alone knows a cutoff's cylinder: it
 runs the margin check, builds the delta-ball, 2*delta-collar and time masks
 once, and returns them with the weak mass, the nu*|grad u|^2 masses and the
-per-row norms of |u| that the Hoelder bound multiplies.
+per-row norms of |u| that the Hoelder bound multiplies.  The covering
+estimate pairs a steady field with chi*grad(phi) and phi*grad(chi), neither
+the gradient of one test function: it shares only ``_spatial_factors``.
 
 Dissipation is accessed exclusively through test functions: testing the
 balance with a cutoff pair localizing a cylinder gives an upper estimate of
@@ -50,7 +52,7 @@ import numpy as np
 from .aniso_measure import scale_power
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
-from .fields import GriddedField, SpatialVectorField, component_dot
+from .fields import GriddedField, component_dot
 
 __all__ = [
     "MarginError",
@@ -651,13 +653,16 @@ class SignedSupportReport(NamedTuple):
 DEFAULT_DIV_THRESHOLD = 1e-8
 
 
-def signed_support_bound(v_field: SpatialVectorField, covering, phi, r,
+def signed_support_bound(field: GriddedField, covering, phi, r,
                          threshold: float | None = None,
                          enforce_cover: bool = True) -> SignedSupportReport:
     """The two-piece covering estimate for a signed divergence pairing.
 
-    Builds chi = max of per-ball bumps (each 1 on its ball, supported on the
-    doubled ball) and returns
+    V is the steady ``field`` at t = 0 (every time row must equal the first)
+    and each (center, radius) ball of ``covering`` has d finite coordinates
+    and a positive finite radius (ValueError otherwise).  Builds chi = max of
+    per-ball bumps (each 1 on its ball, supported on the doubled ball) and
+    returns
 
         bound_I  = |quadrature of (V . grad phi) chi|
         bound_II = |quadrature of (V . grad chi) phi|
@@ -671,52 +676,58 @@ def signed_support_bound(v_field: SpatialVectorField, covering, phi, r,
     probe them) keep a non-vanishing full pairing no matter how small the
     balls are.
     """
-    d = v_field.d
+    d = field.d
     if not r >= d / (d - 1):
         raise ValueError(f"r must satisfy r >= d/(d-1), got {r!r}")
     if not covering:
         raise ValueError("need at least one covering ball")
-    mesh = v_field.spatial_mesh()
-    div = v_field.divergence()
+    v = field.u[0]
+    if any(not np.array_equal(row, v) for row in field.u[1:]):
+        raise ValueError("need a steady field: every time row must equal the first")
+    bumps = []
+    for c, rad in covering:
+        c, rad = np.asarray(c, dtype=float), float(rad)
+        if not (c.shape == (d,) and np.all(np.isfinite(c)) and 0 < rad < math.inf):
+            raise ValueError(f"a covering ball needs {d} finite center coordinates and a "
+                             f"positive finite radius, got {c!r}, {rad!r}")
+        bumps.append(SpatialBump(tuple(c), rad))
+    div = sum(np.gradient(v[..., i], field.h, axis=i) for i in range(d))
     thr = threshold if threshold is not None else DEFAULT_DIV_THRESHOLD * float(np.abs(div).max())
-
-    centers = [np.asarray(c, dtype=float) for c, _ in covering]
-    radii = [float(rad) for _, rad in covering]
     above = np.abs(div) > thr
-    n_above = int(above.sum())
-    if enforce_cover and n_above:
-        covered = np.zeros_like(above)
-        for c, rad in zip(centers, radii):
-            covered |= np.sum((mesh - c) ** 2, axis=-1) < rad ** 2
-        missing = above & ~covered
-        if missing.any():
-            raise CoverageError(
-                f"{int(missing.sum())} above-threshold cells escape the covering"
-            )
+    del div
 
-    bumps = [SpatialBump(tuple(c), rad) for c, rad in zip(centers, radii)]
-    vals = np.stack([b.value(mesh) for b in bumps])
-    chi = vals.max(axis=0)
-    winner = vals.argmax(axis=0)
-    grad_chi = np.zeros(mesh.shape)
-    for i, b in enumerate(bumps):
-        mask = winner == i
-        if mask.any():
-            grad_chi[mask] = b.gradient(mesh[mask])
+    # phi and each bump evaluated once, on its support box; every term carries
+    # phi or grad phi, so chi and grad chi live on phi's window only
+    mesh = field.spatial_mesh()
+    win, phi_vals, phi_grad = _spatial_factors(field, mesh, phi)[:3]
+    chi, grad_chi = np.zeros(phi_vals.shape), np.zeros(phi_grad.shape)
+    covered, support = np.zeros_like(above), np.zeros_like(above)
+    for b in bumps:
+        box, vals, grad = _spatial_factors(field, mesh, b)[:3]
+        covered[box] |= np.sum((mesh[box] - b.center) ** 2, axis=-1) < b.delta ** 2
+        support[box] |= vals > 0
+        both = [(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(box, win)]
+        if any(i >= j for i, j in both):
+            continue   # the bump vanishes on phi's window
+        on_b, on_w = (tuple(slice(i - s.start, j - s.start) for (i, j), s in zip(both, ref))
+                      for ref in (box, win))
+        chi_w, grad_w, vals = chi[on_w], grad_chi[on_w], vals[on_b]
+        higher = vals > chi_w   # strict: the earlier ball keeps a tie
+        chi_w[higher], grad_w[higher] = vals[higher], grad[on_b][higher]
+    missing = int(np.count_nonzero(above & ~covered)) if enforce_cover else 0
+    if missing:
+        raise CoverageError(f"{missing} above-threshold cells escape the covering")
 
-    w = v_field.spatial_weights()
-    phi_vals = phi.value(mesh)
-    phi_grad = phi.gradient(mesh)
-    v = v_field.values
-    v_dot_gphi = np.einsum("...i,...i->...", v, phi_grad)
-    v_dot_gchi = np.einsum("...i,...i->...", v, grad_chi)
-    bound_i = abs(float(np.sum(w * v_dot_gphi * chi)))
-    bound_ii = abs(float(np.sum(w * v_dot_gchi * phi_vals)))
-    pairing = abs(float(np.sum(w * (v_dot_gphi * chi + v_dot_gchi * phi_vals))))
-    full_pairing = abs(float(np.sum(w * v_dot_gphi)))
-    if pairing > bound_i + bound_ii + DOMINANCE_TOL * (1 + bound_i + bound_ii):
+    w = field.spatial_weights()
+    v_win = v[win]
+    w_gphi = w[win] * component_dot(v_win, phi_grad)               # w V . grad phi
+    w_gchi = w[win] * component_dot(v_win, grad_chi) * phi_vals    # w (V . grad chi) phi
+    bound_i = abs(float(np.sum(w_gphi * chi)))
+    bound_ii = abs(float(np.sum(w_gchi)))
+    pairing = abs(float(np.sum(w_gphi * chi + w_gchi)))
+    full_pairing = abs(float(np.sum(w_gphi)))
+    if not pairing <= bound_i + bound_ii + DOMINANCE_TOL * (1 + bound_i + bound_ii):
         raise VerificationError("triangle inequality failed in the covering estimate")
-
-    support = chi > 0
-    v_norm = _pnorm(np.sqrt(np.sum(v ** 2, axis=-1))[support], w[support], r)
-    return SignedSupportReport(bound_i, bound_ii, pairing, full_pairing, v_norm, n_above)
+    v_norm = _pnorm(np.sqrt(np.sum(v[support] ** 2, axis=-1)), w[support], r)
+    return SignedSupportReport(bound_i, bound_ii, pairing, full_pairing, v_norm,
+                               int(np.count_nonzero(above)))

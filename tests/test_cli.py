@@ -473,6 +473,9 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
      "1" + "0" * 400],
     ["exponents", "--regime", "claw", "--d", "1", "--r", "1" + "0" * 400],
     ["verify", "--q", "1" + "0" * 400],
+    # a decimal beyond float64 is the same number as its integer, not inf
+    ["exponents", "--regime", "euler", "--d", "3", "--q", "1e400", "--r", "inf"],
+    ["verify", "--q", "1e400"],
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dissdim.aniso_measure import SpaceTimePoint
-from dissdim.fields import GriddedField, SpatialVectorField
+from dissdim.fields import GriddedField
 
 
 class TestGriddedField:
@@ -61,20 +61,11 @@ class TestGriddedField:
 
 
 class TestSpatialVectorField:
-    def test_divergence_of_linear_field(self):
-        nx = 17
-        h = 2.0 / (nx - 1)
-        axis = -1.0 + h * np.arange(nx)
-        x1, x2 = np.meshgrid(axis, axis, indexing="ij")
-        vals = np.stack([2.0 * x1, -3.0 * x2], axis=-1)
-        v = SpatialVectorField(2, -1.0, 1.0, nx, vals)
-        assert np.allclose(v.divergence(), -1.0)
+    """A time-independent vector field is a steady GriddedField: nt = 2, both
+    rows views of one array, with every GriddedField axis check.  (The names
+    are those of the spatial-only grid type it replaces.)"""
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            SpatialVectorField(2, 0.0, 1.0, 4, np.zeros((4, 4)))
-
-    @pytest.mark.parametrize("gridded", [False, True])
+    @pytest.mark.parametrize("steady", [True])
     @pytest.mark.parametrize("d, a, b, nx, match", [
         (1, 1.0, 0.0, 3, "b > a"),                 # reversed axis, h < 0
         (1, 0.0, 0.0, 3, "b > a"),                 # empty axis, h = 0
@@ -82,13 +73,10 @@ class TestSpatialVectorField:
         (0, 0.0, 1.0, 3, "d >= 1"),
         (1, -1.7e308, 1.7e308, 3, "overflow"),     # b - a overflows, so h = inf
     ])
-    def test_both_grid_types_reject_bad_axes(self, gridded, d, a, b, nx, match):
+    def test_both_grid_types_reject_bad_axes(self, steady, d, a, b, nx, match):
         shape = (nx,) * d + (d,)
         with pytest.raises(ValueError, match=match):
-            if gridded:
-                GriddedField(d, a, b, nx, 1.0, 2, np.zeros((2,) + shape))
-            else:
-                SpatialVectorField(d, a, b, nx, np.zeros(shape))
+            GriddedField(d, a, b, nx, 1.0, 2, np.broadcast_to(np.zeros(shape), (2,) + shape))
 
 
 class TestSpaceTimePoint:

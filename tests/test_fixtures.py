@@ -48,7 +48,7 @@ class TestPowerLaw:
         assert f.divergence(x)[0] == pytest.approx(0.5 / 0.5 ** 1.5)
         # finite-difference check of the vector field's divergence
         v = fx.power_law_vector_field(f, -1.0, 1.0, 1024)
-        div = v.divergence()
+        div = sum(np.gradient(v.u[0, ..., i], v.h, axis=i) for i in range(2))
         mesh = v.spatial_mesh()
         away = np.sum(mesh ** 2, axis=-1) > 0.25
         rel = np.abs(div[away] / f.divergence(mesh)[away] - 1)

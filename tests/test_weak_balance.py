@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dissdim import weak_balance as wb
 from dissdim.aniso_measure import SpaceTimePoint
 from dissdim.cli import main
 from dissdim.errors import VerificationError
-from dissdim.fields import GriddedField, SpatialVectorField
+from dissdim.fields import GriddedField
 
 INF = math.inf
 
@@ -588,7 +589,7 @@ class TestSignedSupport:
         axis = -1.0 + h * np.arange(n)
         x1, x2 = np.meshgrid(axis, axis, indexing="ij")
         vals = np.stack([np.sin(x2), np.cos(x1)], axis=-1)  # divergence-free
-        v = SpatialVectorField(2, -1.0, 1.0, n, vals)
+        v = GriddedField(2, -1.0, 1.0, n, 1.0, 2, np.broadcast_to(vals, (2,) + vals.shape))
         phi = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.3)] * 2)
         rep = wb.signed_support_bound(v, [((0.0, 0.0), 0.4)], phi, 2.0, threshold=1.0)
         assert abs(rep.full_pairing) < 1e-3
@@ -635,7 +636,7 @@ class TestSignedSupport:
         x1, x2 = np.meshgrid(axis, axis, indexing="ij")
         vals = np.zeros((n, n, 2))
         vals[..., 0] = np.tanh(x1 / 0.01) * np.exp(-(x2 / 0.4) ** 2) * (np.abs(x2) < 0.5)
-        v = SpatialVectorField(2, -1.0, 1.0, n, vals)
+        v = GriddedField(2, -1.0, 1.0, n, 1.0, 2, np.broadcast_to(vals, (2,) + vals.shape))
         phi = co.SpatialTestFunction([co.PlateauProfile(-0.4, 0.4, 0.3)] * 2)
         pairings, firsts, seconds = [], [], []
         for k in (4, 8, 16):
@@ -671,3 +672,158 @@ def _annulus_pairing(field, phi, rho_lo, rho_hi, n_rho=400, n_ang=720):
     y = np.stack([np.outer(rho, np.cos(ang)), np.outer(rho, np.sin(ang))], axis=-1)
     ring = phi.value(y.reshape(-1, 2)).reshape(n_rho, n_ang).sum(axis=1) * (2 * math.pi / n_ang)
     return float(np.sum(field.eps * rho ** (field.eps - field.d) * ring * rho * step))
+
+
+def steady(vals, a=-1.0, b=1.0):
+    """A steady GriddedField (nt = 2) whose rows are views of ``vals``."""
+    d = vals.shape[-1]
+    return GriddedField(d, a, b, vals.shape[0], 1.0, 2, np.broadcast_to(vals, (2,) + vals.shape))
+
+
+PLATEAU_2D = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.3)] * 2)
+
+
+class TestCoveringBalls:
+    @pytest.mark.parametrize("ball", [
+        ((0.0, 0.0), -0.1),        # chi would be 1 on the whole grid
+        ((0.0, math.nan), 0.2),    # NaN bounds
+        ((0.0,), 0.2),             # a d = 1 center on a d = 2 field
+        ((0.0, 0.0), 0.0),         # divides by zero
+        ((0.0, 0.0), math.inf),
+        ((0.0, math.inf), 0.2),
+    ])
+    def test_rejects_bad_balls(self, power_law_grid, ball):
+        _, v = power_law_grid
+        with pytest.raises(ValueError, match="covering ball"):
+            wb.signed_support_bound(v, [((0.1, 0.1), 0.2), ball], PLATEAU_2D, 2.0,
+                                    enforce_cover=False)
+
+    def test_nan_pairing_fails_the_triangle_check(self):
+        class NanGradient(co.SpatialTestFunction):
+            def gradient(self, y):
+                return super().gradient(y) * math.nan
+
+        phi = NanGradient([co.PlateauProfile(-2.0, 2.0, 0.5)] * 2)
+        v = steady(np.ones((16, 16, 2)))
+        with pytest.raises(VerificationError, match="triangle"):
+            wb.signed_support_bound(v, [((0.0, 0.0), 0.2)], phi, 2.0, enforce_cover=False)
+
+    def test_rejects_rows_that_differ(self):
+        u = np.zeros((2, 16, 16, 2))
+        u[1, 3, 4, 0] = 1.0
+        v = GriddedField(2, -1.0, 1.0, 16, 1.0, 2, u)
+        with pytest.raises(ValueError, match="steady"):
+            wb.signed_support_bound(v, [((0.0, 0.0), 0.2)], PLATEAU_2D, 2.0,
+                                    enforce_cover=False)
+
+    @pytest.mark.parametrize("threshold, n_above", [(0.99, 17 * 17), (1.01, 0)])
+    def test_divergence_of_linear_field(self, threshold, n_above):
+        # V = (2 x1, -3 x2): the centered differences give div V = -1 at every node
+        axis = -1.0 + 0.125 * np.arange(17)
+        x1, x2 = np.meshgrid(axis, axis, indexing="ij")
+        v = steady(np.stack([2.0 * x1, -3.0 * x2], axis=-1))
+        rep = wb.signed_support_bound(v, [((0.0, 0.0), 10.0)], PLATEAU_2D, 2.0,
+                                      threshold=threshold)
+        assert rep.n_above_threshold == n_above
+
+    def test_memory_does_not_grow_with_the_ball_count(self):
+        v = fx.power_law_vector_field(fx.PowerLawField(2, 0.5), -1.0, 1.0, 256)
+        centers = np.random.default_rng(1).uniform(-0.8, 0.8, (64, 2))
+        peaks = []
+        for n in (1, 64):
+            cover = [(tuple(c), 0.02) for c in centers[:n]]
+            tracemalloc.start()
+            wb.signed_support_bound(v, cover, PLATEAU_2D, 2.0, enforce_cover=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
+
+
+def whole_mesh_covering(field, covering, phi, r, threshold=None, enforce_cover=True):
+    """The covering estimate on the whole mesh: every bump evaluated on every
+    node and stacked, chi and grad chi from the stack's max and argmax (the
+    first ball wins a tie), whole-grid sums.  Returns the report's values as
+    (value, sum of |integrand|) pairs, or raises CoverageError."""
+    v, mesh, w = field.u[0], field.spatial_mesh(), field.spatial_weights()
+    div = sum(np.gradient(v[..., i], field.h, axis=i) for i in range(field.d))
+    if threshold is None:
+        threshold = wb.DEFAULT_DIV_THRESHOLD * float(np.abs(div).max())
+    above = np.abs(div) > threshold
+    covered = np.zeros_like(above)
+    for c, rad in covering:
+        covered |= np.sum((mesh - np.asarray(c)) ** 2, axis=-1) < rad ** 2
+    if enforce_cover and (above & ~covered).any():
+        raise wb.CoverageError("oracle: the covering misses an above-threshold cell")
+    bumps = [co.SpatialBump(tuple(c), rad) for c, rad in covering]
+    stack = np.stack([b.value(mesh) for b in bumps])
+    chi, winner = stack.max(axis=0), stack.argmax(axis=0)
+    grad_chi = np.zeros(mesh.shape)
+    for i, b in enumerate(bumps):
+        grad_chi[winner == i] = b.gradient(mesh[winner == i])
+    v_gphi = np.sum(v * phi.gradient(mesh), axis=-1)
+    v_gchi_phi = np.sum(v * grad_chi, axis=-1) * phi.value(mesh)
+    integrands = {"bound_I": v_gphi * chi, "bound_II": v_gchi_phi,
+                  "pairing": v_gphi * chi + v_gchi_phi, "full_pairing": v_gphi}
+    out = {name: (abs(float(np.sum(w * f))), float(np.sum(w * np.abs(f))))
+           for name, f in integrands.items()}
+    speed, w_sup = np.sqrt(np.sum(v ** 2, axis=-1))[chi > 0], w[chi > 0]
+    norm = (0.0 if speed.size == 0 else float(speed.max()) if r == INF
+            else float(np.sum(w_sup * speed ** r) ** (1 / r)))
+    out["v_norm_on_cover"] = (norm, norm)
+    return out, int(above.sum())
+
+
+ORACLE_GRIDS = {2: 33, 3: 17}   # nx on [-1, 1]^d
+
+
+@st.composite
+def covering_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    h = 2.0 / (ORACLE_GRIDS[d] - 1)
+    coord = st.floats(-1.5, 1.5)   # some balls partly or wholly off the grid
+    radius = st.one_of(st.floats(0.1 * h, h), st.floats(h, 0.8))   # some below h
+    # the k-th of these balls lies near the node of k-th largest |div V|: they decide
+    # the coverage
+    aimed = draw(st.lists(st.tuples(st.tuples(*[st.floats(-h, h)] * d),
+                                    st.floats(0.1 * h, 2 * h)), max_size=3))
+    balls = draw(st.lists(st.tuples(st.tuples(*[coord] * d), radius),
+                          min_size=0 if aimed else 1, max_size=10 - len(aimed)))
+    # duplicates (of any ball, by index) tie exactly everywhere
+    dups = draw(st.lists(st.integers(0, len(aimed) + len(balls) - 1),
+                         max_size=10 - len(aimed) - len(balls)))
+    profiles = [co.PlateauProfile(lo, lo + length, ramp) for lo, length, ramp in
+                draw(st.lists(st.tuples(st.floats(-0.9, 0.3), st.floats(0.0, 0.5),
+                                        st.floats(0.05, 0.4)), min_size=d, max_size=d))]
+    threshold = draw(st.one_of(st.none(), st.floats(0.05, 1.0)))
+    return (d, draw(st.integers(0, 2 ** 16)), aimed, balls, dups,
+            co.SpatialTestFunction(profiles), draw(st.sampled_from([2.0, 3.0, INF])),
+            threshold, draw(st.booleans()))
+
+
+class TestCoveringOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=covering_cases())
+    def test_matches_the_whole_mesh_estimate(self, case):
+        d, seed, aimed, balls, dups, phi, r, frac, enforce = case
+        nx = ORACLE_GRIDS[d]
+        v = steady(np.random.default_rng(seed).normal(size=(nx,) * d + (d,)))
+        threshold = None if frac is None else frac * 2.0 / v.h   # |div| is O(1/h)
+        if aimed:
+            # one node of largest |div V| per aimed ball lies above the threshold
+            div = sum(np.gradient(v.u[0, ..., i], v.h, axis=i) for i in range(d))
+            order = np.argsort(-np.abs(div), axis=None)
+            threshold = float(np.abs(div).ravel()[order[len(aimed)]])
+            mesh = v.spatial_mesh().reshape(-1, d)
+            balls = [(tuple(mesh[k] + offset), rad)
+                     for k, (offset, rad) in zip(order, aimed)] + balls
+        balls += [balls[i] for i in dups]
+        try:
+            oracle, n_above = whole_mesh_covering(v, balls, phi, r, threshold, enforce)
+        except wb.CoverageError:
+            with pytest.raises(wb.CoverageError):
+                wb.signed_support_bound(v, balls, phi, r, threshold, enforce)
+            return
+        rep = wb.signed_support_bound(v, balls, phi, r, threshold, enforce)
+        assert rep.n_above_threshold == n_above
+        for name, (value, scale) in oracle.items():
+            assert abs(getattr(rep, name) - value) <= 1e-12 * scale, name
