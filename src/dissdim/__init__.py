@@ -46,7 +46,6 @@ from .fields import GriddedField
 from .weak_balance import (
     EntropyPair,
     BURGERS_PAIR,
-    entropy_production,
     pair_weak_mass,
     holder_cylinder_bound,
     boundary_extended_mass,

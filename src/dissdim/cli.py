@@ -301,10 +301,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_burgers(args) -> int:
-    if args.measure_atoms is not None and not args.measure_out:
-        raise CliError("--measure-atoms has no effect without --measure-out")
-    if args.text and not (args.field_out or args.measure_out):
-        raise CliError("--text has no effect without --field-out or --measure-out")
+    given = {"--field-out": args.field_out, "--measure-out": args.measure_out}
+    either = "--field-out or --measure-out"
+    # each flag's default and the outputs that read it: given without them, it exits 2
+    for flag, default, needs in (("--x0", 0.0, either), ("--T", 1.0, either),
+                                 ("--text", False, either), ("--a", -1.0, "--field-out"),
+                                 ("--b", 1.0, "--field-out"), ("--nx", 1025, "--field-out"),
+                                 ("--nt", 513, "--field-out"),
+                                 ("--measure-atoms", 2048, "--measure-out")):
+        name = flag[2:].replace("-", "_")
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif not any(given[o] for o in needs.split(" or ")):
+            raise CliError(f"{flag} has no effect without {needs}")
     datum = RiemannDatum(args.ul, args.ur, args.x0)
     _SpaceTimeGrid(1, args.a, args.b, args.nx, args.T, args.nt)   # grid flags exit 2
     payload = {"schema": SCHEMA, "shock": datum.is_shock,
@@ -314,8 +323,7 @@ def cmd_burgers(args) -> int:
         dio.write_field(args.field_out, field, binary=not args.text)
         payload["field_out"] = args.field_out
     if args.measure_out:
-        mu = burgers_dissipation_measure(
-            datum, args.T, 2048 if args.measure_atoms is None else args.measure_atoms)
+        mu = burgers_dissipation_measure(datum, args.T, args.measure_atoms)
         dio.write_measure(args.measure_out, mu, binary=not args.text)
         payload["measure_out"] = args.measure_out
         payload["measure_atoms"] = mu.n_atoms
@@ -394,17 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("burgers", help="write an exact Riemann solution and its measure")
     p.add_argument("--ul", type=float, required=True)
     p.add_argument("--ur", type=float, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--a", type=float, default=-1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--nx", type=int, default=1025)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--nt", type=int, default=513)
+    # defaults in cmd_burgers, which rejects a flag that no output reads
+    p.add_argument("--x0", type=float, default=None, help="initial jump position (default 0)")
+    p.add_argument("--a", type=float, default=None, help="left end of the field grid (default -1)")
+    p.add_argument("--b", type=float, default=None, help="right end of the field grid (default 1)")
+    p.add_argument("--nx", type=int, default=None, help="field grid nodes in x (default 1025)")
+    p.add_argument("--T", type=float, default=None, help="final time (default 1)")
+    p.add_argument("--nt", type=int, default=None, help="field grid nodes in t (default 513)")
     p.add_argument("--measure-atoms", dest="measure_atoms", type=int, default=None,
                    help="atoms of the --measure-out measure (default 2048)")
     p.add_argument("--field-out", dest="field_out", default=None)
     p.add_argument("--measure-out", dest="measure_out", default=None)
-    p.add_argument("--text", action="store_true", help="write text bodies instead of binary")
+    p.add_argument("--text", action="store_true", default=None, help="text bodies, not binary")
     p.set_defaults(func=cmd_burgers)
 
     p = sub.add_parser("vfield", help="viscous solver run: field, measure, manifest")

@@ -1,7 +1,8 @@
 """Explicit cutoff profiles and analytic test functions.
 
-All localized test objects share two fixed taper shapes so that every
-"up to a constant" in the cylinder estimates becomes a number:
+All localized test objects share two fixed taper shapes.  No constant of the
+cylinder estimates is tabulated here: the Hoelder bound in ``weak_balance``
+takes every one as a realized norm of a cutoff or its derivatives on the grid.
 
 * ``cubic``: the unique cubic with value 1, slope 0 at the inner edge and
   value 0, slope 0 at the outer edge.  Peak slope 3/2 over the taper width.
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aniso_measure import SpaceTimePoint, scale_power
-from .errors import VerificationError
 
 __all__ = [
     "taper_profile",
@@ -43,9 +43,6 @@ __all__ = [
 
 
 class _Cubic:
-    slope_max = 1.5
-    curvature_max = 6.0
-
     @staticmethod
     def value(s):
         s = np.clip(s, 0.0, 1.0)
@@ -65,9 +62,6 @@ class _Cubic:
 
 
 class _Quintic:
-    slope_max = 1.875
-    curvature_max = 10.0 / math.sqrt(3.0)
-
     @staticmethod
     def value(s):
         s = np.clip(s, 0.0, 1.0)
@@ -141,18 +135,6 @@ class SpatialBump:
         laplacian vanish: the center +- 2 delta."""
         return tuple((c - 2 * self.delta, c + 2 * self.delta) for c in self.center)
 
-    @property
-    def grad_constant(self) -> float:
-        """Realized C with sup |grad chi| = C / delta."""
-        return taper_profile(self.profile).slope_max
-
-    @property
-    def laplacian_constant(self) -> float:
-        """Realized C with sup |lap chi| <= C / delta**2."""
-        p = taper_profile(self.profile)
-        d = len(self.center)
-        return p.curvature_max + p.slope_max * (d - 1)
-
 
 @dataclass(frozen=True)
 class TimeBump:
@@ -182,11 +164,6 @@ class TimeBump:
         sgn = np.sign(t - self.t0)
         dpsi = taper_profile(self.profile).deriv(self._ramp(t))
         return dpsi * sgn / (self.outer - self.inner)
-
-    @property
-    def deriv_constant(self) -> float:
-        """Realized C with sup |eta'| = C / delta**alpha."""
-        return taper_profile(self.profile).slope_max * self.inner / (self.outer - self.inner)
 
 
 def _is_normal(x: float) -> bool:
@@ -222,45 +199,6 @@ class CutoffPair:
                              "width (2 delta)**alpha - delta**alpha that is a positive "
                              "normal float")
         return cls(center, float(delta), float(alpha), chi, eta)
-
-    @property
-    def constants(self) -> dict:
-        """Realized cutoff constants: |grad chi| <= C_chi/delta, etc."""
-        return {
-            "C_chi": self.chi.grad_constant,
-            "C_eta": self.eta.deriv_constant,
-            "C_lap_chi": self.chi.laplacian_constant,
-        }
-
-    def validate_on_grid(self, x_nodes, t_nodes) -> None:
-        """Check support, range and derivative bounds pointwise on sample nodes.
-
-        ``x_nodes`` is an (n, d) array of spatial nodes, ``t_nodes`` a time axis;
-        a failed check raises VerificationError.
-        """
-        chi = self.chi.value(x_nodes)
-        if np.any(chi < -1e-14) or np.any(chi > 1 + 1e-14):
-            raise VerificationError("spatial bump escapes [0, 1]")
-        r = np.sqrt(np.sum((np.asarray(x_nodes) - np.asarray(self.center.x)) ** 2, axis=-1))
-        if np.any(chi[r >= 2 * self.delta] != 0):
-            raise VerificationError("spatial bump support exceeds B_{2 delta}")
-        if np.any(np.abs(chi[r <= self.delta] - 1) > 1e-14):
-            raise VerificationError("spatial bump is not 1 on B_delta")
-        grad = np.sqrt(np.sum(self.chi.gradient(x_nodes) ** 2, axis=-1))
-        if np.any(grad > self.chi.grad_constant / self.delta * (1 + 1e-12)):
-            raise VerificationError("spatial gradient bound violated")
-        if np.any(np.abs(self.chi.laplacian(x_nodes)) >
-                  self.chi.laplacian_constant / scale_power(self.delta, 2) * (1 + 1e-12)):
-            raise VerificationError("spatial curvature bound violated")
-        eta = self.eta.value(t_nodes)
-        if np.any(eta < -1e-14) or np.any(eta > 1 + 1e-14):
-            raise VerificationError("time bump escapes [0, 1]")
-        s = np.abs(np.asarray(t_nodes) - self.center.t)
-        if np.any(eta[s >= self.eta.outer] != 0):
-            raise VerificationError("time bump support exceeds the 2-delta cylinder")
-        if np.any(np.abs(self.eta.deriv(t_nodes)) >
-                  self.eta.deriv_constant / self.delta ** self.alpha * (1 + 1e-12)):
-            raise VerificationError("time derivative bound violated")
 
 
 # ---------------------------------------------------------------------------

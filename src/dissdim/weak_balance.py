@@ -25,11 +25,13 @@ per-row norms of |u| that the Hoelder bound multiplies.  The covering
 estimate pairs a steady field with chi*grad(phi) and phi*grad(chi), neither
 the gradient of one test function: it shares only ``_spatial_factors``.
 
-Dissipation is accessed exclusively through test functions: testing the
-balance with a cutoff pair localizing a cylinder gives an upper estimate of
-the dissipation mass on that cylinder whenever the dissipation is
-non-negative.  The gap between the estimate and the true cylinder mass
-is the mass in the cutoff collar (radius delta to 2*delta).
+Dissipation is accessed exclusively through test functions, each paired by
+``pair_weak_mass``: testing the balance with a cutoff pair localizing a
+cylinder gives an upper estimate of the dissipation mass on that cylinder
+whenever the dissipation is non-negative.  The gap between the estimate and
+the true cylinder mass is the mass in the cutoff collar (radius delta to
+2*delta).  No balance has a boundary-flux term: every test function vanishes
+near the spatial boundary (the one extended to t = T lives at t = T).
 
 The Hoelder bounds are computed with the same discrete weights as the weak
 masses, so the dominance ``weak_mass <= holder_bound`` is an exact discrete
@@ -63,7 +65,6 @@ __all__ = [
     "BURGERS_PAIR",
     "EULER_ENERGY_PAIR",
     "passive_scalar_pair",
-    "entropy_production",
     "pair_weak_mass",
     "holder_cylinder_bound",
     "dominated",
@@ -459,21 +460,6 @@ def _check_cutoff_margin(field: GriddedField, cutoff: CutoffPair) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Entropy production pairing.
-# ---------------------------------------------------------------------------
-
-def entropy_production(field: GriddedField, pair: EntropyPair, phi) -> float:
-    """The space-time pairing of -div(eta, Q) with a compactly supported phi.
-
-    Quadrature of eta * dphi/dt + Q . grad(phi); this equals the mass the
-    dissipation distribution assigns to phi for entropy solutions, vanishes
-    on smooth exact solutions, and must be >= -tolerance when phi >= 0 and
-    the dissipation is non-negative.
-    """
-    return _pairing(field, phi, pair).report.weak_mass
-
-
-# ---------------------------------------------------------------------------
 # Cutoff-tested cylinder masses.
 # ---------------------------------------------------------------------------
 
@@ -489,19 +475,19 @@ class BalanceReport:
     grad_mass_cylinder: float | None = None
 
 
-def pair_weak_mass(field: GriddedField, pair: EntropyPair, cutoff: CutoffPair,
+def pair_weak_mass(field: GriddedField, pair: EntropyPair, phi,
                    nu: float = 0.0) -> BalanceReport:
-    """Cutoff-tested entropy balance: terms I, the pair's flux terms and,
-    for nu > 0, IV = nu * eta * lap(phi).
+    """The balance tested with phi, a CutoffPair or a SpaceTimeTestFunction:
+    terms I, the pair's flux terms and, for nu > 0, IV = nu * eta * lap(phi).
 
-    The weak mass upper-bounds the dissipation mass on the cutoff's cylinder
-    for non-negative dissipation (with nu > 0, the cylinder mass of the
-    positive measure defect + nu*|grad u|^2).  With nu > 0 the report also
-    carries the direct quadratures of nu*|grad u|^2, against the cutoff and
-    over the strict cylinder, the latter being the Morrey-type quantity
-    bounded by delta**s.
+    The weak mass is the mass the dissipation assigns to phi; for a cutoff
+    it upper-bounds the dissipation mass on the cylinder when the dissipation
+    is non-negative (with nu > 0, that of the positive measure defect +
+    nu*|grad u|^2).  With nu > 0 the report also carries the quadratures of
+    nu*|grad u|^2 against phi and, for a cutoff, over the strict cylinder, the
+    Morrey-type quantity bounded by delta**s.
     """
-    return _pairing(field, cutoff, pair, nu).report
+    return _pairing(field, phi, pair, nu).report
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +598,8 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
 # ---------------------------------------------------------------------------
 
 def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = None,
-                           nu: float = 0.0, allow_spatial_boundary: bool = False):
-    """Balance tested with phi allowed nonzero at t = T (and, by flag, on the
-    spatial boundary).
+                           nu: float = 0.0):
+    """Balance tested with phi allowed nonzero at t = T.
 
     Returns (interior, terminal, grad_mass), all from one window:
 
@@ -626,14 +611,15 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
     ``interior = grad_mass + terminal`` holds up to quadrature and
     discretization error; the terminal term is the half-energy density paired
     with phi at the final time (the Dirac-in-time part of the extended
-    dissipation).  phi must still vanish near t = 0.
+    dissipation).  phi must still vanish on the first 2 time cells and on
+    the 2-cell spatial margin (MarginError): the balance has no boundary-flux
+    term.
     """
     if pair is None:
         if field.p is None:
             raise ValueError("no pressure present: pass an explicit entropy pair")
         pair = EULER_ENERGY_PAIR
-    vanish = ("t0",) if allow_spatial_boundary else ("t0", "x")
-    res = _pairing(field, phi, pair, nu, vanish)
+    res = _pairing(field, phi, pair, nu, ("t0", "x"))
     return res.report.weak_mass, res.terminal, res.report.grad_mass_cutoff if nu > 0 else 0.0
 
 
@@ -659,8 +645,9 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
     """The two-piece covering estimate for a signed divergence pairing.
 
     V is the steady ``field`` at t = 0 (every time row must equal the first)
-    and each (center, radius) ball of ``covering`` has d finite coordinates
-    and a positive finite radius (ValueError otherwise).  Builds chi = max of
+    on d >= 2 axes, a given ``threshold`` is finite and >= 0, and each
+    (center, radius) ball of ``covering`` has d finite coordinates and a
+    positive finite radius (ValueError otherwise).  Builds chi = max of
     per-ball bumps (each 1 on its ball, supported on the doubled ball) and
     returns
 
@@ -677,8 +664,12 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
     balls are.
     """
     d = field.d
+    if d < 2:
+        raise ValueError(f"the covering estimate needs d >= 2, got a d = {d} field")
     if not r >= d / (d - 1):
         raise ValueError(f"r must satisfy r >= d/(d-1), got {r!r}")
+    if threshold is not None and not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     if not covering:
         raise ValueError("need at least one covering ball")
     v = field.u[0]

@@ -422,8 +422,8 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
 
 
 @pytest.mark.parametrize("argv", [
-    ["burgers", "--ul", "1", "--ur", "-1", "--nx", "1"],
-    ["burgers", "--ul", "1", "--ur", "-1", "--nt", "1"],
+    ["burgers", "--ul", "1", "--ur", "-1", "--nx", "1", "--field-out", os.devnull],
+    ["burgers", "--ul", "1", "--ur", "-1", "--nt", "1", "--field-out", os.devnull],
     VFIELD + ["--nx", "1", "--T", "0.2"],
     VFIELD + ["--nx", "301", "--T", "0.2", "--nt", "1"],
     ["verify", "--nu", "-1"],
@@ -439,7 +439,8 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     ["verify", "--alpha", "inf"],
     ["verify", "--nu", "inf"],
     # grids checked before any axis is built: no NaN axis, no RuntimeWarning
-    ["burgers", "--ul", "1", "--ur", "-1", "--T", "inf", "--nx", "9", "--nt", "5"],
+    ["burgers", "--ul", "1", "--ur", "-1", "--T", "inf", "--nx", "9", "--nt", "5",
+     "--field-out", os.devnull],
     ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a=-inf", "--b", "0.3",
      "--nx", "31", "--T", "0.2"],
     # delta**alpha overflows a float64: (2 delta)**alpha of the time bump, the lattice side
@@ -452,10 +453,19 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     # flags that would be parsed and then ignored
     ["burgers", "--ul", "1", "--ur", "-1", "--measure-atoms", "64"],
     ["burgers", "--ul", "1", "--ur", "-1", "--text"],
+    # the grid flags shape only the field, and the measure depends only on the
+    # datum, --T and --measure-atoms
+    *(["burgers", "--ul", "1", "--ur", "-1", flag, value, "--measure-out", os.devnull]
+      for flag, value in (("--a", "-2"), ("--b", "2"), ("--nx", "129"), ("--nt", "65"))),
+    ["burgers", "--ul", "1", "--ur", "-1", "--nx", "1", "--measure-out", os.devnull],
+    # with no output, nothing reads the datum's position or the final time
+    ["burgers", "--ul", "1", "--ur", "-1", "--x0", "0.5"],
+    ["burgers", "--ul", "1", "--ur", "-1", "--T", "2"],
     # a rarefaction measure has no atoms, yet the count is still checked
     ["burgers", "--ul", "-1", "--ur", "1", "--measure-atoms", "0", "--measure-out", os.devnull],
-    # the grid is checked even when only the measure is written
-    ["burgers", "--ul", "1", "--ur", "-1", "--nx", "1", "--measure-out", os.devnull],
+    # the final time is checked even when only the measure is written
+    ["burgers", "--ul", "1", "--ur", "-1", "--T", "inf", "--measure-out", os.devnull],
+    ["burgers", "--ul", "1", "--ur", "-1", "--T", "0", "--measure-out", os.devnull],
     # delta = 1.25e-201 at the last scale: delta**2 underflows to 0, which made
     # the laplacian of the spatial bump NaN and passed a NaN weak mass
     ["verify", "--center", "0.0:0.5", "--delta-max", "0.125", "--ratio", "1e-100",

@@ -7,6 +7,11 @@ from dissdim import cutoffs as co
 from dissdim.aniso_measure import SpaceTimePoint
 
 
+# the peak |psi'| and |psi''| of each taper on the unit ramp
+SLOPE = {"cubic": 1.5, "quintic": 1.875}
+CURVATURE = {"cubic": 6.0, "quintic": 10.0 / math.sqrt(3.0)}
+
+
 @pytest.mark.parametrize("profile", ["cubic", "quintic"])
 class TestTaperShapes:
     def test_endpoint_values(self, profile):
@@ -19,38 +24,83 @@ class TestTaperShapes:
     def test_slope_bound_attained(self, profile):
         p = co.taper_profile(profile)
         s = np.linspace(0, 1, 20001)
-        assert np.abs(p.deriv(s)).max() == pytest.approx(p.slope_max, rel=1e-6)
+        assert np.abs(p.deriv(s)).max() == pytest.approx(SLOPE[profile], rel=1e-6)
 
     def test_curvature_bound(self, profile):
         p = co.taper_profile(profile)
         s = np.linspace(0, 1, 20001)
-        assert np.abs(p.second(s)).max() <= p.curvature_max * (1 + 1e-9)
+        assert np.abs(p.second(s)).max() <= CURVATURE[profile] * (1 + 1e-9)
+
+
+def points_around(center, radius, n, seed):
+    """n points at uniform distances 0..radius from center, in random directions."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, len(center)))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    return np.asarray(center) + rng.uniform(0.0, radius, (n, 1)) * dirs
+
+
+def centered_gradient(f, y, h):
+    """(f(y + h e_i) - f(y - h e_i)) / 2h along each axis i."""
+    return np.stack([(f(y + e) - f(y - e)) / (2 * h) for e in h * np.eye(y.shape[-1])],
+                    axis=-1)
+
+
+def centered_laplacian(f, y, h):
+    """The sum over axes i of (f(y + h e_i) - 2 f(y) + f(y - h e_i)) / h**2."""
+    return sum((f(y + e) - 2 * f(y) + f(y - e)) / h ** 2 for e in h * np.eye(y.shape[-1]))
+
+
+class TestDerivativesAgainstDifferences:
+    """The analytic derivatives the pairing kernel consumes, against centered
+    differences at 4000 random points, with the quintic taper: its second
+    derivative is continuous, so the second differences converge across the
+    taper knots.  The step 1e-5 keeps the truncation error (about h/6 times
+    the jump of the third derivative at a knot, 4e-3 for the bump below) and
+    the rounding error (about 1e-5) under the tolerances: 1e-6 of the peak for
+    first derivatives, 1e-3 of the peak for Laplacians."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_spatial_bump(self, d):
+        bump = co.SpatialBump((0.1,) * d, 0.3, profile="quintic")
+        y = points_around(bump.center, 0.7, 4000, d)   # past the support radius 0.6
+        grad, lap = bump.gradient(y), bump.laplacian(y)
+        # the sample reaches the peak slope 1.875 / delta
+        assert np.abs(grad).max() == pytest.approx(1.875 / 0.3, rel=1e-2)
+        assert np.abs(centered_gradient(bump.value, y, 1e-5) - grad).max() < 1e-6 * 6.25
+        peak = np.abs(lap).max()   # at least the peak curvature / delta**2
+        assert peak > 0.99 * 10 / math.sqrt(3) / 0.3 ** 2
+        assert np.abs(centered_laplacian(bump.value, y, 1e-5) - lap).max() < 1e-3 * peak
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_spatial_test_function(self, d):
+        f = co.SpatialTestFunction([co.PlateauProfile(-0.3 + 0.1 * i, 0.2, 0.25, "quintic")
+                                    for i in range(d)])
+        y = np.random.default_rng(d).uniform(-0.6, 0.5, (4000, d))
+        grad, lap = f.gradient(y), f.laplacian(y)
+        assert np.abs(centered_gradient(f.value, y, 1e-5) - grad).max() < \
+            1e-6 * np.abs(grad).max()
+        peak = np.abs(lap).max()
+        assert peak > 10 / math.sqrt(3) / 0.25 ** 2 / 2
+        assert np.abs(centered_laplacian(f.value, y, 1e-5) - lap).max() < 1e-3 * peak
+
+    def test_time_bump(self):
+        eta = co.TimeBump(0.5, 0.1, 2.0, profile="quintic")   # ramp over 0.01 < |t - 0.5| < 0.04
+        t = np.random.default_rng(0).uniform(0.45, 0.55, 4000)
+        deriv = eta.deriv(t)
+        assert np.abs(deriv).max() == pytest.approx(1.875 / 0.03, rel=1e-2)
+        num = (eta.value(t + 1e-7) - eta.value(t - 1e-7)) / 2e-7
+        assert np.abs(num - deriv).max() < 1e-6 * 62.5
 
 
 class TestCutoffPair:
-    def test_realized_constants_isotropic(self):
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.25, 1.0)
-        consts = cut.constants
-        assert consts["C_chi"] == 1.5
-        assert consts["C_eta"] == 1.5
-        assert consts["C_lap_chi"] == pytest.approx(6.0)
-
-    def test_laplacian_constant_grows_with_dimension(self):
-        c2 = co.CutoffPair.build(SpaceTimePoint((0.0, 0.0), 0.0), 0.25, 1.0)
-        assert c2.constants["C_lap_chi"] == pytest.approx(7.5)
-
     def test_time_bump_scaling(self):
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 2.0)
         assert cut.eta.inner == pytest.approx(0.01)
         assert cut.eta.outer == pytest.approx(0.04)
         ts = np.linspace(0.4, 0.6, 40001)
-        assert np.abs(cut.eta.deriv(ts)).max() <= cut.eta.deriv_constant / 0.1 ** 2 * (1 + 1e-9)
-
-    def test_validate_on_grid(self):
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0, 0.0), 0.5), 0.2, 1.0)
-        axis = np.linspace(-1, 1, 101)
-        mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-        cut.validate_on_grid(mesh.reshape(-1, 2), np.linspace(0, 1, 101))
+        # the cubic's peak slope 1.5 over the ramp width 0.04 - 0.01
+        assert np.abs(cut.eta.deriv(ts)).max() == pytest.approx(1.5 / 0.03, rel=1e-6)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

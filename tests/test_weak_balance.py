@@ -52,25 +52,25 @@ class TestEntropyProduction:
     def test_constant_solution_vanishes(self):
         field = fx.constant_field([0.7], 1, -1.0, 1.0, 128, 1.0, 64)
         phi, _ = shock_phi()
-        assert abs(wb.entropy_production(field, wb.BURGERS_PAIR, phi)) < 1e-12
+        assert abs(wb.pair_weak_mass(field, wb.BURGERS_PAIR, phi).weak_mass) < 1e-12
 
     def test_standing_shock_rate(self, shock_field):
         phi, time_mass = shock_phi()
-        pairing = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi)
+        pairing = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi).weak_mass
         rate = pairing / time_mass
         assert rate == pytest.approx(2.0 / 3.0, rel=0.02)
 
     def test_one_sided_phi_vanishes(self, shock_field):
         space = co.SpatialTestFunction([co.PlateauProfile(0.3, 0.6, 0.1)])
         phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.2, 0.8, 0.05))
-        assert abs(wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi)) < 1e-4
+        assert abs(wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi).weak_mass) < 1e-4
 
     def test_rarefaction_produces_nothing(self):
         field = fx.burgers_entropy_solution(fx.RiemannDatum(-1.0, 1.0), -2.0, 2.0, 2048, 1.0, 1024)
         space = co.SpatialTestFunction([co.PlateauProfile(-1.0, 1.0, 0.4)])
         for t_window in [(0.1, 0.5), (0.3, 0.9)]:
             phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(*t_window, 0.05))
-            assert abs(wb.entropy_production(field, wb.BURGERS_PAIR, phi)) < 2e-3
+            assert abs(wb.pair_weak_mass(field, wb.BURGERS_PAIR, phi).weak_mass) < 2e-3
 
     def test_linearity_in_phi(self, shock_field):
         # X*H1 + X*H2 = X*(H1 + H2): the pairing is additive up to summation
@@ -78,26 +78,26 @@ class TestEntropyProduction:
         phi1, _ = shock_phi(0.1, 0.5)
         phi2, _ = shock_phi(0.4, 0.9)
         phi12 = co.SpaceTimeTestFunction(phi1.space, _SumOfTimeFactors(phi1.time, phi2.time))
-        p1 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi1)
-        p2 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi2)
-        p12 = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi12)
+        p1 = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi1).weak_mass
+        p2 = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi2).weak_mass
+        p12 = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi12).weak_mass
         assert p12 == pytest.approx(p1 + p2, rel=1e-12, abs=1e-14)
 
     def test_margin_enforced(self, shock_field):
         space = co.SpatialTestFunction([co.PlateauProfile(-0.99, 0.99, 0.02)])
         phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.2, 0.8, 0.05))
         with pytest.raises(wb.MarginError):
-            wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi)
+            wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi).weak_mass
 
     def test_nonnegative_against_nonnegative_phi(self, shock_field):
         phi, _ = shock_phi()
-        assert wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi) > -1e-10
+        assert wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi).weak_mass > -1e-10
 
     def test_passive_scalar_pair_constant_scalar(self):
         field = fx.constant_field([0.5], 1, -1.0, 1.0, 128, 1.0, 64)
         field.theta = np.ones((64, 128)) * 2.0
         phi, _ = shock_phi()
-        val = wb.entropy_production(field, wb.passive_scalar_pair(), phi)
+        val = wb.pair_weak_mass(field, wb.passive_scalar_pair(), phi).weak_mass
         assert abs(val) < 1e-12
 
     def test_passive_scalar_transported_profile(self):
@@ -109,14 +109,14 @@ class TestEntropyProduction:
         ts = field.t_axis
         field.theta = np.cos(2 * math.pi * (xs[None, :] - c * ts[:, None]))
         phi, _ = shock_phi(0.1, 0.4, 0.05)
-        val = wb.entropy_production(field, wb.passive_scalar_pair(), phi)
+        val = wb.pair_weak_mass(field, wb.passive_scalar_pair(), phi).weak_mass
         assert abs(val) < 2e-4
 
     def test_passive_scalar_pair_needs_theta(self):
         field = fx.constant_field([0.5], 1, -1.0, 1.0, 64, 1.0, 32)
         phi, _ = shock_phi()
         with pytest.raises(ValueError):
-            wb.entropy_production(field, wb.passive_scalar_pair(), phi)
+            wb.pair_weak_mass(field, wb.passive_scalar_pair(), phi).weak_mass
 
 
 class TestCutoffMasses:
@@ -140,7 +140,7 @@ class TestCutoffMasses:
         for call in (lambda: wb.pair_weak_mass(shock_field, euler, cut),
                      lambda: wb.pair_weak_mass(shock_field, euler, cut, nu=0.01),
                      lambda: wb.holder_cylinder_bound(shock_field, cut, INF, INF, pair=euler),
-                     lambda: wb.entropy_production(shock_field, euler, phi),
+                     lambda: wb.pair_weak_mass(shock_field, euler, phi).weak_mass,
                      lambda: wb.boundary_extended_mass(shock_field, phi, pair=euler)):
             with pytest.raises(ValueError, match="pressure field"):
                 call()
@@ -161,7 +161,7 @@ class TestCutoffMasses:
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
         rep = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, cut)
         phi = co.SpaceTimeTestFunction(cut.chi, cut.eta)
-        pairing = wb.entropy_production(shock_field, wb.BURGERS_PAIR, phi)
+        pairing = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi).weak_mass
         assert rep.weak_mass == pytest.approx(pairing, rel=0.01)
 
     def test_cutoff_profile_independence(self):
@@ -493,7 +493,7 @@ class TestRefinementOrder:
             field = fx.burgers_smooth_solution(-1.0, 1.0, n, 0.2, nt)
             space = co.SpatialTestFunction([co.PlateauProfile(-0.5, 0.5, 0.25)])
             phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.05, 0.15, 0.025))
-            vals.append(wb.entropy_production(field, wb.BURGERS_PAIR, phi))
+            vals.append(wb.pair_weak_mass(field, wb.BURGERS_PAIR, phi).weak_mass)
         order = math.log2(abs(vals[0]) / abs(vals[1]))
         order2 = math.log2(abs(vals[1]) / abs(vals[2]))
         assert min(order, order2) >= 1.5
@@ -543,7 +543,7 @@ class TestBoundaryExtended:
         interior, terminal, nupair = wb.boundary_extended_mass(
             field, phi, pair=wb.BURGERS_PAIR, nu=viscous_run.nu)
         assert terminal == 0.0
-        plain = wb.entropy_production(field, wb.BURGERS_PAIR, phi)
+        plain = wb.pair_weak_mass(field, wb.BURGERS_PAIR, phi).weak_mass
         # the plain pairing lacks the diffusion-flux term; both equal the
         # dissipation pairing up to quadrature and O(nu * lap phi) effects
         assert interior == pytest.approx(nupair, rel=0.02)
@@ -715,6 +715,19 @@ class TestCoveringBalls:
         with pytest.raises(ValueError, match="steady"):
             wb.signed_support_bound(v, [((0.0, 0.0), 0.2)], PLATEAU_2D, 2.0,
                                     enforce_cover=False)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.5, math.inf, -math.inf])
+    def test_rejects_a_threshold_that_is_not_finite_and_non_negative(self, threshold):
+        # a NaN threshold would let every covering pass: no |div| > nan holds
+        v = steady(np.ones((16, 16, 2)))
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            wb.signed_support_bound(v, [((0.0, 0.0), 0.2)], PLATEAU_2D, 2.0, threshold)
+
+    def test_rejects_a_one_dimensional_field(self):
+        v = steady(np.ones((16, 1)))
+        phi = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.3)])
+        with pytest.raises(ValueError, match="d >= 2"):
+            wb.signed_support_bound(v, [((0.0,), 0.2)], phi, 2.0)
 
     @pytest.mark.parametrize("threshold, n_above", [(0.99, 17 * 17), (1.01, 0)])
     def test_divergence_of_linear_field(self, threshold, n_above):
