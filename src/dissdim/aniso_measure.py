@@ -504,7 +504,6 @@ class DensityLadder:
     """Per-scale record of the sup cylinder mass mu(C^alpha_delta) over the centers
     and of its density, that mass / delta**s."""
 
-    alpha: float
     s: float
     scales: tuple
     densities: tuple
@@ -547,9 +546,8 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> Density
     else:
         slope, rms = float("nan"), float("nan")
 
-    return DensityLadder(
-        alpha=float(alpha), s=float(s), scales=tuple(scales), densities=tuple(densities),
-        sup_masses=tuple(masses), fitted_slope=slope, fit_residual=rms)
+    return DensityLadder(s=float(s), scales=tuple(scales), densities=tuple(densities),
+                         sup_masses=tuple(masses), fitted_slope=slope, fit_residual=rms)
 
 
 def certify_lower_bound(ladder: DensityLadder):

@@ -20,7 +20,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -75,35 +74,28 @@ def _parse_center(text: str, d: int):
     return SpaceTimePoint(coords, float(t))
 
 
-@dataclass
-class LadderSpec:
-    delta_max: float | None
-    ratio: float
-    count: int
-
-    def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
-            raise CliError(f"ladder ratio must lie in (0, 1), got {self.ratio!r}")
-        if self.count < 3:
-            raise CliError(f"ladder count must be at least 3, got {self.count!r}")
-
-    def scales(self, domain_width: float) -> list:
-        top = self.delta_max if self.delta_max is not None else domain_width / 8.0
-        if not top > 0:
-            raise CliError("ladder delta_max must be positive")
-        # the smallest scale first: a count whose tail underflows is refused
-        # before its list is built
-        if not top * self.ratio ** (self.count - 1) > 0:
-            raise CliError(f"the smallest ladder scale underflows to 0 at count {self.count!r}")
-        # one scale at a time, so that a ratio whose scales round onto each
-        # other is refused at the first repeat, not after the whole list
-        scales = [top]
-        for k in range(1, self.count):
-            scales.append(top * self.ratio ** k)
-            if not scales[-1] < scales[-2]:
-                raise CliError(f"scales must be strictly decreasing: scale {k} = {scales[-1]!r}"
-                               f" is not below scale {k - 1} = {scales[-2]!r}")
-        return scales
+def _ladder(args, domain_width: float) -> list:
+    """The scales of ``--delta-max`` (default width / 8), ``--ratio`` and ``--count``."""
+    if not (0.0 < args.ratio < 1.0):
+        raise CliError(f"ladder ratio must lie in (0, 1), got {args.ratio!r}")
+    if args.count < 3:
+        raise CliError(f"ladder count must be at least 3, got {args.count!r}")
+    top = args.delta_max if args.delta_max is not None else domain_width / 8.0
+    if not top > 0:
+        raise CliError("ladder delta_max must be positive")
+    # the smallest scale first: a count whose tail underflows is refused
+    # before its list is built
+    if not top * args.ratio ** (args.count - 1) > 0:
+        raise CliError(f"the smallest ladder scale underflows to 0 at count {args.count!r}")
+    # one scale at a time, so that a ratio whose scales round onto each
+    # other is refused at the first repeat, not after the whole list
+    scales = [top]
+    for k in range(1, args.count):
+        scales.append(top * args.ratio ** k)
+        if not scales[-1] < scales[-2]:
+            raise CliError(f"scales must be strictly decreasing: scale {k} = {scales[-1]!r}"
+                           f" is not below scale {k - 1} = {scales[-2]!r}")
+    return scales
 
 
 def _emit(payload: dict) -> None:
@@ -121,21 +113,20 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 _EXPONENT_FLAGS_UNUSED = {
     "euler": (),
-    "ns": ("--optimal", "--unbounded-pressure"),
-    "claw": ("--q", "--alpha", "--optimal", "--unbounded-pressure"),
+    "ns": ("--unbounded-pressure",),
+    "claw": ("--q", "--alpha", "--unbounded-pressure"),
 }
 
 
 def _check_exponent_flags(args) -> None:
     """Reject flags the chosen regime would parse and then ignore."""
     given = {"--q": args.q is not None, "--alpha": args.alpha is not None,
-             "--optimal": args.optimal, "--unbounded-pressure": args.unbounded_pressure}
+             "--unbounded-pressure": args.unbounded_pressure}
     for flag in _EXPONENT_FLAGS_UNUSED[args.regime]:
         if given[flag]:
             raise CliError(f"{flag} has no effect with --regime {args.regime}")
-    alpha_choices = [f for f in ("--alpha", "--optimal", "--unbounded-pressure") if given[f]]
-    if len(alpha_choices) > 1:
-        raise CliError(f"{' and '.join(alpha_choices)} each fix alpha; give at most one")
+    if given["--alpha"] and given["--unbounded-pressure"]:
+        raise CliError("--alpha and --unbounded-pressure each fix alpha; give at most one")
 
 
 def cmd_exponents(args) -> int:
@@ -152,7 +143,7 @@ def cmd_exponents(args) -> int:
         if regime == "euler":
             if args.unbounded_pressure:
                 report = ex.euler_unbounded_pressure(cls)
-            elif args.optimal or args.alpha is None:
+            elif args.alpha is None:
                 report = ex.euler_optimal(cls)
             else:
                 report = ex.euler_exponent(cls, _parse_number(args.alpha))
@@ -181,8 +172,7 @@ def cmd_dimension(args) -> int:
     if points.shape[0] == 0:
         raise CliError("empty support")
     width = float(max(points.max(axis=0) - points.min(axis=0)))
-    spec = LadderSpec(args.delta_max, args.ratio, args.count)
-    scales = spec.scales(width)
+    scales = _ladder(args, width)
 
     box = box_counting_dimension(points, args.alpha, scales)
     ladder_s = args.s if args.s is not None else 0.0
@@ -235,8 +225,7 @@ def cmd_verify(args) -> int:
     else:
         mid = tuple(0.5 * (field.a + field.b) for _ in range(field.d))
         centers = [SpaceTimePoint(mid, field.T / 2.0)]
-    spec = LadderSpec(args.delta_max, args.ratio, args.count)
-    scales = spec.scales(field.b - field.a)
+    scales = _ladder(args, field.b - field.a)
     pair = BURGERS_PAIR if args.pair == "burgers" else None
 
     rows = []
@@ -283,8 +272,8 @@ def cmd_verify(args) -> int:
     _emit({
         "schema": SCHEMA,
         "input": args.input,
-        "q": "inf" if q == math.inf else float(q),
-        "r": "inf" if r == math.inf else float(r),
+        "q": ex._json_number(q),
+        "r": ex._json_number(r),
         "alpha": args.alpha,
         "nu": args.nu,
         "rows": len(rows),
@@ -354,8 +343,13 @@ def cmd_vfield(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a parse failure exits 2 with the JSON error object too
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dissdim", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="dissdim", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exponents", help="closed-form scaling exponents")
@@ -363,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", default=None, help="time exponent (number, 'a/b' or 'inf')")
     p.add_argument("--r", default=None, help="space exponent (number, 'a/b' or 'inf')")
-    p.add_argument("--alpha", default=None, help="time-anisotropy parameter")
-    p.add_argument("--optimal", action="store_true",
-                   help="euler: balance the two terms instead of using --alpha")
+    p.add_argument("--alpha", default=None,
+                   help="time-anisotropy parameter (euler default: the alpha that balances"
+                        " the two terms; ns default: 2)")
     p.add_argument("--unbounded-pressure", dest="unbounded_pressure", action="store_true",
                    help="euler with r=inf and no pressure integrability assumed")
     p.set_defaults(func=cmd_exponents)
@@ -436,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ex.RegimeError, dio.MalformedFileError, MarginError,
             ValueError, OSError) as exc:

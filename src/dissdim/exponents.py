@@ -65,9 +65,11 @@ def _per(x, p):
     return 0 if _is_inf(p) else x / p
 
 
-def _conj(p):
-    """The Hoelder conjugate p/(p-1), which is 1 at p = inf."""
-    return 1 if _is_inf(p) else p / (p - 1)
+def _conj(p, k=1):
+    """The Hoelder exponent p/(p-k), which is 1 at p = inf and inf at p = k."""
+    if _is_inf(p):
+        return 1
+    return math.inf if p == k else p / (p - k)
 
 
 def _convention(q, r):

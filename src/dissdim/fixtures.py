@@ -51,10 +51,6 @@ class NumericalError(RuntimeError):
 # Power-law divergence field (x |x|^(eps - d)).
 # ---------------------------------------------------------------------------
 
-def unit_sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
 @dataclass(frozen=True)
 class PowerLawField:
     """V(x) = x |x|^(eps-d): integrable divergence eps/|x|^(d-eps), ball
@@ -72,7 +68,7 @@ class PowerLawField:
     @property
     def c_d(self) -> float:
         """Surface measure of the unit sphere (2*pi for d=2, 4*pi for d=3)."""
-        return unit_sphere_area(self.d)
+        return 2.0 * math.pi ** (self.d / 2.0) / math.gamma(self.d / 2.0)
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -250,7 +246,6 @@ class ViscousRun:
     """
 
     nu: float
-    datum: RiemannDatum | None
     bc: str
     field: GriddedField
     dissipation: AtomicMeasure | None = dc_field(repr=False, default=None)
@@ -392,7 +387,7 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     mesh_t = np.repeat(sample_times, nx)
     dissipation = AtomicMeasure(mesh_x[:, None], mesh_t, weights.ravel(), d=1)
     return ViscousRun(
-        nu=nu, datum=datum, bc=bc, field=field, dissipation=dissipation,
+        nu=nu, bc=bc, field=field, dissipation=dissipation,
         total_dissipation=total, dt_sub=dt_sub,
         steps=step, steady_time=steady_time,
         stability_margin=dt_sub / dt_limit, diffusion_number=r,
@@ -466,28 +461,26 @@ def _viscous_step(u, h, dt, datum, bc, diffuse):
 # ---------------------------------------------------------------------------
 
 def time_singular_measure_fixture(d: int, n_atoms: int, t_star: float = 0.5,
-                                  seed: int = 0, lattice: bool = False) -> AtomicMeasure:
-    """Uniform atoms on [0,1]^d at the single instant t_star.
+                                  seed: int = 0) -> AtomicMeasure:
+    """Uniform random atoms on [0,1]^d at the single instant t_star.
 
     The geometry of a dissipation measure concentrated at one time: its
-    isotropic space-time dimension is d.  ``lattice=True`` places
-    floor(n**(1/d))**d atoms deterministically on the midpoint lattice.
+    isotropic space-time dimension is d.  Its lattice counterpart, m**d
+    atoms on the midpoint lattice at t = 1/2, is ``grid_measure(d, m, 1)``.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    if lattice:
-        m = int(round(n_atoms ** (1.0 / d)))
-        axes = (np.arange(m) + 0.5) / m
-        mesh = np.stack(np.meshgrid(*([axes] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        n = mesh.shape[0]
-        return AtomicMeasure(mesh, np.full(n, t_star), np.full(n, 1.0 / n), d=d)
     rng = np.random.default_rng(seed)
     pos = rng.random((n_atoms, d))
     return AtomicMeasure(pos, np.full(n_atoms, t_star), np.full(n_atoms, 1.0 / n_atoms), d=d)
 
 
 def grid_measure(d: int, m_space: int, m_time: int, total_mass: float = 1.0) -> AtomicMeasure:
-    """Midpoint-lattice approximation of Lebesgue measure on [0,1]^d x [0,1]."""
+    """Midpoint-lattice approximation of Lebesgue measure on [0,1]^d x [0,1].
+
+    With ``m_time = 1`` it is the lattice time slab: m_space**d equal atoms
+    at the single instant t = 1/2.
+    """
     axes_x = (np.arange(m_space) + 0.5) / m_space
     axes_t = (np.arange(m_time) + 0.5) / m_time
     grids = np.meshgrid(*([axes_x] * d + [axes_t]), indexing="ij")

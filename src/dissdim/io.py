@@ -3,11 +3,10 @@
 Both file kinds are one ASCII header line and a body of float64 rows.  The
 header ends with ``body=binary`` (little-endian float64 records) or
 ``body=text`` (one line per row, every value as its Python ``repr``, so a
-text body reads back bit for bit; empty lines are skipped).  A header
-without the token, as written before it existed, is read as binary when the
-body is exactly rows * columns * 8 bytes long and as text otherwise.  Text
-lines end in LF or CRLF; a CR anywhere else in the header or in a text body
-is rejected with its line number.
+text body reads back bit for bit; empty lines are skipped).  A header with
+no body token, or another one, is rejected at line 1.  Text lines end in LF
+or CRLF; a CR anywhere else in the header or in a text body is rejected
+with its line number.
 
     dissdim-measure v1 d=<int> n=<int> body=<binary|text>
 
@@ -16,8 +15,10 @@ is followed by ``n`` rows ``x_1 ... x_d t w`` (text values separated by spaces).
     dissdim-field v1 d=<int> nx=<int> nt=<int> a=<f> b=<f> T=<f> components=u[,p][,theta] body=<binary|text>
 
 is followed by one row of components per node in (t-major, then x
-lexicographic) order.  The text body is CSV for d = 1 only; its rows
-``t,x,u[,p][,theta]`` lead with the grid axes, which are not read back.
+lexicographic) order, its columns in the header's order: ``u`` first, then
+``p`` and ``theta`` at most once each, in either order.  The text body is
+CSV for d = 1 only; its rows ``t,x,u[,p][,theta]`` lead with the grid axes,
+which are not read back.
 
 The text writer takes a field one time slice at a time (a measure, 4096 rows
 at a time) and calls ``repr`` once per distinct float64 bit pattern in it, so
@@ -101,7 +102,7 @@ def _write_rows(fh, rows: np.ndarray, binary: bool, sep: str, lead=()) -> None:
 
 
 def _read_header(fh, magic: str, path, **types):
-    """The body token (None if absent) and the header values of ``types``,
+    """The body token, "binary" or "text", and the header values of ``types``,
     converted; the first key is the dimension d, which must be at least 1."""
     line = fh.readline()
     if not line.endswith(b"\n"):
@@ -123,13 +124,17 @@ def _read_header(fh, magic: str, path, **types):
         raise MalformedFileError(f"{path}: bad header ({exc})", line=1)
     if values[0] < 1:
         raise MalformedFileError(f"{path}: header needs d >= 1", line=1)
-    return fields.get("body"), values
+    body = fields.get("body")
+    if body not in ("binary", "text"):
+        raise MalformedFileError(f"{path}: header needs body=binary|body=text, got {body!r}",
+                                 line=1)
+    return body, values
 
 
 def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     """Decode the body after the header as an (n_rows, n_cols) array.
 
-    ``token`` is the header's body token (None when absent).  ``text`` is
+    ``token`` is the header's body token, "binary" or "text".  ``text`` is
     the text layout ``(sep, lead)``: the column separator (None for
     whitespace) and the count of leading columns to drop; None when this
     file has no text body.  Either body kind is returned as one C-contiguous
@@ -140,8 +145,6 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     start = fh.tell()
     size = os.fstat(fh.fileno()).st_size - start
     expected = n_rows * n_cols * 8
-    if token is None:
-        token = "binary" if size == expected or text is None else "text"
     if token == "binary":
         if size != expected:
             raise MalformedFileError(
@@ -153,8 +156,6 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
                                      line=2)
         rows.flags.writeable = False
         return rows
-    if token != "text":
-        raise MalformedFileError(f"{path}: unknown body token {token!r}", line=1)
     if text is None:
         raise MalformedFileError(f"{path}: a text body is only defined for d = 1", line=1)
     sep, lead = text
@@ -287,7 +288,10 @@ def read_field(path) -> GriddedField:
         token, (d, nx, nt, a, b, big_t, comps) = _read_header(
             fh, FIELD_MAGIC, path, d=int, nx=int, nt=int, a=float, b=float, T=float,
             components=lambda v: v.split(","))
-        extra = [name for name in ("p", "theta") if name in comps]
+        extra = comps[1:]
+        if comps[0] != "u" or not set(extra) <= {"p", "theta"} or len(set(extra)) < len(extra):
+            raise MalformedFileError(f"{path}: components must be u, then p and theta each at "
+                                     f"most once, got {','.join(comps)!r}", line=1)
         mat = _read_rows(fh, path, token, nt * nx ** d, d + len(extra),
                          (",", 2) if d == 1 else None)
     shape = (nt,) + (nx,) * d

@@ -54,6 +54,7 @@ import numpy as np
 from .aniso_measure import scale_power
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
+from .exponents import _conj
 from .fields import GriddedField, component_dot
 
 __all__ = [
@@ -500,15 +501,6 @@ def dominated(weak_mass: float, bound: float) -> bool:
     return weak_mass <= bound * (1 + DOMINANCE_TOL) + 1e-300
 
 
-def _ratio(p, k):
-    """p/(p-k) with the conventions p=inf -> 1 and p=k -> inf."""
-    if p == math.inf:
-        return 1.0
-    if p == k:
-        return math.inf
-    return p / (p - k)
-
-
 def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
                           pair: EntropyPair | None = None, nu: float = 0.0) -> BalanceReport:
     """Explicit Hoelder bound on the cutoff-tested balance, with dominance check.
@@ -551,10 +543,10 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
 
     # |.| because tapers can round to tiny negative values near their outer edge
     def space_norm(vals, k):   # L^(r/(r-k)) over the collar
-        return _pnorm(np.abs(vals)[cyl.collar], cyl.w_collar, _ratio(r, k))
+        return _pnorm(np.abs(vals)[cyl.collar], cyl.w_collar, _conj(r, k))
 
     def time_norm(vals, k):    # L^(q/(q-k)) over the outer time rows
-        return _pnorm(np.abs(vals)[cyl.outer], w_t, _ratio(q, k))
+        return _pnorm(np.abs(vals)[cyl.outer], w_t, _conj(q, k))
 
     u_norm = _pnorm(res.norms["u"][cyl.outer], w_t, q)
     n_gchi = space_norm(np.sqrt(np.sum(win.x_grad ** 2, axis=-1)), 3)

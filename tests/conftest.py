@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dissdim import fixtures as fx
+
+# CI runs draw the same examples every time and print the blob that replays a
+# failure; local runs stay random
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 _RUN_CACHE = {}
 

@@ -317,7 +317,7 @@ def test_criterion_6_cli_determinism(tmp_path):
                       fx.burgers_dissipation_measure(STANDING, 1.0, 2048), binary=True)
     commands = [
         [sys.executable, "-m", "dissdim.cli", "exponents", "--regime", "euler",
-         "--d", "3", "--q", "inf", "--r", "9/2", "--optimal"],
+         "--d", "3", "--q", "inf", "--r", "9/2"],
         [sys.executable, "-m", "dissdim.cli", "dimension", "--input", measure_path,
          "--alpha", "1", "--delta-max", "0.125", "--count", "6"],
     ]
@@ -352,7 +352,7 @@ def _criterion7_fixtures():
     shock_scales = [(k + 0.5) * dt for k in (255, 127, 63, 31, 15, 7, 3, 1)]
     out["shock measure"] = (shock, 1.0, shock_scales, shock.support_points()[2048][None, :])
 
-    slab = fx.time_singular_measure_fixture(2, 512 ** 2, lattice=True)
+    slab = fx.grid_measure(2, 512, 1)
     sup = slab.support_points()
     center = sup[np.argmin(np.sum((sup[:, :2] - 0.5) ** 2, axis=1))][None, :]
     slab_scales = [(k + 0.5) / 512 for k in (255, 127, 63, 31, 15, 7, 3, 1)]

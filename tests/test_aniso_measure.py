@@ -287,7 +287,7 @@ class TestCertifyLowerBound:
         mu = AtomicMeasure([[0.5]], [0.5], [1.0])
         lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1])
         noisy = am.DensityLadder(
-            alpha=1.0, s=0.0, scales=lad.scales, densities=(1.0, 0.0, 0.0),
+            s=0.0, scales=lad.scales, densities=(1.0, 0.0, 0.0),
             sup_masses=(1.0, 0.0, 0.0),
             fitted_slope=float("nan"), fit_residual=float("nan"),
         )
@@ -304,7 +304,7 @@ class TestCertifyLowerBound:
         datum = fx.RiemannDatum(1.0, -1.0)
         shock = fx.burgers_dissipation_measure(datum, 1.0, 4096)
         fixtures.append((shock.support_points(), 1.0))
-        slab = fx.time_singular_measure_fixture(1, 4096, lattice=True)
+        slab = fx.grid_measure(1, 4096, 1)
         fixtures.append((slab.support_points(), 1.0))
         for pts, s in fixtures:
             vals = [am.covering_premeasure(pts, 1.0, s - 0.2, 0.1 * 2.0 ** -j)

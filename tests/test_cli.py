@@ -63,7 +63,7 @@ class TestExponentsCommand:
 
     def test_fraction_arguments(self, capsys):
         code, data = run_json(["exponents", "--regime", "euler", "--d", "3",
-                               "--q", "inf", "--r", "9/2", "--optimal"], capsys)
+                               "--q", "inf", "--r", "9/2"], capsys)
         assert code == 0
         assert data["s"] == pytest.approx(5 / 3)
         assert data["alpha"] == pytest.approx(5 / 3)
@@ -84,20 +84,44 @@ class TestExponentsCommand:
 
 
 @pytest.mark.parametrize("flags", [
-    ["--regime", "ns", "--optimal"],
-    ["--regime", "ns", "--unbounded-pressure"],
-    ["--regime", "claw", "--r", "inf", "--optimal"],
-    ["--regime", "claw", "--r", "inf", "--unbounded-pressure"],
-    ["--regime", "claw", "--r", "inf", "--q", "4"],
-    ["--regime", "claw", "--r", "inf", "--alpha", "2"],
-    ["--regime", "euler", "--alpha", "2", "--optimal"],
-    ["--regime", "euler", "--q", "3", "--alpha", "2", "--unbounded-pressure"],
-    ["--regime", "euler", "--q", "3", "--optimal", "--unbounded-pressure"],
+    pytest.param(["--regime", "ns", "--unbounded-pressure"], id="flags1"),
+    pytest.param(["--regime", "claw", "--r", "inf", "--unbounded-pressure"], id="flags3"),
+    pytest.param(["--regime", "claw", "--r", "inf", "--q", "4"], id="flags4"),
+    pytest.param(["--regime", "claw", "--r", "inf", "--alpha", "2"], id="flags5"),
+    pytest.param(["--regime", "euler", "--q", "3", "--alpha", "2", "--unbounded-pressure"],
+                 id="flags7"),
 ])
 def test_exponents_rejects_ignored_flags(flags, capsys):
     code, data = run_json(["exponents", "--d", "3"] + flags, capsys)
     assert code == 2
     assert data["error"]["type"] == "CliError"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["exponents", "--regime", "euler", "--d", "3", "--bogus"], id="unknown-flag"),
+    pytest.param(["verify", "--input", "f", "--count", "abc"], id="bad-int"),
+    pytest.param(["verify"], id="missing-input"),
+    pytest.param([], id="missing-subcommand"),
+    pytest.param(["exponents", "--d", "3", "--regime", "ns", "--optimal"], id="optimal-ns"),
+    pytest.param(["exponents", "--d", "3", "--regime", "claw", "--r", "inf", "--optimal"],
+                 id="optimal-claw"),
+    pytest.param(["exponents", "--d", "3", "--regime", "euler", "--alpha", "2", "--optimal"],
+                 id="optimal-alpha"),
+    pytest.param(["exponents", "--d", "3", "--regime", "euler", "--q", "3", "--optimal",
+                  "--unbounded-pressure"], id="optimal-unbounded-pressure"),
+])
+def test_parser_errors_print_the_json_error(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["type"] == "CliError"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exponents", "--help"])
+    assert exc.value.code == 0
+    assert "the alpha that balances the two terms" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +175,7 @@ class TestDimensionCommand:
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "garbage.measure"
-        path.write_text("dissdim-measure v1 d=1 n=2\n0.0 0.0 1.0\n")
+        path.write_text("dissdim-measure v1 d=1 n=2 body=text\n0.0 0.0 1.0\n")
         code, data = run_json(["dimension", "--input", str(path)], capsys)
         assert code == 2
         assert "line" in data["error"]["message"]
@@ -174,7 +198,7 @@ def spatial_measure_files(tmp_path_factory):
     """Measure files for the density-ladder oracle: d >= 2 runs the cell
     list, d = 1 the merge-sort-tree sweep."""
     base = tmp_path_factory.mktemp("spatial")
-    slab = fx.time_singular_measure_fixture(2, 64 ** 2, lattice=True)
+    slab = fx.grid_measure(2, 64, 1)
     paths = {}
     for name, mu, binary in (("slab-binary", slab, True), ("slab-text", slab, False),
                              ("grid-3d", fx.grid_measure(3, 8, 8), True),

@@ -296,10 +296,12 @@ class TestTimeSingularFixture:
         assert res.dim_estimate == pytest.approx(2.0, abs=0.15)
 
     def test_lattice_mode_deterministic(self):
-        a = fx.time_singular_measure_fixture(2, 512 ** 2, lattice=True)
-        b = fx.time_singular_measure_fixture(2, 512 ** 2, lattice=True)
+        # the lattice time slab is grid_measure with one time node
+        a = fx.grid_measure(2, 512, 1)
+        b = fx.grid_measure(2, 512, 1)
         assert np.array_equal(a.positions, b.positions)
         assert a.n_atoms == 512 ** 2
+        assert np.all(a.times == 0.5) and np.all(a.weights == 1.0 / 512 ** 2)
 
 
 class TestSmoothSolutionSampler:

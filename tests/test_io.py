@@ -57,14 +57,14 @@ class TestMeasureFormat:
 
     def test_short_body_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("dissdim-measure v1 d=1 n=3\n0.0 0.0 1.0\n")
+        path.write_text("dissdim-measure v1 d=1 n=3 body=text\n0.0 0.0 1.0\n")
         with pytest.raises(dio.MalformedFileError) as err:
             dio.read_measure(path)
         assert err.value.line is not None
 
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("dissdim-measure v1 d=1 n=1\n0.0 0.0\n")
+        path.write_text("dissdim-measure v1 d=1 n=1 body=text\n0.0 0.0\n")
         with pytest.raises(dio.MalformedFileError):
             dio.read_measure(path)
 
@@ -120,7 +120,7 @@ class TestFieldFormat:
 
     def test_wrong_payload_size(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"dissdim-field v1 d=2 nx=4 nt=2 a=0.0 b=1.0 T=1.0 components=u\n1234")
+        path.write_bytes(b"dissdim-field v1 d=2 nx=4 nt=2 a=0.0 b=1.0 T=1.0 components=u body=binary\n1234")
         with pytest.raises(dio.MalformedFileError):
             dio.read_field(path)
 
@@ -203,24 +203,22 @@ class TestBodyCodec:
                 assert bits(got) == bits(want)
 
     @pytest.mark.parametrize("binary", [False, True])
-    def test_tokenless_headers_read_as_before(self, sample_measure, sample_field, tmp_path,
-                                              binary):
+    def test_tokenless_headers_are_rejected(self, sample_measure, sample_field, tmp_path,
+                                            binary):
         token = b" body=binary\n" if binary else b" body=text\n"
-        for write, read, obj, names in (
-                (dio.write_measure, dio.read_measure, sample_measure,
-                 ("positions", "times", "weights")),
-                (dio.write_field, dio.read_field, sample_field, ("u",))):
+        for write, read, obj in ((dio.write_measure, dio.read_measure, sample_measure),
+                                 (dio.write_field, dio.read_field, sample_field)):
             path = tmp_path / "old"
             write(path, obj, binary=binary)
             path.write_bytes(path.read_bytes().replace(token, b"\n", 1))
-            back = read(path)
-            for name in names:
-                assert bits(getattr(back, name)) == bits(getattr(obj, name))
+            with pytest.raises(dio.MalformedFileError, match=r"body=binary\|body=text") as err:
+                read(path)
+            assert err.value.line == 1
 
     def test_huge_count_is_rejected_without_allocating(self, tmp_path, capsys):
         from dissdim.cli import main
         path = tmp_path / "huge.measure"
-        path.write_text(f"dissdim-measure v1 d=1 n={10 ** 12}\n0.1 0.2 0.3\n")
+        path.write_text(f"dissdim-measure v1 d=1 n={10 ** 12} body=text\n0.1 0.2 0.3\n")
         with pytest.raises(dio.MalformedFileError) as err:
             dio.read_measure(path)
         assert err.value.line == 3
@@ -437,6 +435,57 @@ class TestTextRecords:
         assert rows.shape == (n_rows, n_cols) and rows.dtype == np.float64
         assert rows.flags.c_contiguous
         assert bits(rows) == bits(values)
+
+
+COMPONENT_ORDERS = [(), ("p",), ("theta",), ("p", "theta"), ("theta", "p")]
+
+
+def field_file(path, d, nx, nt, comps, columns, binary):
+    """Write a field file by hand: the header names ``comps``, the body holds
+    ``columns`` (one (rows, k) block per name, u first) in that order."""
+    rows = np.concatenate(columns, axis=1)
+    head = (f"dissdim-field v1 d={d} nx={nx} nt={nt} a=0.0 b=1.0 T=1.0 "
+            f"components={','.join(comps)} body={'binary' if binary else 'text'}\n")
+    if binary:
+        body = rows.astype("<f8").tobytes()
+    else:
+        body = "".join(f"0.0,0.0,{','.join(map(repr, row))}\n" for row in rows.tolist()).encode()
+    path.write_bytes(head.encode() + body)
+
+
+class TestComponentOrder:
+    """A field file's extra columns are read in the order its header names them."""
+
+    @pytest.mark.parametrize("extra", COMPONENT_ORDERS, ids=lambda e: ",".join(("u",) + e))
+    @pytest.mark.parametrize("d, binary", [(1, True), (2, True), (1, False)])
+    def test_every_order_round_trips(self, tmp_path, extra, d, binary):
+        nx, nt = 3, 2
+        shape = (nt,) + (nx,) * d
+        rng = np.random.default_rng(len(extra) + d)
+        u = rng.standard_normal(shape + (d,))
+        values = {name: rng.standard_normal(shape) for name in extra}
+        path = tmp_path / "f"
+        field_file(path, d, nx, nt, ("u",) + extra,
+                   [u.reshape(-1, d)] + [values[name].reshape(-1, 1) for name in extra], binary)
+        back = dio.read_field(path)
+        assert bits(back.u) == bits(u)
+        for name in ("p", "theta"):
+            if name in values:
+                assert bits(getattr(back, name)) == bits(values[name])
+            else:
+                assert getattr(back, name) is None
+
+    @pytest.mark.parametrize("comps", ["u,p,rho", "p,u", "p,theta,u", "u,p,p", "u,theta,p,theta",
+                                       "u,u", ""])
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_a_bad_component_list_is_rejected_at_line_1(self, tmp_path, comps, binary):
+        names = comps.split(",")
+        path = tmp_path / "f"
+        field_file(path, 1, 3, 2, names, [np.zeros((6, len(names)))], binary)
+        with pytest.raises(dio.MalformedFileError, match="components") as err:
+            dio.read_field(path)
+        assert err.value.line == 1
+        assert repr(comps) in str(err.value)
 
 
 class TestTextWriter:
