@@ -7,6 +7,7 @@ array, e.g. ``np.broadcast_to(v, (2,) + v.shape)``, which costs no copy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,18 +96,19 @@ class _SpaceTimeGrid:
     def t_axis(self) -> np.ndarray:
         return self.dt * np.arange(self.nt)
 
-    def spatial_mesh(self) -> np.ndarray:
-        """Node coordinates as an array of shape (nx, ..., nx, d)."""
-        axes = np.meshgrid(*([self.x_axis] * self.d), indexing="ij")
-        return np.stack(axes, axis=-1)
+    def spatial_mesh(self, box: tuple | None = None) -> np.ndarray:
+        """Coordinates of the nodes of the index ``box`` (one slice per axis;
+        the whole grid when None), shape (n_1, ..., n_d, d): stacked, as the
+        bumps take them and the benchmark's bump spans count their points."""
+        axes = [self.x_axis[s] for s in box or [slice(None)] * self.d]
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
 
-    def spatial_weights(self) -> np.ndarray:
-        """Product trapezoid weights over the spatial axes, shape (nx,)*d."""
+    def spatial_weights(self, box: tuple | None = None) -> np.ndarray:
+        """Product trapezoid weights of the nodes of the index ``box`` (the
+        whole grid when None), each with the bits of the whole-grid entry; the
+        benchmark times this method and ``spatial_mesh`` as layers."""
         wx = _trapezoid_weights(self.h, self.nx)
-        out = wx
-        for _ in range(self.d - 1):
-            out = np.multiply.outer(out, wx)
-        return out
+        return functools.reduce(np.multiply.outer, [wx[s] for s in box or [slice(None)] * self.d])
 
 
 @dataclass

@@ -4,7 +4,9 @@ Both file kinds are one ASCII header line and a body of float64 rows.  The
 header ends with ``body=binary`` (little-endian float64 records) or
 ``body=text`` (one line per row, every value as its Python ``repr``, so a
 text body reads back bit for bit; empty lines are skipped).  A header with
-no body token, or another one, is rejected at line 1.  Text lines end in LF
+no body token, or another one, is rejected at line 1, as is one that
+repeats a key, names a key its file kind does not define, or gives a
+negative count (n, nx, nt).  Text lines end in LF
 or CRLF; a CR anywhere else in the header or in a text body is rejected
 with its line number.
 
@@ -101,9 +103,17 @@ def _write_rows(fh, rows: np.ndarray, binary: bool, sep: str, lead=()) -> None:
     fh.write("".join(chain.from_iterable(zip(*lead, *columns))).encode("ascii"))
 
 
+def _count(value: str) -> int:
+    """A header count (n, nx, nt): an int, at least 0."""
+    if int(value) < 0:
+        raise ValueError("a count must be >= 0")
+    return int(value)
+
+
 def _read_header(fh, magic: str, path, **types):
     """The body token, "binary" or "text", and the header values of ``types``,
-    converted; the first key is the dimension d, which must be at least 1."""
+    converted; the first key is the dimension d, which must be at least 1.
+    Each key of ``types`` and ``body`` appears once, and no other key does."""
     line = fh.readline()
     if not line.endswith(b"\n"):
         raise MalformedFileError(f"{path}: missing header line", line=1)
@@ -117,11 +127,18 @@ def _read_header(fh, magic: str, path, **types):
         if "=" not in token:
             raise MalformedFileError(f"{path}: bad header token {token!r}", line=1)
         key, value = token.split("=", 1)
+        if key in fields or key not in (*types, "body"):
+            raise MalformedFileError(f"{path}: header key {key!r} is "
+                                     f"{'repeated' if key in fields else 'unknown'}", line=1)
         fields[key] = value
-    try:
-        values = [convert(fields[key]) for key, convert in types.items()]
-    except (KeyError, ValueError) as exc:
-        raise MalformedFileError(f"{path}: bad header ({exc})", line=1)
+    values = []
+    for key, convert in types.items():
+        try:
+            values.append(convert(fields[key]))
+        except KeyError:
+            raise MalformedFileError(f"{path}: header key {key!r} is missing", line=1) from None
+        except ValueError as exc:
+            raise MalformedFileError(f"{path}: header key {key!r} is bad ({exc})", line=1) from None
     if values[0] < 1:
         raise MalformedFileError(f"{path}: header needs d >= 1", line=1)
     body = fields.get("body")
@@ -254,7 +271,7 @@ def write_measure(path, mu: AtomicMeasure, binary: bool = False) -> None:
 
 def read_measure(path) -> AtomicMeasure:
     with open(path, "rb") as fh:
-        token, (d, n) = _read_header(fh, MEASURE_MAGIC, path, d=int, n=int)
+        token, (d, n) = _read_header(fh, MEASURE_MAGIC, path, d=int, n=_count)
         rows = _read_rows(fh, path, token, n, d + 2, (None, 0))
     try:
         return AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
@@ -286,7 +303,7 @@ def write_field(path, field: GriddedField, binary: bool = True) -> None:
 def read_field(path) -> GriddedField:
     with open(path, "rb") as fh:
         token, (d, nx, nt, a, b, big_t, comps) = _read_header(
-            fh, FIELD_MAGIC, path, d=int, nx=int, nt=int, a=float, b=float, T=float,
+            fh, FIELD_MAGIC, path, d=int, nx=_count, nt=_count, a=float, b=float, T=float,
             components=lambda v: v.split(","))
         extra = comps[1:]
         if comps[0] != "u" or not set(extra) <= {"p", "theta"} or len(set(extra)) < len(extra):

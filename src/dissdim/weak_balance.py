@@ -1,26 +1,25 @@
 """Weak-form energy/entropy balances tested against cutoffs on gridded fields.
 
-Every balance below is one trapezoid quadrature over the field's nodes,
-made by the kernel ``_pairing``; cutoff and test-function derivatives are
+Every balance below is one trapezoid quadrature over the field's nodes, made
+by the kernel ``_pairing``; cutoff and test-function derivatives are
 analytic, field derivatives (only ever needed for the viscous gradient
 density) are centered differences.  The kernel works only on the index box
-of the test function's support, plus a one-node halo: the spatial factor and
-its derivatives are evaluated once, on the factor's stated support box (a
-few nodes wider), which also holds the window and gives the spatial margin
-verdict; no case evaluates the factor on the whole grid.  Each node of the
-box keeps its global quadrature weight.  Every term differentiates the field
-only in space, so the kernel walks the box's time rows in blocks of about
-``WINDOW_BLOCK`` nodes (at least two rows): each block's samples are copied
-into contiguous memory, and every field-derived array (densities, fluxes,
-|grad u|^2, the speed) is block-sized.  A block reduces each term to one
-number per time row; the time quadratures, the Hoelder norms and every check
-then run on those row vectors.  The spatial contraction is an ``np.einsum``,
-whose row results do not depend on how many rows go in together, so a
-pairing has the same bits for every block size.  The balance extended to
-t = T returns its interior mass, its terminal term and the viscous gradient
-mass from that one walk.  The kernel alone knows a cutoff's cylinder: it
-runs the margin check, builds the delta-ball, 2*delta-collar and time masks
-once, and returns them with the weak mass, the nu*|grad u|^2 masses and the
+of the test function's support, plus a one-node halo.  The spatial factor
+and its derivatives are evaluated once, on the factor's stated support box
+(a few nodes wider), which holds the window and gives the spatial margin
+verdict.  The grid builds each box's own coordinates and global quadrature
+weights, so no pairing or covering estimate holds a whole-grid coordinate or
+weight array.  Every term differentiates the field only in space, so the
+kernel walks the box's time rows in blocks of about ``WINDOW_BLOCK`` nodes
+(at least two rows): each block's samples are copied into contiguous memory,
+and every field-derived array (densities, fluxes, |grad u|^2, the speed) is
+block-sized.  A block reduces each term to one number per time row; the time
+quadratures, the Hoelder norms and every check then run on those row
+vectors.  The spatial contraction is an ``np.einsum``, whose row results do
+not depend on how many rows go in together, so a pairing has the same bits
+for every block size.  The kernel alone knows a cutoff's cylinder: it runs
+the margin check, builds the delta-ball, 2*delta-collar and time masks once,
+and returns them with the weak mass, the nu*|grad u|^2 masses and the
 per-row norms of |u| that the Hoelder bound multiplies.  The covering
 estimate pairs a steady field with chi*grad(phi) and phi*grad(chi), neither
 the gradient of one test function: it shares only ``_spatial_factors``.
@@ -205,7 +204,7 @@ def _support_box(field: GriddedField, space) -> tuple:
     return _equal_lengths(tuple(slices), (slice(0, field.nx),) * field.d)
 
 
-def _spatial_factors(field: GriddedField, mesh: np.ndarray, space):
+def _spatial_factors(field: GriddedField, space):
     """The window's spatial index box, the factor X, grad X, lap X on it, and
     max |X| over all nodes and over the nodes of the 2-cell edge slabs.
 
@@ -218,7 +217,7 @@ def _spatial_factors(field: GriddedField, mesh: np.ndarray, space):
     no nonzero node is the window itself, with zero factors.
     """
     box = _support_box(field, space)
-    nodes = mesh[box]
+    nodes = field.spatial_mesh(box)
     X, grad, lap = space.value(nodes), space.gradient(nodes), space.laplacian(nodes)
     nonzero = (X != 0) | (grad != 0).any(axis=-1) | (lap != 0)
     # per axis: which of the box's node indices hold a nonzero node
@@ -265,10 +264,11 @@ class _Window:
     quadrature over the box is the full-grid quadrature summed in another
     order.
 
-    The window holds what spans the whole box: the spatial factors, H and
-    dH/dt, the weights ``wsp`` and ``wt``, and the global coordinates
-    ``mesh`` and ``t_axis``.  It holds no samples: ``block`` copies those of
-    a few time rows (see ``row_blocks``) into contiguous memory.
+    The window holds what spans the whole box, built for the box alone: the
+    spatial factors, H and dH/dt, the weights ``wsp`` and ``wt``, and the
+    global coordinates ``mesh`` and ``t_axis``.  It holds no samples:
+    ``block`` copies those of a few time rows (see ``row_blocks``) into
+    contiguous memory.
 
     phi = h_val * x_val, dphi/dt = h_dt * x_val, grad phi = h_val * x_grad and
     lap phi = h_val * x_lap: the h_* are time vectors on the box, the x_*
@@ -277,19 +277,15 @@ class _Window:
 
     def __init__(self, field: GriddedField, phi: SpaceTimeTestFunction, vanish):
         self.field = field
-        self.d = field.d
-        mesh = field.spatial_mesh()
         t = field.t_axis
         H, dH = phi.time.value(t), phi.time.deriv(t)
         self.x, self.x_val, self.x_grad, self.x_lap, x_max, edge_max = \
-            _spatial_factors(field, mesh, phi.space)
+            _spatial_factors(field, phi.space)
         _check_vanishing(H, x_max, edge_max, vanish)
         self.t = _halo_slice((H != 0) | (dH != 0))
         self.h_val, self.h_dt = H[self.t], dH[self.t]
-        self.mesh = mesh[self.x]
+        self.mesh, self.wsp = field.spatial_mesh(self.x), field.spatial_weights(self.x)
         self.t_axis = t[self.t]
-        # contiguous, so that every block's contraction runs the same einsum loop
-        self.wsp = np.ascontiguousarray(field.spatial_weights()[self.x])
         self.wt = field.axis_weights()[1][self.t]
 
     def row_blocks(self) -> list:
@@ -315,7 +311,7 @@ class _Window:
         """Spatial quadrature of vals per time row (vals has a leading time
         axis).  einsum gives each row the same bits however many rows come
         in together; tensordot (BLAS) does not."""
-        space = list(range(1, 1 + self.d))
+        space = list(range(1, 1 + self.wsp.ndim))
         return np.einsum(vals, [0] + space, self.wsp, space, [0])
 
     def quad(self, rows: np.ndarray, time: np.ndarray) -> float:
@@ -556,7 +552,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     # component at d >= 2 stands for every component, so it meets sum_i d_i chi
     n_flux = {name: n_gchi for name in pair.fluxes}
     for name, width in res.widths.items():
-        if width == 1 < win.d:
+        if width == 1 < field.d:
             n_flux[name] = norms["sum_grad_chi"] = space_norm(np.sum(win.x_grad, axis=-1), 3)
 
     # u_norm**k as inf, not OverflowError, where it overflows
@@ -681,13 +677,12 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
 
     # phi and each bump evaluated once, on its support box; every term carries
     # phi or grad phi, so chi and grad chi live on phi's window only
-    mesh = field.spatial_mesh()
-    win, phi_vals, phi_grad = _spatial_factors(field, mesh, phi)[:3]
+    win, phi_vals, phi_grad = _spatial_factors(field, phi)[:3]
     chi, grad_chi = np.zeros(phi_vals.shape), np.zeros(phi_grad.shape)
     covered, support = np.zeros_like(above), np.zeros_like(above)
     for b in bumps:
-        box, vals, grad = _spatial_factors(field, mesh, b)[:3]
-        covered[box] |= np.sum((mesh[box] - b.center) ** 2, axis=-1) < b.delta ** 2
+        box, vals, grad = _spatial_factors(field, b)[:3]
+        covered[box] |= np.sum((field.spatial_mesh(box) - b.center) ** 2, -1) < b.delta ** 2
         support[box] |= vals > 0
         both = [(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(box, win)]
         if any(i >= j for i, j in both):
@@ -701,16 +696,19 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
     if missing:
         raise CoverageError(f"{missing} above-threshold cells escape the covering")
 
-    w = field.spatial_weights()
-    v_win = v[win]
-    w_gphi = w[win] * component_dot(v_win, phi_grad)               # w V . grad phi
-    w_gchi = w[win] * component_dot(v_win, grad_chi) * phi_vals    # w (V . grad chi) phi
+    w, v_win = field.spatial_weights(win), v[win]
+    w_gphi = w * component_dot(v_win, phi_grad)               # w V . grad phi
+    w_gchi = w * component_dot(v_win, grad_chi) * phi_vals    # w (V . grad chi) phi
     bound_i = abs(float(np.sum(w_gphi * chi)))
     bound_ii = abs(float(np.sum(w_gchi)))
     pairing = abs(float(np.sum(w_gphi * chi + w_gchi)))
     full_pairing = abs(float(np.sum(w_gphi)))
     if not pairing <= bound_i + bound_ii + DOMINANCE_TOL * (1 + bound_i + bound_ii):
         raise VerificationError("triangle inequality failed in the covering estimate")
-    v_norm = _pnorm(np.sqrt(np.sum(v[support] ** 2, axis=-1)), w[support], r)
+    # the window's arrays go first, so that the norm's do not add to them at the peak
+    del chi, grad_chi, phi_vals, phi_grad, w_gphi, w_gchi
+    nodes, wx = np.nonzero(support), field.axis_weights()[0]   # no whole-grid weights
+    v_norm = _pnorm(np.sqrt(np.sum(v[nodes] ** 2, axis=-1)),
+                    functools.reduce(np.multiply, [wx[i] for i in nodes]), r)
     return SignedSupportReport(bound_i, bound_ii, pairing, full_pairing, v_norm,
                                int(np.count_nonzero(above)))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dissdim.aniso_measure import SpaceTimePoint
-from dissdim.fields import GriddedField
+from dissdim.fields import GriddedField, _SpaceTimeGrid
 
 
 class TestGriddedField:
@@ -58,6 +59,39 @@ class TestGriddedField:
         u[..., 0] = mesh[..., 0][None]
         field.u = u
         assert np.allclose(field.grad_squared(), 1.0)
+
+
+@st.composite
+def index_boxes(draw):
+    """A grid on [a, b]^d and an index box in it: per axis a slice that may
+    start or end on a face, hold a single node or span the whole axis."""
+    d, nx = draw(st.integers(1, 3)), draw(st.integers(2, 40))
+    a = draw(st.floats(-10.0, 10.0))
+    grid = _SpaceTimeGrid(d, a, a + draw(st.floats(0.1, 10.0)), nx, 1.0, 2)
+    box = []
+    for _ in range(d):
+        start = draw(st.one_of(st.just(0), st.integers(0, nx - 1)))
+        stop = draw(st.one_of(st.just(start + 1), st.just(nx), st.integers(start + 1, nx)))
+        box.append(slice(start, stop))
+    return grid, tuple(box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=index_boxes())
+def test_a_box_has_the_bits_of_the_whole_grid_slice(case):
+    grid, box = case
+    # the whole grid written out: a stacked meshgrid and the outer products
+    # w_0 * w_1 * ... of the trapezoid weights, taken left to right
+    wx = np.full(grid.nx, grid.h)
+    wx[0] = wx[-1] = grid.h / 2
+    weights = wx
+    for _ in range(grid.d - 1):
+        weights = np.multiply.outer(weights, wx)
+    mesh = np.stack(np.meshgrid(*[grid.x_axis] * grid.d, indexing="ij"), axis=-1)
+    for method, whole in ((grid.spatial_mesh, mesh), (grid.spatial_weights, weights)):
+        for got, want in ((method(), whole), (method(box), method()[box])):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSpatialVectorField:

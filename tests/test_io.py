@@ -250,6 +250,34 @@ class TestBodyCodec:
         with pytest.raises(dio.MalformedFileError):
             read(path)
 
+    ONE_ATOM = np.array([0.25, 0.5, 0.125], dtype="<f8").tobytes()
+
+    @pytest.mark.parametrize("header, body, key, fault", [
+        # read as one binary atom (0.25, 0.5, 0.125) when the last value won
+        ("dissdim-measure v1 d=1 n=2 n=1 body=text body=binary", ONE_ATOM, "n", "repeated"),
+        ("dissdim-measure v1 d=1 n=1 body=text body=binary", ONE_ATOM, "body", "repeated"),
+        ("dissdim-measure v1 d=1 n=1 wat=3 body=text", b"0 0 1\n", "wat", "unknown"),
+        ("dissdim-measure v1 d=1 n=1 nx=1 body=text", b"0 0 1\n", "nx", "unknown"),
+        ("dissdim-measure v1 d=1 n=-1 body=text", b"", "n", "bad"),
+        (FIELD_HEADER.replace("nt=2", "nt=2 nt=2"), field_csv()[len(FIELD_HEADER) + 1:],
+         "nt", "repeated"),
+        (FIELD_HEADER.replace("T=1.0", "T=1.0 n=4"), field_csv()[len(FIELD_HEADER) + 1:],
+         "n", "unknown"),
+        (FIELD_HEADER.replace("nx=2", "nx=-2"), b"", "nx", "bad"),
+        (FIELD_HEADER.replace("nt=2", "nt=-2"), b"", "nt", "bad"),
+    ])
+    def test_each_header_key_is_defined_once_and_counts_are_not_negative(
+            self, tmp_path, capsys, header, body, key, fault):
+        from dissdim.cli import main
+        path = tmp_path / "bad"
+        path.write_bytes(header.encode() + b"\n" + body)
+        measure = "measure" in header
+        with pytest.raises(dio.MalformedFileError, match=f"key '{key}' is {fault}") as err:
+            (dio.read_measure if measure else dio.read_field)(path)
+        assert err.value.line == 1
+        assert main(["dimension" if measure else "verify", "--input", str(path)]) == 2
+        assert f"key '{key}' is {fault}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("data, line", [
         pytest.param(field_csv(FIELD_ROWS[:1] + ["0.0,1.0,2.0,5.0"] + FIELD_ROWS[2:]), 3,
                      id="extra-column"),

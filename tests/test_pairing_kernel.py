@@ -405,3 +405,21 @@ def test_a_tall_window_holds_block_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak < samples
+
+
+def test_a_small_d3_cylinder_holds_no_whole_grid_array():
+    # 65^3 x 9 nodes, delta = 1/64: the window is a few nodes a side, and the
+    # kernel peaked at 13 MB when it built the whole grid's mesh and weights
+    # to slice them to the window
+    nx = 65
+    x = np.linspace(0.0, 1.0, nx)
+    u = np.broadcast_to(np.sin(2 * math.pi * x)[:, None, None, None], (9,) + (nx,) * 3 + (3,))
+    field = GriddedField(3, 0.0, 1.0, nx, 1.0, 9, u)
+    cut = co.CutoffPair.build(SpaceTimePoint((0.5, 0.5, 0.5), 0.5), 1 / 64, 1.0)
+    tracemalloc.start()
+    try:
+        wb.holder_cylinder_bound(field, cut, INF, INF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nx ** 3 * 8   # one whole-grid float64 array, 2.2 MB

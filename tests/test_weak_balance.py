@@ -751,6 +751,22 @@ class TestCoveringBalls:
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2 ** 20
 
+    def test_memory_stays_below_a_whole_grid_mesh_and_weights(self):
+        # a 256^2 steady field holds 1 MiB of samples; the estimate peaked at
+        # 3.5 MiB when it built the whole grid's mesh and weights
+        v = fx.power_law_vector_field(fx.PowerLawField(2, 1.0), -1.0, 1.0, 256)
+        phi = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.2)] * 2)
+        rng = np.random.default_rng(1)
+        cover = [((0.0, 0.0), 0.05)] + [(tuple(rng.uniform(-0.6, 0.6, 2)), 0.05)
+                                        for _ in range(63)]
+        tracemalloc.start()
+        try:
+            wb.signed_support_bound(v, cover, phi, 4, enforce_cover=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * v.u[0].nbytes
+
 
 def whole_mesh_covering(field, covering, phi, r, threshold=None, enforce_cover=True):
     """The covering estimate on the whole mesh: every bump evaluated on every
