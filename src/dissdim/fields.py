@@ -1,4 +1,4 @@
-"""Uniform space-time grids carrying velocity (and optional pressure/scalar) samples.
+"""Uniform space-time grids carrying velocity samples and named scalar samples.
 
 ``GriddedField`` is the one grid type.  A time-independent vector field V(x)
 is a steady GriddedField: nt = 2 (T = 1, say) whose two time rows are one
@@ -8,11 +8,14 @@ array, e.g. ``np.broadcast_to(v, (2,) + v.shape)``, which costs no copy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GriddedField", "all_finite", "component_dot"]
+__all__ = ["SCALARS", "GriddedField", "all_finite", "component_dot"]
+
+SCALARS = ("p", "theta")
 
 
 def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,13 +119,13 @@ class GriddedField(_SpaceTimeGrid):
     """Samples on the node grid x_i = a + i*h (per axis), t_k = k*dt.
 
     ``u`` has shape (nt, nx, ..., nx, d) with d spatial axes of length nx;
-    ``p`` and ``theta`` drop the trailing component axis.  Spacings follow the
-    node convention h = (b-a)/(nx-1), dt = T/(nt-1).
+    ``scalars`` maps names in SCALARS (pressure p, passive scalar theta) to
+    samples without the component axis, kept read-only in the given order.
+    Spacings follow the node convention h = (b-a)/(nx-1), dt = T/(nt-1).
     """
 
     u: np.ndarray
-    p: np.ndarray | None = None
-    theta: np.ndarray | None = None
+    scalars: types.MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
         super().__post_init__()
@@ -130,15 +133,15 @@ class GriddedField(_SpaceTimeGrid):
         self.u = np.asarray(self.u, dtype=float)
         if self.u.shape != expected:
             raise ValueError(f"u has shape {self.u.shape}, expected {expected}")
-        for name in ("p", "theta"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                if arr.shape != expected[:-1]:
-                    raise ValueError(f"{name} has shape {arr.shape}, expected {expected[:-1]}")
-                if not all_finite(arr):
-                    raise ValueError(f"{name} contains non-finite samples")
-                setattr(self, name, arr)
+        self.scalars = types.MappingProxyType(
+            {name: np.asarray(arr, dtype=float) for name, arr in self.scalars.items()})
+        for name, arr in self.scalars.items():
+            if name not in SCALARS:
+                raise ValueError(f"unknown scalar {name!r}, expected one of {SCALARS}")
+            if arr.shape != expected[:-1]:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {expected[:-1]}")
+            if not all_finite(arr):
+                raise ValueError(f"{name} contains non-finite samples")
         if not all_finite(self.u):
             raise ValueError("u contains non-finite samples")
 

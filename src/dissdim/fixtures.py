@@ -496,7 +496,7 @@ def constant_field(value, d: int, a: float, b: float, nx: int, T: float, nt: int
     shape = (nt,) + (nx,) * d
     u = np.broadcast_to(value, shape + (d,)).copy()
     p = np.full(shape, float(pressure))
-    return GriddedField(d, a, b, nx, T, nt, u, p=p)
+    return GriddedField(d, a, b, nx, T, nt, u, {"p": p})
 
 
 def shear_flow_field(profile, a: float, b: float, nx: int, T: float, nt: int) -> GriddedField:
@@ -506,7 +506,7 @@ def shear_flow_field(profile, a: float, b: float, nx: int, T: float, nt: int) ->
     u = np.zeros((nt, nx, nx, 2))
     u[..., 0] = fy[None, None, :]
     p = np.zeros((nt, nx, nx))
-    return GriddedField(2, a, b, nx, T, nt, u, p=p)
+    return GriddedField(2, a, b, nx, T, nt, u, {"p": p})
 
 
 def decaying_shear_field(nu: float, k: float, a: float, b: float, nx: int,
@@ -518,4 +518,4 @@ def decaying_shear_field(nu: float, k: float, a: float, b: float, nx: int,
     u = np.zeros((nt, nx, nx, 2))
     u[..., 0] = amp[:, None, None] * np.sin(k * ys)[None, None, :]
     p = np.zeros((nt, nx, nx))
-    return GriddedField(2, a, b, nx, T, nt, u, p=p)
+    return GriddedField(2, a, b, nx, T, nt, u, {"p": p})

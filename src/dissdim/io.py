@@ -18,9 +18,11 @@ is followed by ``n`` rows ``x_1 ... x_d t w`` (text values separated by spaces).
 
 is followed by one row of components per node in (t-major, then x
 lexicographic) order, its columns in the header's order: ``u`` first, then
-``p`` and ``theta`` at most once each, in either order.  The text body is
-CSV for d = 1 only; its rows ``t,x,u[,p][,theta]`` lead with the grid axes,
-which are not read back.
+each name of ``fields.SCALARS`` at most once, in any order.  The field's
+``scalars`` mapping keeps that order, and the writer follows the mapping's
+order, so a file read and written again keeps its header and its values.
+The text body is CSV for d = 1 only; its rows ``t,x,u[,p][,theta]`` lead
+with the grid axes, which are not read back.
 
 The text writer takes a field one time slice at a time (a measure, 4096 rows
 at a time) and calls ``repr`` once per distinct float64 bit pattern in it, so
@@ -54,7 +56,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .aniso_measure import AtomicMeasure
-from .fields import GriddedField
+from .fields import SCALARS, GriddedField
 
 __all__ = [
     "MalformedFileError",
@@ -286,17 +288,15 @@ def read_measure(path) -> AtomicMeasure:
 def write_field(path, field: GriddedField, binary: bool = True) -> None:
     if not binary and field.d != 1:
         raise ValueError("the CSV body is only defined for d = 1")
-    extra = {name: arr for name, arr in (("p", field.p), ("theta", field.theta))
-             if arr is not None}
     header = (f"{FIELD_MAGIC} d={field.d} nx={field.nx} nt={field.nt} a={field.a!r} "
-              f"b={field.b!r} T={field.T!r} components={','.join(['u', *extra])}")
+              f"b={field.b!r} T={field.T!r} components={','.join(['u', *field.scalars])}")
     xs = [f"{x!r}," for x in field.x_axis.tolist()]
     with open(path, "wb") as fh:
         fh.write(_header_line(header, binary))
         # one time slice at a time bounds the gathered rows, the text buffer and the repr cache
         for k, t in enumerate(field.t_axis.tolist()):
             block = np.concatenate([field.u[k].reshape(-1, field.d)]
-                                   + [arr[k].reshape(-1, 1) for arr in extra.values()], axis=1)
+                                   + [a[k].reshape(-1, 1) for a in field.scalars.values()], axis=1)
             _write_rows(fh, block, binary, ",", (repeat(f"{t!r},"), xs))
 
 
@@ -306,15 +306,15 @@ def read_field(path) -> GriddedField:
             fh, FIELD_MAGIC, path, d=int, nx=_count, nt=_count, a=float, b=float, T=float,
             components=lambda v: v.split(","))
         extra = comps[1:]
-        if comps[0] != "u" or not set(extra) <= {"p", "theta"} or len(set(extra)) < len(extra):
-            raise MalformedFileError(f"{path}: components must be u, then p and theta each at "
-                                     f"most once, got {','.join(comps)!r}", line=1)
+        if comps[0] != "u" or not set(extra) <= set(SCALARS) or len(set(extra)) < len(extra):
+            raise MalformedFileError(f"{path}: components must be u, then {' and '.join(SCALARS)}"
+                                     f" each at most once, got {','.join(comps)!r}", line=1)
         mat = _read_rows(fh, path, token, nt * nx ** d, d + len(extra),
                          (",", 2) if d == 1 else None)
     shape = (nt,) + (nx,) * d
     columns = {name: mat[:, d + i].reshape(shape) for i, name in enumerate(extra)}
     try:
-        return GriddedField(d, a, b, nx, big_t, nt, mat[:, :d].reshape(shape + (d,)), **columns)
+        return GriddedField(d, a, b, nx, big_t, nt, mat[:, :d].reshape(shape + (d,)), columns)
     except ValueError as exc:
         raise MalformedFileError(f"{path}: {exc}")
 

@@ -64,7 +64,7 @@ __all__ = [
     "SignedSupportReport",
     "BURGERS_PAIR",
     "EULER_ENERGY_PAIR",
-    "passive_scalar_pair",
+    "PASSIVE_SCALAR_PAIR",
     "pair_weak_mass",
     "holder_cylinder_bound",
     "dominated",
@@ -88,14 +88,16 @@ class CoverageError(ValueError):
 class EntropyPair:
     """A conserved density and its flux for a scalar/velocity model.
 
-    ``eta_fn(u, p, theta)`` returns the density per node; ``fluxes`` maps a
-    term name to a flux function of the same arguments (trailing component
-    axis; a length-1 axis stands for every component), and the flux is their
-    sum.  Each flux gives one balance term, in the dict's order: "II" is the
-    velocity flux and "III", when present, the pressure flux u*p.  The growth coefficients certify pointwise bounds
-    |eta| <= eta_quad_coeff*|u|^2 and |Q_II| <= q_cubic_coeff*|u|^3 used when
-    instantiating Hoelder bounds; pairs without velocity-cubic structure
-    leave them None and are rejected by the bound evaluator.
+    ``eta_fn(f)`` returns the density per node of the GriddedField ``f``, read
+    from ``f.u`` and the ``f.scalars`` it needs; ``fluxes`` maps a term name to
+    a flux function of the same field (trailing component axis; a length-1
+    axis stands for every component), and the flux is their sum.  Each flux
+    gives one balance term, in the dict's order: "II" is the velocity flux and
+    "III", when present, the pressure flux u*p.  The growth coefficients
+    certify pointwise bounds |eta| <= eta_quad_coeff*|u|^2 and |Q_II| <=
+    q_cubic_coeff*|u|^3 used when instantiating Hoelder bounds; pairs without
+    velocity-cubic structure leave them None and are rejected by the bound
+    evaluator.
     """
 
     label: str
@@ -105,12 +107,12 @@ class EntropyPair:
     q_cubic_coeff: float | None = None
 
 
-def _burgers_eta(u, p, theta):
-    return 0.5 * u[..., 0] ** 2
+def _burgers_eta(f):
+    return 0.5 * f.u[..., 0] ** 2
 
 
-def _burgers_q(u, p, theta):
-    u0 = u[..., 0]
+def _burgers_q(f):
+    u0 = f.u[..., 0]
     return (u0 * u0 * u0 / 3.0)[..., None]   # a product, not np.power: 5x faster
 
 
@@ -118,32 +120,27 @@ BURGERS_PAIR = EntropyPair("burgers", _burgers_eta, {"II": _burgers_q},
                            eta_quad_coeff=0.5, q_cubic_coeff=1.0 / 3.0)
 
 
-def passive_scalar_pair() -> EntropyPair:
-    """Density theta^2/2 transported by the velocity field."""
-
-    def eta(u, p, theta):
-        if theta is None:
-            raise ValueError("the passive-scalar pair needs a field with scalar samples")
-        return 0.5 * theta ** 2
-
-    def q(u, p, theta):
-        if theta is None:
-            raise ValueError("the passive-scalar pair needs a field with scalar samples")
-        return u * (0.5 * theta ** 2)[..., None]
-
-    return EntropyPair("passive_scalar", eta, {"II": q})
+def _scalar_eta(f):
+    if "theta" not in f.scalars:
+        raise ValueError("the passive-scalar pair needs a field with scalar samples")
+    return 0.5 * f.scalars["theta"] ** 2
 
 
-def _euler_eta(u, p, theta):
-    return 0.5 * component_dot(u, u)
+# the density theta^2/2 transported by the velocity field
+PASSIVE_SCALAR_PAIR = EntropyPair("passive_scalar", _scalar_eta,
+                                  {"II": lambda f: f.u * _scalar_eta(f)[..., None]})
+
+
+def _euler_eta(f):
+    return 0.5 * component_dot(f.u, f.u)
 
 
 # the Euler energy flux (|u|^2/2 + p) u, split into its cubic velocity part
 # and its pressure part
 EULER_ENERGY_PAIR = EntropyPair(
     "euler_energy", _euler_eta,
-    {"II": lambda u, p, theta: u * _euler_eta(u, p, theta)[..., None],
-     "III": lambda u, p, theta: u * p[..., None]},
+    {"II": lambda f: f.u * _euler_eta(f)[..., None],
+     "III": lambda f: f.u * f.scalars["p"][..., None]},
     eta_quad_coeff=0.5, q_cubic_coeff=0.5)
 
 
@@ -205,8 +202,8 @@ def _support_box(field: GriddedField, space) -> tuple:
 
 
 def _spatial_factors(field: GriddedField, space):
-    """The window's spatial index box, the factor X, grad X, lap X on it, and
-    max |X| over all nodes and over the nodes of the 2-cell edge slabs.
+    """The window's spatial index box, X, grad X, lap X and the nodes on it,
+    and max |X| over all nodes and over the nodes of the 2-cell edge slabs.
 
     X and its derivatives are evaluated once, on the stated support box
     (``_support_box``), whose inner faces must hold no nonzero node (a
@@ -231,7 +228,7 @@ def _spatial_factors(field: GriddedField, space):
     # the box's nodes in the 2-cell edge slabs: global index 0, 1, nx-2 or nx-1 on some axis
     index = np.ix_(*(np.arange(b.start, b.stop) for b in box))
     edge = functools.reduce(np.logical_or, [(i < 2) | (i >= field.nx - 2) for i in index])
-    return (x, X[cut], grad[cut], lap[cut], float(np.abs(X).max()),
+    return (x, X[cut], grad[cut], lap[cut], nodes[cut], float(np.abs(X).max()),
             float(np.abs(X[edge]).max(initial=0.0)))
 
 
@@ -279,12 +276,12 @@ class _Window:
         self.field = field
         t = field.t_axis
         H, dH = phi.time.value(t), phi.time.deriv(t)
-        self.x, self.x_val, self.x_grad, self.x_lap, x_max, edge_max = \
+        self.x, self.x_val, self.x_grad, self.x_lap, self.mesh, x_max, edge_max = \
             _spatial_factors(field, phi.space)
         _check_vanishing(H, x_max, edge_max, vanish)
         self.t = _halo_slice((H != 0) | (dH != 0))
         self.h_val, self.h_dt = H[self.t], dH[self.t]
-        self.mesh, self.wsp = field.spatial_mesh(self.x), field.spatial_weights(self.x)
+        self.wsp = field.spatial_weights(self.x)
         self.t_axis = t[self.t]
         self.wt = field.axis_weights()[1][self.t]
 
@@ -302,10 +299,9 @@ class _Window:
         f = self.field
         n = self.x[0].stop - self.x[0].start
         box = (slice(self.t.start + start, self.t.start + stop),) + self.x
-        u, p, theta = (None if a is None else np.ascontiguousarray(a[box])
-                       for a in (f.u, f.p, f.theta))
-        return GriddedField(f.d, 0.0, (n - 1) * f.h, n, (stop - start - 1) * f.dt,
-                            stop - start, u, p, theta)
+        return GriddedField(f.d, 0.0, (n - 1) * f.h, n, (stop - start - 1) * f.dt, stop - start,
+                            np.ascontiguousarray(f.u[box]),
+                            {name: np.ascontiguousarray(a[box]) for name, a in f.scalars.items()})
 
     def contract(self, vals: np.ndarray) -> np.ndarray:
         """Spatial quadrature of vals per time row (vals has a leading time
@@ -363,7 +359,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
 
     ``phi`` is a SpaceTimeTestFunction or a CutoffPair (chi(x)*eta(t), whose
     collar must keep 2 cells from the grid's edges: MarginError).  With
-    eta = pair.eta_fn(u, p, theta) and Q_k = pair.fluxes[k](u, p, theta),
+    eta = pair.eta_fn(f) and Q_k = pair.fluxes[k](f), f a block of the field,
     ``report`` (a BalanceReport) holds
 
         terms["I"]  = quadrature of eta * dphi/dt
@@ -383,8 +379,8 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         norms["p"] = the same L^(r/2) norm of |p| (pressure flux)
 
     ``widths`` holds the component count of each flux (1 for a flux that
-    broadcasts over every axis).  A pressure flux "III" needs pressure
-    samples, and nu must be finite and >= 0 (ValueError otherwise).
+    broadcasts over every axis).  A pressure flux "III" needs "p" in
+    ``field.scalars``, and nu must be finite and >= 0 (ValueError otherwise).
     """
     cutoff = phi if isinstance(phi, CutoffPair) else None
     if cutoff is not None:
@@ -392,7 +388,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         phi = SpaceTimeTestFunction(cutoff.chi, cutoff.eta)
     if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be non-negative and finite, got {nu!r}")
-    if "III" in pair.fluxes and field.p is None:
+    if "III" in pair.fluxes and "p" not in field.scalars:
         raise ValueError(f"pair {pair.label!r} has a pressure flux and needs a pressure field")
     win = _Window(field, phi, vanish)
     cyl = None
@@ -405,7 +401,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
     blocks = win.row_blocks()
     for start, stop in blocks:
         f = win.block(start, stop)
-        eta = pair.eta_fn(f.u, f.p, f.theta)
+        eta = pair.eta_fn(f)
         row = {"I": win.contract(eta * win.x_val)}
         if nu > 0:
             row["IV"] = win.contract(eta * win.x_lap)
@@ -414,7 +410,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         # freed before the fluxes are formed: one block-sized array less at the peak
         del eta
         for name, flux in pair.fluxes.items():
-            q = flux(f.u, f.p, f.theta)
+            q = flux(f)
             widths[name] = q.shape[-1]
             row[name] = win.contract(component_dot(q, win.x_grad))
         if nu > 0:
@@ -425,7 +421,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         if r is not None:
             row["u"] = _pnorm(f.speed()[:, cyl.collar], cyl.w_collar, r)
             if "III" in pair.fluxes:
-                row["p"] = _pnorm(np.abs(f.p)[:, cyl.collar], cyl.w_collar, r / 2)
+                row["p"] = _pnorm(np.abs(f.scalars["p"])[:, cyl.collar], cyl.w_collar, r / 2)
         for name, vals in row.items():
             parts.setdefault(name, []).append(vals)
     rows = {name: np.concatenate(vals) for name, vals in parts.items()}
@@ -530,7 +526,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     except OverflowError:
         raise ValueError(f"q and r must fit a float64, got q={q!r}, r={r!r}") from None
     if pair is None:
-        pair = EULER_ENERGY_PAIR if field.p is not None else BURGERS_PAIR
+        pair = EULER_ENERGY_PAIR if "p" in field.scalars else BURGERS_PAIR
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
         raise ValueError(f"pair {pair.label!r} lacks the growth coefficients for a bound")
     res = _pairing(field, cutoff, pair, nu, r=r)
@@ -604,7 +600,7 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
     term.
     """
     if pair is None:
-        if field.p is None:
+        if "p" not in field.scalars:
             raise ValueError("no pressure present: pass an explicit entropy pair")
         pair = EULER_ENERGY_PAIR
     res = _pairing(field, phi, pair, nu, ("t0", "x"))
@@ -681,8 +677,8 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
     chi, grad_chi = np.zeros(phi_vals.shape), np.zeros(phi_grad.shape)
     covered, support = np.zeros_like(above), np.zeros_like(above)
     for b in bumps:
-        box, vals, grad = _spatial_factors(field, b)[:3]
-        covered[box] |= np.sum((field.spatial_mesh(box) - b.center) ** 2, -1) < b.delta ** 2
+        box, vals, grad, _, nodes = _spatial_factors(field, b)[:5]
+        covered[box] |= np.sum((nodes - b.center) ** 2, -1) < b.delta ** 2
         support[box] |= vals > 0
         both = [(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(box, win)]
         if any(i >= j for i, j in both):

@@ -214,8 +214,8 @@ def _pairing_majorant(field, pair, phi):
     """L1 majorant of the entropy pairing under the same quadrature."""
     mesh = field.spatial_mesh()
     ts = field.t_axis
-    eta = pair.eta_fn(field.u, field.p, field.theta)
-    q = sum(flux(field.u, field.p, field.theta) for flux in pair.fluxes.values())
+    eta = pair.eta_fn(field)
+    q = sum(flux(field) for flux in pair.fluxes.values())
     wsp = field.spatial_weights()
     _, wt = field.axis_weights()
     d = field.d

@@ -334,7 +334,7 @@ class TestVerifyCommand:
         # the dominance check fails closed: NaN never passes as bounded
         from dissdim import cli
         from dissdim import weak_balance as wb
-        nan_pair = wb.EntropyPair("nan", lambda u, p, theta: np.full(u.shape[:-1], np.nan),
+        nan_pair = wb.EntropyPair("nan", lambda f: np.full(f.u.shape[:-1], np.nan),
                                   wb.BURGERS_PAIR.fluxes, eta_quad_coeff=0.5,
                                   q_cubic_coeff=1.0 / 3.0)
         monkeypatch.setattr(cli, "BURGERS_PAIR", nan_pair)

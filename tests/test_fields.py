@@ -34,7 +34,20 @@ class TestGriddedField:
     def test_pressure_shape(self):
         u = np.zeros((4, 8, 1))
         with pytest.raises(ValueError):
-            GriddedField(1, 0.0, 1.0, 8, 1.0, 4, u, p=np.zeros((4, 7)))
+            GriddedField(1, 0.0, 1.0, 8, 1.0, 4, u, {"p": np.zeros((4, 7))})
+
+    def test_unknown_scalar_name(self):
+        u = np.zeros((4, 8, 1))
+        with pytest.raises(ValueError, match="'rho'"):
+            GriddedField(1, 0.0, 1.0, 8, 1.0, 4, u, {"p": np.zeros((4, 8)), "rho": np.ones((4, 8))})
+
+    def test_scalars_are_read_only(self):
+        field = GriddedField(1, 0.0, 1.0, 8, 1.0, 4, np.zeros((4, 8, 1)), {"p": np.zeros((4, 8))})
+        with pytest.raises(TypeError):
+            field.scalars["theta"] = np.zeros((4, 8))
+        with pytest.raises(TypeError):
+            field.scalars["p"] = np.ones((4, 8))
+        assert list(field.scalars) == ["p"] and not field.scalars["p"].any()
 
     def test_axes_and_spacing(self):
         field = GriddedField(1, -1.0, 1.0, 5, 2.0, 3, np.zeros((3, 5, 1)))

@@ -92,8 +92,8 @@ class TestBurgersEntropySolution:
     def test_weak_momentum_form(self):
         # the sampled shock is a weak solution of the momentum form: the
         # pairing with the (u, u^2/2) pair vanishes across the shock
-        momentum = wb.EntropyPair("momentum", lambda u, p, th: u[..., 0],
-                                  {"II": lambda u, p, th: (0.5 * u[..., 0] ** 2)[..., None]})
+        momentum = wb.EntropyPair("momentum", lambda f: f.u[..., 0],
+                                  {"II": lambda f: (0.5 * f.u[..., 0] ** 2)[..., None]})
         datum = fx.RiemannDatum(2.0, 0.0)
         field = fx.burgers_entropy_solution(datum, -1.0, 3.0, 2049, 1.0, 1025)
         space = co.SpatialTestFunction([co.PlateauProfile(0.2, 1.6, 0.3)])

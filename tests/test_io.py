@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from dissdim import aniso_measure as am
 from dissdim import fixtures as fx
 from dissdim import io as dio
-from dissdim.fields import GriddedField
+from dissdim.fields import SCALARS, GriddedField
 
 
 @pytest.fixture
@@ -83,7 +84,7 @@ class TestFieldFormat:
         assert back.d == sample_field.d
         assert back.nx == sample_field.nx
         assert np.array_equal(back.u, sample_field.u)
-        assert back.p is None
+        assert not back.scalars
 
     def test_csv_roundtrip_d1(self, sample_field, tmp_path):
         path = tmp_path / "f.csv"
@@ -93,12 +94,14 @@ class TestFieldFormat:
 
     def test_with_pressure_and_scalar(self, tmp_path):
         field = fx.constant_field([0.3], 1, 0.0, 1.0, 9, 1.0, 5, pressure=2.0)
-        field.theta = np.full((5, 9), -1.5)
+        field = dataclasses.replace(field, scalars={**field.scalars,
+                                                    "theta": np.full((5, 9), -1.5)})
         path = tmp_path / "f.bin"
         dio.write_field(path, field)
         back = dio.read_field(path)
-        assert np.array_equal(back.p, field.p)
-        assert np.array_equal(back.theta, field.theta)
+        assert list(back.scalars) == ["p", "theta"]
+        for name, arr in field.scalars.items():
+            assert np.array_equal(back.scalars[name], arr)
 
     def test_csv_rejected_for_d2(self, tmp_path):
         field = fx.constant_field([0.1, 0.2], 2, 0.0, 1.0, 5, 1.0, 3)
@@ -150,7 +153,7 @@ def fields(draw):
     big_t = draw(FINITE.filter(lambda v: v > 0))
     shape = (nt,) + (nx,) * d
     extra = {name: draw(arrays(np.float64, shape, elements=FINITE))
-             for name in ("p", "theta") if draw(st.booleans())}
+             for name in SCALARS if draw(st.booleans())}
     u = draw(arrays(np.float64, shape + (d,), elements=FINITE))
     return (d, a, b, nx, big_t, nt, u), extra
 
@@ -184,7 +187,7 @@ class TestBodyCodec:
     def test_field_roundtrip_is_bit_exact(self, tmp_path_factory, grid, text):
         (d, a, b, nx, big_t, nt, u), extra = grid
         try:
-            field = GriddedField(d, a, b, nx, big_t, nt, u, **extra)
+            field = GriddedField(d, a, b, nx, big_t, nt, u, extra)
         except ValueError:
             # refused only where the spacing or an end node overflows
             h, dt = (b - a) / (nx - 1), big_t / (nt - 1)
@@ -196,11 +199,10 @@ class TestBodyCodec:
         back = dio.read_field(path)
         assert (back.d, back.nx, back.nt) == (field.d, field.nx, field.nt)
         assert bits([back.a, back.b, back.T]) == bits([field.a, field.b, field.T])
-        for name in ("u", "p", "theta"):
-            got, want = getattr(back, name), getattr(field, name)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert bits(got) == bits(want)
+        assert bits(back.u) == bits(field.u)
+        assert list(back.scalars) == list(field.scalars)
+        for name, want in field.scalars.items():
+            assert bits(back.scalars[name]) == bits(want)
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_tokenless_headers_are_rejected(self, sample_measure, sample_field, tmp_path,
@@ -387,7 +389,7 @@ class TestBodyCodec:
         rng = np.random.default_rng(5)
         for extra in ((), ("p", "theta")):
             field = GriddedField(1, -1.0, 1.0, nx, 1.0, nt, rng.standard_normal((nt, nx, 1)),
-                                 **{name: rng.standard_normal((nt, nx)) for name in extra})
+                                 {name: rng.standard_normal((nt, nx)) for name in extra})
             dio.write_field(tmp_path / "f", field, binary=False)
             tracemalloc.start()
             try:
@@ -399,8 +401,9 @@ class TestBodyCodec:
             final = (8 * (1 + len(extra)) + 1) * nx * nt
             assert held <= final
             assert peak <= 1.05 * final
-            for name in ("u", *extra):
-                assert bits(getattr(back, name)) == bits(getattr(field, name))
+            assert bits(back.u) == bits(field.u)
+            for name in extra:
+                assert bits(back.scalars[name]) == bits(field.scalars[name])
 
 
 def percent_rows(rows, sep, lead=()):
@@ -482,7 +485,8 @@ def field_file(path, d, nx, nt, comps, columns, binary):
 
 
 class TestComponentOrder:
-    """A field file's extra columns are read in the order its header names them."""
+    """A field file's extra columns are read in the order its header names them,
+    and written back in that order."""
 
     @pytest.mark.parametrize("extra", COMPONENT_ORDERS, ids=lambda e: ",".join(("u",) + e))
     @pytest.mark.parametrize("d, binary", [(1, True), (2, True), (1, False)])
@@ -497,11 +501,17 @@ class TestComponentOrder:
                    [u.reshape(-1, d)] + [values[name].reshape(-1, 1) for name in extra], binary)
         back = dio.read_field(path)
         assert bits(back.u) == bits(u)
-        for name in ("p", "theta"):
-            if name in values:
-                assert bits(getattr(back, name)) == bits(values[name])
-            else:
-                assert getattr(back, name) is None
+        assert list(back.scalars) == list(extra)
+        for name in extra:
+            assert bits(back.scalars[name]) == bits(values[name])
+        # a rewrite keeps the header, and so the column order, and every bit
+        dio.write_field(tmp_path / "g", back, binary=binary)
+        again = (tmp_path / "g").read_bytes()
+        assert again.split(b"\n", 1)[0] == path.read_bytes().split(b"\n", 1)[0]
+        if binary:
+            assert again == path.read_bytes()
+        else:
+            assert list(dio.read_field(tmp_path / "g").scalars) == list(extra)
 
     @pytest.mark.parametrize("comps", ["u,p,rho", "p,u", "p,theta,u", "u,p,p", "u,theta,p,theta",
                                        "u,u", ""])
@@ -533,12 +543,12 @@ class TestTextWriter:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), nx=st.integers(2, 6), nt=st.integers(2, 4),
-           extra=st.sampled_from([(), ("p",), ("theta",), ("p", "theta")]))
+           extra=st.sampled_from(COMPONENT_ORDERS))
     def test_field_file_matches_the_percent_formatter(self, tmp_path_factory, data, nx, nt,
                                                       extra):
         samples = np.stack([data.draw(slices(nx, 1 + len(extra))) for _ in range(nt)])
         field = GriddedField(1, -1.0, 1.0, nx, 1.0, nt, samples[:, :, :1],
-                             **{name: samples[:, :, 1 + i] for i, name in enumerate(extra)})
+                             {name: samples[:, :, 1 + i] for i, name in enumerate(extra)})
         path = tmp_path_factory.mktemp("writer") / "f"
         dio.write_field(path, field, binary=False)
         head, body = path.read_bytes().split(b"\n", 1)
@@ -584,7 +594,7 @@ def edge_field(d, extra, nx=3, nt=2):
     cycle = np.resize(np.array(EDGES), int(np.prod(shape)) * (d + len(extra)))
     cols = cycle.reshape(-1, d + len(extra))
     return GriddedField(d, 0.0, 1.0, nx, 1.0, nt, cols[:, :d].reshape(shape + (d,)),
-                        **{name: cols[:, d + i].reshape(shape) for i, name in enumerate(extra)})
+                        {name: cols[:, d + i].reshape(shape) for i, name in enumerate(extra)})
 
 
 MIB = 1 << 20
@@ -640,8 +650,8 @@ class TestBinaryBody:
     def test_a_non_finite_sample_exits_2(self, tmp_path, capsys, d, name, value, node):
         from dissdim.cli import main
         field = edge_field(d, ("p", "theta"))
-        rows = np.concatenate([field.u.reshape(-1, d), field.p.reshape(-1, 1),
-                               field.theta.reshape(-1, 1)], axis=1)
+        rows = np.concatenate([field.u.reshape(-1, d)]
+                              + [a.reshape(-1, 1) for a in field.scalars.values()], axis=1)
         rows[node, {"u": d - 1, "p": d, "theta": d + 1}[name]] = value
         path = tmp_path / "f"
         dio.write_field(path, field)
@@ -657,8 +667,8 @@ class TestBinaryBody:
         field = edge_field(d, ("p", "theta"))
         dio.write_field(tmp_path / "f", field)
         back = dio.read_field(tmp_path / "f")
-        for name in ("u", "p", "theta"):
-            assert bits(getattr(back, name)) == bits(getattr(field, name))
+        for got, want in zip([back.u, *back.scalars.values()], [field.u, *field.scalars.values()]):
+            assert bits(got) == bits(want)
         rows = np.resize(np.array(EDGES), (len(EDGES), d + 2))
         rows[:, -1] = np.copysign(rows[:, -1], 1.0)
         mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
@@ -671,7 +681,7 @@ class TestBinaryBody:
         dio.write_field(tmp_path / "f", edge_field(2, ("p", "theta")))
         dio.write_measure(tmp_path / "m", sample_measure, binary=True)
         field, mu = dio.read_field(tmp_path / "f"), dio.read_measure(tmp_path / "m")
-        for arr in (field.u, field.p, field.theta, mu.positions, mu.times, mu.weights):
+        for arr in (field.u, *field.scalars.values(), mu.positions, mu.times, mu.weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
@@ -682,7 +692,7 @@ class TestBinaryBody:
         rng = np.random.default_rng(d)
         shape = (nt,) + (nx,) * d
         field = GriddedField(d, 0.0, 1.0, nx, 1.0, nt, rng.standard_normal(shape + (d,)),
-                             **{name: rng.standard_normal(shape) for name in extra})
+                             {name: rng.standard_normal(shape) for name in extra})
         body = np.prod(shape) * (d + len(extra)) * 8   # 12.1 and 12.6 MiB
         written, _ = traced_peak(lambda: dio.write_field(tmp_path / "f", field))
         assert written < MIB   # one time slice is 96 and 390 KiB

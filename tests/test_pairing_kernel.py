@@ -33,7 +33,7 @@ def random_field(d):
         rng = np.random.default_rng(d)
         shape = (nt,) + (nx,) * d
         _FIELDS[d] = GriddedField(d, 0.0, 1.0, nx, 1.0, nt, rng.normal(size=shape + (d,)),
-                                  p=rng.normal(size=shape))
+                                  {"p": rng.normal(size=shape)})
     return _FIELDS[d]
 
 
@@ -100,11 +100,11 @@ def test_cutoff_balance_matches_full_grid(d, profile, delta_frac, alpha, x_fracs
     mesh, t = field.spatial_mesh(), field.t_axis
     chi, gchi, lchi = cut.chi.value(mesh), cut.chi.gradient(mesh), cut.chi.laplacian(mesh)
     eta_t, deta_t = cut.eta.value(t), cut.eta.deriv(t)
-    u, p = field.u, field.p
-    e = pair.eta_fn(u, p, None)
+    p = field.scalars["p"]
+    e = pair.eta_fn(field)
     oracle = {"I": grid.quad(e, chi, deta_t)}
     for name, flux in pair.fluxes.items():
-        oracle[name] = grid.quad(np.einsum("t...i,...i->t...", flux(u, p, None), gchi),
+        oracle[name] = grid.quad(np.einsum("t...i,...i->t...", flux(field), gchi),
                                  1.0, eta_t)
     if nu > 0:
         value, scale = grid.quad(e, lchi, eta_t)
@@ -159,10 +159,10 @@ def test_boundary_extended_mass_matches_full_grid(d, profile, lo, width, ramp, t
     mesh, t = field.spatial_mesh(), field.t_axis
     X, gX, lX = space.value(mesh), space.gradient(mesh), space.laplacian(mesh)
     H, dH = time.value(t), time.deriv(t)
-    e = pair.eta_fn(field.u, field.p, None)
+    e = pair.eta_fn(field)
     parts = [grid.quad(e, X, dH)]
     for flux in pair.fluxes.values():
-        parts.append(grid.quad(np.einsum("t...i,...i->t...", flux(field.u, field.p, None), gX),
+        parts.append(grid.quad(np.einsum("t...i,...i->t...", flux(field), gX),
                                1.0, H))
     if nu > 0:
         value, scale = grid.quad(e, lX, H)

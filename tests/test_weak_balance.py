@@ -95,9 +95,10 @@ class TestEntropyProduction:
 
     def test_passive_scalar_pair_constant_scalar(self):
         field = fx.constant_field([0.5], 1, -1.0, 1.0, 128, 1.0, 64)
-        field.theta = np.ones((64, 128)) * 2.0
+        field = dataclasses.replace(field, scalars={**field.scalars,
+                                                    "theta": np.ones((64, 128)) * 2.0})
         phi, _ = shock_phi()
-        val = wb.pair_weak_mass(field, wb.passive_scalar_pair(), phi).weak_mass
+        val = wb.pair_weak_mass(field, wb.PASSIVE_SCALAR_PAIR, phi).weak_mass
         assert abs(val) < 1e-12
 
     def test_passive_scalar_transported_profile(self):
@@ -107,16 +108,17 @@ class TestEntropyProduction:
         field = fx.constant_field([c], 1, -1.0, 1.0, nx, 0.5, nt)
         xs = field.x_axis
         ts = field.t_axis
-        field.theta = np.cos(2 * math.pi * (xs[None, :] - c * ts[:, None]))
+        theta = np.cos(2 * math.pi * (xs[None, :] - c * ts[:, None]))
+        field = dataclasses.replace(field, scalars={**field.scalars, "theta": theta})
         phi, _ = shock_phi(0.1, 0.4, 0.05)
-        val = wb.pair_weak_mass(field, wb.passive_scalar_pair(), phi).weak_mass
+        val = wb.pair_weak_mass(field, wb.PASSIVE_SCALAR_PAIR, phi).weak_mass
         assert abs(val) < 2e-4
 
     def test_passive_scalar_pair_needs_theta(self):
         field = fx.constant_field([0.5], 1, -1.0, 1.0, 64, 1.0, 32)
         phi, _ = shock_phi()
         with pytest.raises(ValueError):
-            wb.pair_weak_mass(field, wb.passive_scalar_pair(), phi).weak_mass
+            wb.pair_weak_mass(field, wb.PASSIVE_SCALAR_PAIR, phi).weak_mass
 
 
 class TestCutoffMasses:
@@ -252,8 +254,8 @@ class TestHolderBound:
     def test_euler_mode_dominance_across_exponents(self):
         # a field with nontrivial pressure so all three bound terms engage
         field = fx.decaying_shear_field(0.05, 1.0, 0.0, 2 * math.pi, 96, 4.0, 96)
-        field.p = 0.1 + 0.05 * np.sin(field.spatial_mesh()[..., 0])[None, :]
-        field.p = np.broadcast_to(field.p, (field.nt, field.nx, field.nx)).copy()
+        p = 0.1 + 0.05 * np.sin(field.spatial_mesh()[..., 0])[None, :]
+        field = dataclasses.replace(field, scalars={"p": np.broadcast_to(p, field.u.shape[:-1])})
         cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.4, 1.0)
         for q in (3, 4, 7, INF):
             for r in (3, 5, INF):
@@ -274,8 +276,9 @@ class TestHolderBound:
 
     def test_euler_pair_fluxes_sum_to_the_energy_flux(self):
         rng = np.random.default_rng(3)
-        u, p = rng.normal(size=(5, 7, 2)), rng.normal(size=(5, 7))
-        total = sum(flux(u, p, None) for flux in wb.EULER_ENERGY_PAIR.fluxes.values())
+        u, p = rng.normal(size=(5, 7, 7, 2)), rng.normal(size=(5, 7, 7))
+        field = GriddedField(2, 0.0, 1.0, 7, 1.0, 5, u, {"p": p})
+        total = sum(flux(field) for flux in wb.EULER_ENERGY_PAIR.fluxes.values())
         np.testing.assert_allclose(total, u * (0.5 * np.sum(u ** 2, axis=-1) + p)[..., None],
                                    rtol=1e-14, atol=1e-14)
 
@@ -315,8 +318,8 @@ def blob_field(d, nx, amplitude, width, direction, rho, delta=0.125, alpha=1.0,
     on = (np.abs(axis - 0.5) < delta ** alpha).astype(float)[(slice(None),) + (None,) * d]
     vec = e if along else np.eye(d)[0]
     u = amplitude * (on * blob)[..., None] * vec
-    p = None if pressure is None else pressure * on * blob
-    return GriddedField(d, 0.0, 1.0, nx, 1.0, nx, u, p=p)
+    scalars = {} if pressure is None else {"p": pressure * on * blob}
+    return GriddedField(d, 0.0, 1.0, nx, 1.0, nx, u, scalars)
 
 
 def diagonal(d, sign=1.0):
@@ -457,8 +460,7 @@ class TestNsWeakMass:
         nx = int(round(2 * hw / h)) + 1
         run = fx.viscous_burgers_run(fx.RiemannDatum(1.0, -1.0), nu, -hw, hw, nx,
                                      0.05, 401, initial="viscous_profile")
-        field = run.field
-        field.p = np.zeros((field.nt, field.nx))
+        field = dataclasses.replace(run.field, scalars={"p": np.zeros(run.field.u.shape[:-1])})
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.025), 0.008, 2.0)
         rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=nu)
         assert rep.grad_mass_cylinder > 0
