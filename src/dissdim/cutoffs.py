@@ -18,7 +18,9 @@ Generic test functions are separable products of ``PlateauProfile``
 factors: 1 on [lo, hi] with a taper of width ``ramp`` on each side.  The one
 profile class also gives the one-sided plateau, hi = inf, which rises over
 [lo - ramp, lo] and stays 1 onward; as a time factor it keeps phi alive at
-t = T for the boundary-extended balance.
+t = T for the boundary-extended balance.  Every factor states the
+``support`` outside which it and its derivatives vanish; the pairings'
+margin rule reads only these (it must leave the grid's two edge nodes free).
 """
 
 from __future__ import annotations
@@ -152,6 +154,11 @@ class TimeBump:
     @property
     def outer(self) -> float:
         return scale_power(2.0 * self.delta, self.alpha)
+
+    @property
+    def support(self) -> tuple:
+        """(lo, hi) outside which value and deriv vanish: t0 +- (2 delta)**alpha."""
+        return (self.t0 - self.outer, self.t0 + self.outer)
 
     def _ramp(self, t):
         return (np.abs(np.asarray(t, dtype=float) - self.t0) - self.inner) / (self.outer - self.inner)
@@ -298,7 +305,8 @@ class SpaceTimeTestFunction:
 
     ``space`` is a SpatialTestFunction (or any object with value/gradient/
     laplacian and a per-axis ``support`` box, such as a SpatialBump); ``time``
-    any object with value/deriv (PlateauProfile, TimeBump).
+    any object with value/deriv and a ``support`` interval (PlateauProfile,
+    TimeBump).
     """
 
     def __init__(self, space, time):

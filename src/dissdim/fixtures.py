@@ -460,9 +460,8 @@ def _viscous_step(u, h, dt, datum, bc, diffuse):
 # Reference measures and smooth fields.
 # ---------------------------------------------------------------------------
 
-def time_singular_measure_fixture(d: int, n_atoms: int, t_star: float = 0.5,
-                                  seed: int = 0) -> AtomicMeasure:
-    """Uniform random atoms on [0,1]^d at the single instant t_star.
+def time_singular_measure_fixture(d: int, n_atoms: int, seed: int = 0) -> AtomicMeasure:
+    """Uniform random atoms of total mass 1 on [0,1]^d at the single instant t = 1/2.
 
     The geometry of a dissipation measure concentrated at one time: its
     isotropic space-time dimension is d.  Its lattice counterpart, m**d
@@ -472,11 +471,12 @@ def time_singular_measure_fixture(d: int, n_atoms: int, t_star: float = 0.5,
         raise ValueError("need at least one atom")
     rng = np.random.default_rng(seed)
     pos = rng.random((n_atoms, d))
-    return AtomicMeasure(pos, np.full(n_atoms, t_star), np.full(n_atoms, 1.0 / n_atoms), d=d)
+    return AtomicMeasure(pos, np.full(n_atoms, 0.5), np.full(n_atoms, 1.0 / n_atoms), d=d)
 
 
-def grid_measure(d: int, m_space: int, m_time: int, total_mass: float = 1.0) -> AtomicMeasure:
-    """Midpoint-lattice approximation of Lebesgue measure on [0,1]^d x [0,1].
+def grid_measure(d: int, m_space: int, m_time: int) -> AtomicMeasure:
+    """Midpoint-lattice approximation of Lebesgue measure on [0,1]^d x [0,1]:
+    equal atoms of total mass 1.
 
     With ``m_time = 1`` it is the lattice time slab: m_space**d equal atoms
     at the single instant t = 1/2.
@@ -486,7 +486,7 @@ def grid_measure(d: int, m_space: int, m_time: int, total_mass: float = 1.0) -> 
     grids = np.meshgrid(*([axes_x] * d + [axes_t]), indexing="ij")
     pts = np.stack(grids, axis=-1).reshape(-1, d + 1)
     n = pts.shape[0]
-    return AtomicMeasure(pts[:, :d], pts[:, d], np.full(n, total_mass / n), d=d)
+    return AtomicMeasure(pts[:, :d], pts[:, d], np.full(n, 1.0 / n), d=d)
 
 
 def constant_field(value, d: int, a: float, b: float, nx: int, T: float, nt: int,

@@ -6,10 +6,9 @@ analytic, field derivatives (only ever needed for the viscous gradient
 density) are centered differences.  The kernel works only on the index box
 of the test function's support, plus a one-node halo.  The spatial factor
 and its derivatives are evaluated once, on the factor's stated support box
-(a few nodes wider), which holds the window and gives the spatial margin
-verdict.  The grid builds each box's own coordinates and global quadrature
-weights, so no pairing or covering estimate holds a whole-grid coordinate or
-weight array.  Every term differentiates the field only in space, so the
+(a few nodes wider), which holds the window.  The grid builds each box's own
+coordinates and global quadrature weights, so no pairing or covering
+estimate holds a whole-grid coordinate or weight array.  Every term differentiates the field only in space, so the
 kernel walks the box's time rows in blocks of about ``WINDOW_BLOCK`` nodes
 (at least two rows): each block's samples are copied into contiguous memory,
 and every field-derived array (densities, fluxes, |grad u|^2, the speed) is
@@ -17,20 +16,21 @@ block-sized.  A block reduces each term to one number per time row; the time
 quadratures, the Hoelder norms and every check then run on those row
 vectors.  The spatial contraction is an ``np.einsum``, whose row results do
 not depend on how many rows go in together, so a pairing has the same bits
-for every block size.  The kernel alone knows a cutoff's cylinder: it runs
-the margin check, builds the delta-ball, 2*delta-collar and time masks once,
-and returns them with the weak mass, the nu*|grad u|^2 masses and the
-per-row norms of |u| that the Hoelder bound multiplies.  The covering
-estimate pairs a steady field with chi*grad(phi) and phi*grad(chi), neither
-the gradient of one test function: it shares only ``_spatial_factors``.
+for every block size.  The kernel alone knows a cutoff's cylinder: it builds
+the delta-ball, 2*delta-collar and time masks once, and returns them with
+the weak mass, the nu*|grad u|^2 masses and the per-row norms of |u| that
+the Hoelder bound multiplies.  The covering estimate pairs a steady field
+with chi*grad(phi) and phi*grad(chi), neither the gradient of one test
+function: it shares only ``_support_box`` and ``_spatial_factors``.
 
 Dissipation is accessed exclusively through test functions, each paired by
 ``pair_weak_mass``: testing the balance with a cutoff pair localizing a
 cylinder gives an upper estimate of the dissipation mass on that cylinder
 whenever the dissipation is non-negative.  The gap between the estimate and
 the true cylinder mass is the mass in the cutoff collar (radius delta to
-2*delta).  No balance has a boundary-flux term: every test function vanishes
-near the spatial boundary (the one extended to t = T lives at t = T).
+2*delta).  No balance has a boundary-flux term, so one margin rule, read from
+the stated supports of phi's factors, holds for every pairing (cutoffs too):
+each support leaves the two edge nodes of every axis free (``_check_margin``).
 
 The Hoelder bounds are computed with the same discrete weights as the weak
 masses, so the dominance ``weak_mass <= holder_bound`` is an exact discrete
@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 DOMINANCE_TOL = 1e-9
-SUPPORT_TOL = 1e-12
 
 
 class MarginError(ValueError):
@@ -165,19 +164,20 @@ def _equal_lengths(slices: tuple, bound: tuple) -> tuple:
     return tuple(slice(i, i + length) for i in starts)
 
 
-def _check_vanishing(time_vals: np.ndarray, space_max: float, edge_max: float,
-                     vanish) -> None:
-    """Raise MarginError unless phi = X * H vanishes on the 2-cell margins
-    named in ``vanish`` ("t0", "T", "x"); ``time_vals`` is H on the time
-    axis, ``space_max`` the largest |X| and ``edge_max`` the largest |X| on
-    the nodes of the 2-cell spatial edge slabs."""
-    t_scale = max(float(np.abs(time_vals).max()), SUPPORT_TOL)
-    if "t0" in vanish and np.abs(time_vals[:2]).max() > SUPPORT_TOL * t_scale:
-        raise MarginError("test function does not vanish on the first 2 time cells")
-    if "T" in vanish and np.abs(time_vals[-2:]).max() > SUPPORT_TOL * t_scale:
-        raise MarginError("test function does not vanish on the last 2 time cells")
-    if "x" in vanish and edge_max > SUPPORT_TOL * max(space_max, edge_max, SUPPORT_TOL):
-        raise MarginError("test function does not vanish on a 2-cell spatial margin")
+def _check_margin(field: GriddedField, phi: SpaceTimeTestFunction, vanish) -> None:
+    """Raise MarginError unless the stated supports of phi = X * H leave the
+    two edge nodes free at each margin named in ``vanish``: "x", every
+    spatial axis's (lo, hi) within [x_1, x_{nx-2}]; "t0", the time support's
+    lo >= t_1; "T", its hi <= t_{nt-2}.  phi is then 0 on nodes 0, 1, n-2 and
+    n-1 of each such axis.  Reads the supports only (a NaN bound fails)."""
+    x, t = field.x_axis, field.t_axis
+    if "x" in vanish and not all(x[1] <= lo and hi <= x[-2] for lo, hi in phi.space.support):
+        raise MarginError("spatial support reaches the 2 edge nodes of the grid")
+    lo, hi = phi.time.support
+    if "t0" in vanish and not lo >= t[1]:
+        raise MarginError("time support reaches the first 2 time nodes")
+    if "T" in vanish and not hi <= t[-2]:
+        raise MarginError("time support reaches the last 2 time nodes")
 
 
 # nodes added on each side of a factor's stated support box, against rounding
@@ -188,7 +188,11 @@ def _support_box(field: GriddedField, space) -> tuple:
     """Equal-sided index box of the nodes in ``space.support``, widened by
     SUPPORT_PAD nodes and clipped to the grid (never empty: a support off the
     grid gives the SUPPORT_PAD nodes along the nearest face).  ValueError
-    when a bound is NaN or a lower bound exceeds its upper one."""
+    when the support has not one (lo, hi) per axis of the field, when a bound
+    is NaN or when a lower bound exceeds its upper one."""
+    if len(space.support) != field.d:
+        raise ValueError(f"a spatial factor of dimension {len(space.support)} "
+                         f"on a d = {field.d} field")
     slices = []
     for lo, hi in space.support:
         i, j = ((v - field.a) / field.h for v in (lo, hi))
@@ -201,19 +205,16 @@ def _support_box(field: GriddedField, space) -> tuple:
     return _equal_lengths(tuple(slices), (slice(0, field.nx),) * field.d)
 
 
-def _spatial_factors(field: GriddedField, space):
-    """The window's spatial index box, X, grad X, lap X and the nodes on it,
-    and max |X| over all nodes and over the nodes of the 2-cell edge slabs.
+def _spatial_factors(field: GriddedField, space, box: tuple):
+    """The window's spatial index box, and X, grad X, lap X and the nodes on it.
 
-    X and its derivatives are evaluated once, on the stated support box
-    (``_support_box``), whose inner faces must hold no nonzero node (a
-    support statement that is too small fails an assertion); outside that
-    box they are 0, so both maxima are read on it.  The window is the
+    X and its derivatives are evaluated once, on ``box``, the stated support
+    box (``_support_box``), whose inner faces must hold no nonzero node (a
+    support statement that is too small fails an assertion).  The window is the
     smallest index box holding every nonzero node, widened by a one-node
     halo and then to equal sides inside the support box; a support box with
     no nonzero node is the window itself, with zero factors.
     """
-    box = _support_box(field, space)
     nodes = field.spatial_mesh(box)
     X, grad, lap = space.value(nodes), space.gradient(nodes), space.laplacian(nodes)
     nonzero = (X != 0) | (grad != 0).any(axis=-1) | (lap != 0)
@@ -225,11 +226,7 @@ def _spatial_factors(field: GriddedField, space):
     x = _equal_lengths(tuple(slice(b.start + s.start, b.start + s.stop)
                              for b, s in zip(box, map(_halo_slice, hit))), box)
     cut = tuple(slice(s.start - b.start, s.stop - b.start) for b, s in zip(box, x))
-    # the box's nodes in the 2-cell edge slabs: global index 0, 1, nx-2 or nx-1 on some axis
-    index = np.ix_(*(np.arange(b.start, b.stop) for b in box))
-    edge = functools.reduce(np.logical_or, [(i < 2) | (i >= field.nx - 2) for i in index])
-    return (x, X[cut], grad[cut], lap[cut], nodes[cut], float(np.abs(X).max()),
-            float(np.abs(X[edge]).max(initial=0.0)))
+    return x, X[cut], grad[cut], lap[cut], nodes[cut]
 
 
 # a pairing walks its window's time rows in blocks of about this many nodes (at
@@ -276,10 +273,13 @@ class _Window:
         self.field = field
         t = field.t_axis
         H, dH = phi.time.value(t), phi.time.deriv(t)
-        self.x, self.x_val, self.x_grad, self.x_lap, self.mesh, x_max, edge_max = \
-            _spatial_factors(field, phi.space)
-        _check_vanishing(H, x_max, edge_max, vanish)
-        self.t = _halo_slice((H != 0) | (dH != 0))
+        live, (lo, hi) = (H != 0) | (dH != 0), phi.time.support
+        assert not live[(t < lo) | (t > hi)].any(), "nonzero time node outside the stated support"
+        box = _support_box(field, phi.space)   # a support that is no box fails first
+        _check_margin(field, phi, vanish)   # so a rejected phi costs no evaluation
+        self.x, self.x_val, self.x_grad, self.x_lap, self.mesh = \
+            _spatial_factors(field, phi.space, box)
+        self.t = _halo_slice(live)
         self.h_val, self.h_dt = H[self.t], dH[self.t]
         self.wsp = field.spatial_weights(self.x)
         self.t_axis = t[self.t]
@@ -357,8 +357,9 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
              vanish=("t0", "T", "x"), r=None) -> _Pairing:
     """The one test-function pairing behind every weak balance.
 
-    ``phi`` is a SpaceTimeTestFunction or a CutoffPair (chi(x)*eta(t), whose
-    collar must keep 2 cells from the grid's edges: MarginError).  With
+    ``phi`` is a SpaceTimeTestFunction or a CutoffPair (chi(x)*eta(t)); the
+    stated supports of its factors must leave the two edge nodes free at each
+    margin named in ``vanish`` (``_check_margin``: MarginError).  With
     eta = pair.eta_fn(f) and Q_k = pair.fluxes[k](f), f a block of the field,
     ``report`` (a BalanceReport) holds
 
@@ -382,15 +383,12 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
     broadcasts over every axis).  A pressure flux "III" needs "p" in
     ``field.scalars``, and nu must be finite and >= 0 (ValueError otherwise).
     """
-    cutoff = phi if isinstance(phi, CutoffPair) else None
-    if cutoff is not None:
-        _check_cutoff_margin(field, cutoff)
-        phi = SpaceTimeTestFunction(cutoff.chi, cutoff.eta)
     if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be non-negative and finite, got {nu!r}")
     if "III" in pair.fluxes and "p" not in field.scalars:
         raise ValueError(f"pair {pair.label!r} has a pressure flux and needs a pressure field")
-    win = _Window(field, phi, vanish)
+    cutoff = phi if isinstance(phi, CutoffPair) else None
+    win = _Window(field, SpaceTimeTestFunction(phi.chi, phi.eta) if cutoff else phi, vanish)
     cyl = None
     if cutoff is not None:
         r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
@@ -439,19 +437,6 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
     return _Pairing(report, terminal, win, widths, cyl, rows)
 
 
-def _check_cutoff_margin(field: GriddedField, cutoff: CutoffPair) -> None:
-    two_delta = 2 * cutoff.delta
-    for c in cutoff.center.x:
-        if c - two_delta < field.a + 2 * field.h - 1e-12 or \
-           c + two_delta > field.b - 2 * field.h + 1e-12:
-            raise MarginError("cylinder collar reaches within 2 cells of the spatial boundary")
-    outer = cutoff.eta.outer
-    if cutoff.center.t - outer < 2 * field.dt - 1e-12:
-        raise MarginError("support reaches within 2 cells of t = 0")
-    if cutoff.center.t + outer > field.T - 2 * field.dt + 1e-12:
-        raise MarginError("support reaches within 2 cells of t = T")
-
-
 # ---------------------------------------------------------------------------
 # Cutoff-tested cylinder masses.
 # ---------------------------------------------------------------------------
@@ -486,6 +471,11 @@ def pair_weak_mass(field: GriddedField, pair: EntropyPair, phi,
 # ---------------------------------------------------------------------------
 # Hoelder bounds with realized constants.
 # ---------------------------------------------------------------------------
+
+def _default_pair(field: GriddedField, pair: EntropyPair | None) -> EntropyPair:
+    """``pair``, or if None the Euler energy pair with a pressure, else Burgers."""
+    return pair or (EULER_ENERGY_PAIR if "p" in field.scalars else BURGERS_PAIR)
+
 
 def dominated(weak_mass: float, bound: float) -> bool:
     """weak_mass <= bound up to DOMINANCE_TOL relative and 1e-300 absolute (a
@@ -525,8 +515,7 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
         q, r = float(q), float(r)
     except OverflowError:
         raise ValueError(f"q and r must fit a float64, got q={q!r}, r={r!r}") from None
-    if pair is None:
-        pair = EULER_ENERGY_PAIR if "p" in field.scalars else BURGERS_PAIR
+    pair = _default_pair(field, pair)
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
         raise ValueError(f"pair {pair.label!r} lacks the growth coefficients for a bound")
     res = _pairing(field, cutoff, pair, nu, r=r)
@@ -595,15 +584,12 @@ def boundary_extended_mass(field: GriddedField, phi, pair: EntropyPair | None = 
     ``interior = grad_mass + terminal`` holds up to quadrature and
     discretization error; the terminal term is the half-energy density paired
     with phi at the final time (the Dirac-in-time part of the extended
-    dissipation).  phi must still vanish on the first 2 time cells and on
-    the 2-cell spatial margin (MarginError): the balance has no boundary-flux
-    term.
+    dissipation).  The stated supports of phi must still leave the first 2
+    time nodes and the 2 edge nodes of every spatial axis free (MarginError):
+    the balance has no boundary-flux term.  ``pair`` None means Euler energy
+    on a field with a pressure and Burgers otherwise (as in the Hoelder bound).
     """
-    if pair is None:
-        if "p" not in field.scalars:
-            raise ValueError("no pressure present: pass an explicit entropy pair")
-        pair = EULER_ENERGY_PAIR
-    res = _pairing(field, phi, pair, nu, ("t0", "x"))
+    res = _pairing(field, phi, _default_pair(field, pair), nu, ("t0", "x"))
     return res.report.weak_mass, res.terminal, res.report.grad_mass_cutoff if nu > 0 else 0.0
 
 
@@ -673,11 +659,11 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
 
     # phi and each bump evaluated once, on its support box; every term carries
     # phi or grad phi, so chi and grad chi live on phi's window only
-    win, phi_vals, phi_grad = _spatial_factors(field, phi)[:3]
+    win, phi_vals, phi_grad, _, _ = _spatial_factors(field, phi, _support_box(field, phi))
     chi, grad_chi = np.zeros(phi_vals.shape), np.zeros(phi_grad.shape)
     covered, support = np.zeros_like(above), np.zeros_like(above)
     for b in bumps:
-        box, vals, grad, _, nodes = _spatial_factors(field, b)[:5]
+        box, vals, grad, _, nodes = _spatial_factors(field, b, _support_box(field, b))
         covered[box] |= np.sum((nodes - b.center) ** 2, -1) < b.delta ** 2
         support[box] |= vals > 0
         both = [(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(box, win)]

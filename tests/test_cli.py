@@ -288,6 +288,14 @@ class TestVerifyCommand:
         assert data["skipped"] >= 1
         assert data["rows"] + data["skipped"] == 4
 
+    def test_center_off_the_grid_exits_2(self, shock_files, capsys):
+        # every cutoff's collar lies off [-1, 1], so no row runs
+        field_path, _ = shock_files
+        code, data = run_json(["verify", "--input", field_path, "--pair", "burgers",
+                               "--center", "5.0:0.5"], capsys)
+        assert code == 2
+        assert data["error"]["message"] == "every sweep point violated the grid margins"
+
     def test_time_unresolved_rows_counted(self, shock_files, capsys):
         # dt = 1/512 > (2 delta)^2 for delta <= 0.02: each time cutoff is
         # nonzero only at the center node t = 0.5

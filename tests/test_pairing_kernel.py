@@ -182,9 +182,10 @@ def test_boundary_extended_mass_matches_full_grid(d, profile, lo, width, ramp, t
 # ---------------------------------------------------------------------------
 
 def full_mesh_window(field, space, vanish):
-    """The halo box of the nonzero nodes (None when there is none), the
-    factors on every node, and the margin verdict, from X, grad X and lap X
-    evaluated on every node of the grid."""
+    """The halo box of the nonzero nodes (None when there is none) and the
+    factors on every node, from X, grad X and lap X evaluated on every node
+    of the grid, and the margin verdict, from the stated support: some axis's
+    (lo, hi) reaches past the second or the next-to-last node."""
     d = field.d
     mesh = field.spatial_mesh()
     X, grad, lap = space.value(mesh), space.gradient(mesh), space.laplacian(mesh)
@@ -195,10 +196,8 @@ def full_mesh_window(field, space, vanish):
         for i in range(d):
             idx = np.flatnonzero(nonzero.any(axis=tuple(j for j in range(d) if j != i)))
             halo.append((max(idx[0] - 1, 0), min(idx[-1] + 2, field.nx)))
-    scale = max(np.abs(X).max(), wb.SUPPORT_TOL)
-    margin = "x" in vanish and any(
-        np.abs(np.take(X, [0, 1, -2, -1], axis=i)).max() > wb.SUPPORT_TOL * scale
-        for i in range(d))
+    axis = field.x_axis
+    margin = "x" in vanish and any(lo < axis[1] or hi > axis[-2] for lo, hi in space.support)
     return halo, X, grad, lap, margin
 
 
@@ -337,6 +336,20 @@ def test_nan_support_is_rejected(space):
     phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, 0.5, 0.2))
     with pytest.raises(ValueError, match="not a box"):
         wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR)
+
+
+@pytest.mark.parametrize("space, dim", [
+    (co.SpatialTestFunction([co.PlateauProfile(0.3, 0.6, 0.1)]), 1),
+    (co.SpatialTestFunction([co.PlateauProfile(0.3, 0.6, 0.1)] * 3), 3),
+    (co.SpatialBump((0.5, 0.5, 0.5), 0.1), 3)])
+def test_spatial_factor_of_another_dimension_is_rejected(space, dim):
+    field = GriddedField(2, 0.0, 1.0, 17, 1.0, 5, np.zeros((5, 17, 17, 2)))
+    message = f"dimension {dim} on a d = 2 field"
+    phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, 0.5, 0.2))
+    with pytest.raises(ValueError, match=message):
+        wb.pair_weak_mass(field, wb.BURGERS_PAIR, phi)
+    with pytest.raises(ValueError, match=message):
+        wb.signed_support_bound(field, [((0.5, 0.5), 0.1)], space, 2.0, enforce_cover=False)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ class _SumOfTimeFactors:
     def deriv(self, t):
         return sum(h.deriv(t) for h in self.factors)
 
+    @property
+    def support(self):
+        return (min(h.support[0] for h in self.factors),
+                max(h.support[1] for h in self.factors))
+
 
 class TestEntropyProduction:
     def test_constant_solution_vanishes(self):
@@ -185,6 +190,55 @@ class TestCutoffMasses:
         cut = co.CutoffPair.build(SpaceTimePoint((0.9,), 0.5), 0.1, 1.0)
         with pytest.raises(wb.MarginError):
             wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, cut)
+
+
+class TestMarginRule:
+    """One rule for every pairing, read from the factors' stated supports:
+    each must leave the two edge nodes free on every spatial axis and at each
+    constrained end of time."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        return fx.constant_field([0.5], 1, -1.0, 1.0, 65, 1.0, 33)
+
+    @pytest.mark.parametrize("case", ["space-off-the-grid", "time-off-the-grid",
+                                      "sub-cell-bump-in-the-margin"])
+    def test_support_in_the_margin_is_rejected(self, field, case):
+        # phi is 0 on every node, so a node-value check passes each of them
+        h = field.h
+        inside = co.SpatialTestFunction([co.PlateauProfile(-0.2, 0.2, 0.1)])
+        during = co.PlateauProfile(0.4, 0.6, 0.1)
+        phi = {"space-off-the-grid": co.SpaceTimeTestFunction(co.SpatialBump((5.0,), 0.1), during),
+               "time-off-the-grid": co.SpaceTimeTestFunction(
+                   inside, co.PlateauProfile(-3.5, -3.0, 0.1)),
+               "sub-cell-bump-in-the-margin": co.SpaceTimeTestFunction(
+                   co.SpatialBump((-1.0 + h / 2,), h / 4), during)}[case]
+        with pytest.raises(wb.MarginError):
+            wb.pair_weak_mass(field, wb.BURGERS_PAIR, phi)
+        with pytest.raises(wb.MarginError):
+            wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR)
+
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_collar_on_the_second_node_runs_and_one_past_it_fails(self, axis, end):
+        # h = dt = 1/64 and 2 delta = (2 delta)**alpha = 1/4: every coordinate
+        # below is exact, so the collar ends exactly on node 1 or node n-2
+        field = fx.constant_field([0.5], 1, 0.0, 1.0, 65, 1.0, 65)
+
+        def cutoff(c):
+            center = SpaceTimePoint((c,), 0.5) if axis == "x" else SpaceTimePoint((0.5,), c)
+            return co.CutoffPair.build(center, 0.125, 1.0)
+
+        on_node = (17 / 64, 47 / 64)[end]
+        cut = cutoff(on_node)
+        support = cut.chi.support[0] if axis == "x" else cut.eta.support
+        nodes = field.x_axis if axis == "x" else field.t_axis
+        assert support[end] == nodes[(1, -2)[end]]
+        rep = wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
+        assert abs(rep.weak_mass) < 1e-12
+        with pytest.raises(wb.MarginError):
+            # one float further toward the edge at 0 or 1
+            wb.pair_weak_mass(field, wb.BURGERS_PAIR, cutoff(math.nextafter(on_node, end)))
 
 
 class TestHolderBound:
@@ -536,6 +590,14 @@ def viscous_run():
 
 
 class TestBoundaryExtended:
+    def test_default_pair_without_pressure_is_burgers(self):
+        field = fx.burgers_entropy_solution(fx.RiemannDatum(1.0, -1.0), -1.0, 1.0, 257, 1.0, 129)
+        assert "p" not in field.scalars
+        space = co.SpatialTestFunction([co.PlateauProfile(-0.5, 0.5, 0.2)])
+        phi = co.SpaceTimeTestFunction(space, co.PlateauProfile(0.5, INF, 0.3))
+        assert (wb.boundary_extended_mass(field, phi)
+                == wb.boundary_extended_mass(field, phi, pair=wb.BURGERS_PAIR))
+
     def test_interior_phi_reduces_to_plain_balance(self, viscous_run):
         field = viscous_run.field
         hw = field.b
