@@ -176,12 +176,12 @@ def cmd_dimension(args) -> int:
 
     box = box_counting_dimension(points, args.alpha, scales)
     ladder_s = args.s if args.s is not None else 0.0
-    centers = None
+    centers = points
     if args.sample_centers is not None:
         n = points.shape[0]
         idx = random.Random(args.seed or 0).sample(range(n), min(args.sample_centers, n))
         centers = points[sorted(idx)]
-    del points   # the ladder holds its own arrays, not a second copy of the support
+    del points   # a sample of centers does not keep the whole support alive
     ladder = density_ladder(mu, args.alpha, ladder_s, scales, centers=centers)
     certified, verdict = certify_lower_bound(ladder)
 
@@ -241,7 +241,7 @@ def cmd_verify(args) -> int:
                 skipped += 1
                 continue
             rows.append((center, delta, rep))
-            time_unresolved += int(np.count_nonzero(cutoff.eta.value(field.t_axis)) < 2)
+            time_unresolved += int(rep.time_nodes < 2)
     if not rows:
         raise CliError("every sweep point violated the grid margins")
 

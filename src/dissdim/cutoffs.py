@@ -21,6 +21,13 @@ profile class also gives the one-sided plateau, hi = inf, which rises over
 t = T for the boundary-extended balance.  Every factor states the
 ``support`` outside which it and its derivatives vanish; the pairings'
 margin rule reads only these (it must leave the grid's two edge nodes free).
+
+Each factor computes its taper coordinate in one place, which value and
+every derivative read: a spatial bump the offset y - center and its length
+(``_offset``), with one guard for the division by that length at the center
+(``_over_radius``); a time bump its ``_ramp``; a plateau the distance past
+the plateau in ramp widths (``_coord``).  A separable test function's
+gradient and laplacian share one product rule (``_product_rule``).
 """
 
 from __future__ import annotations
@@ -99,37 +106,33 @@ class SpatialBump:
     delta: float
     profile: str = "cubic"
 
-    def _rho(self, y):
-        y = np.asarray(y, dtype=float)
-        c = np.asarray(self.center)
-        return np.sqrt(np.sum((y - c) ** 2, axis=-1))
+    def _offset(self, y):
+        """y - center and its length |y - center|."""
+        diff = np.asarray(y, dtype=float) - np.asarray(self.center)
+        return diff, np.sqrt(np.sum(diff ** 2, axis=-1))
+
+    @staticmethod
+    def _over_radius(num, rho):
+        """num / rho, and 0 at the center (rho = 0)."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(rho > 0, num / np.where(rho == 0, 1.0, rho), 0.0)
 
     def value(self, y):
-        rho = self._rho(y) / self.delta
-        return taper_profile(self.profile).value(rho - 1.0)
+        _, rho = self._offset(y)
+        return taper_profile(self.profile).value(rho / self.delta - 1.0)
 
     def gradient(self, y):
-        p = taper_profile(self.profile)
-        y = np.asarray(y, dtype=float)
-        c = np.asarray(self.center)
-        diff = y - c
-        rho = np.sqrt(np.sum(diff ** 2, axis=-1))
-        scaled = rho / self.delta
-        dpsi = p.deriv(scaled - 1.0) / self.delta
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(rho[..., None] > 0, diff / np.where(rho == 0, 1.0, rho)[..., None], 0.0)
-        return dpsi[..., None] * unit
+        diff, rho = self._offset(y)
+        dpsi = taper_profile(self.profile).deriv(rho / self.delta - 1.0) / self.delta
+        return dpsi[..., None] * self._over_radius(diff, rho[..., None])
 
     def laplacian(self, y):
         p = taper_profile(self.profile)
-        rho = self._rho(y)
-        scaled = rho / self.delta
-        d = len(self.center)
-        dpsi = p.deriv(scaled - 1.0) / self.delta
-        d2psi = p.second(scaled - 1.0) / scale_power(self.delta, 2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = np.where(rho > 0, dpsi * (d - 1) / np.where(rho == 0, 1.0, rho), 0.0)
-        return d2psi + radial
+        _, rho = self._offset(y)
+        s = rho / self.delta - 1.0
+        dpsi = p.deriv(s) / self.delta
+        d2psi = p.second(s) / scale_power(self.delta, 2)
+        return d2psi + self._over_radius(dpsi * (len(self.center) - 1), rho)
 
     @property
     def support(self) -> tuple:
@@ -226,23 +229,21 @@ class PlateauProfile:
         if not (self.ramp > 0 and self.hi >= self.lo):
             raise ValueError("need hi >= lo and ramp > 0")
 
-    def value(self, x):
+    def _coord(self, x):
+        """x as an array, and its distance past the plateau in ramp widths."""
         x = np.asarray(x, dtype=float)
-        s = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0) / self.ramp
-        return taper_profile(self.profile).value(s)
+        return x, np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0) / self.ramp
+
+    def value(self, x):
+        return taper_profile(self.profile).value(self._coord(x)[1])
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        below = x < self.lo
-        above = x > self.hi
-        s = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0) / self.ramp
+        x, s = self._coord(x)
         dpsi = taper_profile(self.profile).deriv(s) / self.ramp
-        return np.where(below, -dpsi, np.where(above, dpsi, 0.0))
+        return np.where(x < self.lo, -dpsi, np.where(x > self.hi, dpsi, 0.0))
 
     def second(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0) / self.ramp
-        return taper_profile(self.profile).second(s) / self.ramp ** 2
+        return taper_profile(self.profile).second(self._coord(x)[1]) / self.ramp ** 2
 
     @property
     def support(self) -> tuple:
@@ -275,29 +276,25 @@ class SpatialTestFunction:
             out = out * p.value(y[..., i])
         return out
 
-    def gradient(self, y):
+    def _product_rule(self, y, deriv: str) -> list:
+        """Per axis i, the ``deriv`` ("deriv" or "second") of factor i times
+        the values of the other factors, multiplied in axis order."""
         y = np.asarray(y, dtype=float)
         vals = [p.value(y[..., i]) for i, p in enumerate(self.profiles)]
-        grads = []
+        terms = []
         for i, p in enumerate(self.profiles):
-            g = p.deriv(y[..., i])
-            for j, v in enumerate(vals):
-                if j != i:
-                    g = g * v
-            grads.append(g)
-        return np.stack(grads, axis=-1)
-
-    def laplacian(self, y):
-        y = np.asarray(y, dtype=float)
-        vals = [p.value(y[..., i]) for i, p in enumerate(self.profiles)]
-        out = np.zeros(y.shape[:-1])
-        for i, p in enumerate(self.profiles):
-            term = p.second(y[..., i])
+            term = getattr(p, deriv)(y[..., i])
             for j, v in enumerate(vals):
                 if j != i:
                     term = term * v
-            out = out + term
-        return out
+            terms.append(term)
+        return terms
+
+    def gradient(self, y):
+        return np.stack(self._product_rule(y, "deriv"), axis=-1)
+
+    def laplacian(self, y):
+        return sum(self._product_rule(y, "second"))
 
 
 class SpaceTimeTestFunction:

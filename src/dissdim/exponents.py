@@ -158,15 +158,13 @@ def _json_number(x):
     return float(x)
 
 
-def _report(terms, alpha, regime, convention, cls=None, d=None, q=None, r=None, **flags):
+def _report(terms, alpha, regime, convention, d, q, r, **flags):
     """The report of the minimum term; RegimeError where a term overflows to
     a non-finite value or beyond the float range, which JSON cannot carry."""
     for label, val in terms:
         if not math.isfinite(_as_float(label, val)):
             raise RegimeError(f"term {label} is not finite ({val!r}): the inputs overflow a float64")
     s = min(val for _, val in terms)
-    if cls is not None:
-        d, q, r = cls.d, cls.q, cls.r
     return ExponentReport(
         s=s,
         alpha=alpha,
@@ -211,7 +209,7 @@ def euler_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
     """
     _check_alpha(alpha)
     terms, conv = _euler_terms(cls.d, cls.q, cls.r, alpha)
-    return _report(terms, alpha, "euler", conv, cls=cls)
+    return _report(terms, alpha, "euler", conv, cls.d, cls.q, cls.r)
 
 
 def _alpha_opt(d, q, r):
@@ -257,7 +255,7 @@ def euler_unbounded_pressure(cls: IntegrabilityClass) -> ExponentReport:
         raise RegimeError("requires a finite q; use euler_optimal for q = r = inf")
     alpha = _conj(cls.q)
     terms, conv = _euler_terms(cls.d, cls.q, cls.r, alpha)
-    return _report(terms, alpha, "euler", conv, cls=cls, open_exponent=True)
+    return _report(terms, alpha, "euler", conv, cls.d, cls.q, cls.r, open_exponent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def conservation_law_exponent(d: int, r) -> ExponentReport:
         raise RegimeError(f"r must satisfy r >= (d+1)/d, got r = {r!r} for d = {d}")
     s = d + 1 - _conj(r)
     return _report([("space_time_divergence", s)], 1, "conservation_law", _convention(None, r),
-                   d=d, q=None, r=r)
+                   d, None, r)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +299,7 @@ def navier_stokes_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
     """
     _check_alpha(alpha)
     terms, conv = _ns_terms(cls.d, cls.q, cls.r, alpha)
-    return _report(terms, alpha, "navier_stokes", conv, cls=cls)
+    return _report(terms, alpha, "navier_stokes", conv, cls.d, cls.q, cls.r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Analytic and semi-analytic fixtures: power-law divergence fields, Burgers
-shock/rarefaction entropy solutions, a viscous Burgers solver, and reference
-measures with known dimension.
+shock/rarefaction entropy solutions, a viscous Burgers solver, planar shear
+flows (one fixture, ``decaying_shear_field``, whose nu = 0 case is the steady
+inviscid shear), and reference measures with known dimension.
 
 The inviscid Burgers sampler stores exact cell averages of the entropy
 solution (conservative sampling); the viscous solver is a first-order
@@ -36,7 +37,6 @@ __all__ = [
     "viscous_profile",
     "time_singular_measure_fixture",
     "grid_measure",
-    "shear_flow_field",
     "decaying_shear_field",
     "constant_field",
     "shock_entropy_rate",
@@ -499,19 +499,10 @@ def constant_field(value, d: int, a: float, b: float, nx: int, T: float, nt: int
     return GriddedField(d, a, b, nx, T, nt, u, {"p": p})
 
 
-def shear_flow_field(profile, a: float, b: float, nx: int, T: float, nt: int) -> GriddedField:
-    """Steady planar shear u = (f(y), 0), p = 0: an exact inviscid solution."""
-    ys = _SpaceTimeGrid(2, a, b, nx, T, nt).x_axis
-    fy = np.asarray(profile(ys), dtype=float)
-    u = np.zeros((nt, nx, nx, 2))
-    u[..., 0] = fy[None, None, :]
-    p = np.zeros((nt, nx, nx))
-    return GriddedField(2, a, b, nx, T, nt, u, {"p": p})
-
-
 def decaying_shear_field(nu: float, k: float, a: float, b: float, nx: int,
                          T: float, nt: int) -> GriddedField:
-    """u = (exp(-nu k^2 t) sin(k y), 0), p = 0: exact viscous shear decay."""
+    """u = (exp(-nu k^2 t) sin(k y), 0), p = 0: exact viscous shear decay.
+    nu = 0 gives the steady shear (sin(k y), 0), an exact inviscid solution."""
     grid = _SpaceTimeGrid(2, a, b, nx, T, nt)
     ys = grid.x_axis
     amp = np.exp(-nu * k * k * grid.t_axis)

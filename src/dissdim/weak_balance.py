@@ -210,7 +210,7 @@ def _spatial_factors(field: GriddedField, space, box: tuple):
 
     X and its derivatives are evaluated once, on ``box``, the stated support
     box (``_support_box``), whose inner faces must hold no nonzero node (a
-    support statement that is too small fails an assertion).  The window is the
+    support statement that is too small raises ValueError).  The window is the
     smallest index box holding every nonzero node, widened by a one-node
     halo and then to equal sides inside the support box; a support box with
     no nonzero node is the window itself, with zero factors.
@@ -221,8 +221,9 @@ def _spatial_factors(field: GriddedField, space, box: tuple):
     # per axis: which of the box's node indices hold a nonzero node
     hit = [nonzero.any(axis=tuple(j for j in range(field.d) if j != i))
            for i in range(field.d)]
-    assert all((b.start == 0 or not h[0]) and (b.stop == field.nx or not h[-1])
-               for b, h in zip(box, hit)), "nonzero node outside the stated support"
+    if not all((b.start == 0 or not h[0]) and (b.stop == field.nx or not h[-1])
+               for b, h in zip(box, hit)):
+        raise ValueError("space: the factor is nonzero at a node outside its stated support")
     x = _equal_lengths(tuple(slice(b.start + s.start, b.start + s.stop)
                              for b, s in zip(box, map(_halo_slice, hit))), box)
     cut = tuple(slice(s.start - b.start, s.stop - b.start) for b, s in zip(box, x))
@@ -274,7 +275,8 @@ class _Window:
         t = field.t_axis
         H, dH = phi.time.value(t), phi.time.deriv(t)
         live, (lo, hi) = (H != 0) | (dH != 0), phi.time.support
-        assert not live[(t < lo) | (t > hi)].any(), "nonzero time node outside the stated support"
+        if live[(t < lo) | (t > hi)].any():
+            raise ValueError("time: the factor is nonzero at a node outside its stated support")
         box = _support_box(field, phi.space)   # a support that is no box fails first
         _check_margin(field, phi, vanish)   # so a rejected phi costs no evaluation
         self.x, self.x_val, self.x_grad, self.x_lap, self.mesh = \
@@ -367,6 +369,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         terms[k]    = quadrature of Q_k . grad(phi)      (one entry per flux)
         terms["IV"] = quadrature of nu * eta * lap(phi)  (nu > 0)
         weak_mass   = the sum of the terms
+        time_nodes  = the number of time nodes where phi's time factor is nonzero
         grad_mass_cutoff   = quadrature of nu * |grad u|^2 * phi      (nu > 0)
         grad_mass_cylinder = nu * |grad u|^2 summed over the strict cylinder
                              |x - c| < delta, |t - t0| < delta**alpha (nu > 0)
@@ -394,7 +397,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
         collar, dt = r2 <= (2 * cutoff.delta) ** 2, np.abs(win.t_axis - cutoff.center.t)
         cyl = _Cylinder(r2 < cutoff.delta ** 2, collar, win.wsp[collar],
-                        dt < cutoff.delta ** cutoff.alpha, dt <= cutoff.eta.outer)
+                        dt < cutoff.eta.inner, dt <= cutoff.eta.outer)
     parts, widths, terminal = {}, {}, 0.0
     blocks = win.row_blocks()
     for start, stop in blocks:
@@ -432,8 +435,8 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         grad_cut = nu * win.quad(rows.pop("grad"), win.h_val)
         if cyl is not None:
             grad_cyl = nu * win.quad(rows.pop("cylinder"), cyl.inner)
-    report = BalanceReport(terms, sum(terms.values()), grad_mass_cutoff=grad_cut,
-                           grad_mass_cylinder=grad_cyl)
+    report = BalanceReport(terms, sum(terms.values()), int(np.count_nonzero(win.h_val)),
+                           grad_mass_cutoff=grad_cut, grad_mass_cylinder=grad_cyl)
     return _Pairing(report, terminal, win, widths, cyl, rows)
 
 
@@ -443,10 +446,12 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
 
 @dataclass
 class BalanceReport:
-    """Terms and bounds from testing a balance with one cutoff pair."""
+    """Terms and bounds from testing a balance with one cutoff pair;
+    ``time_nodes`` counts the time nodes where the time factor (eta) is nonzero."""
 
     terms: dict
     weak_mass: float
+    time_nodes: int
     holder_bound: float | None = None
     local_norms: dict = dc_field(default_factory=dict)
     grad_mass_cutoff: float | None = None
@@ -617,9 +622,11 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
     V is the steady ``field`` at t = 0 (every time row must equal the first)
     on d >= 2 axes, a given ``threshold`` is finite and >= 0, and each
     (center, radius) ball of ``covering`` has d finite coordinates and a
-    positive finite radius (ValueError otherwise).  Builds chi = max of
-    per-ball bumps (each 1 on its ball, supported on the doubled ball) and
-    returns
+    positive finite radius (ValueError otherwise).  Builds chi = max(0,
+    chi_1, ..., chi_n) over the per-ball bumps (each 1 on its ball, supported
+    on the doubled ball), and takes grad chi from the first of 0, chi_1, ...,
+    chi_n that attains that max: 0 where no bump is positive, even where a
+    bump's value rounds to 0 beside a nonzero gradient.  It returns
 
         bound_I  = |quadrature of (V . grad phi) chi|
         bound_II = |quadrature of (V . grad chi) phi|
@@ -672,7 +679,7 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
         on_b, on_w = (tuple(slice(i - s.start, j - s.start) for (i, j), s in zip(both, ref))
                       for ref in (box, win))
         chi_w, grad_w, vals = chi[on_w], grad_chi[on_w], vals[on_b]
-        higher = vals > chi_w   # strict: the earlier ball keeps a tie
+        higher = vals > chi_w   # strict: 0, then the earlier ball, keeps a tie
         chi_w[higher], grad_w[higher] = vals[higher], grad[on_b][higher]
     missing = int(np.count_nonzero(above & ~covered)) if enforce_cover else 0
     if missing:

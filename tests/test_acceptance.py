@@ -235,7 +235,7 @@ def test_criterion_6_smooth_solution_nullity():
     rep = wb.holder_cylinder_bound(field, cut, INF, INF)
     ratios["constant"] = abs(rep.weak_mass) / rep.holder_bound
 
-    shear = fx.shear_flow_field(lambda y: np.sin(y), 0.0, 2 * math.pi, 256, 4.0, 256)
+    shear = fx.decaying_shear_field(0.0, 1.0, 0.0, 2 * math.pi, 256, 4.0, 256)
     cut = co.CutoffPair.build(SpaceTimePoint((2.1, 3.3), 1.7), 0.5, 1.0)
     rep = wb.holder_cylinder_bound(shear, cut, INF, INF)
     ratios["steady shear"] = abs(rep.weak_mass) / rep.holder_bound

@@ -326,7 +326,7 @@ class TestVerifyCommand:
         from dissdim import weak_balance as wb
 
         def tiny(*args, **kwargs):
-            return wb.BalanceReport(terms={}, weak_mass=1.3e-320, holder_bound=0.0)
+            return wb.BalanceReport(terms={}, weak_mass=1.3e-320, time_nodes=3, holder_bound=0.0)
 
         monkeypatch.setattr(cli, "holder_cylinder_bound", tiny)
         field_path, _ = shock_files

@@ -352,6 +352,75 @@ def test_spatial_factor_of_another_dimension_is_rejected(space, dim):
         wb.signed_support_bound(field, [((0.5, 0.5), 0.1)], space, 2.0, enforce_cover=False)
 
 
+class Understated:
+    """A factor that states a support smaller than the nodes where it is nonzero."""
+
+    def __init__(self, factor, support):
+        self.factor, self.support = factor, support
+
+    def __getattr__(self, name):
+        return getattr(self.factor, name)
+
+
+def test_an_understated_support_raises_a_value_error_naming_its_axis():
+    # a plain ValueError, not an assertion: it holds under python -O and maps to exit 2
+    field = GriddedField(2, 0.0, 1.0, 17, 1.0, 17, np.zeros((17, 17, 17, 2)))
+    space = co.SpatialTestFunction([co.PlateauProfile(0.3, 0.7, 0.1)] * 2)
+    time = co.PlateauProfile(0.3, 0.7, 0.1)
+    small_space = Understated(space, ((0.45, 0.55),) * 2)
+    small_time = Understated(time, (0.45, 0.55))
+    calls = [("space", lambda: wb.pair_weak_mass(
+                 field, wb.BURGERS_PAIR, co.SpaceTimeTestFunction(small_space, time))),
+             ("space", lambda: wb.signed_support_bound(
+                 field, [((0.5, 0.5), 0.1)], small_space, 2.0, enforce_cover=False)),
+             ("time", lambda: wb.pair_weak_mass(
+                 field, wb.BURGERS_PAIR, co.SpaceTimeTestFunction(space, small_time)))]
+    for axis, call in calls:
+        with pytest.raises(ValueError, match=f"^{axis}: ") as err:
+            call()
+        assert type(err.value) is ValueError
+
+
+@st.composite
+def grid_aligned_or_not(draw, lo, hi, step):
+    """A coordinate in [lo, hi]: on a node of spacing ``step``, on a dyadic
+    fraction of it, or anywhere."""
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    node = st.integers(math.ceil(lo * k / step), math.floor(hi * k / step))
+    return draw(st.one_of(node.map(lambda i: i * step / k), st.floats(lo, hi)))
+
+
+CYLINDER_GRIDS = {1: 65, 2: 33, 3: 17}   # nx on [0, 1]^d; nt = 33 on [0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]),
+       profile=st.sampled_from(["cubic", "quintic"]),
+       alpha=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.0, 3.0)),
+       delta=st.one_of(st.integers(3, 8).map(lambda k: 2.0 ** -k), st.floats(2.0 ** -8, 0.125)))
+def test_cylinder_masks_hold_every_nonzero_node_of_the_cutoff(data, d, profile, alpha, delta):
+    # dominance is exact only because every node where chi or a derivative of
+    # it is nonzero lies in the closed collar, and every time node where eta or
+    # eta' is nonzero in the outer rows: the masks' norms then see every node
+    # the weak mass does
+    nx, nt = CYLINDER_GRIDS[d], 33
+    field = GriddedField(d, 0.0, 1.0, nx, 1.0, nt, np.zeros((nt,) + (nx,) * d + (d,)))
+    center = tuple(data.draw(grid_aligned_or_not(0.375, 0.625, field.h)) for _ in range(d))
+    t0 = data.draw(grid_aligned_or_not(0.375, 0.625, field.dt))
+    cut = co.CutoffPair.build(SpaceTimePoint(center, t0), delta, alpha, profile=profile)
+    res = wb._pairing(field, cut, wb.BURGERS_PAIR)
+    collar = np.zeros((nx,) * d, dtype=bool)
+    collar[res.window.x] = res.cylinder.collar
+    outer = np.zeros(nt, dtype=bool)
+    outer[res.window.t] = res.cylinder.outer
+    mesh, t = field.spatial_mesh(), field.t_axis
+    live_x = ((cut.chi.value(mesh) != 0) | (cut.chi.gradient(mesh) != 0).any(axis=-1)
+              | (cut.chi.laplacian(mesh) != 0))
+    live_t = (cut.eta.value(t) != 0) | (cut.eta.deriv(t) != 0)
+    assert not (live_x & ~collar).any()
+    assert not (live_t & ~outer).any()
+
+
 # ---------------------------------------------------------------------------
 # Blocks of time rows.
 # ---------------------------------------------------------------------------

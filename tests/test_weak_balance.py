@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dissdim import cutoffs as co
 from dissdim import fixtures as fx
@@ -26,7 +26,7 @@ def shock_field():
 
 @pytest.fixture(scope="module")
 def shear_field():
-    return fx.shear_flow_field(lambda y: np.sin(y), 0.0, 2 * math.pi, 192, 4.0, 192)
+    return fx.decaying_shear_field(0.0, 1.0, 0.0, 2 * math.pi, 192, 4.0, 192)
 
 
 def shock_phi(t_lo=0.1, t_hi=0.9, t_ramp=0.05):
@@ -834,9 +834,11 @@ class TestCoveringBalls:
 
 def whole_mesh_covering(field, covering, phi, r, threshold=None, enforce_cover=True):
     """The covering estimate on the whole mesh: every bump evaluated on every
-    node and stacked, chi and grad chi from the stack's max and argmax (the
-    first ball wins a tie), whole-grid sums.  Returns the report's values as
-    (value, sum of |integrand|) pairs, or raises CoverageError."""
+    node and stacked below a zero layer, chi and grad chi from the stack's max
+    and argmax, so chi = max(0, chi_1, ..., chi_n) and grad chi is that of the
+    first layer to attain it (0 where no bump is positive), whole-grid sums.
+    Returns the report's values as (value, sum of |integrand|) pairs, or
+    raises CoverageError."""
     v, mesh, w = field.u[0], field.spatial_mesh(), field.spatial_weights()
     div = sum(np.gradient(v[..., i], field.h, axis=i) for i in range(field.d))
     if threshold is None:
@@ -848,10 +850,10 @@ def whole_mesh_covering(field, covering, phi, r, threshold=None, enforce_cover=T
     if enforce_cover and (above & ~covered).any():
         raise wb.CoverageError("oracle: the covering misses an above-threshold cell")
     bumps = [co.SpatialBump(tuple(c), rad) for c, rad in covering]
-    stack = np.stack([b.value(mesh) for b in bumps])
+    stack = np.stack([np.zeros(mesh.shape[:-1])] + [b.value(mesh) for b in bumps])
     chi, winner = stack.max(axis=0), stack.argmax(axis=0)
     grad_chi = np.zeros(mesh.shape)
-    for i, b in enumerate(bumps):
+    for i, b in enumerate(bumps, start=1):
         grad_chi[winner == i] = b.gradient(mesh[winner == i])
     v_gphi = np.sum(v * phi.gradient(mesh), axis=-1)
     v_gchi_phi = np.sum(v * grad_chi, axis=-1) * phi.value(mesh)
@@ -896,6 +898,11 @@ def covering_cases(draw):
 class TestCoveringOracle:
     @settings(max_examples=100, deadline=None)
     @given(case=covering_cases())
+    # at node (0, 0.0625) the ball's value rounds to 0.0 beside a gradient of
+    # (-0.0, -4.26e-13): chi is 0 there, and so is grad chi
+    @example(case=(2, 0, [], [((0.0, 0.05), 0.00625)], [],
+                   co.SpatialTestFunction([co.PlateauProfile(0.0, 0.0, 0.1)] * 2), 2.0,
+                   None, False))
     def test_matches_the_whole_mesh_estimate(self, case):
         d, seed, aimed, balls, dups, phi, r, frac, enforce = case
         nx = ORACLE_GRIDS[d]
