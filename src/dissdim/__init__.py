@@ -37,8 +37,6 @@ from .aniso_measure import (
     box_counting_dimension,
     density_ladder,
     certify_lower_bound,
-    covering_premeasure,
-    alpha_monotonicity_check,
 )
 from .cutoffs import CutoffPair, SpaceTimeTestFunction, SpatialTestFunction
 from .errors import VerificationError

@@ -12,9 +12,9 @@ sitting exactly on a cylinder boundary are excluded.
 
 One lattice serves every scale-by-scale computation on boxes: the
 origin-anchored cells of spatial side delta and temporal side delta**alpha,
-mapped from points by ``_cells``.  Box counting and the covering estimate
-count its occupied cells.  Points 2**53 cells or more from the origin, and a
-temporal side that overflows a float64, raise ValueError.
+mapped from points by ``_cells``.  Box counting counts its occupied cells.
+Points 2**53 cells or more from the origin, and a temporal side that
+overflows a float64, raise ValueError.
 
 The density ladder takes its cylinder masses from ``_masses``, one row per
 scale and one column per center, for all scales in one call.
@@ -76,13 +76,10 @@ __all__ = [
     "AtomicMeasure",
     "DensityLadder",
     "BoxCountResult",
-    "AlphaMonotonicityResult",
     "cylinder_mass",
     "box_counting_dimension",
     "density_ladder",
     "certify_lower_bound",
-    "covering_premeasure",
-    "alpha_monotonicity_check",
     "as_point_array",
 ]
 
@@ -280,11 +277,6 @@ def _row_groups(rows: np.ndarray):
     order = np.lexsort(rows.T)
     rows = rows[order]
     return order, np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-
-
-def _occupied_cells(pts: np.ndarray, delta: float, alpha: float) -> int:
-    """Number of lattice cells holding at least one of the (n, d+1) points, n >= 1."""
-    return len(_row_groups(_cells(pts, delta, alpha))[1])
 
 
 def _row_ids(rows: np.ndarray) -> np.ndarray:
@@ -494,7 +486,7 @@ def box_counting_dimension(points, alpha, scales) -> BoxCountResult:
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
-    counts = [_occupied_cells(pts, delta, alpha) for delta in scales]
+    counts = [len(_row_groups(_cells(pts, delta, alpha))[1]) for delta in scales]
     slope, rms = _loglog_fit([np.log(1.0 / s) for s in scales], counts)
     return BoxCountResult(slope, counts, rms)
 
@@ -580,51 +572,3 @@ def certify_lower_bound(ladder: DensityLadder):
         s_prime = round(s_prime + CERTIFY_SCAN_STEP, 12)
     return float(certified), "certified"
 
-
-def covering_premeasure(points, alpha, s, delta_cap) -> float:
-    """Greedy upper estimate of the size-capped covering premeasure.
-
-    Covers the finite set with lattice cylinders of size at most delta_cap
-    (spatial side delta, temporal side delta**alpha, gauge delta**s).  The
-    greedy rule -- repeatedly take the largest admissible cylinder covering
-    the most uncovered points -- always selects top-size cells, because an
-    aligned parent cell covers a superset of any of its descendants; the
-    estimate therefore equals N(delta_cap) * delta_cap**s with N the
-    occupied-cell count, an upper bound for the premeasure of the set.
-    """
-    if not delta_cap > 0:
-        raise ValueError(f"delta_cap must be positive, got {delta_cap!r}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    pts = as_point_array(points)
-    if pts.shape[0] == 0:
-        return 0.0
-    return float(_occupied_cells(pts, delta_cap, alpha)) * delta_cap ** s
-
-
-class AlphaMonotonicityResult(NamedTuple):
-    estimates: list
-    violation: bool
-
-
-ALPHA_FIT_TOLERANCE = 0.15
-
-
-def alpha_monotonicity_check(points, alphas, scales) -> AlphaMonotonicityResult:
-    """Box-dimension estimates across increasing alphas, with a decrease flag.
-
-    At scales below 1, a larger alpha thins the temporal cells, so counts and
-    dimension estimates can only grow with alpha; a drop beyond the fit
-    tolerance is flagged as a violation of that ordering.
-    """
-    alphas = [float(a) for a in alphas]
-    if len(alphas) < 2:
-        raise ValueError("need at least 2 alphas")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
-    estimates = [box_counting_dimension(points, a, scales).dim_estimate for a in alphas]
-    violation = any(
-        estimates[i + 1] < estimates[i] - ALPHA_FIT_TOLERANCE
-        for i in range(len(estimates) - 1)
-    )
-    return AlphaMonotonicityResult(estimates, violation)

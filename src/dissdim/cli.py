@@ -186,9 +186,14 @@ def cmd_dimension(args) -> int:
     certified, verdict = certify_lower_bound(ladder)
 
     if args.csv:
-        text = dio.ladder_csv(ladder) if args.s is not None else dio.box_count_csv(scales, box)
+        if args.s is None:
+            column, values, fit = "count", box.counts, (box.dim_estimate, box.fit_residual)
+        else:
+            column, values = "density", ladder.densities
+            fit = (ladder.fitted_slope, ladder.fit_residual)
         with open(args.csv, "w") as fh:
-            fh.write(text)
+            fh.write(dio.report_csv(["delta", column, "fit_slope", "residual"],
+                                    [(delta, v, *fit) for delta, v in zip(scales, values)]))
 
     _emit({
         "schema": SCHEMA,
@@ -249,16 +254,12 @@ def cmd_verify(args) -> int:
     header += ["t", "delta", "weak_mass", "holder_bound", "ratio"]
     if args.nu:
         header.append("grad_mass_cylinder")
-    lines = [",".join(header)]
+    csv_rows = []
     for center, delta, rep in rows:
         ratio = rep.weak_mass / rep.holder_bound if rep.holder_bound > 0 else 0.0
-        cells = [repr(c) for c in center.x] + [repr(center.t), repr(float(delta)),
-                                               repr(rep.weak_mass), repr(rep.holder_bound),
-                                               repr(ratio)]
-        if args.nu:
-            cells.append(repr(rep.grad_mass_cylinder))
-        lines.append(",".join(cells))
-    csv_text = "\n".join(lines) + "\n"
+        csv_rows.append([*center.x, center.t, float(delta), rep.weak_mass, rep.holder_bound, ratio]
+                        + ([rep.grad_mass_cylinder] if args.nu else []))
+    csv_text = dio.report_csv(header, csv_rows)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(csv_text)

@@ -158,7 +158,7 @@ def _json_number(x):
     return float(x)
 
 
-def _report(terms, alpha, regime, convention, d, q, r, **flags):
+def _report(terms, alpha, regime, d, q, r, **flags):
     """The report of the minimum term; RegimeError where a term overflows to
     a non-finite value or beyond the float range, which JSON cannot carry."""
     for label, val in terms:
@@ -170,7 +170,7 @@ def _report(terms, alpha, regime, convention, d, q, r, **flags):
         alpha=alpha,
         terms=tuple(terms),
         regime=regime,
-        convention_applied=convention,
+        convention_applied=_convention(q, r),
         d=d,
         q=q,
         r=r,
@@ -197,7 +197,7 @@ def _euler_terms(d, q, r, alpha):
     """
     t1 = _part(d, r, 2) - _per(alpha * 2, q)
     t2 = _part(d, r, 3) - 1 + _part(alpha, q, 3)
-    return [("time_cutoff", t1), ("transport_flux", t2)], _convention(q, r)
+    return [("time_cutoff", t1), ("transport_flux", t2)]
 
 
 def euler_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
@@ -208,8 +208,7 @@ def euler_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
     A negative minimum sets the ``vacuous`` flag rather than erroring.
     """
     _check_alpha(alpha)
-    terms, conv = _euler_terms(cls.d, cls.q, cls.r, alpha)
-    return _report(terms, alpha, "euler", conv, cls.d, cls.q, cls.r)
+    return _report(_euler_terms(cls.d, cls.q, cls.r, alpha), alpha, "euler", cls.d, cls.q, cls.r)
 
 
 def _alpha_opt(d, q, r):
@@ -254,8 +253,8 @@ def euler_unbounded_pressure(cls: IntegrabilityClass) -> ExponentReport:
     if _is_inf(cls.q):
         raise RegimeError("requires a finite q; use euler_optimal for q = r = inf")
     alpha = _conj(cls.q)
-    terms, conv = _euler_terms(cls.d, cls.q, cls.r, alpha)
-    return _report(terms, alpha, "euler", conv, cls.d, cls.q, cls.r, open_exponent=True)
+    return _report(_euler_terms(cls.d, cls.q, cls.r, alpha), alpha, "euler", cls.d, cls.q, cls.r,
+                   open_exponent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +272,7 @@ def conservation_law_exponent(d: int, r) -> ExponentReport:
     if r * d < d + 1:
         raise RegimeError(f"r must satisfy r >= (d+1)/d, got r = {r!r} for d = {d}")
     s = d + 1 - _conj(r)
-    return _report([("space_time_divergence", s)], 1, "conservation_law", _convention(None, r),
-                   d, None, r)
+    return _report([("space_time_divergence", s)], 1, "conservation_law", d, None, r)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +280,8 @@ def conservation_law_exponent(d: int, r) -> ExponentReport:
 # ---------------------------------------------------------------------------
 
 def _ns_terms(d, q, r, alpha):
-    terms, conv = _euler_terms(d, q, r, alpha)
     t3 = _part(d, r, 2) - 2 + _part(alpha, q, 2)
-    return terms + [("laplacian", t3)], conv
+    return _euler_terms(d, q, r, alpha) + [("laplacian", t3)]
 
 
 def navier_stokes_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
@@ -298,8 +295,8 @@ def navier_stokes_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
     s = d+1 - 3(d/r + 2/q); negative s is reported via ``vacuous``.
     """
     _check_alpha(alpha)
-    terms, conv = _ns_terms(cls.d, cls.q, cls.r, alpha)
-    return _report(terms, alpha, "navier_stokes", conv, cls.d, cls.q, cls.r)
+    return _report(_ns_terms(cls.d, cls.q, cls.r, alpha), alpha, "navier_stokes",
+                   cls.d, cls.q, cls.r)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,7 @@ __all__ = [
     "read_measure",
     "write_field",
     "read_field",
-    "ladder_csv",
-    "box_count_csv",
+    "report_csv",
 ]
 
 MEASURE_MAGIC = "dissdim-measure v1"
@@ -323,15 +322,7 @@ def read_field(path) -> GriddedField:
 # CSV reports.
 # ---------------------------------------------------------------------------
 
-def ladder_csv(ladder) -> str:
-    lines = ["delta,density,fit_slope,residual"]
-    for delta, rho in zip(ladder.scales, ladder.densities):
-        lines.append(f"{delta!r},{rho!r},{ladder.fitted_slope!r},{ladder.fit_residual!r}")
-    return "\n".join(lines) + "\n"
-
-
-def box_count_csv(scales, result) -> str:
-    lines = ["delta,count,fit_slope,residual"]
-    for delta, count in zip(scales, result.counts):
-        lines.append(f"{float(delta)!r},{count},{result.dim_estimate!r},{result.fit_residual!r}")
+def report_csv(header, rows) -> str:
+    """A CSV report: the header's names, then each row's cells as their ``repr``."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"

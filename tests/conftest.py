@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dissdim import aniso_measure as am
 from dissdim import fixtures as fx
 
 # CI runs draw the same examples every time and print the blob that replays a
@@ -61,3 +62,17 @@ def outward_sphere_flux(field, delta, n=64):
 @pytest.fixture(scope="session")
 def sphere_flux():
     return outward_sphere_flux
+
+
+def box_count_covering_estimates(points, s, caps):
+    """N(cap) * cap**s at each cap, alpha = 1, with N(cap) the occupied
+    lattice-cell count of ``box_counting_dimension``: the covering estimate of
+    the points with cells of size at most cap, which is an upper bound for
+    their size-capped s-premeasure (the aligned cells of side cap cover them)."""
+    counts = am.box_counting_dimension(points, 1.0, caps).counts
+    return [n * cap ** s for n, cap in zip(counts, caps)]
+
+
+@pytest.fixture(scope="session")
+def covering_estimates():
+    return box_count_covering_estimates

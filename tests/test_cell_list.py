@@ -278,8 +278,6 @@ class TestLatticeRange:
 
     def test_unrepresentable_cells_raise(self):
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            am.covering_premeasure(self.FAR, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="2\\*\\*53"):
             am.box_counting_dimension(self.FAR, 1.0, [1.0, 0.5, 0.25])
         # the ladder of a d >= 2 measure takes the cell list
         mu = AtomicMeasure([[1e19, 0.0]], [0.0], [1.0])
@@ -305,9 +303,9 @@ class TestLatticeRange:
 
     def test_largest_exact_cells_still_count(self):
         pts = [[2.0 ** 53 - 2, 0.0], [2.0 ** 53 - 1, 0.0], [-(2.0 ** 53 - 1), 0.0]]
-        assert am.covering_premeasure(pts, 1.0, 0.0, 1.0) == 3.0
-        with pytest.raises(ValueError):
-            am.covering_premeasure([[2.0 ** 53, 0.0]], 1.0, 0.0, 1.0)
+        assert am.box_counting_dimension(pts, 1.0, [4.0, 2.0, 1.0]).counts[-1] == 3
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            am.box_counting_dimension([[2.0 ** 53, 0.0]], 1.0, [4.0, 2.0, 1.0])
 
     def test_dimension_exits_2(self, tmp_path, capsys):
         path = tmp_path / "far.measure"

@@ -12,8 +12,10 @@ import pytest
 from dissdim import io as dio
 from dissdim import fixtures as fx
 from dissdim import cli
-from dissdim.aniso_measure import AtomicMeasure
+from dissdim.aniso_measure import AtomicMeasure, SpaceTimePoint
 from dissdim.cli import main
+from dissdim.cutoffs import CutoffPair
+from dissdim.weak_balance import BURGERS_PAIR, holder_cylinder_bound
 
 
 def run_cli(args, capsys):
@@ -392,6 +394,72 @@ class TestVerifyCommand:
             cells = [float(v) for v in line.split(",")]
             weak, bound, morrey = cells[3], cells[4], cells[6]
             assert 0 <= morrey <= bound * (1 + 1e-9)
+
+
+def csv_columns(path):
+    """The header names of a report CSV and its cells read back as floats, by column."""
+    header, *lines = open(path).read().splitlines()
+    return header.split(","), [list(col) for col in zip(*(map(float, line.split(","))
+                                                           for line in lines))]
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestCsvCellsReadBack:
+    """Each CSV cell reads back, bit for bit, as the value the run reports."""
+
+    @pytest.mark.parametrize("s_flag", [[], ["--s", "1"]])
+    def test_dimension(self, shock_files, capsys, tmp_path, s_flag):
+        csv_path = str(tmp_path / "out.csv")
+        code, data = run_json(["dimension", "--input", shock_files[1], "--alpha", "1",
+                               "--delta-max", "0.125", "--count", "6", *s_flag,
+                               "--csv", csv_path], capsys)
+        assert code == 0
+        header, columns = csv_columns(csv_path)
+        n = len(data["scales"])
+        if s_flag:
+            assert header == ["delta", "density", "fit_slope", "residual"]
+            expected = [data["scales"], data["densities"], [data["ladder_slope"]] * n,
+                        [data["ladder_residual"]] * n]
+        else:
+            assert header == ["delta", "count", "fit_slope", "residual"]
+            expected = [data["scales"], data["counts"], [data["dim_estimate"]] * n,
+                        [data["box_fit_residual"]] * n]
+        assert [bits(c) for c in columns] == [bits(c) for c in expected]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_verify(self, shock_files, capsys, tmp_path, d):
+        if d == 1:
+            field_path = shock_files[0]
+            flags = ["--pair", "burgers", "--center", "0.0:0.5", "--delta-max", "0.125",
+                     "--count", "6"]
+            pair, nu = BURGERS_PAIR, 0.0
+        else:
+            field_path = str(tmp_path / "shear.field")
+            dio.write_field(field_path, fx.decaying_shear_field(1e-2, 2 * math.pi, 0.0, 1.0,
+                                                                 33, 1.0, 33))
+            flags = ["--nu", "1e-2", "--q", "9/2", "--r", "4.5", "--delta-max", "0.125",
+                     "--count", "5", "--center", "0.4,0.45:0.5", "--center", "0.55,0.6:0.45"]
+            pair, nu = None, 1e-2
+        csv_path = str(tmp_path / "sweep.csv")
+        code, data = run_json(["verify", "--input", field_path, *flags, "--csv", csv_path],
+                              capsys)
+        assert code == 0
+        header, columns = csv_columns(csv_path)
+        names = ["center_x"] if d == 1 else ["center_x1", "center_x2"]
+        names += ["t", "delta", "weak_mass", "holder_bound", "ratio"]
+        assert header == names + (["grad_mass_cylinder"] if nu else [])
+        assert len(columns[0]) == data["rows"] > 0
+        field = dio.read_field(field_path)
+        q, r = (4.5, 4.5) if nu else (math.inf, math.inf)
+        for row in zip(*columns):
+            center = SpaceTimePoint(row[:d], row[d])
+            rep = holder_cylinder_bound(field, CutoffPair.build(center, row[d + 1], 1.0), q, r,
+                                        pair=pair, nu=nu)
+            expected = [rep.weak_mass, rep.holder_bound, rep.weak_mass / rep.holder_bound]
+            assert bits(row[d + 2:]) == bits(expected + ([rep.grad_mass_cylinder] if nu else []))
 
 
 class TestFixtureCommands:

@@ -712,16 +712,21 @@ class TestBinaryBody:
 
 
 class TestReportCsv:
-    def test_ladder_csv_shape(self):
+    def test_header_then_one_line_per_row(self):
         mu = fx.burgers_dissipation_measure(fx.RiemannDatum(1.0, -1.0), 1.0, 512)
         lad = am.density_ladder(mu, 1.0, 1.0, [0.1, 0.05, 0.025])
-        text = dio.ladder_csv(lad)
-        lines = text.strip().split("\n")
-        assert lines[0] == "delta,density,fit_slope,residual"
-        assert len(lines) == 4
+        text = dio.report_csv(["delta", "density"], zip(lad.scales, lad.densities))
+        lines = text.split("\n")
+        assert lines[0] == "delta,density"
+        assert len(lines) == 5 and lines[-1] == ""
 
-    def test_box_count_csv_deterministic(self):
+    def test_cells_are_their_reprs(self):
         pts = fx.time_singular_measure_fixture(1, 512, seed=1).support_points()
         scales = [0.25, 0.125, 0.0625]
         res = am.box_counting_dimension(pts, 1.0, scales)
-        assert dio.box_count_csv(scales, res) == dio.box_count_csv(scales, res)
+        rows = [(delta, n, res.dim_estimate, -0.0, math.nan)
+                for delta, n in zip(scales, res.counts)]
+        lines = dio.report_csv(["delta", "count", "slope", "zero", "gap"], rows).splitlines()
+        assert lines[0] == "delta,count,slope,zero,gap"
+        assert lines[1:] == [f"{delta!r},{n},{res.dim_estimate!r},-0.0,nan"
+                             for delta, n in zip(scales, res.counts)]
