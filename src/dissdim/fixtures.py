@@ -10,7 +10,8 @@ an implicit backward-Euler diffusion step solved by FFT, so only the
 advective CFL rule bounds the substep).  Robustness beats accuracy here: the
 solver's role is to produce vanishing-viscosity dissipation measures whose
 totals are checked against the shock entropy-production rate by
-extrapolation in nu.
+extrapolation in nu.  A cell atom of its measure holds the dissipation of the
+substeps whose midpoints fall in its time cell.
 """
 
 from __future__ import annotations
@@ -248,13 +249,17 @@ class ViscousRun:
     nu: float
     bc: str
     field: GriddedField
-    dissipation: AtomicMeasure | None = dc_field(repr=False, default=None)
-    total_dissipation: float = 0.0
+    dissipation: AtomicMeasure = dc_field(repr=False)
     dt_sub: float = 0.0
     steps: int = 0
     steady_time: float | None = None
     stability_margin: float = 0.0
     diffusion_number: float = 0.0
+
+    @property
+    def total_dissipation(self) -> float:
+        """The dissipation over [0, T]: the mass of the cell measure."""
+        return self.dissipation.total_mass
 
     def manifest(self) -> dict:
         return {
@@ -302,12 +307,12 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
 
     Once consecutive states stop changing (max update below ``STEADY_TOL``
     per unit time) the run freezes: remaining samples repeat the steady
-    profile and the dissipation total extends linearly.  Standing-shock runs
+    profile, whose dissipation fills the rest of [0, T].  Standing-shock runs
     reach that state quickly, which is what makes small-nu sweeps affordable.
 
-    Returns the run with its sampled field, the cell dissipation measure
-    (atoms weighted nu*u_x^2*h*dt at sample times), and the dissipation total
-    over [0, T], the trapezoid rule in time over the substep rates.
+    Returns the run with its sampled field and its cell dissipation measure:
+    the atom at (x_i, t_k) holds ``_dissipation_density`` at x_i, summed by the
+    trapezoid rule over the substeps whose midpoints fall in [t_k - dt/2, t_k + dt/2].
     """
     grid = _SpaceTimeGrid(1, a, b, nx, T, nt)
     if not 0 < nu < math.inf:
@@ -342,21 +347,21 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     r = nu * dt_sub / (h * h)
     diffuse = _implicit_diffusion(nx, r, bc)
 
-    sample_times = grid.t_axis
+    sample_times, dt = grid.t_axis, grid.dt
     snapshots = np.empty((nt, nx))
     snapshots[0] = u
     next_sample = 1
 
-    total = 0.0
-    rate = _dissipation_rate(u, h, nu, bc)
+    ledger = np.zeros((nt, nx))   # row k: the atoms at t_k
+    density = _dissipation_density(u, h, nu, bc)
     steady_time = None
     check_every = 64
     last_checked = u.copy()
 
     for step in range(1, n_sub + 1):
         un = _viscous_step(u, h, dt_sub, datum, bc, diffuse)
-        rate_prev, rate = rate, _dissipation_rate(un, h, nu, bc)
-        total += 0.5 * (rate_prev + rate) * dt_sub
+        density_prev, density = density, _dissipation_density(un, h, nu, bc)
+        ledger[int((step - 0.5) * dt_sub / dt + 0.5)] += 0.5 * dt_sub * (density_prev + density)
         t_now = step * dt_sub
         while next_sample < nt and sample_times[next_sample] <= t_now + 1e-12:
             snapshots[next_sample] = un
@@ -374,35 +379,30 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
         raise NumericalError("non-finite state at the end of the run")
 
     if steady_time is not None:
-        total += rate * (T - steady_time)
+        cells = np.clip(sample_times[:, None] + [-dt / 2, dt / 2], steady_time, T)
+        ledger += (cells[:, 1] - cells[:, 0])[:, None] * density
     while next_sample < nt:
         snapshots[next_sample] = u
         next_sample += 1
 
     field = GriddedField(1, a, b, nx, T, nt, snapshots[..., None])
-    dt_sample = grid.dt
-    ux_all = np.gradient(snapshots, h, axis=1)
-    weights = nu * ux_all ** 2 * h * dt_sample
     mesh_x = np.broadcast_to(xs, snapshots.shape).ravel()
     mesh_t = np.repeat(sample_times, nx)
-    dissipation = AtomicMeasure(mesh_x[:, None], mesh_t, weights.ravel(), d=1)
+    dissipation = AtomicMeasure(mesh_x[:, None], mesh_t, ledger.ravel(), d=1)
     return ViscousRun(
-        nu=nu, bc=bc, field=field, dissipation=dissipation,
-        total_dissipation=total, dt_sub=dt_sub,
+        nu=nu, bc=bc, field=field, dissipation=dissipation, dt_sub=dt_sub,
         steps=step, steady_time=steady_time,
         stability_margin=dt_sub / dt_limit, diffusion_number=r,
     )
 
 
-def _dissipation_rate(u, h, nu, bc):
-    """nu * sum of centred u_x^2 * h over the interior nodes."""
-    ux = (u[2:] - u[:-2]) / (2.0 * h)
-    rate = nu * float(np.dot(ux, ux)) * h
+def _dissipation_density(u, h, nu, bc):
+    """Centred nu*u_x^2*h per node: 0 at Dirichlet ends, a periodic wrap node once, at 0."""
+    density = np.zeros_like(u)
+    density[1:-1] = nu / (4.0 * h) * (u[2:] - u[:-2]) ** 2
     if bc == "periodic":
-        # the wrap-around node (stored twice) enters the sum once
-        edge = (u[1] - u[-2]) / (2.0 * h)
-        rate += nu * edge * edge * h
-    return rate
+        density[0] = nu / (4.0 * h) * (u[1] - u[-2]) ** 2
+    return density
 
 
 def _implicit_diffusion(nx, r, bc):

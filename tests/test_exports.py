@@ -1,4 +1,5 @@
-"""Every name a ``dissdim`` module exports in ``__all__`` exists.
+"""Every name a ``dissdim`` module exports in ``__all__`` exists, and the
+package root exports none.
 
 A name left in ``__all__`` after its definition is deleted fails only when
 someone star-imports the module; this finds it at test time.
@@ -6,6 +7,8 @@ someone star-imports the module; this finds it at test time.
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -29,3 +32,13 @@ def test_all_names_resolve_and_star_import_works(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_the_package_root_loads_no_module():
+    # every name is imported from its module, so the root pulls in neither
+    # a dissdim submodule nor numpy
+    code = "import sys, dissdim; print(*sorted(sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = run.stdout.split()
+    assert "dissdim" in loaded
+    assert [m for m in loaded if m.startswith("dissdim.") or m.split(".")[0] == "numpy"] == []

@@ -147,13 +147,8 @@ class TestViscousRuns:
         assert run.stability_margin <= 0.9 + 1e-12
 
     def test_smooth_periodic_energy_balance(self):
-        nx = 257
-        h = 2 * math.pi / (nx - 1)
-        xs = h * np.arange(nx)
-        run = fx.viscous_burgers_run(None, 1.0, 0.0, 2 * math.pi, nx, 1.0, 257,
-                                     bc="periodic", initial_data=np.sin(xs))
-        wx = np.full(nx, h)
-        wx[0] = wx[-1] = h / 2
+        run = periodic_sine_run()
+        wx, _ = run.field.axis_weights()
         e0 = 0.5 * float(np.sum(wx * run.field.u[0, :, 0] ** 2))
         eT = 0.5 * float(np.sum(wx * run.field.u[-1, :, 0] ** 2))
         assert run.total_dissipation == pytest.approx(e0 - eT, rel=0.01)
@@ -195,6 +190,80 @@ class TestViscousRuns:
             fx.viscous_burgers_run(None, 1e-3, -1.0, 1.0, 65, 1.0, 65)
         with pytest.raises(ValueError):
             fx.viscous_burgers_run(fx.RiemannDatum(1.0, -1.0), 0.0, -1.0, 1.0, 65, 1.0, 65)
+
+
+def periodic_sine_run():
+    """nu = 1 on a 257-node periodic grid: dt_sub ~ 0.022 exceeds dt = 1/256."""
+    xs = 2 * math.pi / 256 * np.arange(257)
+    return fx.viscous_burgers_run(None, 1.0, 0.0, 2 * math.pi, 257, 1.0, 257,
+                                  bc="periodic", initial_data=np.sin(xs))
+
+
+@pytest.fixture(scope="module")
+def ledger_runs(shock_runs):
+    # shock_runs(1e-3, T=0.5) is the README vfield run; it freezes at t ~ 0.0835
+    return {
+        "readme-21": shock_runs(1e-3, T=0.5, nt=21),
+        "readme-201": shock_runs(1e-3, T=0.5, nt=201),
+        "riemann-1e-2": fx.viscous_burgers_run(fx.RiemannDatum(1.0, -1.0), 1e-2,
+                                               -1.0, 1.0, 801, 0.5, 101),
+        "periodic": periodic_sine_run(),
+    }
+
+
+def ledger(run):
+    """The cell measure's weights as (nt, nx) rows."""
+    return run.dissipation.weights.reshape(run.field.nt, run.field.nx)
+
+
+class TestDissipationLedger:
+    """One per-node density, summed over the substeps into the sample cells."""
+
+    @pytest.mark.parametrize("name", ["readme-21", "readme-201", "riemann-1e-2", "periodic"])
+    def test_total_is_the_measure_mass(self, ledger_runs, name):
+        run = ledger_runs[name]
+        assert run.total_dissipation == run.dissipation.total_mass
+        assert run.manifest()["total_dissipation"] == run.dissipation.total_mass
+
+    def test_which_runs_freeze(self, ledger_runs):
+        assert ledger_runs["readme-201"].steady_time == pytest.approx(0.0835, abs=1e-4)
+        assert ledger_runs["riemann-1e-2"].steady_time is None
+
+    def test_coarse_samples_keep_the_whole_mass(self, ledger_runs):
+        coarse, fine = ledger_runs["readme-21"], ledger_runs["readme-201"]
+        assert coarse.steady_time == fine.steady_time
+        assert coarse.dissipation.total_mass == pytest.approx(fine.dissipation.total_mass,
+                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["readme-21", "readme-201"])
+    def test_rows_after_the_freeze_hold_the_frozen_density(self, ledger_runs, name):
+        run = ledger_runs[name]
+        grid = run.field
+        frozen = fx._dissipation_density(grid.u[-1, :, 0], grid.h, run.nu, run.bc)
+        t = grid.t_axis
+        after = t - grid.dt / 2 >= run.steady_time
+        assert after.sum() >= grid.nt // 2
+        cells = np.minimum(t[after] + grid.dt / 2, grid.T) - (t[after] - grid.dt / 2)
+        np.testing.assert_allclose(ledger(run)[after], cells[:, None] * frozen,
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", ["readme-21", "riemann-1e-2"])
+    def test_dirichlet_end_columns_weigh_nothing(self, ledger_runs, name):
+        rows = ledger(ledger_runs[name])
+        assert not rows[:, 0].any() and not rows[:, -1].any()
+        assert rows[:, 1].any()
+
+    def test_periodic_wrap_node_counts_once(self, ledger_runs):
+        rows = ledger(ledger_runs["periodic"])
+        assert not rows[:, -1].any() and rows[:, 0].any()
+
+    def test_each_substep_lands_in_the_cell_of_its_midpoint(self, ledger_runs):
+        # dt_sub > dt here, so cells without a substep midpoint stay empty
+        run = ledger_runs["periodic"]
+        assert run.dt_sub > run.field.dt and run.steady_time is None
+        midpoints = (np.arange(run.steps) + 0.5) * run.dt_sub
+        cells = np.floor(midpoints / run.field.dt + 0.5).astype(int)
+        assert set(np.flatnonzero(ledger(run).any(axis=1))) == set(cells)
 
 
 @st.composite

@@ -87,3 +87,11 @@ def test_the_viscous_verify_example_resolves_every_row_in_time(first_run):
     code, out, _ = run_in(directory, longer)
     report = json.loads(out)
     assert (code, report["rows"], report["skipped"], report["time_unresolved"]) == (0, 4, 0, 1)
+
+
+def test_the_viscous_measure_mass_is_the_reported_total(first_run):
+    _, (runs, _) = first_run
+    [vfield] = [json.loads(out) for argv, _, out, _ in runs if argv[1] == "vfield"]
+    [dimension] = [json.loads(out) for argv, _, out, _ in runs
+                   if argv[1:4] == ["dimension", "--input", "v.measure"]]
+    assert dimension["total_mass"] == vfield["total_dissipation"]
