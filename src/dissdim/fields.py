@@ -8,14 +8,17 @@ array, e.g. ``np.broadcast_to(v, (2,) + v.shape)``, which costs no copy.
 from __future__ import annotations
 
 import functools
+import mmap
 import types
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 __all__ = ["SCALARS", "GriddedField", "all_finite", "component_dot"]
 
 SCALARS = ("p", "theta")
+FINITE_BLOCK = 1 << 20   # bytes of a mapped array that all_finite checks, then releases
 
 
 def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -37,8 +40,38 @@ def all_finite(a: np.ndarray) -> bool:
 
     The min and the max are NaN when any entry is, so two reductions decide
     it without the boolean array the size of ``a`` that ``np.isfinite`` builds.
+    An array over a read-only file mapping (a binary body as ``io`` reads it)
+    is checked FINITE_BLOCK bytes of leading-axis rows at a time, and each
+    block's pages are released after it (``MADV_DONTNEED`` only drops the
+    page-table entries: a later access faults the same bytes back in from the
+    page cache), so the check leaves none of the file resident.
     """
-    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+    if a.size == 0:
+        return True
+    mapping = _read_only_mapping(a) if a.ndim else None
+    if mapping is None:
+        return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+    origin = np.frombuffer(mapping, np.uint8).__array_interface__["data"][0]
+    step = max(1, FINITE_BLOCK // max(abs(a.strides[0]), 1))
+    for i in range(0, len(a), step):
+        block = a[i:i + step]
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            return False
+        lo, hi = (bound - origin for bound in byte_bounds(block))
+        lo -= lo % mmap.PAGESIZE
+        mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+    return True
+
+
+def _read_only_mapping(a: np.ndarray):
+    """The mmap.mmap at the end of ``a``'s base chain if it is read-only
+    (releasing a written page of a copy-on-write mapping would undo the
+    write), else None."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    if isinstance(a, mmap.mmap) and not np.frombuffer(a, np.uint8).flags.writeable:
+        return a
+    return None
 
 
 def _trapezoid_weights(step: float, n: int) -> np.ndarray:

@@ -27,7 +27,8 @@ with the grid axes, which are not read back.
 The text writer takes a field one time slice at a time (a measure, 4096 rows
 at a time) and calls ``repr`` once per distinct float64 bit pattern in it, so
 -0.0 and 0.0 keep their own text; the ``x,`` strings are made once per field
-and the ``t,`` string once per slice.  Each slice is joined into one string.
+and the ``t,`` string once per slice.  Each column of a slice fills its
+stride of one list of strings (``out[i::width] = column``), joined once.
 The reader first checks the body in 64 KiB chunks for bytes that are not
 ASCII or a CR outside a CRLF, then hands ``np.loadtxt`` the file's path, so
 that numpy parses it with its chunked C reader.  numpy would decompress a
@@ -36,14 +37,22 @@ it gets the open file as a text stream instead, which it reads line by line.
 Only a body that fails is read again line by line, to name the first bad
 line.
 
-A read holds each body in memory once, as one (rows, columns) float64 array
-that the returned object's arrays view; a binary body is read straight into
-it, read-only.  A text body is parsed into it as one record of 8 bytes per
-value: the leading t and x columns of a field, still parsed and so still
-checked, go as float32 into the bytes of the row's first value, which numpy
-converts after them and so writes over them.  The writers gather one time
-slice (or 4096 measure rows) at a time and write a binary block from the
-array's own buffer, so a write makes no copy of the whole body.
+A read returns each body as one (rows, columns) float64 array that the
+returned object's arrays view.  A binary body is a read-only memory map of
+the file (``np.memmap``), not a copy: only the pages a computation touches
+stay resident, and ``fields.all_finite`` releases each block it has checked,
+so a ``verify`` keeps the pages its windows copy and no more.  A binary
+header line is padded with trailing spaces to a multiple of 8 bytes, so the
+body is 8-byte aligned in the mapping (numpy sums an unaligned array in
+another order); an unpadded file still reads, bit for bit.  A body shorter
+or longer than its header says is rejected before it is mapped, but one that
+another process truncates while it is mapped ends the reader with SIGBUS.
+A text body is parsed into memory as one record of 8 bytes per value: the
+leading t and x columns of a field, still parsed and so still checked, go
+as float32 into the bytes of the row's first value, which numpy converts
+after them and so writes over them.  The writers gather one time slice (or
+4096 measure rows) at a time and write a binary block from the array's own
+buffer, so a write makes no copy of the whole body.
 """
 
 from __future__ import annotations
@@ -51,7 +60,6 @@ from __future__ import annotations
 import io
 import os
 import warnings
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -84,14 +92,19 @@ class MalformedFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _header_line(header: str, binary: bool) -> bytes:
-    return f"{header} body={'binary' if binary else 'text'}\n".encode("ascii")
+    """The header line; a binary one is padded with trailing spaces to a
+    multiple of 8 bytes, so that the body starts 8-byte aligned in a mapping."""
+    line = f"{header} body={'binary' if binary else 'text'}"
+    if binary:
+        line += " " * (-(len(line) + 1) % 8)
+    return f"{line}\n".encode("ascii")
 
 
 def _write_rows(fh, rows: np.ndarray, binary: bool, sep: str, lead=()) -> None:
     """Append the C-contiguous float64 ``rows`` to the body.
 
-    A text row starts with one string from each iterable in ``lead``, each
-    string ending in its separator; ``repr`` runs once per distinct bit pattern.
+    A text row starts with its string from each list in ``lead`` (one string
+    per row, ending in its separator); ``repr`` runs once per distinct bit pattern.
     """
     if binary:
         fh.write(np.ascontiguousarray(rows, dtype="<f8"))   # the array's own buffer
@@ -100,8 +113,11 @@ def _write_rows(fh, rows: np.ndarray, binary: bool, sep: str, lead=()) -> None:
     words = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
     inverse = inverse.reshape(rows.shape)
     ends = [sep] * (rows.shape[1] - 1) + ["\n"]
-    columns = [(words + end)[inverse[:, j]].tolist() for j, end in enumerate(ends)]
-    fh.write("".join(chain.from_iterable(zip(*lead, *columns))).encode("ascii"))
+    columns = [*lead] + [(words + end)[inverse[:, j]].tolist() for j, end in enumerate(ends)]
+    out = [""] * (len(rows) * len(columns))
+    for i, column in enumerate(columns):
+        out[i::len(columns)] = column
+    fh.write("".join(out).encode("ascii"))
 
 
 def _count(value: str) -> int:
@@ -155,10 +171,10 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     ``token`` is the header's body token, "binary" or "text".  ``text`` is
     the text layout ``(sep, lead)``: the column separator (None for
     whitespace) and the count of leading columns to drop; None when this
-    file has no text body.  Either body kind is returned as one C-contiguous
-    float64 array.  A text body is parsed into one record of 8 * n_cols
-    bytes per row: the lead columns, as float32, overlap the first value,
-    which numpy converts after them and so writes over them.
+    file has no text body.  A binary body is returned as a read-only map of
+    the file, a text body as one C-contiguous float64 array parsed into one
+    record of 8 * n_cols bytes per row: the lead columns, as float32, overlap
+    the first value, which numpy converts after them and so writes over them.
     """
     start = fh.tell()
     size = os.fstat(fh.fileno()).st_size - start
@@ -167,13 +183,15 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
         if size != expected:
             raise MalformedFileError(
                 f"{path}: binary body has {size} bytes, expected {expected}", line=2)
-        rows = np.empty((n_rows, n_cols), dtype="<f8")
-        # memoryview.cast rejects a zero-size view, and an empty body has nothing to read
-        if rows.size and fh.readinto(memoryview(rows).cast("B")) != expected:
+        if not expected:   # mmap refuses zero bytes
+            rows = np.empty((n_rows, n_cols), dtype="<f8")
+            rows.flags.writeable = False
+            return rows
+        try:
+            return np.memmap(fh, dtype="<f8", mode="r", offset=start, shape=(n_rows, n_cols))
+        except ValueError:   # mmap checks the size again: the file shrank since fstat
             raise MalformedFileError(f"{path}: binary body ended before {expected} bytes",
-                                     line=2)
-        rows.flags.writeable = False
-        return rows
+                                     line=2) from None
     if text is None:
         raise MalformedFileError(f"{path}: a text body is only defined for d = 1", line=1)
     sep, lead = text
@@ -296,7 +314,7 @@ def write_field(path, field: GriddedField, binary: bool = True) -> None:
         for k, t in enumerate(field.t_axis.tolist()):
             block = np.concatenate([field.u[k].reshape(-1, field.d)]
                                    + [a[k].reshape(-1, 1) for a in field.scalars.values()], axis=1)
-            _write_rows(fh, block, binary, ",", (repeat(f"{t!r},"), xs))
+            _write_rows(fh, block, binary, ",", ([f"{t!r},"] * len(xs), xs))
 
 
 def read_field(path) -> GriddedField:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dissdim import io as dio
 from dissdim import fixtures as fx
@@ -15,6 +18,7 @@ from dissdim import cli
 from dissdim.aniso_measure import AtomicMeasure, SpaceTimePoint
 from dissdim.cli import main
 from dissdim.cutoffs import CutoffPair
+from dissdim.fields import GriddedField
 from dissdim.weak_balance import BURGERS_PAIR, holder_cylinder_bound
 
 
@@ -683,3 +687,59 @@ def test_the_cli_loads_only_the_standard_library_and_numpy(shock_files):
             "file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stderr.split() == ["0"]
+
+
+@pytest.fixture(scope="module")
+def multi_block_files(tmp_path_factory):
+    """A binary d = 1 field with u and p (time rows of 64 KiB, so the
+    finiteness check takes 15, 15 and then 10 of its 40 rows) and a binary
+    d = 1 measure (43,690, 43,690 and then 12,620 of its 100,000 atoms)."""
+    folder = tmp_path_factory.mktemp("blocks")
+    nx, nt = 4097, 40
+    rng = np.random.default_rng(4)
+    field = GriddedField(1, -1.0, 1.0, nx, 1.0, nt, rng.standard_normal((nt, nx, 1)),
+                            {"p": rng.standard_normal((nt, nx))})
+    dio.write_field(folder / "f", field)
+    n = 100_000
+    dio.write_measure(folder / "m", AtomicMeasure(rng.random((n, 1)), rng.random(n),
+                                                  rng.random(n), d=1), binary=True)
+    return {"field": (folder / "f", nx * nt, 2), "measure": (folder / "m", n, 3)}
+
+
+NON_FINITE_CELLS = {   # column of the row, message, command
+    "u": (0, "u contains non-finite samples", "verify"),
+    "p": (1, "p contains non-finite samples", "verify"),
+    "weight": (2, "atoms must have finite coordinates and weights", "dimension"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=st.sampled_from(sorted(NON_FINITE_CELLS)),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       where=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+@example(cell="u", value=math.nan, where=0.0)   # the first row
+@example(cell="p", value=-math.inf, where=1.0)   # the last row, in the last partial block
+@example(cell="weight", value=math.inf, where=1.0)
+def test_a_non_finite_sample_anywhere_in_a_mapped_body_exits_2(multi_block_files, cell, value,
+                                                                where):
+    column, message, command = NON_FINITE_CELLS[cell]
+    path, rows, width = multi_block_files["field" if command == "verify" else "measure"]
+    row = round(where * (rows - 1))
+    offset = len(path.read_bytes().split(b"\n", 1)[0]) + 1 + (row * width + column) * 8
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        original = fh.read(8)
+        fh.seek(offset)
+        fh.write(np.float64(value).tobytes())
+    try:
+        read = dio.read_field if command == "verify" else dio.read_measure
+        with pytest.raises(dio.MalformedFileError, match=message):
+            read(path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--input", str(path)]) == 2
+        assert json.loads(out.getvalue())["error"]["message"] == f"{path}: {message}"
+    finally:
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(original)

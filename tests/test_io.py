@@ -1,8 +1,14 @@
 import dataclasses
 import io
+import json
 import math
+import mmap
+import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
-from itertools import chain, repeat
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,12 +213,12 @@ class TestBodyCodec:
     @pytest.mark.parametrize("binary", [False, True])
     def test_tokenless_headers_are_rejected(self, sample_measure, sample_field, tmp_path,
                                             binary):
-        token = b" body=binary\n" if binary else b" body=text\n"
         for write, read, obj in ((dio.write_measure, dio.read_measure, sample_measure),
                                  (dio.write_field, dio.read_field, sample_field)):
             path = tmp_path / "old"
             write(path, obj, binary=binary)
-            path.write_bytes(path.read_bytes().replace(token, b"\n", 1))
+            # the token and a binary header's padding go
+            path.write_bytes(re.sub(rb" body=\w+ *\n", b"\n", path.read_bytes(), count=1))
             with pytest.raises(dio.MalformedFileError, match=r"body=binary\|body=text") as err:
                 read(path)
             assert err.value.line == 1
@@ -506,10 +512,11 @@ class TestComponentOrder:
             assert bits(back.scalars[name]) == bits(values[name])
         # a rewrite keeps the header, and so the column order, and every bit
         dio.write_field(tmp_path / "g", back, binary=binary)
-        again = (tmp_path / "g").read_bytes()
-        assert again.split(b"\n", 1)[0] == path.read_bytes().split(b"\n", 1)[0]
+        (head, body), (again_head, again_body) = (
+            p.read_bytes().split(b"\n", 1) for p in (path, tmp_path / "g"))
+        assert again_head.rstrip(b" ") == head   # the writer pads a binary header
         if binary:
-            assert again == path.read_bytes()
+            assert again_body == body
         else:
             assert list(dio.read_field(tmp_path / "g").scalars) == list(extra)
 
@@ -535,7 +542,7 @@ class TestTextWriter:
         t, xs = -0.0, [repr(v) for v in np.linspace(-1, 1, n_rows).tolist()]
         fh = io.BytesIO()
         if lead:
-            dio._write_rows(fh, rows, False, ",", (repeat(f"{t!r},"), [x + "," for x in xs]))
+            dio._write_rows(fh, rows, False, ",", ([f"{t!r},"] * n_rows, [x + "," for x in xs]))
             assert fh.getvalue() == percent_rows(rows, ",", ([repr(t)] * n_rows, xs))
         else:
             dio._write_rows(fh, rows, False, " ")
@@ -600,20 +607,68 @@ def edge_field(d, extra, nx=3, nt=2):
 MIB = 1 << 20
 
 
+def mapping_of(arr):
+    """What the end of ``arr``'s base chain is: the mmap.mmap of a mapped body."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 class TestBinaryBody:
-    """The binary read fills one array from the file; the writers gather a slice at a time."""
+    """The binary read maps the body read-only; the writers gather a slice at a time."""
 
     def test_empty_measure(self, tmp_path):
         path = tmp_path / "m"
         dio.write_measure(path, am.AtomicMeasure(np.zeros((0, 2)), [], [], d=2), binary=True)
-        assert path.read_bytes() == b"dissdim-measure v1 d=2 n=0 body=binary\n"
+        # the header is padded to 40 bytes, a multiple of 8
+        assert path.read_bytes() == b"dissdim-measure v1 d=2 n=0 body=binary \n"
         back = dio.read_measure(path)
         assert back.n_atoms == 0 and back.positions.shape == (0, 2)
+        assert not isinstance(mapping_of(back.weights), mmap.mmap)   # mmap refuses 0 bytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), n=st.integers(0, 9), nx=st.integers(2, 5),
+           nt=st.integers(2, 3), extra=st.sampled_from(COMPONENT_ORDERS),
+           a=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6), T=st.floats(1e-3, 1e6))
+    def test_every_binary_header_is_a_multiple_of_8_bytes(self, tmp_path_factory, d, n, nx,
+                                                          nt, extra, a, width, T):
+        shape = (nt,) + (nx,) * d
+        field = GriddedField(d, a, a + width, nx, T, nt, np.ones(shape + (d,)),
+                             {name: np.zeros(shape) for name in extra})
+        mu = am.AtomicMeasure(np.ones((n, d)), np.ones(n), np.ones(n), d=d)
+        folder = tmp_path_factory.mktemp("padding")
+        dio.write_field(folder / "f", field)
+        dio.write_measure(folder / "m", mu, binary=True)
+        for name in ("f", "m"):
+            head = (folder / name).read_bytes().split(b"\n", 1)[0]
+            assert (len(head) + 1) % 8 == 0 and re.fullmatch(rb".* body=binary {0,7}", head)
+        back = dio.read_field(folder / "f")
+        assert back.u.flags.aligned and bits(back.u) == bits(field.u)
+
+    @pytest.mark.parametrize("extra", [(), ("p",), ("p", "theta")])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_an_unpadded_file_reads_bit_for_bit(self, tmp_path, d, extra):
+        field = edge_field(d, extra, nx=5, nt=3)
+        rows = np.resize(np.array(EDGES), (len(EDGES), d + 2))
+        rows[:, -1] = np.copysign(rows[:, -1], 1.0)
+        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        dio.write_field(tmp_path / "f", field)
+        dio.write_measure(tmp_path / "m", mu, binary=True)
+        for name in ("f", "m"):
+            head, body = (tmp_path / name).read_bytes().split(b"\n", 1)
+            head = head.rstrip(b" ")   # as written before the padding
+            (tmp_path / name).write_bytes(head + b"\n" + body)
+        back, back_mu = dio.read_field(tmp_path / "f"), dio.read_measure(tmp_path / "m")
+        assert back_mu.weights.flags.aligned == ((len(head) + 1) % 8 == 0)
+        for got, want in zip([back.u, *back.scalars.values()], [field.u, *field.scalars.values()]):
+            assert bits(got) == bits(want)
+        for name in ("positions", "times", "weights"):
+            assert bits(getattr(back_mu, name)) == bits(getattr(mu, name))
 
     @pytest.mark.parametrize("kind", ["field", "measure"])
     @pytest.mark.parametrize("change", [-1, 1])
     def test_a_body_one_byte_off_exits_2(self, sample_field, sample_measure, tmp_path, capsys,
-                                         kind, change):
+                                         monkeypatch, kind, change):
         from dissdim.cli import main
         path = tmp_path / kind
         if kind == "field":
@@ -626,6 +681,7 @@ class TestBinaryBody:
         expected = len(data) - len(data.split(b"\n", 1)[0]) - 1
         path.write_bytes(data[:change] if change < 0 else data + b"\0")
         message = f"binary body has {expected + change} bytes, expected {expected}"
+        monkeypatch.setattr(np, "memmap", None)   # refused before any mapping
         with pytest.raises(dio.MalformedFileError, match=message) as err:
             read(path)
         assert err.value.line == 2
@@ -682,6 +738,7 @@ class TestBinaryBody:
         dio.write_measure(tmp_path / "m", sample_measure, binary=True)
         field, mu = dio.read_field(tmp_path / "f"), dio.read_measure(tmp_path / "m")
         for arr in (field.u, *field.scalars.values(), mu.positions, mu.times, mu.weights):
+            assert isinstance(mapping_of(arr), mmap.mmap)
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
@@ -697,7 +754,7 @@ class TestBinaryBody:
         written, _ = traced_peak(lambda: dio.write_field(tmp_path / "f", field))
         assert written < MIB   # one time slice is 96 and 390 KiB
         read, back = traced_peak(lambda: dio.read_field(tmp_path / "f"))
-        assert read <= body + MIB
+        assert read < MIB   # the body is mapped, not copied
         assert bits(back.u) == bits(field.u)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -707,8 +764,46 @@ class TestBinaryBody:
         written, _ = traced_peak(lambda: dio.write_measure(tmp_path / "m", mu, binary=True))
         assert written < MIB   # 4096 rows are 96 and 128 KiB
         read, back = traced_peak(lambda: dio.read_measure(tmp_path / "m"))
-        assert read <= rows.nbytes + MIB
+        assert read < MIB   # the body is mapped, not copied
         assert bits(back.weights) == bits(mu.weights)
+
+    def test_a_small_window_leaves_the_body_on_disk(self, tmp_path):
+        """Reading a 38.7 MB field and checking one small cylinder grows the
+        peak RSS by far less than the body: the finiteness check releases
+        each block it has checked, and the pairing copies only its window.
+
+        A process starts with the peak RSS of the one that forked it, so
+        the child measures in a fork of its own, which starts at its size."""
+        code = textwrap.dedent(f"""
+            import json, os, resource
+            import numpy as np
+            from dissdim import io as dio
+            from dissdim.aniso_measure import SpaceTimePoint
+            from dissdim.cutoffs import CutoffPair
+            from dissdim.fields import GriddedField
+            from dissdim.weak_balance import holder_cylinder_bound
+
+            nx, nt = 193, 65   # 65 * 193**2 * 2 * 8 bytes
+            x = np.sin(2 * np.pi * np.linspace(0.0, 1.0, nx))
+            v = np.stack(np.meshgrid(x, -x, indexing="ij"), axis=-1)
+            # a steady field as one broadcast row: writing it holds one time slice
+            dio.write_field({str(tmp_path / "f")!r},
+                            GriddedField(2, 0.0, 1.0, nx, 1.0, nt, np.broadcast_to(v, (nt,) + v.shape)))
+            if os.fork() == 0:
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                field = dio.read_field({str(tmp_path / "f")!r})
+                cutoff = CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 1 / 32, 2.0)
+                holder_cylinder_bound(field, cutoff, 3.0, 3.0)
+                grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+                print(json.dumps({{"grown": grown * 1024, "body": field.u.nbytes}}), flush=True)
+                os._exit(0)
+            os.wait()
+        """)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert result["body"] >= 32e6
+        assert result["grown"] < result["body"] / 2
 
 
 class TestReportCsv:
