@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import all_finite
+from .fields import all_finite, blocks
 
 __all__ = [
     "SpaceTimePoint",
@@ -157,7 +157,8 @@ class AtomicMeasure:
             positions = positions.reshape(0, d)
         if not (all_finite(positions) and all_finite(times) and all_finite(weights)):
             raise ValueError("atoms must have finite coordinates and weights")
-        if weights.size and weights.min() < 0:
+        # block by block, so the check leaves a mapped body on disk as all_finite does
+        if any(block.min() < 0 for block in blocks(weights)):
             raise ValueError("weights must be non-negative (positive measure)")
         self._positions = positions
         self._times = times

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
 
-__all__ = ["SCALARS", "GriddedField", "all_finite", "component_dot"]
+__all__ = ["SCALARS", "GriddedField", "all_finite", "blocks", "component_dot", "release"]
 
 SCALARS = ("p", "theta")
-FINITE_BLOCK = 1 << 20   # bytes of a mapped array that all_finite checks, then releases
+FINITE_BLOCK = 1 << 20   # bytes of leading-axis rows that blocks yields at a time
 
 
 def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,29 +38,49 @@ def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite (True when ``a`` is empty).
 
-    The min and the max are NaN when any entry is, so two reductions decide
-    it without the boolean array the size of ``a`` that ``np.isfinite`` builds.
-    An array over a read-only file mapping (a binary body as ``io`` reads it)
-    is checked FINITE_BLOCK bytes of leading-axis rows at a time, and each
-    block's pages are released after it (``MADV_DONTNEED`` only drops the
-    page-table entries: a later access faults the same bytes back in from the
-    page cache), so the check leaves none of the file resident.
+    The min and the max are NaN when any entry is, so two reductions per
+    block decide it without the boolean array the size of ``a`` that
+    ``np.isfinite`` builds.  The walk goes by ``blocks``, so the check leaves
+    none of a mapped body resident.
     """
-    if a.size == 0:
-        return True
-    mapping = _read_only_mapping(a) if a.ndim else None
-    if mapping is None:
-        return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
-    origin = np.frombuffer(mapping, np.uint8).__array_interface__["data"][0]
+    return a.size == 0 or all(np.isfinite(block.min()) and np.isfinite(block.max())
+                              for block in blocks(a))
+
+
+def blocks(a: np.ndarray):
+    """``a`` (a 0-d array as one row) in blocks of FINITE_BLOCK bytes of
+    leading-axis rows, in order; each block is released (``release``) once
+    the caller asks for the next one or ends the walk.
+
+    The release takes the block before along: reading a block's first page
+    maps the cached pages just before it again (the kernel's fault-around),
+    after the block before has released them.
+    """
+    a = np.atleast_1d(a)
     step = max(1, FINITE_BLOCK // max(abs(a.strides[0]), 1))
     for i in range(0, len(a), step):
-        block = a[i:i + step]
-        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-            return False
-        lo, hi = (bound - origin for bound in byte_bounds(block))
-        lo -= lo % mmap.PAGESIZE
-        mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
-    return True
+        try:
+            yield a[i:i + step]
+        finally:
+            release(a[max(i - step, 0):i + step])
+
+
+def release(view: np.ndarray) -> None:
+    """Drop the page-table entries of the bytes under ``view`` if it views a
+    read-only file mapping (a binary body as ``io`` reads it); do nothing on
+    any other array, or where ``mmap`` has no MADV_DONTNEED.
+
+    The values stay as they are: the next access faults the same bytes back
+    in from the page cache.  The pages at either end of the range are
+    released whole, bytes of neighbouring rows included.
+    """
+    mapping = _read_only_mapping(view) if view.size else None
+    if mapping is None or not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    origin = np.frombuffer(mapping, np.uint8).__array_interface__["data"][0]
+    lo, hi = (bound - origin for bound in byte_bounds(view))
+    lo -= lo % mmap.PAGESIZE
+    mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _read_only_mapping(a: np.ndarray):

@@ -40,8 +40,10 @@ line.
 A read returns each body as one (rows, columns) float64 array that the
 returned object's arrays view.  A binary body is a read-only memory map of
 the file (``np.memmap``), not a copy: only the pages a computation touches
-stay resident, and ``fields.all_finite`` releases each block it has checked,
-so a ``verify`` keeps the pages its windows copy and no more.  A binary
+become resident.  The checks of a read walk the body with ``fields.blocks``,
+which releases each block after it (``fields.release``), and a ``verify``
+window releases each block of rows once it has copied it, so neither a read
+nor a ``verify`` keeps the file resident.  A binary
 header line is padded with trailing spaces to a multiple of 8 bytes, so the
 body is 8-byte aligned in the mapping (numpy sums an unaligned array in
 another order); an unpadded file still reads, bit for bit.  A body shorter

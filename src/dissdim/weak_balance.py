@@ -54,7 +54,7 @@ from .aniso_measure import scale_power
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
 from .exponents import _conj
-from .fields import GriddedField, component_dot
+from .fields import GriddedField, component_dot, release
 
 __all__ = [
     "MarginError",
@@ -263,7 +263,8 @@ class _Window:
     spatial factors, H and dH/dt, the weights ``wsp`` and ``wt``, and the
     global coordinates ``mesh`` and ``t_axis``.  It holds no samples:
     ``block`` copies those of a few time rows (see ``row_blocks``) into
-    contiguous memory.
+    contiguous memory and releases the field's pages under them, so a sweep
+    over a mapped body keeps none of the file resident.
 
     phi = h_val * x_val, dphi/dt = h_dt * x_val, grad phi = h_val * x_grad and
     lap phi = h_val * x_lap: the h_* are time vectors on the box, the x_*
@@ -297,13 +298,25 @@ class _Window:
         along each axis run on contiguous memory even when the samples are
         strided: a file with interleaved components reads back that way), as
         a GriddedField of the same spacings whose coordinates start at 0 (its
-        h can differ from the global one in the last bit)."""
+        h can differ from the global one in the last bit).
+
+        The field's pages under the box are released (``fields.release``)
+        once ``u`` and every scalar are copied, not after each copy: the
+        components of a binary body interleave in one mapping, so the next
+        copy would fault the same pages in again.  As in ``fields.blocks``,
+        the release reaches back as many rows before the block: the copy's
+        first faults map the last pages of those rows again (the kernel's
+        fault-around) after the block before has released them."""
         f = self.field
         n = self.x[0].stop - self.x[0].start
         box = (slice(self.t.start + start, self.t.start + stop),) + self.x
+        arrays = [f.u, *f.scalars.values()]
+        copies = [np.ascontiguousarray(a[box]) for a in arrays]
+        read = (slice(self.t.start + max(2 * start - stop, 0), self.t.start + stop),) + self.x
+        for a in arrays:
+            release(a[read])
         return GriddedField(f.d, 0.0, (n - 1) * f.h, n, (stop - start - 1) * f.dt, stop - start,
-                            np.ascontiguousarray(f.u[box]),
-                            {name: np.ascontiguousarray(a[box]) for name, a in f.scalars.items()})
+                            copies[0], dict(zip(f.scalars, copies[1:])))
 
     def contract(self, vals: np.ndarray) -> np.ndarray:
         """Spatial quadrature of vals per time row (vals has a leading time

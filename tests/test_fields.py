@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dissdim import fields
 from dissdim.aniso_measure import SpaceTimePoint
-from dissdim.fields import GriddedField, _SpaceTimeGrid
+from dissdim.fields import GriddedField, _SpaceTimeGrid, blocks, release
 
 
 class TestGriddedField:
@@ -138,3 +141,88 @@ class TestSpaceTimePoint:
         assert p.x == (1.0, 2.0)
         assert p.t == 3.0
         assert p.d == 2
+
+
+def rss_file():
+    """Bytes of file-backed pages this process has resident (Linux)."""
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("RssFile:"))
+    return int(line.split()[1]) * 1024
+
+
+@pytest.fixture
+def mapped(tmp_path):
+    """A read-only map of an 8 MB file of distinct float64 rows."""
+    values = np.arange(1 << 20, dtype="<f8").reshape(-1, 16) * np.pi
+    values.tofile(tmp_path / "body")
+    return np.memmap(tmp_path / "body", dtype="<f8", mode="r", shape=values.shape), values
+
+
+class TestRelease:
+    """``release`` drops the pages under a view of a read-only file mapping
+    and does nothing on any other array; ``blocks`` walks rows and releases
+    each block after it."""
+
+    def test_values_read_after_a_release_are_the_same_bits(self, mapped):
+        body, values = mapped
+        before = body[1000:3000].tobytes()
+        release(body[1000:3000])
+        release(body[::7, 3])
+        assert body[1000:3000].tobytes() == before
+        assert body.tobytes() == values.tobytes()
+        release(body)
+        assert body.tobytes() == values.tobytes()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RssFile")
+    def test_a_release_drops_the_resident_pages(self, mapped):
+        body, _ = mapped
+        float(body.sum())   # faults in every page
+        resident = rss_file()
+        release(body[: len(body) // 2])
+        assert resident - rss_file() > 3e6   # about half of the 8.4 MB
+        for _ in blocks(body):
+            pass
+        assert resident - rss_file() > 7e6   # blocks released the rest
+
+    @pytest.mark.parametrize("array", [
+        np.arange(1 << 16, dtype=float),                      # anonymous, many pages
+        np.broadcast_to(np.arange(3.0), (1 << 14, 3)),
+        np.empty((0, 3)),
+        np.array(2.5),
+    ], ids=["anonymous", "broadcast", "empty", "0-d"])
+    def test_does_nothing_on_other_arrays(self, array):
+        before = array.tobytes()
+        release(array)
+        assert array.tobytes() == before
+
+    def test_does_nothing_on_an_empty_view_of_a_mapping(self, mapped):
+        body, values = mapped
+        release(body[5:5])
+        release(body[:, 3:3])
+        assert body[5:6].tobytes() == values[5:6].tobytes()
+
+    def test_a_copy_on_write_value_survives(self, mapped, tmp_path):
+        _, values = mapped
+        body = np.memmap(tmp_path / "body", dtype="<f8", mode="c", shape=values.shape)
+        body[7, 2] = -1.0
+        release(body)
+        release(body[7])
+        assert body[7, 2] == -1.0
+        assert np.fromfile(tmp_path / "body", "<f8")[7 * 16 + 2] == values[7, 2]
+
+    @pytest.mark.parametrize("shape", [(300, 1000), (131, 1000), (1, 5), (300_000,)])
+    def test_blocks_yield_every_row_once_in_order(self, shape):
+        a = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        step = fields.FINITE_BLOCK // a.strides[0]
+        got = list(blocks(a))
+        assert [len(b) for b in got[:-1]] == [step] * (len(got) - 1)
+        assert 0 < len(got[-1]) <= step
+        assert np.concatenate(got).tobytes() == a.tobytes()
+
+    def test_blocks_take_a_0d_array_as_one_row(self):
+        assert [b.tolist() for b in blocks(np.array(4.0))] == [[4.0]]
+
+    def test_blocks_of_a_mapping_read_back_the_file(self, mapped):
+        body, values = mapped
+        assert np.concatenate(list(blocks(body))).tobytes() == values.tobytes()
+        assert np.concatenate(list(blocks(body[::-1]))).tobytes() == values[::-1].tobytes()

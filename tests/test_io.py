@@ -770,40 +770,124 @@ class TestBinaryBody:
     def test_a_small_window_leaves_the_body_on_disk(self, tmp_path):
         """Reading a 38.7 MB field and checking one small cylinder grows the
         peak RSS by far less than the body: the finiteness check releases
-        each block it has checked, and the pairing copies only its window.
-
-        A process starts with the peak RSS of the one that forked it, so
-        the child measures in a fork of its own, which starts at its size."""
-        code = textwrap.dedent(f"""
-            import json, os, resource
-            import numpy as np
-            from dissdim import io as dio
-            from dissdim.aniso_measure import SpaceTimePoint
-            from dissdim.cutoffs import CutoffPair
-            from dissdim.fields import GriddedField
-            from dissdim.weak_balance import holder_cylinder_bound
-
-            nx, nt = 193, 65   # 65 * 193**2 * 2 * 8 bytes
-            x = np.sin(2 * np.pi * np.linspace(0.0, 1.0, nx))
-            v = np.stack(np.meshgrid(x, -x, indexing="ij"), axis=-1)
-            # a steady field as one broadcast row: writing it holds one time slice
-            dio.write_field({str(tmp_path / "f")!r},
-                            GriddedField(2, 0.0, 1.0, nx, 1.0, nt, np.broadcast_to(v, (nt,) + v.shape)))
-            if os.fork() == 0:
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                field = dio.read_field({str(tmp_path / "f")!r})
-                cutoff = CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 1 / 32, 2.0)
-                holder_cylinder_bound(field, cutoff, 3.0, 3.0)
-                grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-                print(json.dumps({{"grown": grown * 1024, "body": field.u.nbytes}}), flush=True)
-                os._exit(0)
-            os.wait()
+        each block it has checked, and the pairing copies only its window."""
+        result = grown_in_fork(steady_field_file(tmp_path / "f"), f"""
+            field = dio.read_field({str(tmp_path / "f")!r})
+            cutoff = CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 1 / 32, 2.0)
+            holder_cylinder_bound(field, cutoff, 3.0, 3.0)
+            body = field.u.nbytes
         """)
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        result = json.loads(run.stdout)
         assert result["body"] >= 32e6
         assert result["grown"] < result["body"] / 2
+
+    def test_a_sweep_leaves_the_body_on_disk(self, tmp_path):
+        """Fifteen cylinders whose windows together cover most of the field
+        grow the peak RSS by less than a third of the body: each window
+        block releases the pages it has copied."""
+        result = grown_in_fork(steady_field_file(tmp_path / "f"), f"""
+            field = dio.read_field({str(tmp_path / "f")!r})
+            for x, y in ((0.3, 0.3), (0.3, 0.7), (0.7, 0.3), (0.7, 0.7), (0.5, 0.5)):
+                for delta in (1 / 8, 1 / 16, 1 / 32):
+                    cutoff = CutoffPair.build(SpaceTimePoint((x, y), 0.5), delta, 1.0)
+                    holder_cylinder_bound(field, cutoff, 3.0, 3.0)
+            body = field.u.nbytes
+        """)
+        assert result["body"] >= 32e6
+        assert result["grown"] < result["body"] / 3
+
+    def test_a_measure_read_leaves_the_body_on_disk(self, tmp_path):
+        """Reading a 33.6 MB measure grows the peak RSS by less than half of
+        the body: the finiteness and the sign checks release each block."""
+        path = str(tmp_path / "m")
+        result = grown_in_fork(f"""
+            n = 1_400_000   # 24 bytes a row
+            # broadcast columns: writing the measure holds 4096 rows at a time
+            mu = am.AtomicMeasure(np.broadcast_to(0.25, (n, 1)), np.broadcast_to(0.5, n),
+                                  np.broadcast_to(1.0, n))
+            dio.write_measure({path!r}, mu, binary=True)
+        """, f"""
+            mu = dio.read_measure({path!r})
+            body = os.path.getsize({path!r})
+        """)
+        assert result["body"] >= 32e6
+        assert result["grown"] < result["body"] / 2
+
+    @pytest.mark.parametrize("bad, message", [
+        ({-1: math.nan}, "finite"),
+        ({-1: math.inf}, "finite"),
+        ({-1: -math.inf}, "finite"),
+        ({-1: -1e-300}, "non-negative"),
+        ({0: -1.0, -1: math.nan}, "finite"),   # the finiteness check comes first
+    ])
+    def test_a_bad_weight_in_any_block_exits_2(self, tmp_path, capsys, bad, message):
+        from dissdim.cli import main
+        rows = np.ones((200_000, 3))   # 4.8 MB: the checks walk it in 5 blocks
+        for row, weight in bad.items():
+            rows[row, 2] = weight
+        path = tmp_path / "m"
+        dio.write_measure(path, am.AtomicMeasure(np.ones((1, 1)), [1.0], [1.0]), binary=True)
+        head = path.read_bytes().split(b"\n", 1)[0].replace(b"n=1 ", b"n=200000 ")
+        path.write_bytes(head + b"\n" + rows.astype("<f8").tobytes())
+        with pytest.raises(dio.MalformedFileError, match=message):
+            dio.read_measure(path)
+        assert main(["dimension", "--input", str(path)]) == 2
+        assert message in capsys.readouterr().out
+
+    def test_bodies_read_where_mmap_cannot_release_pages(self, sample_field, sample_measure,
+                                                         tmp_path, monkeypatch):
+        """Python on Windows has no MADV_DONTNEED; a read there releases nothing."""
+        monkeypatch.delattr(mmap, "MADV_DONTNEED")
+        dio.write_field(tmp_path / "f", sample_field)
+        dio.write_measure(tmp_path / "m", sample_measure, binary=True)
+        back, back_mu = dio.read_field(tmp_path / "f"), dio.read_measure(tmp_path / "m")
+        assert isinstance(mapping_of(back.u), mmap.mmap)
+        for got, want in zip([back.u, *back.scalars.values()],
+                             [sample_field.u, *sample_field.scalars.values()]):
+            assert bits(got) == bits(want)
+        for name in ("positions", "times", "weights"):
+            assert bits(getattr(back_mu, name)) == bits(getattr(sample_measure, name))
+
+
+def steady_field_file(path) -> str:
+    """Setup code for ``grown_in_fork`` that writes a 38.7 MB steady 2D
+    field to ``path`` and holds no more than one time slice while it does."""
+    return f"""
+        nx, nt = 193, 65   # 65 * 193**2 * 2 * 8 bytes
+        x = np.sin(2 * np.pi * np.linspace(0.0, 1.0, nx))
+        v = np.stack(np.meshgrid(x, -x, indexing="ij"), axis=-1)
+        dio.write_field({str(path)!r},
+                        GriddedField(2, 0.0, 1.0, nx, 1.0, nt, np.broadcast_to(v, (nt,) + v.shape)))
+    """
+
+
+def grown_in_fork(setup: str, work: str) -> dict:
+    """Run ``setup`` in a new interpreter, then ``work`` in a fork of it, and
+    return {"grown": bytes by which the fork's peak RSS grew during ``work``,
+    "body": the value ``work`` left in ``body``}.
+
+    A process starts with the peak RSS of the one that forked it, so the
+    work runs in a fork of its own, which starts at the setup's size."""
+    code = textwrap.dedent("""
+        import json, os, resource, sys
+        import numpy as np
+        from dissdim import aniso_measure as am
+        from dissdim import io as dio
+        from dissdim.aniso_measure import SpaceTimePoint
+        from dissdim.cutoffs import CutoffPair
+        from dissdim.fields import GriddedField
+        from dissdim.weak_balance import holder_cylinder_bound
+    """) + textwrap.dedent(setup) + textwrap.dedent("""
+        if os.fork() == 0:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        {work}
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            print(json.dumps({{"grown": grown * 1024, "body": body}}), flush=True)
+            os._exit(0)
+        sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+    """).format(work=textwrap.indent(textwrap.dedent(work).strip("\n"), "    "))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 class TestReportCsv:
