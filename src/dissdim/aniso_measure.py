@@ -7,6 +7,9 @@ share that (delta, delta**alpha) shape gives a practical surrogate for the
 anisotropic Hausdorff dimension: finite data cannot distinguish the two,
 and the dimension tolerances used in tests absorb the gap.
 
+Every point array here, a measure's atoms included, is (n, d+1) rows
+[x_1 ... x_d, t].
+
 Membership is strict on both factors (open ball, open interval), so atoms
 sitting exactly on a cylinder boundary are excluded.
 
@@ -140,63 +143,50 @@ class Cylinder:
 class AtomicMeasure:
     """Finite weighted atom list in R^d x R representing a positive measure.
 
+    ``points`` holds one (n, d+1) row [x_1 ... x_d, t] per atom, ``weights``
+    their masses; d is ``points.shape[1] - 1``, also for an empty measure.
     Immutable after construction; all queries are read-only.
     """
 
-    def __init__(self, positions, times, weights, d=None):
-        positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        times = np.asarray(times, dtype=float).reshape(-1)   # ravel would copy a strided column
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if positions.shape[0] != times.shape[0] or times.shape[0] != weights.shape[0]:
-            raise ValueError("positions, times and weights must have matching lengths")
-        if d is None:
-            d = positions.shape[1] if positions.size else 1
-        if positions.size and positions.shape[1] != d:
-            raise ValueError(f"positions have dimension {positions.shape[1]}, expected {d}")
-        if positions.size == 0:
-            positions = positions.reshape(0, d)
-        if not (all_finite(positions) and all_finite(times) and all_finite(weights)):
+    def __init__(self, points, weights):
+        points = np.asarray(points, dtype=float)
+        weights = np.asarray(weights, dtype=float).reshape(-1)   # ravel would copy a strided column
+        if points.ndim != 2 or points.shape[1] < 2:
+            raise ValueError(f"points must be (n, d+1) rows with d >= 1, got shape {points.shape}")
+        if points.shape[0] != weights.shape[0]:
+            raise ValueError("points and weights must have matching lengths")
+        if not (all_finite(points) and all_finite(weights)):
             raise ValueError("atoms must have finite coordinates and weights")
         # block by block, so the check leaves a mapped body on disk as all_finite does
         if any(block.min() < 0 for block in blocks(weights)):
             raise ValueError("weights must be non-negative (positive measure)")
-        self._positions = positions
-        self._times = times
-        self._weights = weights
-        for arr in (self._positions, self._times, self._weights):
-            arr.setflags(write=False)
-        self.d = int(d)
+        points.setflags(write=False)
+        weights.setflags(write=False)
+        self.points, self.weights, self.d = points, weights, points.shape[1] - 1
 
     @property
     def positions(self) -> np.ndarray:
-        return self._positions
+        return self.points[:, :-1]
 
     @property
     def times(self) -> np.ndarray:
-        return self._times
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+        return self.points[:, -1]
 
     @property
     def n_atoms(self) -> int:
-        return self._weights.shape[0]
+        return self.weights.shape[0]
 
     @property
     def total_mass(self) -> float:
-        return float(self._weights.sum())
+        return float(self.weights.sum())
 
     def support_points(self) -> np.ndarray:
         """Atoms carrying weight above SUPPORT_WEIGHT_CUTOFF x total mass, as (n, d+1) rows."""
-        mask = self._weights > SUPPORT_WEIGHT_CUTOFF * max(self.total_mass, 0.0)
-        return np.column_stack([self._positions[mask], self._times[mask]])
+        return self.points[self.weights > SUPPORT_WEIGHT_CUTOFF * self.total_mass]
 
 
 def as_point_array(points, d=None) -> np.ndarray:
     """Normalize a point collection to an (n, d+1) array of [x..., t] rows."""
-    if isinstance(points, AtomicMeasure):
-        return np.column_stack([points.positions, points.times])
     arr = np.atleast_2d(np.asarray(points, dtype=float))
     if d is not None and arr.shape[1] != d + 1:
         raise ValueError(f"expected points with {d + 1} columns, got {arr.shape[1]}")
@@ -306,7 +296,7 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     """
     out = np.zeros(centers.shape[0])
     d, th, r2 = mu.d, scale_power(delta, alpha), scale_power(delta, 2)
-    cells = _cells(as_point_array(mu), delta, alpha)
+    cells = _cells(mu.points, delta, alpha)
     reach_lo = _cells(centers, delta, alpha, -1.0)
     reach_hi = _cells(centers, delta, alpha, 1.0)
     members, starts = _row_groups(np.hstack([reach_lo, reach_hi]))
@@ -322,7 +312,7 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     keys = ids[:mu.n_atoms] * len(times) + np.searchsorted(times, cells[:, -1])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    pos, ts, ws = mu.positions[order], mu.times[order], mu.weights[order]
+    pts, ws = mu.points[order], mu.weights[order]
     first = ids[mu.n_atoms:].reshape(valid.shape) * len(times)
     begin, end = (np.searchsorted(keys, first + np.searchsorted(times, t, how)[:, None])
                   for t, how in ((lo[:, -1], "left"), (hi[:, -1], "right")))
@@ -334,13 +324,13 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
         if n == 0:
             continue
         idx = np.repeat(begin[g] - np.cumsum(length[g]) + length[g], length[g]) + np.arange(n)
-        cp, ct, cw = pos[idx], ts[idx], ws[idx]
+        cp, cw = pts[idx], ws[idx]
         rows = max(1, PAIR_BLOCK // n)
         for b in range(bounds[g], bounds[g + 1], rows):
             ci = members[b:min(b + rows, bounds[g + 1])]
             cs = centers[ci]
-            d2 = np.sum((cp[None, :, :] - cs[:, None, :-1]) ** 2, axis=2)
-            mask = (d2 < r2) & (np.abs(ct[None, :] - cs[:, None, -1]) < th)
+            d2 = np.sum((cp[None, :, :-1] - cs[:, None, :-1]) ** 2, axis=2)
+            mask = (d2 < r2) & (np.abs(cp[None, :, -1] - cs[:, None, -1]) < th)
             out[ci] = mask @ cw
     return out
 

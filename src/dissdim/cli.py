@@ -80,6 +80,9 @@ def _ladder(args, domain_width: float) -> list:
         raise CliError(f"ladder ratio must lie in (0, 1), got {args.ratio!r}")
     if args.count < 3:
         raise CliError(f"ladder count must be at least 3, got {args.count!r}")
+    if args.delta_max is None and domain_width == 0:
+        raise CliError("the support has zero extent, so the default delta_max (width / 8)"
+                       " is 0: give --delta-max")
     top = args.delta_max if args.delta_max is not None else domain_width / 8.0
     if not top > 0:
         raise CliError("ladder delta_max must be positive")
@@ -434,8 +437,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, ex.RegimeError, dio.MalformedFileError, MarginError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # the typed input errors subclass ValueError
         return _fail(type(exc).__name__, str(exc), 2)
     except (NumericalError, FloatingPointError, VerificationError) as exc:
         return _fail(type(exc).__name__, str(exc), 3)

@@ -224,12 +224,12 @@ def burgers_dissipation_measure(datum: RiemannDatum, T: float, n_atoms: int) -> 
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     if not datum.is_shock:
-        return AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1)
+        return AtomicMeasure(np.zeros((0, 2)), np.zeros(0))
     dt = T / n_atoms
     t = (np.arange(n_atoms) + 0.5) * dt
     x = datum.x0 + datum.shock_speed * t
     w = np.full(n_atoms, shock_entropy_rate(datum) * dt)
-    return AtomicMeasure(x[:, None], t, w, d=1)
+    return AtomicMeasure(np.column_stack([x, t]), w)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +386,9 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
         next_sample += 1
 
     field = GriddedField(1, a, b, nx, T, nt, snapshots[..., None])
-    mesh_x = np.broadcast_to(xs, snapshots.shape).ravel()
-    mesh_t = np.repeat(sample_times, nx)
-    dissipation = AtomicMeasure(mesh_x[:, None], mesh_t, ledger.ravel(), d=1)
+    nodes = np.empty((nt, nx, 2))   # one row [x_i, t_k] per grid node, t-major as the ledger
+    nodes[..., 0], nodes[..., 1] = xs, sample_times[:, None]
+    dissipation = AtomicMeasure(nodes.reshape(-1, 2), ledger.ravel())
     return ViscousRun(
         nu=nu, bc=bc, field=field, dissipation=dissipation, dt_sub=dt_sub,
         steps=step, steady_time=steady_time,
@@ -470,8 +470,8 @@ def time_singular_measure_fixture(d: int, n_atoms: int, seed: int = 0) -> Atomic
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     rng = np.random.default_rng(seed)
-    pos = rng.random((n_atoms, d))
-    return AtomicMeasure(pos, np.full(n_atoms, 0.5), np.full(n_atoms, 1.0 / n_atoms), d=d)
+    pts = np.column_stack([rng.random((n_atoms, d)), np.full(n_atoms, 0.5)])
+    return AtomicMeasure(pts, np.full(n_atoms, 1.0 / n_atoms))
 
 
 def grid_measure(d: int, m_space: int, m_time: int) -> AtomicMeasure:
@@ -486,7 +486,7 @@ def grid_measure(d: int, m_space: int, m_time: int) -> AtomicMeasure:
     grids = np.meshgrid(*([axes_x] * d + [axes_t]), indexing="ij")
     pts = np.stack(grids, axis=-1).reshape(-1, d + 1)
     n = pts.shape[0]
-    return AtomicMeasure(pts[:, :d], pts[:, d], np.full(n, 1.0 / n), d=d)
+    return AtomicMeasure(pts, np.full(n, 1.0 / n))
 
 
 def constant_field(value, d: int, a: float, b: float, nx: int, T: float, nt: int,

@@ -38,12 +38,13 @@ Only a body that fails is read again line by line, to name the first bad
 line.
 
 A read returns each body as one (rows, columns) float64 array that the
-returned object's arrays view.  A binary body is a read-only memory map of
-the file (``np.memmap``), not a copy: only the pages a computation touches
-become resident.  The checks of a read walk the body with ``fields.blocks``,
-which releases each block after it (``fields.release``), and a ``verify``
-window releases each block of rows once it has copied it, so neither a read
-nor a ``verify`` keeps the file resident.  A binary
+returned object's arrays view (a measure's ``points`` are its first d + 1
+columns, its ``weights`` the last).  A binary body is a read-only memory map
+of the file (``np.memmap``), not a copy: only the pages a computation
+touches become resident.  The checks of a read walk the body with
+``fields.blocks``, which releases each block after it (``fields.release``),
+and a ``verify`` window releases each block of rows once it has copied it,
+so neither a read nor a ``verify`` keeps the file resident.  A binary
 header line is padded with trailing spaces to a multiple of 8 bytes, so the
 body is 8-byte aligned in the mapping (numpy sums an unaligned array in
 another order); an unpadded file still reads, bit for bit.  A body shorter
@@ -286,7 +287,7 @@ def write_measure(path, mu: AtomicMeasure, binary: bool = False) -> None:
         # 4096 rows at a time bound the gathered rows and the text buffer like a field slice
         for start in range(0, mu.n_atoms, 4096):
             chunk = slice(start, start + 4096)
-            rows = np.column_stack([mu.positions[chunk], mu.times[chunk], mu.weights[chunk]])
+            rows = np.column_stack([mu.points[chunk], mu.weights[chunk]])
             _write_rows(fh, rows, binary, " ")
 
 
@@ -295,7 +296,7 @@ def read_measure(path) -> AtomicMeasure:
         token, (d, n) = _read_header(fh, MEASURE_MAGIC, path, d=int, n=_count)
         rows = _read_rows(fh, path, token, n, d + 2, (None, 0))
     try:
-        return AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        return AtomicMeasure(rows[:, :d + 1], rows[:, d + 1])
     except ValueError as exc:
         raise MalformedFileError(f"{path}: {exc}")
 

@@ -346,7 +346,7 @@ def _criterion7_fixtures():
     scales = [(k + 0.5) / m for k in (255, 127, 63, 31, 15, 7, 3, 1)]
     out["uniform square"] = (square, 2.0, scales, center)
 
-    dirac = am.AtomicMeasure([[0.5]], [0.5], [1.0])
+    dirac = am.AtomicMeasure([[0.5, 0.5]], [1.0])
     out["dirac"] = (dirac, 0.0, scales, None)
 
     shock = fx.burgers_dissipation_measure(STANDING, 1.0, 4096)

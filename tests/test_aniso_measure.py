@@ -5,6 +5,7 @@ import pytest
 
 from dissdim import aniso_measure as am
 from dissdim import fixtures as fx
+from dissdim import io as dio
 from dissdim.aniso_measure import AtomicMeasure, Cylinder, SpaceTimePoint
 
 
@@ -22,17 +23,17 @@ def cantor_points(level, t=0.5):
 
 class TestCylinderMass:
     def test_single_atom_inside(self):
-        mu = AtomicMeasure([[0.0]], [0.0], [1.0])
+        mu = AtomicMeasure([[0.0, 0.0]], [1.0])
         assert am.cylinder_mass(mu, cyl(0.0, 0.0, 0.5)) == 1.0
 
     def test_single_atom_outside(self):
-        mu = AtomicMeasure([[0.0]], [0.0], [1.0])
+        mu = AtomicMeasure([[0.0, 0.0]], [1.0])
         assert am.cylinder_mass(mu, cyl(2.0, 0.0, 0.5)) == 0.0
 
     def test_grid_matches_bruteforce(self):
         xs = np.linspace(0, 1, 10)
         pos, ts = np.meshgrid(xs, xs, indexing="ij")
-        mu = AtomicMeasure(pos.ravel()[:, None], ts.ravel(), np.ones(100))
+        mu = AtomicMeasure(np.column_stack([pos.ravel(), ts.ravel()]), np.ones(100))
         c = cyl(0.5, 0.5, 0.35)
         expected = sum(
             1.0
@@ -43,12 +44,13 @@ class TestCylinderMass:
         assert am.cylinder_mass(mu, c) == expected
 
     def test_strict_boundary_exclusion(self):
-        mu = AtomicMeasure([[0.5]], [0.0], [1.0])
+        mu = AtomicMeasure([[0.5, 0.0]], [1.0])
         assert am.cylinder_mass(mu, cyl(0.0, 0.0, 0.5)) == 0.0
 
     def test_monotone_in_delta_and_additive(self):
         rng = np.random.default_rng(0)
-        mu = AtomicMeasure(rng.random((500, 1)), rng.random(500), rng.random(500))
+        pts = np.column_stack([rng.random((500, 1)), rng.random(500)])
+        mu = AtomicMeasure(pts, rng.random(500))
         masses = [am.cylinder_mass(mu, cyl(0.5, 0.5, d)) for d in (0.1, 0.2, 0.4)]
         assert masses[0] <= masses[1] <= masses[2]
         # additivity over atom-disjoint cylinders
@@ -63,13 +65,13 @@ class TestCylinderMass:
         assert both == pytest.approx(combined, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        mu = AtomicMeasure([[0.0, 0.0]], [0.0], [1.0])
+        mu = AtomicMeasure([[0.0, 0.0, 0.0]], [1.0])
         with pytest.raises(ValueError):
             am.cylinder_mass(mu, cyl(0.0, 0.0, 0.5))
 
     def test_measure_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            AtomicMeasure([[0.0]], [0.0], [-1.0])
+            AtomicMeasure([[0.0, 0.0]], [-1.0])
 
     @pytest.mark.parametrize("weights, problem", [
         ([1.0, 2.0, -5e-324], "non-negative"),   # the least negative float, last
@@ -78,7 +80,7 @@ class TestCylinderMass:
         ([0.0, -0.0, 5e-324], None),
     ])
     def test_weight_checks_see_every_atom(self, weights, problem):
-        args = (np.zeros((3, 1)), np.zeros(3), weights)
+        args = (np.zeros((3, 2)), weights)
         if problem is None:
             assert AtomicMeasure(*args).n_atoms == 3
         else:
@@ -91,11 +93,45 @@ class TestCylinderMass:
         rows = np.zeros((4, 3))
         rows[-1, column] = value
         with pytest.raises(ValueError, match="finite"):
-            AtomicMeasure(rows[:, :1], rows[:, 1], rows[:, 2])
+            AtomicMeasure(rows[:, :2], rows[:, 2])
 
     def test_empty_measure_accepted(self):
-        mu = AtomicMeasure(np.zeros((0, 2)), [], [], d=2)
+        mu = AtomicMeasure(np.zeros((0, 3)), [])
         assert mu.n_atoms == 0 and mu.total_mass == 0.0
+
+
+class TestPointLayout:
+    """A measure holds its atoms as the package's (n, d+1) point rows."""
+
+    def test_positions_and_times_view_the_points(self):
+        mu = AtomicMeasure(np.arange(12.0).reshape(4, 3), np.ones(4))
+        assert mu.d == 2 and mu.positions.shape == (4, 2) and mu.times.shape == (4,)
+        for arr in (mu.positions, mu.times):
+            assert np.shares_memory(arr, mu.points) and not arr.flags.writeable
+
+    @pytest.mark.parametrize("points, weights", [
+        (np.zeros(3), np.ones(3)),          # 1-D points
+        (np.zeros((3, 1)), np.ones(3)),     # one column: d = 0
+        (np.zeros((3, 2)), np.ones(2)),     # mismatched lengths
+    ])
+    def test_a_bad_shape_is_rejected(self, points, weights):
+        with pytest.raises(ValueError):
+            AtomicMeasure(points, weights)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("n", [0, 300])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_support_points_are_the_heavy_rows(self, tmp_path, d, n, binary):
+        # weights of 0 and 1e-20 lie below the cutoff, the others above it
+        rng = np.random.default_rng(d)
+        mu = AtomicMeasure(rng.standard_normal((n, d + 1)), rng.choice([0.0, 1e-20, 0.5, 2.0], n))
+        dio.write_measure(tmp_path / "m", mu, binary=binary)
+        for m in (mu, dio.read_measure(tmp_path / "m")):
+            mask = m.weights > am.SUPPORT_WEIGHT_CUTOFF * m.total_mass
+            want = np.column_stack([m.positions[mask], m.times[mask]])
+            got = m.support_points()
+            assert got.shape == want.shape == (mask.sum(), d + 1)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBoxCounting:
@@ -173,7 +209,7 @@ class TestDensityLadder:
         assert lad.fitted_slope == pytest.approx(2.0, abs=1e-9)
 
     def test_dirac_at_s0(self):
-        mu = AtomicMeasure([[0.25]], [0.25], [2.5])
+        mu = AtomicMeasure([[0.25, 0.25]], [2.5])
         lad = am.density_ladder(mu, 1.0, 0.0, [0.2, 0.1, 0.05, 0.025])
         assert lad.densities == pytest.approx([2.5] * 4)
 
@@ -189,12 +225,13 @@ class TestDensityLadder:
 
     def test_densities_bounded_by_mass_at_s0(self):
         rng = np.random.default_rng(5)
-        mu = AtomicMeasure(rng.random((200, 1)), rng.random(200), rng.random(200))
+        pts = np.column_stack([rng.random((200, 1)), rng.random(200)])
+        mu = AtomicMeasure(pts, rng.random(200))
         lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1])
         assert max(lad.densities) <= mu.total_mass
 
     def test_validation(self):
-        mu = AtomicMeasure([[0.0]], [0.0], [1.0])
+        mu = AtomicMeasure([[0.0, 0.0]], [1.0])
         for s in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 am.density_ladder(mu, 1.0, s, [0.4, 0.2, 0.1])
@@ -204,12 +241,12 @@ class TestDensityLadder:
                 am.density_ladder(mu, 1.0, s, scales)
         with pytest.raises(ValueError, match="finite"):
             am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], centers=[[math.nan, 0.0]])
-        empty = AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1)
+        empty = AtomicMeasure(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
             am.density_ladder(empty, 1.0, 1.0, [0.4, 0.2, 0.1])
 
     def test_nan_scale_rejected(self):
-        mu = AtomicMeasure([[0.0]], [0.0], [1.0])
+        mu = AtomicMeasure([[0.0, 0.0]], [1.0])
         with pytest.raises(ValueError, match="positive"):
             am.density_ladder(mu, 1.0, 0.0, [math.nan, 0.5, 0.25])
 
@@ -217,7 +254,8 @@ class TestDensityLadder:
         # not rebuilt as density * delta**s, which can differ in the last bit
         rng = np.random.default_rng(11)
         for _ in range(20):
-            mu = AtomicMeasure(rng.random((50, 1)), rng.random(50), rng.random(50))
+            pts = np.column_stack([rng.random((50, 1)), rng.random(50)])
+            mu = AtomicMeasure(pts, rng.random(50))
             s = rng.uniform(0.1, 2.0)
             scales = np.sort(rng.uniform(0.01, 0.5, 5))[::-1].tolist()
             lad = am.density_ladder(mu, 1.0, s, scales)
@@ -228,7 +266,7 @@ class TestDensityLadder:
     def test_a_radius_whose_square_overflows(self, d):
         # delta**2 = inf is a valid radius: every atom lies inside
         rng = np.random.default_rng(d)
-        mu = AtomicMeasure(rng.random((50, d)), rng.random(50), rng.random(50))
+        mu = AtomicMeasure(np.column_stack([rng.random((50, d)), rng.random(50)]), rng.random(50))
         lad = am.density_ladder(mu, 1.0, 0.0, [1e300, 1e299, 1e298])
         assert lad.densities == pytest.approx([mu.total_mass] * 3, rel=1e-12)
         cyl = Cylinder(SpaceTimePoint((0.0,) * d, 0.0), 1e300, 1.0)
@@ -252,7 +290,7 @@ class TestCertifyLowerBound:
         assert certified == pytest.approx(2.0, abs=0.15)
 
     def test_dirac(self):
-        mu = AtomicMeasure([[0.5]], [0.5], [1.0])
+        mu = AtomicMeasure([[0.5, 0.5]], [1.0])
         lad = am.density_ladder(mu, 1.0, 0.0, ladder_scales(8, 1.0 / 1024))
         certified, verdict = am.certify_lower_bound(lad)
         assert verdict == "certified"
@@ -276,7 +314,7 @@ class TestCertifyLowerBound:
                 ws.append(ring_mass / n_ang)
         pos.append([edges[-1] / 2.0, 0.0])
         ws.append(field.c_d * edges[-1] ** eps)
-        mu = AtomicMeasure(np.array(pos), np.zeros(len(ws)), np.array(ws), d=2)
+        mu = AtomicMeasure(np.column_stack([pos, np.zeros(len(ws))]), np.array(ws))
         lad = am.density_ladder(mu, 1.0, eps, scales, centers=np.array([[0.0, 0.0, 0.0]]))
         assert lad.densities == pytest.approx([field.c_d] * len(scales), rel=1e-12)
         certified, verdict = am.certify_lower_bound(lad)
@@ -284,7 +322,7 @@ class TestCertifyLowerBound:
         assert certified == pytest.approx(eps, abs=0.15)
 
     def test_inconclusive_on_short_ladder(self):
-        mu = AtomicMeasure([[0.5]], [0.5], [1.0])
+        mu = AtomicMeasure([[0.5, 0.5]], [1.0])
         lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1])
         noisy = am.DensityLadder(
             s=0.0, scales=lad.scales, densities=(1.0, 0.0, 0.0),

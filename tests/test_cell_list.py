@@ -31,7 +31,7 @@ def all_pairs(mu, centers, delta, alpha):
 def masses(mu, centers, deltas, alpha):
     """Masses and member counts from ``_masses``, one row per scale; the counts
     are the masses of the same atoms with unit weights (exact float sums)."""
-    ones = AtomicMeasure(mu.positions, mu.times, np.ones(mu.n_atoms), d=mu.d)
+    ones = AtomicMeasure(mu.points, np.ones(mu.n_atoms))
     return am._masses(mu, centers, deltas, alpha), am._masses(ones, centers, deltas, alpha)
 
 
@@ -106,7 +106,7 @@ def cases(draw):
     weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 3.7]),
                                      min_size=len(atoms), max_size=len(atoms))))
     far = centers + 1e6 * max(deltas)   # no atom within reach
-    mu = AtomicMeasure(atoms[:, :-1].reshape(-1, d), atoms[:, -1], weights, d=d)
+    mu = AtomicMeasure(atoms.reshape(-1, d + 1), weights)
     return mu, np.vstack([centers, far]), len(centers), deltas, alpha
 
 
@@ -131,7 +131,7 @@ class TestCellListOracle:
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d + 1)
         weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 3.7]),
                                               min_size=len(pts), max_size=len(pts))))
-        mu = AtomicMeasure(pts[:, :-1], pts[:, -1], weights, d=d)
+        mu = AtomicMeasure(pts, weights)
         assert_matches_all_pairs(mu, pts, [2.0 * h, 1.5 * h, h, 0.5 * h], alpha)
 
     # member atoms in a cell below floor(c / side - 1), where the rounded
@@ -148,7 +148,7 @@ class TestCellListOracle:
         # d = 2, so the cell list answers; the other axes stay at 0
         atom, center = np.zeros(3), np.zeros((1, 3))
         atom[axis], center[0, axis] = x, c
-        mu = AtomicMeasure(atom[None, :2], atom[2:], [1.0])
+        mu = AtomicMeasure(atom[None, :], [1.0])
         assert np.floor(x / side) < np.floor(c / side - 1)
         assert all_pairs(mu, center, side, 1.0)[1][0] == 1
         assert masses(mu, center, [side], 1.0)[1][0, 0] == 1.0
@@ -159,13 +159,13 @@ class TestCellListOracle:
     @pytest.mark.parametrize("alpha, delta", [(2.0, 2.0 ** -600), (1100.0, 0.5)])
     def test_radii_that_underflow(self, alpha, delta):
         pts = np.array([[0.0, 0.0], [0.5, 0.0]])
-        mu = AtomicMeasure(pts[:, :1], pts[:, 1], [1.0, 2.0])
+        mu = AtomicMeasure(pts, [1.0, 2.0])
         got = assert_matches_all_pairs(mu, pts, [0.75, delta], alpha)
         assert got.tolist() == [[3.0, 3.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_measure_without_atoms(self, d):
-        mu = AtomicMeasure(np.zeros((0, d)), np.zeros(0), np.zeros(0), d=d)
+        mu = AtomicMeasure(np.zeros((0, d + 1)), np.zeros(0))
         centers = np.zeros((3, d + 1))
         assert np.array_equal(am._masses(mu, centers, [0.5, 0.25], 1.0), np.zeros((2, 3)))
 
@@ -175,7 +175,8 @@ class TestCellListOracle:
         cluster = np.array([[x, 0.0, 0.0] for x in (-1.5, -0.5, 0.25, 0.75, 1.5)])
         corners = np.array([[0.0, 2.0 ** 32 - 0.5, 0.0], [0.0, 0.0, 2.0 ** 32 - 0.5]])
         pos = np.vstack([cluster, corners])
-        mu = AtomicMeasure(pos, np.zeros(len(pos)), np.arange(1.0, len(pos) + 1), d=3)
+        pts = np.column_stack([pos, np.zeros(len(pos))])
+        mu = AtomicMeasure(pts, np.arange(1.0, len(pts) + 1))
         centers = np.array([[0.1, 0.0, 0.0, 0.0], [-0.9, 0.0, 0.0, 0.0]])
         got, counts = masses(mu, centers, [1.0], 1.0)
         want_masses, want_counts = all_pairs(mu, centers, 1.0, 1.0)
@@ -188,7 +189,7 @@ def grid_measure(rng, n):
     share an x, a t or both, with weights in {0, 0.25, 1, 3.5}: every partial
     sum of such weights is exact, so masses compare bit for bit."""
     x, t = rng.integers(-8, 9, n) / 8.0, rng.integers(0, 9, n) / 8.0
-    return AtomicMeasure(x[:, None], t, rng.choice([0.0, 0.25, 1.0, 3.5], n))
+    return AtomicMeasure(np.column_stack([x, t]), rng.choice([0.0, 0.25, 1.0, 3.5], n))
 
 
 class TestSweep:
@@ -202,7 +203,7 @@ class TestSweep:
     def test_blocks_of_queries_match_all_pairs_exactly(self, n, query_block, monkeypatch):
         rng = np.random.default_rng(n)
         mu = grid_measure(rng, n)
-        centers = np.vstack([am.as_point_array(mu), rng.integers(-9, 10, (40, 2)) / 8.0,
+        centers = np.vstack([mu.points, rng.integers(-9, 10, (40, 2)) / 8.0,
                              rng.uniform(-1.1, 1.1, (10, 2))])
         monkeypatch.setattr(am, "QUERY_BLOCK", query_block)
         deltas = [0.5, 0.3, 0.25, 0.125]
@@ -227,7 +228,7 @@ class TestSweep:
     @pytest.mark.parametrize("n, m", [(2 ** 17 + 1, 256), (20000, 20000)])
     def test_memory_is_bounded_per_atom_and_per_query(self, n, m):
         rng = np.random.default_rng(1)
-        mu = AtomicMeasure(rng.random((n, 1)), rng.random(n), rng.random(n))
+        mu = AtomicMeasure(np.column_stack([rng.random((n, 1)), rng.random(n)]), rng.random(n))
         centers = rng.random((m, 2))
         deltas = [0.1 * 0.5 ** k for k in range(6)]
         tracemalloc.start()
@@ -280,7 +281,7 @@ class TestLatticeRange:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             am.box_counting_dimension(self.FAR, 1.0, [1.0, 0.5, 0.25])
         # the ladder of a d >= 2 measure takes the cell list
-        mu = AtomicMeasure([[1e19, 0.0]], [0.0], [1.0])
+        mu = AtomicMeasure([[1e19, 0.0, 0.0]], [1.0])
         with pytest.raises(ValueError, match="2\\*\\*53"):
             am.density_ladder(mu, 1.0, 0.0, [1.0, 0.5, 0.25])
 
@@ -290,14 +291,14 @@ class TestLatticeRange:
         with pytest.raises(ValueError, match="2\\*\\*53"):
             am.box_counting_dimension([[0.0, 1.0]], 400.0, [8.0, 4.0, 2.0])
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            am.density_ladder(AtomicMeasure([[0.0, 0.0]], [0.0], [1.0]), 400.0, 0.0,
+            am.density_ladder(AtomicMeasure([[0.0, 0.0, 0.0]], [1.0]), 400.0, 0.0,
                               [8.0, 4.0, 2.0])
-        mu = AtomicMeasure([[0.0], [0.5]], [0.0, 1e300], [1.0, 2.0])
+        mu = AtomicMeasure([[0.0, 0.0], [0.5, 1e300]], [1.0, 2.0])
         assert am.density_ladder(mu, 400.0, 0.0, [8.0, 4.0, 2.0]).densities == (3.0, 2.0, 2.0)
 
     def test_sweep_needs_no_lattice(self):
         # 1e19 + 2048 is the next float after 1e19
-        mu = AtomicMeasure([[1e19], [1e19 + 2048.0], [-1e19]], [0.0] * 3, [1.0, 2.0, 0.5])
+        mu = AtomicMeasure([[1e19, 0.0], [1e19 + 2048.0, 0.0], [-1e19, 0.0]], [1.0, 2.0, 0.5])
         ladder = am.density_ladder(mu, 1.0, 0.0, [4096.0, 1024.0, 1.0])
         assert ladder.densities == (3.0, 2.0, 2.0)
 
@@ -310,6 +311,6 @@ class TestLatticeRange:
     def test_dimension_exits_2(self, tmp_path, capsys):
         path = tmp_path / "far.measure"
         pts = np.array(self.FAR)
-        dio.write_measure(path, AtomicMeasure(pts[:, :1], pts[:, 1], np.ones(3)))
+        dio.write_measure(path, AtomicMeasure(pts, np.ones(3)))
         assert main(["dimension", "--input", str(path), "--delta-max", "1.0"]) == 2
         assert "2**53" in capsys.readouterr().out

@@ -173,11 +173,22 @@ class TestDimensionCommand:
         import numpy as np
         from dissdim.aniso_measure import AtomicMeasure
         path = str(tmp_path / "empty.measure")
-        dio.write_measure(path, AtomicMeasure(np.zeros((0, 1)), np.zeros(0),
-                                              np.zeros(0), d=1))
+        dio.write_measure(path, AtomicMeasure(np.zeros((0, 2)), np.zeros(0)))
         code, data = run_json(["dimension", "--input", path], capsys)
         assert code == 2
         assert "empty support" in data["error"]["message"]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_a_support_of_zero_extent_asks_for_delta_max(self, capsys, tmp_path, n):
+        # one atom, or five at one space-time point: the default delta_max, width / 8, is 0
+        path = str(tmp_path / "point.measure")
+        dio.write_measure(path, AtomicMeasure(np.tile([0.25, 0.5], (n, 1)), np.ones(n)))
+        code, data = run_json(["dimension", "--input", path], capsys)
+        assert (code, data["error"]["type"]) == (2, "CliError")
+        assert "zero extent" in data["error"]["message"]
+        assert "--delta-max" in data["error"]["message"]
+        code, data = run_json(["dimension", "--input", path, "--delta-max", "0.5"], capsys)
+        assert (code, data["counts"]) == (0, [1] * 6)
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "garbage.measure"
@@ -196,7 +207,7 @@ def few_heavy_atoms(d):
     points = np.column_stack([a.ravel() for a in axes])
     weights = np.full(len(points), 1e-3)
     weights[np.arange(32) * 127] = np.arange(1.0, 33.0)
-    return AtomicMeasure(points[:, :-1], points[:, -1], weights)
+    return AtomicMeasure(points, weights)
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +262,8 @@ class TestDimensionOnSpatialMeasures:
         """The draw of --sample-centers 5 --seed 3 over 100 support atoms, as
         literals, so that every supported Python shows the same indices."""
         path = str(tmp_path / "line.measure")
-        dio.write_measure(path, AtomicMeasure(np.arange(100.0)[:, None], np.zeros(100),
-                                              np.ones(100)))
+        points = np.column_stack([np.arange(100.0), np.zeros(100)])
+        dio.write_measure(path, AtomicMeasure(points, np.ones(100)))
         drawn, ladder = [], cli.density_ladder
 
         def spy(mu, *args, centers):
@@ -701,8 +712,8 @@ def multi_block_files(tmp_path_factory):
                             {"p": rng.standard_normal((nt, nx))})
     dio.write_field(folder / "f", field)
     n = 100_000
-    dio.write_measure(folder / "m", AtomicMeasure(rng.random((n, 1)), rng.random(n),
-                                                  rng.random(n), d=1), binary=True)
+    points = np.column_stack([rng.random((n, 1)), rng.random(n)])
+    dio.write_measure(folder / "m", AtomicMeasure(points, rng.random(n)), binary=True)
     return {"field": (folder / "f", nx * nt, 2), "measure": (folder / "m", n, 3)}
 
 

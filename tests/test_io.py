@@ -25,7 +25,8 @@ from dissdim.fields import SCALARS, GriddedField
 @pytest.fixture
 def sample_measure():
     rng = np.random.default_rng(11)
-    return am.AtomicMeasure(rng.random((40, 2)), rng.random(40), rng.random(40), d=2)
+    points = np.column_stack([rng.random((40, 2)), rng.random(40)])
+    return am.AtomicMeasure(points, rng.random(40))
 
 
 @pytest.fixture
@@ -76,10 +77,18 @@ class TestMeasureFormat:
             dio.read_measure(path)
 
     def test_empty_measure(self, tmp_path):
-        empty = am.AtomicMeasure(np.zeros((0, 1)), np.zeros(0), np.zeros(0), d=1)
+        empty = am.AtomicMeasure(np.zeros((0, 2)), np.zeros(0))
         path = tmp_path / "empty.txt"
         dio.write_measure(path, empty)
         assert dio.read_measure(path).n_atoms == 0
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_an_empty_measure_keeps_its_dimension(self, tmp_path, d, binary):
+        path = tmp_path / "empty"
+        dio.write_measure(path, am.AtomicMeasure(np.zeros((0, d + 1)), []), binary=binary)
+        back = dio.read_measure(path)
+        assert (back.d, back.points.shape, back.weights.shape) == (d, (0, d + 1), (0,))
 
 
 class TestFieldFormat:
@@ -179,7 +188,7 @@ class TestBodyCodec:
     @example(rows=np.array([[0.12345, 0.12345, 0.12345]]), binary=False)
     def test_measure_roundtrip_is_bit_exact(self, tmp_path_factory, rows, binary):
         d = rows.shape[1] - 2
-        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        mu = am.AtomicMeasure(rows[:, :d + 1], rows[:, d + 1])
         path = tmp_path_factory.mktemp("codec") / "m"
         dio.write_measure(path, mu, binary=binary)
         back = dio.read_measure(path)
@@ -569,7 +578,7 @@ class TestTextWriter:
     def test_measure_file_matches_the_percent_formatter(self, tmp_path_factory, data, d, n):
         rows = data.draw(slices(n, d + 2))
         rows[:, -1] = np.copysign(rows[:, -1], 1.0)   # weights >= 0
-        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, -1], d=d)
+        mu = am.AtomicMeasure(rows[:, :d + 1], rows[:, -1])
         path = tmp_path_factory.mktemp("writer") / "m"
         dio.write_measure(path, mu, binary=False)
         assert path.read_bytes() == (f"dissdim-measure v1 d={d} n={n} body=text\n".encode()
@@ -577,7 +586,7 @@ class TestTextWriter:
 
     def test_measure_written_in_blocks(self, tmp_path):
         rows = np.random.default_rng(5).random((2 * 4096 + 3, 3))
-        dio.write_measure(tmp_path / "m", am.AtomicMeasure(rows[:, :1], rows[:, 1], rows[:, 2]))
+        dio.write_measure(tmp_path / "m", am.AtomicMeasure(rows[:, :2], rows[:, 2]))
         assert (tmp_path / "m").read_bytes().split(b"\n", 1)[1] == percent_rows(rows, " ")
 
 
@@ -619,7 +628,7 @@ class TestBinaryBody:
 
     def test_empty_measure(self, tmp_path):
         path = tmp_path / "m"
-        dio.write_measure(path, am.AtomicMeasure(np.zeros((0, 2)), [], [], d=2), binary=True)
+        dio.write_measure(path, am.AtomicMeasure(np.zeros((0, 3)), []), binary=True)
         # the header is padded to 40 bytes, a multiple of 8
         assert path.read_bytes() == b"dissdim-measure v1 d=2 n=0 body=binary \n"
         back = dio.read_measure(path)
@@ -635,7 +644,7 @@ class TestBinaryBody:
         shape = (nt,) + (nx,) * d
         field = GriddedField(d, a, a + width, nx, T, nt, np.ones(shape + (d,)),
                              {name: np.zeros(shape) for name in extra})
-        mu = am.AtomicMeasure(np.ones((n, d)), np.ones(n), np.ones(n), d=d)
+        mu = am.AtomicMeasure(np.ones((n, d + 1)), np.ones(n))
         folder = tmp_path_factory.mktemp("padding")
         dio.write_field(folder / "f", field)
         dio.write_measure(folder / "m", mu, binary=True)
@@ -651,7 +660,7 @@ class TestBinaryBody:
         field = edge_field(d, extra, nx=5, nt=3)
         rows = np.resize(np.array(EDGES), (len(EDGES), d + 2))
         rows[:, -1] = np.copysign(rows[:, -1], 1.0)
-        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        mu = am.AtomicMeasure(rows[:, :d + 1], rows[:, d + 1])
         dio.write_field(tmp_path / "f", field)
         dio.write_measure(tmp_path / "m", mu, binary=True)
         for name in ("f", "m"):
@@ -727,11 +736,25 @@ class TestBinaryBody:
             assert bits(got) == bits(want)
         rows = np.resize(np.array(EDGES), (len(EDGES), d + 2))
         rows[:, -1] = np.copysign(rows[:, -1], 1.0)
-        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        mu = am.AtomicMeasure(rows[:, :d + 1], rows[:, d + 1])
         dio.write_measure(tmp_path / "m", mu, binary=True)
         back = dio.read_measure(tmp_path / "m")
         for name in ("positions", "times", "weights"):
             assert bits(getattr(back, name)) == bits(getattr(mu, name))
+
+    def test_a_measure_is_two_views_of_the_mapping(self, sample_measure, tmp_path):
+        # the points and the weights are columns of the mapped body, not copies
+        dio.write_measure(tmp_path / "m", sample_measure, binary=True)
+        mu = dio.read_measure(tmp_path / "m")
+        body = mapping_of(mu.points)
+        assert isinstance(body, mmap.mmap) and mapping_of(mu.weights) is body
+        with pytest.raises(TypeError):   # the mapping itself is read-only
+            body[0] = 0
+        whole = np.frombuffer(body, dtype=np.uint8)
+        assert np.shares_memory(mu.points, whole) and np.shares_memory(mu.weights, whole)
+        del whole
+        assert bits(mu.points) == bits(sample_measure.points)
+        assert bits(mu.weights) == bits(sample_measure.weights)
 
     def test_arrays_are_read_only(self, sample_measure, tmp_path):
         dio.write_field(tmp_path / "f", edge_field(2, ("p", "theta")))
@@ -760,7 +783,7 @@ class TestBinaryBody:
     @pytest.mark.parametrize("d", [1, 2])
     def test_measure_io_holds_the_body_once(self, tmp_path, d):
         rows = np.random.default_rng(d).random((300_000, d + 2))
-        mu = am.AtomicMeasure(rows[:, :d], rows[:, d], rows[:, d + 1], d=d)
+        mu = am.AtomicMeasure(rows[:, :d + 1], rows[:, d + 1])
         written, _ = traced_peak(lambda: dio.write_measure(tmp_path / "m", mu, binary=True))
         assert written < MIB   # 4096 rows are 96 and 128 KiB
         read, back = traced_peak(lambda: dio.read_measure(tmp_path / "m"))
@@ -802,8 +825,7 @@ class TestBinaryBody:
         result = grown_in_fork(f"""
             n = 1_400_000   # 24 bytes a row
             # broadcast columns: writing the measure holds 4096 rows at a time
-            mu = am.AtomicMeasure(np.broadcast_to(0.25, (n, 1)), np.broadcast_to(0.5, n),
-                                  np.broadcast_to(1.0, n))
+            mu = am.AtomicMeasure(np.broadcast_to([0.25, 0.5], (n, 2)), np.broadcast_to(1.0, n))
             dio.write_measure({path!r}, mu, binary=True)
         """, f"""
             mu = dio.read_measure({path!r})
@@ -825,7 +847,7 @@ class TestBinaryBody:
         for row, weight in bad.items():
             rows[row, 2] = weight
         path = tmp_path / "m"
-        dio.write_measure(path, am.AtomicMeasure(np.ones((1, 1)), [1.0], [1.0]), binary=True)
+        dio.write_measure(path, am.AtomicMeasure(np.ones((1, 2)), [1.0]), binary=True)
         head = path.read_bytes().split(b"\n", 1)[0].replace(b"n=1 ", b"n=200000 ")
         path.write_bytes(head + b"\n" + rows.astype("<f8").tobytes())
         with pytest.raises(dio.MalformedFileError, match=message):
