@@ -145,11 +145,11 @@ class AtomicMeasure:
 
     ``points`` holds one (n, d+1) row [x_1 ... x_d, t] per atom, ``weights``
     their masses; d is ``points.shape[1] - 1``, also for an empty measure.
-    Immutable after construction; all queries are read-only.
+    Immutable: it freezes views of the arrays given, not the arrays themselves.
     """
 
     def __init__(self, points, weights):
-        points = np.asarray(points, dtype=float)
+        points = np.asarray(points, dtype=float).view()
         weights = np.asarray(weights, dtype=float).reshape(-1)   # ravel would copy a strided column
         if points.ndim != 2 or points.shape[1] < 2:
             raise ValueError(f"points must be (n, d+1) rows with d >= 1, got shape {points.shape}")
@@ -162,7 +162,15 @@ class AtomicMeasure:
             raise ValueError("weights must be non-negative (positive measure)")
         points.setflags(write=False)
         weights.setflags(write=False)
-        self.points, self.weights, self.d = points, weights, points.shape[1] - 1
+        self._points, self._weights, self.d = points, weights, points.shape[1] - 1
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._points
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights
 
     @property
     def positions(self) -> np.ndarray:
@@ -197,8 +205,6 @@ def cylinder_mass(mu: AtomicMeasure, c: Cylinder) -> float:
     """Sum of weights of atoms strictly inside the cylinder."""
     if c.center.d != mu.d:
         raise ValueError(f"cylinder dimension {c.center.d} does not match measure dimension {mu.d}")
-    if mu.n_atoms == 0:
-        return 0.0
     mask = c.contains(mu.positions, mu.times)
     return float(mu.weights[mask].sum())
 

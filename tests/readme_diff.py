@@ -1,15 +1,15 @@
-"""Compare the README CLI block's outputs between two source trees.
+"""Compare the README CLI block's outputs between a base tree and this one.
 
-    python tests/readme_diff.py BASE_TREE [HEAD_TREE]
+    python tests/readme_diff.py BASE_TREE
 
 Runs ``test_readme.run_block`` of this tree (so this README's commands) once
-for each tree, in a fresh process with that tree's ``src`` first on
-PYTHONPATH and in a fresh directory, after checking that ``dissdim`` is
-imported from that tree and not from an installed copy.  It prints every
-command whose exit code, stdout or stderr differs and every written file
-whose sha256 differs.  HEAD_TREE defaults to the tree holding this script.
-Exit status: 0 when every output keeps its bytes, 4 when some differ, 1 when
-a tree could not be run.
+for BASE_TREE and once for the tree holding this script, each in a fresh
+process with that tree's ``src`` first on PYTHONPATH and in a fresh
+directory, after checking that ``dissdim`` is imported from that tree and not
+from an installed copy.  It prints every command whose exit code, stdout or
+stderr differs and every written file whose sha256 differs.  Exit status: 0
+when every output keeps its bytes, 4 when some differ, 1 when a tree could
+not be run.
 """
 
 import json
@@ -51,17 +51,11 @@ def run_tree(tree: Path) -> dict:
 def differences(base: dict, head: dict) -> list:
     """One line per command or file whose bytes differ between the runs."""
     lines = []
-    for i in range(max(len(base["runs"]), len(head["runs"]))):
-        old = base["runs"][i] if i < len(base["runs"]) else None
-        new = head["runs"][i] if i < len(head["runs"]) else None
-        argv = " ".join((new or old)[0])
-        if old is None or new is None or old[0] != new[0]:
-            lines.append(f"command {i}: {argv}: not run in both trees")
-            continue
+    for i, (old, new) in enumerate(zip(base["runs"], head["runs"], strict=True)):
         parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old[1:], new[1:])
                  if a != b]
         if parts:
-            lines.append(f"command {i}: {argv}: {', '.join(parts)} changed")
+            lines.append(f"command {i}: {' '.join(new[0])}: {', '.join(parts)} changed")
     for name in sorted(set(base["files"]) | set(head["files"])):
         old, new = base["files"].get(name, "missing"), head["files"].get(name, "missing")
         if old != new:
@@ -70,10 +64,9 @@ def differences(base: dict, head: dict) -> list:
 
 
 def main(argv) -> int:
-    if not 1 <= len(argv) <= 2:
+    if len(argv) != 1:
         sys.exit(__doc__)
-    base_tree = Path(argv[0]).resolve()
-    head_tree = Path(argv[1]).resolve() if len(argv) == 2 else TESTS.parent
+    base_tree, head_tree = Path(argv[0]).resolve(), TESTS.parent
     base, head = run_tree(base_tree), run_tree(head_tree)
     lines = differences(base, head)
     for line in lines:

@@ -98,6 +98,7 @@ class TestCylinderMass:
     def test_empty_measure_accepted(self):
         mu = AtomicMeasure(np.zeros((0, 3)), [])
         assert mu.n_atoms == 0 and mu.total_mass == 0.0
+        assert am.cylinder_mass(mu, Cylinder(SpaceTimePoint((0.0, 0.0), 0.0), 1.0, 1.0)) == 0.0
 
 
 class TestPointLayout:
@@ -108,6 +109,21 @@ class TestPointLayout:
         assert mu.d == 2 and mu.positions.shape == (4, 2) and mu.times.shape == (4,)
         for arr in (mu.positions, mu.times):
             assert np.shares_memory(arr, mu.points) and not arr.flags.writeable
+
+    def test_the_arrays_cannot_be_replaced(self):
+        mu = AtomicMeasure(np.zeros((3, 2)), np.ones(3))
+        for name in ("points", "weights", "positions", "times"):
+            with pytest.raises(AttributeError):
+                setattr(mu, name, getattr(mu, name))
+        for arr in (mu.points, mu.weights):
+            assert not arr.flags.writeable
+
+    def test_the_callers_arrays_stay_writeable(self):
+        points, weights = np.zeros((3, 2)), np.ones(3)
+        mu = AtomicMeasure(points, weights)
+        assert np.shares_memory(mu.points, points) and np.shares_memory(mu.weights, weights)
+        points[0, 0], weights[0] = 1.0, 2.0
+        assert mu.points[0, 0] == 1.0 and mu.weights[0] == 2.0
 
     @pytest.mark.parametrize("points, weights", [
         (np.zeros(3), np.ones(3)),          # 1-D points
