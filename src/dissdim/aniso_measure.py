@@ -44,12 +44,14 @@ tree with sorted lists at its nodes) answers every (scale, center) query:
 * Memory.  The sweep holds one level of the tree at a time, in place: an
   int64 key per atom (its block's first index above its time rank), which
   a row sort merges into the next level, the blocks' prefix sums, and the
-  atom of each time rank (int32), through which the sums read the weights:
-  about 20 bytes per atom at the peak rather than the O(atoms log atoms) of
-  the whole tree.  Queries are answered QUERY_BLOCK at a time, so a (scale,
-  center) query keeps only its two index ranges (int32) and its mass, 24
-  bytes.  It takes O((atoms + queries) log atoms) time; a measure of 2**31
-  atoms or more raises ValueError.
+  weights in time-rank order, from which every level's sums read: about 24
+  bytes per atom at the peak rather than the O(atoms log atoms) of the
+  whole tree.  The x, t and weight columns are read once each, into
+  contiguous copies (``_contiguous``) that release a mapped measure as they
+  go.  Queries are answered QUERY_BLOCK at a time, so a (scale, center)
+  query keeps only its two index ranges (int32) and its mass, 24 bytes.
+  It takes O((atoms + queries) log atoms) time; a measure of 2**31 atoms or
+  more raises ValueError.
 
 For d >= 2 a ball is not a box, and the lattice serves as a cell list (the
 linked-cell neighbour search of molecular dynamics), built at each scale.
@@ -71,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import all_finite, blocks
+from .fields import all_finite, blocks, release
 
 __all__ = [
     "SpaceTimePoint",
@@ -186,11 +188,22 @@ class AtomicMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        mass = float(self.weights.sum())   # in one sum: a sum by blocks has other bits
+        release(self.weights)
+        return mass
 
     def support_points(self) -> np.ndarray:
-        """Atoms carrying weight above SUPPORT_WEIGHT_CUTOFF x total mass, as (n, d+1) rows."""
-        return self.points[self.weights > SUPPORT_WEIGHT_CUTOFF * self.total_mass]
+        """Atoms carrying weight above SUPPORT_WEIGHT_CUTOFF x total mass, as (n, d+1) rows.
+
+        The atoms are selected one ``blocks`` block of rows at a time, so a
+        mapped measure is left released."""
+        cut = SUPPORT_WEIGHT_CUTOFF * self.total_mass
+        parts, start = [self.points[:0]], 0
+        for rows in blocks(self.points):
+            # the block's own rows of weights: blocks of another stride hold other rows
+            parts.append(rows[self.weights[start:start + len(rows)] > cut])
+            start += len(rows)
+        return np.concatenate(parts)
 
 
 def as_point_array(points, d=None) -> np.ndarray:
@@ -265,7 +278,7 @@ def _cells(pts: np.ndarray, delta: float, alpha: float, reach: float = 0.0) -> n
                          "sides and |coordinate / cell side| must be finite, the latter below 2**53")
     if reach:
         q = q + reach * (1.0 + 2.0 ** -50 * (np.abs(q) + 16.0))
-    return np.floor(q).astype(np.int64)
+    return np.floor(q, out=q).astype(np.int64)
 
 
 def _row_groups(rows: np.ndarray):
@@ -319,6 +332,8 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     pts, ws = mu.points[order], mu.weights[order]
+    release(mu.points)
+    release(mu.weights)
     first = ids[mu.n_atoms:].reshape(valid.shape) * len(times)
     begin, end = (np.searchsorted(keys, first + np.searchsorted(times, t, how)[:, None])
                   for t, how in ((lo[:, -1], "left"), (hi[:, -1], "right")))
@@ -380,6 +395,16 @@ def _blocks(a: np.ndarray, block: int):
     return a[:full].reshape(-1, block), a[full:].reshape(1, -1)
 
 
+def _contiguous(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``a``, read one ``blocks`` block at a time, so a
+    mapped body is left released."""
+    out, start = np.empty(a.shape), 0
+    for rows in blocks(a):
+        out[start:start + len(rows)] = rows
+        start += len(rows)
+    return out
+
+
 def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) -> np.ndarray:
     """Cylinder masses of a d = 1 measure, one row per scale, by a
     merge-sort tree swept one level at a time (see the module docstring).
@@ -407,16 +432,21 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
 
     r2 = np.array([scale_power(delta, 2) for delta in scales])
     th = np.array([scale_power(delta, alpha) for delta in scales])
-    by_x = np.argsort(mu.positions[:, 0], kind="stable")
-    left, right = member_ranges(mu.positions[by_x, 0], 0, r2, lambda x, c, r: (x - c) ** 2 < r)
+    x = _contiguous(mu.positions[:, 0])
+    by_x = np.argsort(x, kind="stable")
+    left, right = member_ranges(x[by_x], 0, r2, lambda x, c, r: (x - c) ** 2 < r)
+    del x
     by_x = by_x.astype(np.int32)
-    by_t = np.argsort(mu.times, kind="stable")
-    t_lo, t_hi = member_ranges(mu.times[by_t], 1, th, lambda t, c, r: np.abs(t - c) < r)
+    t = _contiguous(mu.times)
+    by_t = np.argsort(t, kind="stable")
+    t_lo, t_hi = member_ranges(t[by_t], 1, th, lambda t, c, r: np.abs(t - c) < r)
+    del t
     by_t = by_t.astype(np.int32)                        # atom of each time rank
+    w_by_t = _contiguous(mu.weights)[by_t]              # weight of each time rank
     rank = np.empty(n, dtype=np.int32)
     rank[by_t] = np.arange(n, dtype=np.int32)           # time rank of each atom
     rank = rank[by_x]                                   # in x order
-    del by_x
+    del by_x, by_t
 
     # A block key is (index of the block's first atom << shift) | time rank:
     # with each block sorted, the level is one sorted array, and one
@@ -437,7 +467,7 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
             for rows in _blocks(level, block):
                 rows.sort(axis=1)
         for s in range(0, n, QUERY_BLOCK):
-            prefix[s:s + QUERY_BLOCK] = mu.weights[by_t[level[s:s + QUERY_BLOCK] & ranks]]
+            prefix[s:s + QUERY_BLOCK] = w_by_t[level[s:s + QUERY_BLOCK] & ranks]
         for rows in _blocks(prefix, block):
             np.cumsum(rows, axis=1, out=rows)           # block sums of weight by time rank
         live = False

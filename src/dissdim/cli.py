@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -171,6 +172,8 @@ def cmd_dimension(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed!r}")
     mu = dio.read_measure(args.input)
+    # total_mass maps the whole body for its one sum: taken while little else is resident
+    total_mass = mu.total_mass
     points = mu.support_points()
     if points.shape[0] == 0:
         raise CliError("empty support")
@@ -202,7 +205,7 @@ def cmd_dimension(args) -> int:
         "schema": SCHEMA,
         "input": args.input,
         "n_atoms": mu.n_atoms,
-        "total_mass": mu.total_mass,
+        "total_mass": total_mass,
         "alpha": args.alpha,
         "scales": scales,
         "counts": box.counts,
@@ -350,6 +353,13 @@ def cmd_vfield(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # a parse failure exits 2 with the JSON error object too
         raise CliError(f"{self.prog}: {message}")
+
+    def _parse_optional(self, arg_string):
+        # no option starts with '-' and a digit or '.', so such a word is a
+        # value: a negative number, or a center such as -0.01:0.25
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,8 +43,9 @@ columns, its ``weights`` the last).  A binary body is a read-only memory map
 of the file (``np.memmap``), not a copy: only the pages a computation
 touches become resident.  The checks of a read walk the body with
 ``fields.blocks``, which releases each block after it (``fields.release``),
-and a ``verify`` window releases each block of rows once it has copied it,
-so neither a read nor a ``verify`` keeps the file resident.  A binary
+a ``verify`` window releases each block of rows once it has copied it, and
+the ``dimension`` steps in ``aniso_measure`` read a measure the same way, so
+no command keeps a file it reads resident.  A binary
 header line is padded with trailing spaces to a multiple of 8 bytes, so the
 body is 8-byte aligned in the mapping (numpy sums an unaligned array in
 another order); an unpadded file still reads, bit for bit.  A body shorter

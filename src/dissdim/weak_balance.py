@@ -411,6 +411,10 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
         collar, dt = r2 <= (2 * cutoff.delta) ** 2, np.abs(win.t_axis - cutoff.center.t)
         cyl = _Cylinder(r2 < cutoff.delta ** 2, collar, win.wsp[collar],
                         dt < cutoff.eta.inner, dt <= cutoff.eta.outer)
+        collar_at = np.flatnonzero(collar)
+
+        def on_collar(vals):   # per time row: a gather by flat index beats a 2-D mask
+            return np.take(vals.reshape(len(vals), -1), collar_at, axis=1)
     parts, widths, terminal = {}, {}, 0.0
     blocks = win.row_blocks()
     for start, stop in blocks:
@@ -433,9 +437,9 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
             if cyl is not None:
                 row["cylinder"] = win.contract(g2 * cyl.ball)
         if r is not None:
-            row["u"] = _pnorm(f.speed()[:, cyl.collar], cyl.w_collar, r)
+            row["u"] = _pnorm(on_collar(f.speed()), cyl.w_collar, r)
             if "III" in pair.fluxes:
-                row["p"] = _pnorm(np.abs(f.scalars["p"])[:, cyl.collar], cyl.w_collar, r / 2)
+                row["p"] = _pnorm(on_collar(np.abs(f.scalars["p"])), cyl.w_collar, r / 2)
         for name, vals in row.items():
             parts.setdefault(name, []).append(vals)
     rows = {name: np.concatenate(vals) for name, vals in parts.items()}
@@ -540,9 +544,11 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     win, cyl, report = res.window, res.cylinder, res.report
     w_t = win.wt[cyl.outer]
 
+    collar_at = np.flatnonzero(cyl.collar)
+
     # |.| because tapers can round to tiny negative values near their outer edge
     def space_norm(vals, k):   # L^(r/(r-k)) over the collar
-        return _pnorm(np.abs(vals)[cyl.collar], cyl.w_collar, _conj(r, k))
+        return _pnorm(np.take(np.abs(vals).reshape(-1), collar_at), cyl.w_collar, _conj(r, k))
 
     def time_norm(vals, k):    # L^(q/(q-k)) over the outer time rows
         return _pnorm(np.abs(vals)[cyl.outer], w_t, _conj(q, k))

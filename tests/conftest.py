@@ -76,3 +76,18 @@ def box_count_covering_estimates(points, s, caps):
 @pytest.fixture(scope="session")
 def covering_estimates():
     return box_count_covering_estimates
+
+
+def resident_file_bytes():
+    """Bytes of file-backed pages this process has resident (Linux)."""
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("RssFile:"))
+    return int(line.split()[1]) * 1024
+
+
+@pytest.fixture
+def rss_file():
+    """``resident_file_bytes``; skips the test where /proc/self/status is missing."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads RssFile")
+    return resident_file_bytes

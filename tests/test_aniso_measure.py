@@ -135,10 +135,12 @@ class TestPointLayout:
             AtomicMeasure(points, weights)
 
     @pytest.mark.parametrize("binary", [False, True])
-    @pytest.mark.parametrize("n", [0, 300])
+    @pytest.mark.parametrize("n", [0, 300, 70_001])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_support_points_are_the_heavy_rows(self, tmp_path, d, n, binary):
-        # weights of 0 and 1e-20 lie below the cutoff, the others above it
+        # weights of 0 and 1e-20 lie below the cutoff, the others above it; 70,001
+        # rows straddle a fields.blocks boundary at every row stride here, and
+        # the in-memory points and weights have different strides
         rng = np.random.default_rng(d)
         mu = AtomicMeasure(rng.standard_normal((n, d + 1)), rng.choice([0.0, 1e-20, 0.5, 2.0], n))
         dio.write_measure(tmp_path / "m", mu, binary=binary)
@@ -148,6 +150,26 @@ class TestPointLayout:
             got = m.support_points()
             assert got.shape == want.shape == (mask.sum(), d + 1)
             assert got.tobytes() == want.tobytes()
+
+
+class TestMappedResidency:
+    """The dimension steps leave a mapped measure's pages released."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_support_and_ladder_keep_no_pages(self, tmp_path, rss_file, d):
+        n = 8_000_000 // (8 * (d + 2))   # an 8 MB body
+        rng = np.random.default_rng(d)
+        mu = AtomicMeasure(rng.random((n, d + 1)), rng.random(n))
+        dio.write_measure(tmp_path / "m", mu, binary=True)
+        scales = [0.1, 0.05, 0.025]
+        # a run in memory first faults in the library code that the steps use
+        am.density_ladder(mu, 1.0, 0.0, scales, centers=mu.support_points()[::n // 4])
+        mu = dio.read_measure(tmp_path / "m")
+        resident = rss_file()
+        centers = mu.support_points()
+        assert rss_file() - resident < 1e6
+        am.density_ladder(mu, 1.0, 0.0, scales, centers=centers[::n // 4])
+        assert rss_file() - resident < 1e6
 
 
 class TestBoxCounting:

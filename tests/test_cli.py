@@ -313,6 +313,25 @@ class TestVerifyCommand:
         assert code == 2
         assert data["error"]["message"] == "every sweep point violated the grid margins"
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_center_with_a_negative_first_coordinate(self, shock_files, capsys, tmp_path, d):
+        # the center as the word after --center gives the sweep of --center=<center>
+        if d == 1:
+            field_path, center = shock_files[0], "-0.01:0.5"
+        else:
+            field_path, center = str(tmp_path / "shear.field"), "-0.05,0.1:0.5"
+            dio.write_field(field_path, fx.decaying_shear_field(1e-2, math.pi, -1.0, 1.0,
+                                                                 33, 1.0, 33))
+        bodies = []
+        for flags in (["--center", center], [f"--center={center}"]):
+            csv_path = tmp_path / f"{len(bodies)}.csv"
+            code, data = run_json(["verify", "--input", field_path, "--delta-max", "0.125",
+                                   "--count", "3", *flags, "--csv", str(csv_path)], capsys)
+            assert code == 0 and data["rows"] == 3
+            bodies.append(csv_path.read_text())
+        assert bodies[0] == bodies[1]
+        assert bodies[0].splitlines()[1].startswith(center.split(":")[0].split(",")[0] + ",")
+
     def test_time_unresolved_rows_counted(self, shock_files, capsys):
         # dt = 1/512 > (2 delta)^2 for delta <= 0.02: each time cutoff is
         # nonzero only at the center node t = 0.5

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,13 +141,6 @@ class TestSpaceTimePoint:
         assert p.d == 2
 
 
-def rss_file():
-    """Bytes of file-backed pages this process has resident (Linux)."""
-    with open("/proc/self/status") as fh:
-        line = next(line for line in fh if line.startswith("RssFile:"))
-    return int(line.split()[1]) * 1024
-
-
 @pytest.fixture
 def mapped(tmp_path):
     """A read-only map of an 8 MB file of distinct float64 rows."""
@@ -173,8 +164,7 @@ class TestRelease:
         release(body)
         assert body.tobytes() == values.tobytes()
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RssFile")
-    def test_a_release_drops_the_resident_pages(self, mapped):
+    def test_a_release_drops_the_resident_pages(self, mapped, rss_file):
         body, _ = mapped
         float(body.sum())   # faults in every page
         resident = rss_file()
