@@ -30,8 +30,8 @@ tree with sorted lists at its nodes) answers every (scale, center) query:
   fail further from c on either side, and likewise |fl(t - t_c)| <
   delta**alpha.  A cylinder's members are therefore one index range of the
   atoms sorted by x and one range of time ranks, and a bisection that
-  evaluates exactly these strict tests finds both, a block of queries at a
-  time.
+  evaluates exactly these strict tests finds both (``_member_ranges``), a
+  block of queries at a time.
   No rounded bound c +- delta is used, so the members are the atoms
   ``Cylinder.contains`` accepts.
 * Sweep.  With the atoms sorted by x, each aligned block of 2**k of them
@@ -193,17 +193,19 @@ class AtomicMeasure:
         return mass
 
     def support_points(self) -> np.ndarray:
-        """Atoms carrying weight above SUPPORT_WEIGHT_CUTOFF x total mass, as (n, d+1) rows.
-
-        The atoms are selected one ``blocks`` block of rows at a time, so a
-        mapped measure is left released."""
+        """Atoms carrying weight above SUPPORT_WEIGHT_CUTOFF x total mass, as (n, d+1) rows,
+        selected block by block (``_atom_blocks``)."""
         cut = SUPPORT_WEIGHT_CUTOFF * self.total_mass
-        parts, start = [self.points[:0]], 0
+        return np.concatenate([self.points[:0]] + [rows[w > cut] for rows, w in self._atom_blocks()])
+
+    def _atom_blocks(self):
+        """The atoms as (points, weights) pairs of one ``blocks`` block of rows
+        each, in order, so a walk over them leaves a mapped measure released."""
+        start = 0
         for rows in blocks(self.points):
             # the block's own rows of weights: blocks of another stride hold other rows
-            parts.append(rows[self.weights[start:start + len(rows)] > cut])
+            yield rows, self.weights[start:start + len(rows)]
             start += len(rows)
-        return np.concatenate(parts)
 
 
 def as_point_array(points, d=None) -> np.ndarray:
@@ -215,11 +217,12 @@ def as_point_array(points, d=None) -> np.ndarray:
 
 
 def cylinder_mass(mu: AtomicMeasure, c: Cylinder) -> float:
-    """Sum of weights of atoms strictly inside the cylinder."""
+    """Sum of weights of atoms strictly inside the cylinder, selected block by
+    block (``AtomicMeasure._atom_blocks``) and summed at once."""
     if c.center.d != mu.d:
         raise ValueError(f"cylinder dimension {c.center.d} does not match measure dimension {mu.d}")
-    mask = c.contains(mu.positions, mu.times)
-    return float(mu.weights[mask].sum())
+    inside = [w[c.contains(rows[:, :-1], rows[:, -1])] for rows, w in mu._atom_blocks()]
+    return float(np.concatenate([mu.weights[:0]] + inside).sum())
 
 
 class BoxCountResult(NamedTuple):
@@ -356,36 +359,29 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     return out
 
 
-def _first_true(test, n: int, size: int) -> np.ndarray:
-    """Per query, the first index k in [0, n) at which test(k) holds, or n;
-    test must be false and then true along the index for every query.  One
-    bisection over all ``size`` queries at once."""
-    lo = np.zeros(size, dtype=np.int64)
-    hi = np.full(size, n, dtype=np.int64)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) // 2
-        ok = test(np.minimum(mid, n - 1))
-        live = lo < hi
-        hi = np.where(live & ok, mid, hi)
-        lo = np.where(live & ~ok, mid + 1, lo)
-    return lo
-
-
-def _member_range(v: np.ndarray, c: np.ndarray, inside):
-    """Index range [lo, hi) of the sorted values v that pass inside(v), per
-    query with center c, for a test that can only fail further from c on
-    either side: members below c come after the non-members below it, and
-    members above c before the non-members above it.  Where the test fails
-    at c itself (a radius that underflows to 0) the range is empty."""
-    def reached(k):
-        y = v[k]
-        return (y > c) | inside(y)
-
-    def passed(k):
-        y = v[k]
-        return (y > c) & ~inside(y)
-
-    return _first_true(reached, len(v), len(c)), _first_true(passed, len(v), len(c))
+def _member_ranges(v: np.ndarray, c: np.ndarray, radius: np.ndarray, inside) -> tuple:
+    """Per query k, radius r = radius[k // len(c)] about c[k % len(c)], the
+    index range [lo, hi) of the sorted values v with inside(v, c, r), as two
+    int32 arrays.  The test can only fail further from c on either side, so
+    lo is the first index above c or inside and hi the first above c and not
+    inside (empty where the test fails at c itself, a radius that underflows
+    to 0); each is one bisection, QUERY_BLOCK queries at a time."""
+    n, m, size = len(v), len(c), len(radius) * len(c)
+    lo, hi = np.empty((2, size), dtype=np.int32)
+    for s in range(0, size, QUERY_BLOCK):
+        k = np.arange(s, min(s + QUERY_BLOCK, size))
+        ck, rk = c[k % m], radius[k // m]
+        for out, first in ((lo, True), (hi, False)):
+            a, b = np.zeros(len(k), dtype=np.int64), np.full(len(k), n, dtype=np.int64)
+            for _ in range(n.bit_length()):
+                mid = (a + b) // 2
+                y = v[np.minimum(mid, n - 1)]
+                above, member = y > ck, inside(y, ck, rk)
+                ok = (above | member) if first else (above & ~member)
+                live = a < b
+                a, b = np.where(live & ~ok, mid + 1, a), np.where(live & ok, mid, b)
+            out[s:s + len(k)] = a
+    return lo, hi
 
 
 def _blocks(a: np.ndarray, block: int):
@@ -409,9 +405,10 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
     """Cylinder masses of a d = 1 measure, one row per scale, by a
     merge-sort tree swept one level at a time (see the module docstring).
 
-    Query k is scale k // m at center k % m.  Per query only its x range
-    [left, right) of nodes, its time-rank range [t_lo, t_hi) (int32) and its
-    mass are kept; everything else is built QUERY_BLOCK queries at a time.
+    Query k is scale k // m at center k % m, as ``_member_ranges`` numbers
+    them when it finds each query's x range [left, right) of atoms and its
+    time-rank range [t_lo, t_hi) (int32).  Per query only these and its mass
+    are kept; everything else is built QUERY_BLOCK queries at a time.
     Raises ValueError for 2**31 atoms or more, where the int32 ranks and the
     int64 block keys would overflow.
     """
@@ -419,27 +416,17 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
     if n >= 2 ** 31:
         raise ValueError(f"the d = 1 density ladder takes fewer than 2**31 atoms, got {n}")
     size = len(scales) * m
-    blocks = [slice(s, s + QUERY_BLOCK) for s in range(0, size, QUERY_BLOCK)]
-
-    def member_ranges(v, column, radius, inside):
-        """Each query's index range in the sorted values v, as two int32 arrays."""
-        lo, hi = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-        for b in blocks:
-            k = np.arange(b.start, min(b.stop, size))
-            c, r = centers[k % m, column], radius[k // m]
-            lo[b], hi[b] = _member_range(v, c, lambda y: inside(y, c, r))
-        return lo, hi
-
+    batches = [slice(s, s + QUERY_BLOCK) for s in range(0, size, QUERY_BLOCK)]
     r2 = np.array([scale_power(delta, 2) for delta in scales])
     th = np.array([scale_power(delta, alpha) for delta in scales])
     x = _contiguous(mu.positions[:, 0])
     by_x = np.argsort(x, kind="stable")
-    left, right = member_ranges(x[by_x], 0, r2, lambda x, c, r: (x - c) ** 2 < r)
+    left, right = _member_ranges(x[by_x], centers[:, 0], r2, lambda x, c, r: (x - c) ** 2 < r)
     del x
     by_x = by_x.astype(np.int32)
     t = _contiguous(mu.times)
     by_t = np.argsort(t, kind="stable")
-    t_lo, t_hi = member_ranges(t[by_t], 1, th, lambda t, c, r: np.abs(t - c) < r)
+    t_lo, t_hi = _member_ranges(t[by_t], centers[:, 1], th, lambda t, c, r: np.abs(t - c) < r)
     del t
     by_t = by_t.astype(np.int32)                        # atom of each time rank
     w_by_t = _contiguous(mu.weights)[by_t]              # weight of each time rank
@@ -471,7 +458,7 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
         for rows in _blocks(prefix, block):
             np.cumsum(rows, axis=1, out=rows)           # block sums of weight by time rank
         live = False
-        for b in blocks:
+        for b in batches:
             lb, rb = left[b], right[b]                  # views, advanced in place
             live_b = lb < rb
             use_left, use_right = live_b & (lb % 2 == 1), live_b & (rb % 2 == 1)

@@ -75,6 +75,18 @@ def _parse_center(text: str, d: int):
     return SpaceTimePoint(coords, float(t))
 
 
+def _ladder_flags() -> argparse.ArgumentParser:
+    """The parent parser of the flags that dimension and verify share, ``_ladder``'s among them."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--input", required=True)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
+    p.add_argument("--ratio", type=float, default=0.5)
+    p.add_argument("--count", type=int, default=6)
+    p.add_argument("--csv", default=None)
+    return p
+
+
 def _ladder(args, domain_width: float) -> list:
     """The scales of ``--delta-max`` (default width / 8), ``--ratio`` and ``--count``."""
     if not (0.0 < args.ratio < 1.0):
@@ -378,33 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="euler with r=inf and no pressure integrability assumed")
     p.set_defaults(func=cmd_exponents)
 
-    p = sub.add_parser("dimension", help="dimension and density reports for a measure file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    ladder = [_ladder_flags()]
+    p = sub.add_parser("dimension", parents=ladder,
+                       help="dimension and density reports for a measure file")
     p.add_argument("--s", type=float, default=None,
                    help="density-ladder exponent; selects the density CSV body")
-    p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--count", type=int, default=6)
     p.add_argument("--sample-centers", dest="sample_centers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the --sample-centers draw (default 0)")
-    p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_dimension)
 
-    p = sub.add_parser("verify", help="cylinder sweep of weak masses vs explicit bounds")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", parents=ladder,
+                       help="cylinder sweep of weak masses vs explicit bounds")
     p.add_argument("--q", default="inf")
     p.add_argument("--r", default="inf")
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--pair", choices=["auto", "burgers"], default="auto")
     p.add_argument("--center", action="append", default=[],
                    help="sweep center 'x1[,x2,...]:t'; repeatable")
-    p.add_argument("--delta-max", dest="delta_max", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--count", type=int, default=6)
-    p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("burgers", help="write an exact Riemann solution and its measure")

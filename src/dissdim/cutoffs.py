@@ -198,9 +198,10 @@ class CutoffPair:
             raise ValueError(f"delta must be positive, got {delta!r}")
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha!r}")
-        if not _is_normal(scale_power(delta, 2)):
-            raise ValueError(f"delta={delta!r}: delta**2, which scales the laplacian "
-                             "of the spatial bump, is not a positive normal float")
+        if not all(_is_normal(scale_power(radius, 2)) for radius in (delta, 2 * delta)):
+            raise ValueError(f"delta={delta!r}: delta**2, which scales the laplacian of the "
+                             "spatial bump, and (2 delta)**2, the collar's squared radius, "
+                             "must be positive normal floats")
         chi = SpatialBump(center.x, delta, profile)
         eta = TimeBump(center.t, delta, alpha, profile)
         if not (0 < eta.inner < eta.outer < math.inf and _is_normal(eta.outer - eta.inner)):
@@ -243,7 +244,7 @@ class PlateauProfile:
         return np.where(x < self.lo, -dpsi, np.where(x > self.hi, dpsi, 0.0))
 
     def second(self, x):
-        return taper_profile(self.profile).second(self._coord(x)[1]) / self.ramp ** 2
+        return taper_profile(self.profile).second(self._coord(x)[1]) / scale_power(self.ramp, 2)
 
     @property
     def support(self) -> tuple:

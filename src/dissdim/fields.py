@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
 
-__all__ = ["SCALARS", "GriddedField", "all_finite", "blocks", "component_dot", "release"]
+__all__ = ["SCALARS", "GriddedField", "all_finite", "blocks", "component_dot", "release",
+           "release_rows"]
 
 SCALARS = ("p", "theta")
 FINITE_BLOCK = 1 << 20   # bytes of leading-axis rows that blocks yields at a time
@@ -49,20 +50,23 @@ def all_finite(a: np.ndarray) -> bool:
 
 def blocks(a: np.ndarray):
     """``a`` (a 0-d array as one row) in blocks of FINITE_BLOCK bytes of
-    leading-axis rows, in order; each block is released (``release``) once
-    the caller asks for the next one or ends the walk.
-
-    The release takes the block before along: reading a block's first page
-    maps the cached pages just before it again (the kernel's fault-around),
-    after the block before has released them.
-    """
+    leading-axis rows, in order; each block is released (``release_rows``)
+    once the caller asks for the next one or ends the walk."""
     a = np.atleast_1d(a)
     step = max(1, FINITE_BLOCK // max(abs(a.strides[0]), 1))
     for i in range(0, len(a), step):
         try:
             yield a[i:i + step]
         finally:
-            release(a[max(i - step, 0):i + step])
+            release_rows(a, i, i + step)
+
+
+def release_rows(a: np.ndarray, start: int, stop: int, *box: slice) -> None:
+    """``release`` the leading-axis rows start..stop-1 of ``a`` (cut to ``box``
+    on the later axes) and as many rows before them: reading a block's first
+    page maps the cached pages just before it again (the kernel's
+    fault-around), after the block before has released them."""
+    release(a[(slice(max(2 * start - stop, 0), stop),) + box])
 
 
 def release(view: np.ndarray) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .aniso_measure import AtomicMeasure
+from .aniso_measure import AtomicMeasure, scale_power
 from .fields import GriddedField, _SpaceTimeGrid
 
 __all__ = [
@@ -91,7 +91,7 @@ def power_law_ball_mass(field: PowerLawField, delta: float) -> float:
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    return field.c_d * delta ** field.eps
+    return field.c_d * scale_power(delta, field.eps)
 
 
 def power_law_vector_field(field: PowerLawField, a: float, b: float, nx: int) -> GriddedField:
@@ -135,7 +135,7 @@ def shock_entropy_rate(datum: RiemannDatum) -> float:
     (u_l - u_r)^3 / 12."""
     if not datum.is_shock:
         return 0.0
-    return datum.jump ** 3 / 12.0
+    return scale_power(datum.jump, 3) / 12.0
 
 
 def _cell_average_shock(xl, xr, xs, ul, ur):

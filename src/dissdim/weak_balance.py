@@ -17,11 +17,12 @@ quadratures, the Hoelder norms and every check then run on those row
 vectors.  The spatial contraction is an ``np.einsum``, whose row results do
 not depend on how many rows go in together, so a pairing has the same bits
 for every block size.  The kernel alone knows a cutoff's cylinder: it builds
-the delta-ball, 2*delta-collar and time masks once, and returns them with
-the weak mass, the nu*|grad u|^2 masses and the per-row norms of |u| that
-the Hoelder bound multiplies.  The covering estimate pairs a steady field
-with chi*grad(phi) and phi*grad(chi), neither the gradient of one test
-function: it shares only ``_support_box`` and ``_spatial_factors``.
+the delta-ball and time masks and the 2*delta-collar's flat node indices
+once, and returns them with the weak mass, the nu*|grad u|^2 masses and the
+per-row norms of |u| that the Hoelder bound multiplies.  The covering
+estimate pairs a steady field with chi*grad(phi) and phi*grad(chi), neither
+the gradient of one test function: it shares only ``_support_box`` and
+``_spatial_factors``.
 
 Dissipation is accessed exclusively through test functions, each paired by
 ``pair_weak_mass``: testing the balance with a cutoff pair localizing a
@@ -54,7 +55,7 @@ from .aniso_measure import scale_power
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
 from .exponents import _conj
-from .fields import GriddedField, component_dot, release
+from .fields import GriddedField, component_dot, release_rows
 
 __all__ = [
     "MarginError",
@@ -300,21 +301,18 @@ class _Window:
         a GriddedField of the same spacings whose coordinates start at 0 (its
         h can differ from the global one in the last bit).
 
-        The field's pages under the box are released (``fields.release``)
-        once ``u`` and every scalar are copied, not after each copy: the
-        components of a binary body interleave in one mapping, so the next
-        copy would fault the same pages in again.  As in ``fields.blocks``,
-        the release reaches back as many rows before the block: the copy's
-        first faults map the last pages of those rows again (the kernel's
-        fault-around) after the block before has released them."""
+        The field's pages under the box are released (``fields.release_rows``,
+        as ``fields.blocks`` releases its blocks) once ``u`` and every scalar
+        are copied, not after each copy: the components of a binary body
+        interleave in one mapping, so the next copy would fault the same
+        pages in again."""
         f = self.field
         n = self.x[0].stop - self.x[0].start
-        box = (slice(self.t.start + start, self.t.start + stop),) + self.x
+        rows = (self.t.start + start, self.t.start + stop)
         arrays = [f.u, *f.scalars.values()]
-        copies = [np.ascontiguousarray(a[box]) for a in arrays]
-        read = (slice(self.t.start + max(2 * start - stop, 0), self.t.start + stop),) + self.x
+        copies = [np.ascontiguousarray(a[(slice(*rows),) + self.x]) for a in arrays]
         for a in arrays:
-            release(a[read])
+            release_rows(a, *rows, *self.x)
         return GriddedField(f.d, 0.0, (n - 1) * f.h, n, (stop - start - 1) * f.dt, stop - start,
                             copies[0], dict(zip(f.scalars, copies[1:])))
 
@@ -349,9 +347,10 @@ def _pnorm(vals: np.ndarray, weights: np.ndarray, p):
 
 
 class _Cylinder(NamedTuple):
-    """A cutoff's cylinder on a window: masks of the open ball |x - c| < delta
-    and the closed collar |x - c| <= 2*delta, the collar nodes' weights, and
-    masks of the rows |t - t0| < delta**alpha and |t - t0| <= (2*delta)**alpha."""
+    """A cutoff's cylinder on a window: a mask of the open ball |x - c| < delta,
+    the flat indices of the closed collar |x - c| <= 2*delta and its nodes'
+    weights, and masks of the rows |t - t0| < delta**alpha and
+    |t - t0| <= (2*delta)**alpha."""
     ball: np.ndarray
     collar: np.ndarray
     w_collar: np.ndarray
@@ -390,7 +389,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
     and ``terminal`` is the spatial quadrature of eta(., T) * phi(., T), all
     evaluated on the support window of phi (see ``_Window``), one block of
     time rows at a time.  The window is returned too; for a cutoff, so are
-    its cylinder's masks on the window (``_Cylinder``) and, when r is given,
+    its cylinder on the window (``_Cylinder``) and, when r is given,
 
         norms["u"] = per time row, the L^r norm of |u| over the collar
         norms["p"] = the same L^(r/2) norm of |p| (pressure flux)
@@ -408,13 +407,13 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
     cyl = None
     if cutoff is not None:
         r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
-        collar, dt = r2 <= (2 * cutoff.delta) ** 2, np.abs(win.t_axis - cutoff.center.t)
-        cyl = _Cylinder(r2 < cutoff.delta ** 2, collar, win.wsp[collar],
+        collar = np.flatnonzero(r2 <= scale_power(2 * cutoff.delta, 2))
+        dt = np.abs(win.t_axis - cutoff.center.t)
+        cyl = _Cylinder(r2 < scale_power(cutoff.delta, 2), collar, np.take(win.wsp, collar),
                         dt < cutoff.eta.inner, dt <= cutoff.eta.outer)
-        collar_at = np.flatnonzero(collar)
 
         def on_collar(vals):   # per time row: a gather by flat index beats a 2-D mask
-            return np.take(vals.reshape(len(vals), -1), collar_at, axis=1)
+            return np.take(vals.reshape(len(vals), -1), collar, axis=1)
     parts, widths, terminal = {}, {}, 0.0
     blocks = win.row_blocks()
     for start, stop in blocks:
@@ -544,11 +543,9 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     win, cyl, report = res.window, res.cylinder, res.report
     w_t = win.wt[cyl.outer]
 
-    collar_at = np.flatnonzero(cyl.collar)
-
     # |.| because tapers can round to tiny negative values near their outer edge
     def space_norm(vals, k):   # L^(r/(r-k)) over the collar
-        return _pnorm(np.take(np.abs(vals).reshape(-1), collar_at), cyl.w_collar, _conj(r, k))
+        return _pnorm(np.take(np.abs(vals), cyl.collar), cyl.w_collar, _conj(r, k))
 
     def time_norm(vals, k):    # L^(q/(q-k)) over the outer time rows
         return _pnorm(np.abs(vals)[cyl.outer], w_t, _conj(q, k))
@@ -690,7 +687,7 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
     covered, support = np.zeros_like(above), np.zeros_like(above)
     for b in bumps:
         box, vals, grad, _, nodes = _spatial_factors(field, b, _support_box(field, b))
-        covered[box] |= np.sum((nodes - b.center) ** 2, -1) < b.delta ** 2
+        covered[box] |= np.sum((nodes - b.center) ** 2, -1) < scale_power(b.delta, 2)
         support[box] |= vals > 0
         both = [(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(box, win)]
         if any(i >= j for i, j in both):

@@ -171,6 +171,19 @@ class TestMappedResidency:
         am.density_ladder(mu, 1.0, 0.0, scales, centers=centers[::n // 4])
         assert rss_file() - resident < 1e6
 
+    def test_a_cylinder_mass_keeps_no_pages(self, tmp_path, rss_file):
+        n = 8_000_000 // 24   # an 8 MB d = 1 body
+        rng = np.random.default_rng(0)
+        mu = AtomicMeasure(rng.random((n, 2)), rng.random(n))
+        dio.write_measure(tmp_path / "m", mu, binary=True)
+        c = Cylinder(SpaceTimePoint((0.5,), 0.5), 0.25, 1.0)
+        want = float(mu.weights[c.contains(mu.positions, mu.times)].sum())   # one mask
+        assert am.cylinder_mass(mu, c) == want   # also faults in the library code it uses
+        mu = dio.read_measure(tmp_path / "m")
+        resident = rss_file()
+        assert am.cylinder_mass(mu, c) == want
+        assert rss_file() - resident < 1e6
+
 
 class TestBoxCounting:
     SCALES = [2.0 ** -k for k in range(2, 8)]

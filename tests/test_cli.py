@@ -332,6 +332,18 @@ class TestVerifyCommand:
         assert bodies[0] == bodies[1]
         assert bodies[0].splitlines()[1].startswith(center.split(":")[0].split(",")[0] + ",")
 
+    def test_a_collar_radius_whose_square_overflows_exits_2(self, tmp_path, capsys):
+        # delta = 1e154: delta**2 is a normal float, the collar's (2 delta)**2
+        # overflows (an OverflowError traceback and exit 1 before)
+        path = str(tmp_path / "big.field")
+        dio.write_field(path, GriddedField(1, -1e155, 1e155, 41, 1e155, 41,
+                                           np.full((41, 41, 1), 0.5)))
+        code, data = run_json(["verify", "--input", path, "--center", "0:5e154", "--delta-max",
+                               "1e154", "--count", "3", "--pair", "burgers"], capsys)
+        assert code == 2
+        assert data["error"]["type"] == "ValueError"
+        assert "(2 delta)**2" in data["error"]["message"]
+
     def test_time_unresolved_rows_counted(self, shock_files, capsys):
         # dt = 1/512 > (2 delta)^2 for delta <= 0.02: each time cutoff is
         # nonzero only at the center node t = 0.5
@@ -543,6 +555,15 @@ class TestFixtureCommands:
         assert code == 0
         assert data["measure_atoms"] == 2048
 
+    def test_a_shock_whose_entropy_rate_overflows_exits_2(self, capsys, tmp_path):
+        # the jump**3 of the rate overflows to inf, which the measure refuses
+        # (an OverflowError traceback and exit 1 before)
+        code, data = run_json(["burgers", "--ul", "1e120", "--ur", "-1e120", "--measure-out",
+                               str(tmp_path / "m")], capsys)
+        assert code == 2
+        assert data["error"] == {"type": "ValueError",
+                                 "message": "atoms must have finite coordinates and weights"}
+
     def test_rarefaction_measure_is_empty(self, capsys, tmp_path):
         mpath = str(tmp_path / "m.measure")
         code, data = run_json(["burgers", "--ul", "-1", "--ur", "1",
@@ -670,6 +691,21 @@ def test_a_ladder_is_refused_at_its_first_repeated_scale(shock_files, capsys):
     assert data["error"]["type"] == "CliError"
     assert data["error"]["message"].startswith("scales must be strictly decreasing: scale 1025 ")
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("command", ["dimension", "verify"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ratio", "1", "ladder ratio must lie in (0, 1), got 1.0"),
+    ("--count", "2", "ladder count must be at least 3, got 2"),
+    ("--delta-max", "0", "ladder delta_max must be positive"),
+])
+def test_the_shared_ladder_flags(command, flag, value, message, shock_files, capsys):
+    # both commands take these flags from one declaration, and _ladder reads them
+    field_path, measure_path = shock_files
+    path = field_path if command == "verify" else measure_path
+    code, data = run_json([command, "--input", path, flag, value], capsys)
+    assert code == 2
+    assert data["error"] == {"type": "CliError", "message": message}
 
 
 def test_a_negative_seed_is_refused(shock_files, capsys):

@@ -124,6 +124,11 @@ class TestCutoffPair:
         cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 1.25e-101, 1.0)
         assert np.isfinite(cut.chi.laplacian(np.array([[1e-101], [2e-101]]))).all()
 
+    def test_rejects_a_collar_whose_squared_radius_overflows(self):
+        # delta**2 = 1e308 is a normal float, the collar's (2 delta)**2 is not
+        with pytest.raises(ValueError, match="\\(2 delta\\)\\*\\*2"):
+            co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 1e154, 1.0)
+
     def test_stated_supports(self):
         bump = co.SpatialBump((0.5, -1.0), 0.25)
         assert bump.support == ((0.0, 1.0), (-1.5, -0.5))
@@ -143,6 +148,10 @@ class TestCutoffPair:
 
 
 class TestProfiles:
+    def test_a_ramp_whose_square_overflows(self):
+        # ramp**2 is inf, not OverflowError: the second derivative is 0
+        assert co.PlateauProfile(0, 1, 1e200).second(0.5) == 0.0
+
     def test_plateau_integral(self):
         p = co.PlateauProfile(-0.5, 0.5, 0.2)
         xs = np.linspace(-1, 1, 200001)

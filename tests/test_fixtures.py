@@ -36,6 +36,9 @@ class TestPowerLaw:
             assert fx.power_law_ball_mass(f, delta) == pytest.approx(sphere_flux(f, delta),
                                                                      rel=1e-12)
 
+    def test_a_ball_mass_that_overflows_is_inf(self):
+        assert fx.power_law_ball_mass(fx.PowerLawField(2, 1.9), 1e300) == math.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fx.PowerLawField(2, 2.5)

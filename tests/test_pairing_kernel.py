@@ -409,8 +409,10 @@ def test_cylinder_masks_hold_every_nonzero_node_of_the_cutoff(data, d, profile, 
     t0 = data.draw(grid_aligned_or_not(0.375, 0.625, field.dt))
     cut = co.CutoffPair.build(SpaceTimePoint(center, t0), delta, alpha, profile=profile)
     res = wb._pairing(field, cut, wb.BURGERS_PAIR)
+    on_window = np.zeros(res.window.wsp.shape, dtype=bool)
+    on_window.flat[res.cylinder.collar] = True   # the collar's flat node indices
     collar = np.zeros((nx,) * d, dtype=bool)
-    collar[res.window.x] = res.cylinder.collar
+    collar[res.window.x] = on_window
     outer = np.zeros(nt, dtype=bool)
     outer[res.window.t] = res.cylinder.outer
     mesh, t = field.spatial_mesh(), field.t_axis

@@ -687,6 +687,15 @@ class TestSignedSupport:
         outer = _annulus_pairing(field, phi, 0.3, 0.6 * math.sqrt(2.0))
         assert rep.full_pairing == pytest.approx(inner + outer, rel=0.05)
 
+    def test_a_ball_whose_squared_radius_overflows(self, power_law_grid):
+        # delta**2 is inf, not OverflowError: the ball covers the grid, and
+        # chi = 1 on phi's window leaves only the first piece
+        _, v = power_law_grid
+        phi = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.3)] * 2)
+        rep = wb.signed_support_bound(v, [((0.0, 0.0), 1e200)], phi, 2.0)
+        assert rep.bound_II == 0.0
+        assert rep.bound_I == rep.pairing == rep.full_pairing > 1.0
+
     def test_uncovered_cells_raise(self, power_law_grid):
         _, v = power_law_grid
         phi = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.3)] * 2)
