@@ -8,10 +8,12 @@ anisotropic Hausdorff dimension: finite data cannot distinguish the two,
 and the dimension tolerances used in tests absorb the gap.
 
 Every point array here, a measure's atoms included, is (n, d+1) rows
-[x_1 ... x_d, t].
+[x_1 ... x_d, t], and a cylinder's center (``Cylinder``) is one such row.
 
 Membership is strict on both factors (open ball, open interval), so atoms
-sitting exactly on a cylinder boundary are excluded.
+sitting exactly on a cylinder boundary are excluded.  Every ball test is
+``in_ball``, which scales the offsets and radius by a power of two where the
+radius's square overflows, so it decides as a wider exponent range would.
 
 One lattice serves every scale-by-scale computation on boxes: the
 origin-anchored cells of spatial side delta and temporal side delta**alpha,
@@ -26,8 +28,8 @@ For d = 1 a cylinder is an open rectangle in (x, t), so its mass is a 2D
 orthogonal range sum, and one offline sweep over a merge-sort tree (a range
 tree with sorted lists at its nodes) answers every (scale, center) query:
 
-* Exactness.  Rounding is monotone, so fl((x - c)**2) < delta**2 can only
-  fail further from c on either side, and likewise |fl(t - t_c)| <
+* Exactness.  Rounding is monotone, so the ball test ``in_ball`` of x - c
+  can only fail further from c on either side, and likewise |fl(t - t_c)| <
   delta**alpha.  A cylinder's members are therefore one index range of the
   atoms sorted by x and one range of time ranks, and a bisection that
   evaluates exactly these strict tests finds both (``_member_ranges``), a
@@ -76,7 +78,6 @@ import numpy as np
 from .fields import all_finite, blocks, release
 
 __all__ = [
-    "SpaceTimePoint",
     "Cylinder",
     "AtomicMeasure",
     "DensityLadder",
@@ -98,48 +99,58 @@ QUERY_BLOCK = 2 ** 14            # (scale, center) queries answered at once by _
 
 
 @dataclass(frozen=True)
-class SpaceTimePoint:
-    x: tuple
-    t: float
-
-    def __post_init__(self):
-        xs = tuple(float(v) for v in self.x)
-        object.__setattr__(self, "x", xs)
-        object.__setattr__(self, "t", float(self.t))
-        if not all(np.isfinite(xs)) or not np.isfinite(self.t):
-            raise ValueError("space-time point must have finite coordinates")
-
-    @property
-    def d(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
 class Cylinder:
-    """Open ball of radius delta times the open interval of half-length delta**alpha."""
+    """The open cylinder B_delta(x) x (t - delta**alpha, t + delta**alpha) about
+    ``center``, one row [x_1 ... x_d, t] held as a tuple of floats; the one
+    check of a finite center, delta > 0 and alpha > 0 (ValueError otherwise)."""
 
-    center: SpaceTimePoint
+    center: tuple
     delta: float
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("space-time point must have finite coordinates")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta!r}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
     @property
-    def time_half_length(self) -> float:
-        return scale_power(self.delta, self.alpha)
+    def d(self) -> int:
+        return len(self.center) - 1
 
-    def contains(self, x, t) -> np.ndarray:
-        """Strict membership test, vectorized over rows of x and entries of t."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        c = np.asarray(self.center.x)
-        spatial = np.sum((x - c) ** 2, axis=1) < scale_power(self.delta, 2)
-        temporal = np.abs(t - self.center.t) < self.time_half_length
-        return spatial & temporal
+    def contains(self, points) -> np.ndarray:
+        """Strict membership of (n, d+1) rows [x_1 ... x_d, t]."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        c = np.array(self.center)
+        return (in_ball(points[:, :-1] - c[:-1], open_ball(self.delta))
+                & (np.abs(points[:, -1] - c[-1]) < scale_power(self.delta, self.alpha)))
+
+
+def squared_norm(offsets) -> np.ndarray:
+    """The sum over the last axis of offsets**2, inf where it overflows, with
+    no RuntimeWarning: every squared distance of the package is this one."""
+    with np.errstate(over="ignore"):
+        return np.sum(offsets ** 2, axis=-1)
+
+
+def open_ball(radius: float) -> np.ndarray:
+    """The open ball |y| < radius as the row [s, (s radius)**2] for ``in_ball``:
+    s = 1 where radius**2 is finite, else 2**-e with e the exponent of radius
+    (frexp), so the square lies in [1/4, 1) and the scale rounds nothing."""
+    s = 1.0 if scale_power(radius, 2) < math.inf else math.ldexp(1.0, -math.frexp(radius)[1])
+    return np.array([s, scale_power(s * radius, 2)])
+
+
+def in_ball(offsets, ball: np.ndarray) -> np.ndarray:
+    """The one ball test: each row of offsets (coordinates on the last axis)
+    inside ``ball``, an ``open_ball`` row or one per offset row."""
+    scale = ball[..., :1]
+    if np.any(scale != 1.0):
+        offsets = offsets * scale
+    return squared_norm(offsets) < ball[..., 1]
 
 
 class AtomicMeasure:
@@ -219,9 +230,9 @@ def as_point_array(points, d=None) -> np.ndarray:
 def cylinder_mass(mu: AtomicMeasure, c: Cylinder) -> float:
     """Sum of weights of atoms strictly inside the cylinder, selected block by
     block (``AtomicMeasure._atom_blocks``) and summed at once."""
-    if c.center.d != mu.d:
-        raise ValueError(f"cylinder dimension {c.center.d} does not match measure dimension {mu.d}")
-    inside = [w[c.contains(rows[:, :-1], rows[:, -1])] for rows, w in mu._atom_blocks()]
+    if c.d != mu.d:
+        raise ValueError(f"cylinder dimension {c.d} does not match measure dimension {mu.d}")
+    inside = [w[c.contains(rows)] for rows, w in mu._atom_blocks()]
     return float(np.concatenate([mu.weights[:0]] + inside).sum())
 
 
@@ -317,7 +328,7 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
     membership tests, at most PAIR_BLOCK center-atom pairs at a time.
     """
     out = np.zeros(centers.shape[0])
-    d, th, r2 = mu.d, scale_power(delta, alpha), scale_power(delta, 2)
+    d, th, ball = mu.d, scale_power(delta, alpha), open_ball(delta)
     cells = _cells(mu.points, delta, alpha)
     reach_lo = _cells(centers, delta, alpha, -1.0)
     reach_hi = _cells(centers, delta, alpha, 1.0)
@@ -353,19 +364,20 @@ def _masses_at_scale(mu: AtomicMeasure, centers: np.ndarray, delta: float,
         for b in range(bounds[g], bounds[g + 1], rows):
             ci = members[b:min(b + rows, bounds[g + 1])]
             cs = centers[ci]
-            d2 = np.sum((cp[None, :, :-1] - cs[:, None, :-1]) ** 2, axis=2)
-            mask = (d2 < r2) & (np.abs(cp[None, :, -1] - cs[:, None, -1]) < th)
+            mask = (in_ball(cp[None, :, :-1] - cs[:, None, :-1], ball)
+                    & (np.abs(cp[None, :, -1] - cs[:, None, -1]) < th))
             out[ci] = mask @ cw
     return out
 
 
 def _member_ranges(v: np.ndarray, c: np.ndarray, radius: np.ndarray, inside) -> tuple:
-    """Per query k, radius r = radius[k // len(c)] about c[k % len(c)], the
-    index range [lo, hi) of the sorted values v with inside(v, c, r), as two
-    int32 arrays.  The test can only fail further from c on either side, so
-    lo is the first index above c or inside and hi the first above c and not
-    inside (empty where the test fails at c itself, a radius that underflows
-    to 0); each is one bisection, QUERY_BLOCK queries at a time."""
+    """Per query k, radius r = radius[k // len(c)] (a number or an ``open_ball``)
+    about c[k % len(c)], the index range [lo, hi) of the sorted values v with
+    inside(v, c, r), as two int32 arrays.  The test can only fail further from
+    c on either side, so lo is the first index above c or inside and hi the
+    first above c and not inside (empty where the test fails at c itself, a
+    radius that underflows to 0); each is one bisection, QUERY_BLOCK queries
+    at a time."""
     n, m, size = len(v), len(c), len(radius) * len(c)
     lo, hi = np.empty((2, size), dtype=np.int32)
     for s in range(0, size, QUERY_BLOCK):
@@ -417,11 +429,12 @@ def _sweep_masses(mu: AtomicMeasure, centers: np.ndarray, scales, alpha: float) 
         raise ValueError(f"the d = 1 density ladder takes fewer than 2**31 atoms, got {n}")
     size = len(scales) * m
     batches = [slice(s, s + QUERY_BLOCK) for s in range(0, size, QUERY_BLOCK)]
-    r2 = np.array([scale_power(delta, 2) for delta in scales])
+    balls = np.array([open_ball(delta) for delta in scales])
     th = np.array([scale_power(delta, alpha) for delta in scales])
     x = _contiguous(mu.positions[:, 0])
     by_x = np.argsort(x, kind="stable")
-    left, right = _member_ranges(x[by_x], centers[:, 0], r2, lambda x, c, r: (x - c) ** 2 < r)
+    left, right = _member_ranges(x[by_x], centers[:, 0], balls,
+                                 lambda x, c, b: in_ball((x - c)[:, None], b))
     del x
     by_x = by_x.astype(np.int32)
     t = _contiguous(mu.times)

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import exponents as ex
 from . import io as dio
-from .aniso_measure import (SpaceTimePoint, _loglog_fit, box_counting_dimension,
-                            certify_lower_bound, density_ladder)
+from .aniso_measure import _loglog_fit, box_counting_dimension, certify_lower_bound, density_ladder
 from .cutoffs import CutoffPair
 from .errors import VerificationError
 from .fields import _SpaceTimeGrid
@@ -72,7 +71,7 @@ def _parse_center(text: str, d: int):
         raise CliError(f"center must look like 'x1[,x2,...]:t', got {text!r}")
     if len(coords) != d:
         raise CliError(f"center has {len(coords)} spatial coordinates, field has d={d}")
-    return SpaceTimePoint(coords, float(t))
+    return (*coords, float(t))
 
 
 def _ladder_flags() -> argparse.ArgumentParser:
@@ -246,8 +245,7 @@ def cmd_verify(args) -> int:
     if args.center:
         centers = [_parse_center(c, field.d) for c in args.center]
     else:
-        mid = tuple(0.5 * (field.a + field.b) for _ in range(field.d))
-        centers = [SpaceTimePoint(mid, field.T / 2.0)]
+        centers = [(0.5 * (field.a + field.b),) * field.d + (field.T / 2.0,)]
     scales = _ladder(args, field.b - field.a)
     pair = BURGERS_PAIR if args.pair == "burgers" else None
 
@@ -275,7 +273,7 @@ def cmd_verify(args) -> int:
     csv_rows = []
     for center, delta, rep in rows:
         ratio = rep.weak_mass / rep.holder_bound if rep.holder_bound > 0 else 0.0
-        csv_rows.append([*center.x, center.t, float(delta), rep.weak_mass, rep.holder_bound, ratio]
+        csv_rows.append([*center, float(delta), rep.weak_mass, rep.holder_bound, ratio]
                         + ([rep.grad_mass_cylinder] if args.nu else []))
     csv_text = dio.report_csv(header, csv_rows)
     if args.csv:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aniso_measure import SpaceTimePoint, scale_power
+from .aniso_measure import Cylinder, scale_power, squared_norm
 
 __all__ = [
     "taper_profile",
@@ -109,7 +109,7 @@ class SpatialBump:
     def _offset(self, y):
         """y - center and its length |y - center|."""
         diff = np.asarray(y, dtype=float) - np.asarray(self.center)
-        return diff, np.sqrt(np.sum(diff ** 2, axis=-1))
+        return diff, np.sqrt(squared_norm(diff))
 
     @staticmethod
     def _over_radius(num, rho):
@@ -183,33 +183,29 @@ def _is_normal(x: float) -> bool:
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """A spatial bump and a time bump localizing one space-time cylinder."""
+    """A spatial bump chi, 1 on the ball of ``cylinder``, and a time bump eta,
+    1 on its time interval.  ``build`` checks only what the bumps add to the
+    ``Cylinder``'s checks: the squares and ramp they divide by are normal."""
 
-    center: SpaceTimePoint
-    delta: float
-    alpha: float
+    cylinder: Cylinder
     chi: SpatialBump
     eta: TimeBump
 
     @classmethod
-    def build(cls, center: SpaceTimePoint, delta: float, alpha: float,
-              profile: str = "cubic") -> "CutoffPair":
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta!r}")
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha!r}")
+    def build(cls, center, delta: float, alpha: float, profile: str = "cubic") -> "CutoffPair":
+        cylinder = Cylinder(center, delta, alpha)
         if not all(_is_normal(scale_power(radius, 2)) for radius in (delta, 2 * delta)):
             raise ValueError(f"delta={delta!r}: delta**2, which scales the laplacian of the "
                              "spatial bump, and (2 delta)**2, the collar's squared radius, "
                              "must be positive normal floats")
-        chi = SpatialBump(center.x, delta, profile)
-        eta = TimeBump(center.t, delta, alpha, profile)
+        chi = SpatialBump(cylinder.center[:-1], delta, profile)
+        eta = TimeBump(cylinder.center[-1], delta, alpha, profile)
         if not (0 < eta.inner < eta.outer < math.inf and _is_normal(eta.outer - eta.inner)):
             raise ValueError(f"time bump at delta={delta!r}, alpha={alpha!r} needs "
                              "0 < delta**alpha < (2 delta)**alpha < inf with a ramp "
                              "width (2 delta)**alpha - delta**alpha that is a positive "
                              "normal float")
-        return cls(center, float(delta), float(alpha), chi, eta)
+        return cls(cylinder, chi, eta)
 
 
 # ---------------------------------------------------------------------------

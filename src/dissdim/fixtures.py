@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .aniso_measure import AtomicMeasure, scale_power
+from .aniso_measure import AtomicMeasure, scale_power, squared_norm
 from .fields import GriddedField, _SpaceTimeGrid
 
 __all__ = [
@@ -73,13 +73,13 @@ class PowerLawField:
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        rho = np.sqrt(np.sum(x ** 2, axis=-1))
+        rho = np.sqrt(squared_norm(x))
         safe = np.where(rho == 0, 1.0, rho)
         return x * np.where(rho == 0, 0.0, safe ** (self.eps - self.d))[..., None]
 
     def divergence(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        rho = np.sqrt(np.sum(x ** 2, axis=-1))
+        rho = np.sqrt(squared_norm(x))
         safe = np.where(rho == 0, 1.0, rho)
         return np.where(rho == 0, np.inf, self.eps * safe ** (self.eps - self.d))
 
@@ -219,16 +219,20 @@ def burgers_dissipation_measure(datum: RiemannDatum, T: float, n_atoms: int) -> 
 
     Atoms sit at times (k+1/2)*T/n, each holding rate*T/n, so the total mass
     equals (u_l-u_r)^3/12 * T exactly.  A rarefaction datum yields an empty
-    measure; n_atoms < 1 is rejected for both.
+    measure; n_atoms < 1, and a rate that overflows, are rejected.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     if not datum.is_shock:
         return AtomicMeasure(np.zeros((0, 2)), np.zeros(0))
+    rate = shock_entropy_rate(datum)
+    if not rate < math.inf:
+        raise ValueError(f"the shock's entropy rate (u_l - u_r)**3 / 12 overflows at "
+                         f"u_l={datum.u_l!r}, u_r={datum.u_r!r}")
     dt = T / n_atoms
     t = (np.arange(n_atoms) + 0.5) * dt
     x = datum.x0 + datum.shock_speed * t
-    w = np.full(n_atoms, shock_entropy_rate(datum) * dt)
+    w = np.full(n_atoms, rate * dt)
     return AtomicMeasure(np.column_stack([x, t]), w)
 
 

@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .aniso_measure import scale_power
+from .aniso_measure import in_ball, open_ball, scale_power, squared_norm
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
 from .exponents import _conj
@@ -406,10 +406,11 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
     win = _Window(field, SpaceTimeTestFunction(phi.chi, phi.eta) if cutoff else phi, vanish)
     cyl = None
     if cutoff is not None:
-        r2 = np.sum((win.mesh - np.asarray(cutoff.center.x)) ** 2, axis=-1)
-        collar = np.flatnonzero(r2 <= scale_power(2 * cutoff.delta, 2))
-        dt = np.abs(win.t_axis - cutoff.center.t)
-        cyl = _Cylinder(r2 < scale_power(cutoff.delta, 2), collar, np.take(win.wsp, collar),
+        c, delta = cutoff.cylinder.center, cutoff.cylinder.delta
+        offsets = win.mesh - np.array(c[:-1])
+        collar = np.flatnonzero(squared_norm(offsets) <= scale_power(2 * delta, 2))
+        dt = np.abs(win.t_axis - c[-1])
+        cyl = _Cylinder(in_ball(offsets, open_ball(delta)), collar, np.take(win.wsp, collar),
                         dt < cutoff.eta.inner, dt <= cutoff.eta.outer)
 
         def on_collar(vals):   # per time row: a gather by flat index beats a 2-D mask
@@ -687,7 +688,7 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
     covered, support = np.zeros_like(above), np.zeros_like(above)
     for b in bumps:
         box, vals, grad, _, nodes = _spatial_factors(field, b, _support_box(field, b))
-        covered[box] |= np.sum((nodes - b.center) ** 2, -1) < scale_power(b.delta, 2)
+        covered[box] |= in_ball(nodes - b.center, open_ball(b.delta))
         support[box] |= vals > 0
         both = [(max(p.start, q.start), min(p.stop, q.stop)) for p, q in zip(box, win)]
         if any(i >= j for i, j in both):

@@ -22,7 +22,7 @@ from dissdim import exponents as ex
 from dissdim import fixtures as fx
 from dissdim import io as dio
 from dissdim import weak_balance as wb
-from dissdim.aniso_measure import Cylinder, SpaceTimePoint
+from dissdim.aniso_measure import Cylinder
 
 INF = math.inf
 STANDING = fx.RiemannDatum(1.0, -1.0)
@@ -160,14 +160,14 @@ def test_criterion_4_cylinder_asymptotics(shock_runs):
 
     off_ok = []
     for delta in scales:
-        on = am.cylinder_mass(atoms, Cylinder(SpaceTimePoint((0.0,), 0.5), delta, 1.0))
-        off = am.cylinder_mass(atoms, Cylinder(SpaceTimePoint((4 * delta,), 0.5), delta, 1.0))
+        on = am.cylinder_mass(atoms, Cylinder((0.0, 0.5), delta, 1.0))
+        off = am.cylinder_mass(atoms, Cylinder((4 * delta, 0.5), delta, 1.0))
         off_ok.append(off < 1e-3 * on)
     run = shock_runs(1e-4)
     delta_v = 5e-4
-    on_v = am.cylinder_mass(run.dissipation, Cylinder(SpaceTimePoint((0.0,), 0.5), delta_v, 1.0))
+    on_v = am.cylinder_mass(run.dissipation, Cylinder((0.0, 0.5), delta_v, 1.0))
     off_v = am.cylinder_mass(run.dissipation,
-                             Cylinder(SpaceTimePoint((4 * delta_v,), 0.5), delta_v, 1.0))
+                             Cylinder((4 * delta_v, 0.5), delta_v, 1.0))
     off_ok.append(off_v < 1e-3 * on_v)
     report("off-shock cylinders (distance 4*delta) below 1e-3 of on-shock",
            all(off_ok), f"viscous ratio {off_v / on_v:.2e}")
@@ -175,7 +175,7 @@ def test_criterion_4_cylinder_asymptotics(shock_runs):
     field = fx.burgers_entropy_solution(STANDING, -1.0, 1.0, 2048, 1.0, 2048)
     rows = []
     for delta in scales:
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), delta, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), delta, 1.0)
         rep = wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
         rows.append(rep.weak_mass <= rep.holder_bound * (1 + 1e-9))
     report("weak mass below its explicit bound on every sweep row", all(rows),
@@ -231,12 +231,12 @@ def test_criterion_6_smooth_solution_nullity():
     ratios = {}
 
     field = fx.constant_field([0.4, -0.3], 2, -1.0, 1.0, 96, 1.0, 96)
-    cut = co.CutoffPair.build(SpaceTimePoint((0.0, 0.0), 0.5), 0.15, 1.0)
+    cut = co.CutoffPair.build((0.0, 0.0, 0.5), 0.15, 1.0)
     rep = wb.holder_cylinder_bound(field, cut, INF, INF)
     ratios["constant"] = abs(rep.weak_mass) / rep.holder_bound
 
     shear = fx.decaying_shear_field(0.0, 1.0, 0.0, 2 * math.pi, 256, 4.0, 256)
-    cut = co.CutoffPair.build(SpaceTimePoint((2.1, 3.3), 1.7), 0.5, 1.0)
+    cut = co.CutoffPair.build((2.1, 3.3, 1.7), 0.5, 1.0)
     rep = wb.holder_cylinder_bound(shear, cut, INF, INF)
     ratios["steady shear"] = abs(rep.weak_mass) / rep.holder_bound
 
@@ -439,7 +439,7 @@ def test_criterion_8_holder_bound_ratios():
     worst = dict.fromkeys(pairs, -INF)
     for d, nx in ((1, 41), (2, 25), (3, 17)):
         delta = 0.15
-        cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), delta, 1.0)
+        cut = co.CutoffPair.build((0.5,) * d + (0.5,), delta, 1.0)
         blobs = itertools.product((diagonal(d), diagonal(d, -1.0), np.eye(d)[d - 1]),
                                   (False, True), (100.0, -1e-60), pairs.items())
         for e, along, amplitude, (name, (pair, pressure)) in blobs:

@@ -6,11 +6,11 @@ import pytest
 from dissdim import aniso_measure as am
 from dissdim import fixtures as fx
 from dissdim import io as dio
-from dissdim.aniso_measure import AtomicMeasure, Cylinder, SpaceTimePoint
+from dissdim.aniso_measure import AtomicMeasure, Cylinder
 
 
 def cyl(x, t, delta, alpha=1.0):
-    return Cylinder(SpaceTimePoint(x if isinstance(x, tuple) else (x,), t), delta, alpha)
+    return Cylinder((*(x if isinstance(x, tuple) else (x,)), t), delta, alpha)
 
 
 def cantor_points(level, t=0.5):
@@ -98,7 +98,21 @@ class TestCylinderMass:
     def test_empty_measure_accepted(self):
         mu = AtomicMeasure(np.zeros((0, 3)), [])
         assert mu.n_atoms == 0 and mu.total_mass == 0.0
-        assert am.cylinder_mass(mu, Cylinder(SpaceTimePoint((0.0, 0.0), 0.0), 1.0, 1.0)) == 0.0
+        assert am.cylinder_mass(mu, Cylinder((0.0, 0.0, 0.0), 1.0, 1.0)) == 0.0
+
+
+class TestCylinderCenter:
+    """A cylinder's center is one space-time row [x_1 ... x_d, t]."""
+
+    def test_rejects_non_finite(self):
+        for center in ((np.inf, 0.0), (0.0, np.nan), (0.0, -np.inf, 1.0)):
+            with pytest.raises(ValueError, match="space-time point must have finite coordinates"):
+                Cylinder(center, 1.0, 1.0)
+
+    def test_coordinates_normalized(self):
+        c = Cylinder(np.array([1, 2, 3]), 1, 2)
+        assert c.center == (1.0, 2.0, 3.0) and all(type(v) is float for v in c.center)
+        assert c.d == 2 and (c.delta, c.alpha) == (1.0, 2.0)
 
 
 class TestPointLayout:
@@ -176,8 +190,8 @@ class TestMappedResidency:
         rng = np.random.default_rng(0)
         mu = AtomicMeasure(rng.random((n, 2)), rng.random(n))
         dio.write_measure(tmp_path / "m", mu, binary=True)
-        c = Cylinder(SpaceTimePoint((0.5,), 0.5), 0.25, 1.0)
-        want = float(mu.weights[c.contains(mu.positions, mu.times)].sum())   # one mask
+        c = Cylinder((0.5, 0.5), 0.25, 1.0)
+        want = float(mu.weights[c.contains(mu.points)].sum())   # one mask
         assert am.cylinder_mass(mu, c) == want   # also faults in the library code it uses
         mu = dio.read_measure(tmp_path / "m")
         resident = rss_file()
@@ -320,7 +334,7 @@ class TestDensityLadder:
         mu = AtomicMeasure(np.column_stack([rng.random((50, d)), rng.random(50)]), rng.random(50))
         lad = am.density_ladder(mu, 1.0, 0.0, [1e300, 1e299, 1e298])
         assert lad.densities == pytest.approx([mu.total_mass] * 3, rel=1e-12)
-        cyl = Cylinder(SpaceTimePoint((0.0,) * d, 0.0), 1e300, 1.0)
+        cyl = Cylinder((0.0,) * d + (0.0,), 1e300, 1.0)
         assert am.cylinder_mass(mu, cyl) == pytest.approx(mu.total_mass, rel=1e-12)
 
 

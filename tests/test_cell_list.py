@@ -8,7 +8,10 @@ of both, where the rounded cell index, the sweep's bisection and the rounded
 membership test could disagree.
 """
 
+import json
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,3 +317,88 @@ class TestLatticeRange:
         dio.write_measure(path, AtomicMeasure(pts, np.ones(3)))
         assert main(["dimension", "--input", str(path), "--delta-max", "1.0"]) == 2
         assert "2**53" in capsys.readouterr().out
+
+
+class TestSquaresThatOverflow:
+    """Where delta**2 overflows, the one ball test (``in_ball``) scales the
+    offsets and delta by a power of two, so a squared offset that overflows
+    too is still compared, and every path counts the same members."""
+
+    # the atoms at 0 and 1e159 lie 1e159 apart: inside both larger open balls
+    FAR = [[-1e160, 0.0], [1e160, 0.0], [0.0, 0.0], [1e159, 0.0]]
+    SCALES = [2.5e159, 1.25e159, 6.25e158]
+
+    def test_the_d1_sweep(self):
+        mu = AtomicMeasure(self.FAR, np.ones(4))
+        assert am.density_ladder(mu, 1.0, 0.0, self.SCALES).densities == (2.0, 2.0, 1.0)
+
+    def test_the_d2_cell_list(self):
+        pts = np.insert(np.array(self.FAR), 1, 1e150, axis=1)   # a second axis, well inside
+        mu = AtomicMeasure(pts, np.ones(4))
+        assert am._masses(mu, pts, self.SCALES, 1.0).tolist() == [[1, 1, 2, 2]] * 2 + [[1] * 4]
+
+    def test_cylinder_mass(self):
+        mu = AtomicMeasure(self.FAR, np.ones(4))
+        assert am.cylinder_mass(mu, am.Cylinder((0.0, 0.0), self.SCALES[0], 1.0)) == 2.0
+
+    def test_the_ball_stays_open(self):
+        delta = 1e160
+        mu = AtomicMeasure([[0.0, 0.0], [delta, 0.0], [np.nextafter(delta, 0), 0.0]], [1, 2, 4])
+        ladder = am.density_ladder(mu, 1.0, 0.0, [delta, 1e150, 1e140], centers=[[0.0, 0.0]])
+        assert ladder.sup_masses == (5.0, 1.0, 1.0)
+        assert am.cylinder_mass(mu, am.Cylinder((0.0, 0.0), delta, 1.0)) == 5.0
+
+    def test_dimension(self, tmp_path, capsys):
+        path = tmp_path / "far.measure"
+        dio.write_measure(path, AtomicMeasure(self.FAR, np.ones(4)))
+        assert main(["dimension", "--input", str(path), "--count", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["scales"] == self.SCALES and out["densities"] == [2.0, 2.0, 1.0]
+
+
+@st.composite
+def measures_at_any_magnitude(draw):
+    """Unit atoms at a magnitude 10**e, e in [-200, 200], each a whole number
+    of magnitudes from a base plus an offset of 0, 1/2, 3/4 or 1 delta per
+    axis, nudged by a few ulps: on, just inside and just outside the ball."""
+    d = draw(st.sampled_from([1, 2]))
+    mag = 10.0 ** draw(st.integers(-200, 200))
+    delta = mag * draw(st.floats(0.5, 2.0))
+    n = draw(st.integers(1, 8))
+    cells = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * (d + 1),
+                                   max_size=n * (d + 1)))).reshape(n, d + 1)
+    steps = np.array(draw(st.lists(st.sampled_from([-1.0, -0.75, -0.5, 0.0, 0.5, 0.75, 1.0]),
+                                   min_size=n * (d + 1), max_size=n * (d + 1)))).reshape(n, d + 1)
+    pts = draw(st.sampled_from([0.0, 1.0, -7.0])) * mag + cells * mag + steps * delta
+    ulps = np.array(draw(st.lists(ULPS, min_size=pts.size, max_size=pts.size)))
+    return AtomicMeasure(nudge(pts.ravel(), ulps).reshape(pts.shape), np.ones(n)), delta
+
+
+def exact_count(mu, center, delta):
+    """Members of the open cylinder (alpha = 1) in exact arithmetic, or None
+    where an atom lies within a relative 1e-12 of its boundary."""
+    c, r = [Fraction(v) for v in center], Fraction(delta)
+    count = 0
+    for row in mu.points.tolist():
+        gaps = [Fraction(v) - cv for v, cv in zip(row, c)]
+        ball = sum(g * g for g in gaps[:-1]) / (r * r) - 1
+        time = abs(gaps[-1]) / r - 1
+        if min(abs(ball), abs(time)) < Fraction(1, 10 ** 12):
+            return None
+        count += ball < 0 and time < 0
+    return count
+
+
+class TestMembersAtEveryMagnitude:
+    @settings(max_examples=150, deadline=None)
+    @given(measures_at_any_magnitude())
+    def test_masses_are_the_member_counts(self, case):
+        mu, delta = case
+        scales = [delta, delta / 2, delta / 4]
+        got = am._masses(mu, mu.points, scales, 1.0)
+        for row, s in zip(got, scales):
+            want = [am.cylinder_mass(mu, am.Cylinder(c, s, 1.0)) for c in mu.points]
+            assert row.tolist() == want
+            if s * s >= sys.float_info.min:   # a square that underflows holds nothing
+                exact = [exact_count(mu, c, s) for c in mu.points]
+                assert all(e is None or e == w for e, w in zip(exact, want))

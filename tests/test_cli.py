@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from dissdim import io as dio
 from dissdim import fixtures as fx
 from dissdim import cli
-from dissdim.aniso_measure import AtomicMeasure, SpaceTimePoint
+from dissdim.aniso_measure import AtomicMeasure
 from dissdim.cli import main
 from dissdim.cutoffs import CutoffPair
 from dissdim.fields import GriddedField
@@ -344,6 +344,28 @@ class TestVerifyCommand:
         assert data["error"]["type"] == "ValueError"
         assert "(2 delta)**2" in data["error"]["message"]
 
+    def test_offsets_whose_squares_overflow_run_without_warnings(self, tmp_path, capsys):
+        # |x - c| up to 1e155 on the window: its square overflows to inf, quietly
+        path = str(tmp_path / "big.field")
+        dio.write_field(path, GriddedField(1, -1e155, 1e155, 41, 1e155, 41,
+                                           np.full((41, 41, 1), 0.5)))
+        code, data = run_json(["verify", "--input", path, "--center", "0:5e154", "--delta-max",
+                               "5e153", "--count", "3", "--pair", "burgers"], capsys)
+        assert code == 0 and data["rows"] == 3
+
+    @pytest.mark.parametrize("center", ["nan:0.5", "inf:0.5", "0:nan", "0:-inf",
+                                        "nan,0:0.5", "0,-inf:0.5", "0,0:inf"])
+    def test_a_center_that_is_not_finite_exits_2(self, tmp_path, capsys, center):
+        path = str(tmp_path / "f.field")
+        d = center.split(":")[0].count(",") + 1
+        dio.write_field(path, fx.decaying_shear_field(1e-2, math.pi, -1.0, 1.0, 9, 1.0, 9)
+                        if d == 2 else GriddedField(1, -1.0, 1.0, 9, 1.0, 9, np.zeros((9, 9, 1))))
+        code, data = run_json(["verify", "--input", path, f"--center={center}",
+                               "--delta-max", "0.125", "--count", "3"], capsys)
+        assert code == 2
+        assert data["error"] == {"type": "ValueError",
+                                 "message": "space-time point must have finite coordinates"}
+
     def test_time_unresolved_rows_counted(self, shock_files, capsys):
         # dt = 1/512 > (2 delta)^2 for delta <= 0.02: each time cutoff is
         # nonzero only at the center node t = 0.5
@@ -501,8 +523,7 @@ class TestCsvCellsReadBack:
         field = dio.read_field(field_path)
         q, r = (4.5, 4.5) if nu else (math.inf, math.inf)
         for row in zip(*columns):
-            center = SpaceTimePoint(row[:d], row[d])
-            rep = holder_cylinder_bound(field, CutoffPair.build(center, row[d + 1], 1.0), q, r,
+            rep = holder_cylinder_bound(field, CutoffPair.build(row[:d + 1], row[d + 1], 1.0), q, r,
                                         pair=pair, nu=nu)
             expected = [rep.weak_mass, rep.holder_bound, rep.weak_mass / rep.holder_bound]
             assert bits(row[d + 2:]) == bits(expected + ([rep.grad_mass_cylinder] if nu else []))
@@ -556,13 +577,13 @@ class TestFixtureCommands:
         assert data["measure_atoms"] == 2048
 
     def test_a_shock_whose_entropy_rate_overflows_exits_2(self, capsys, tmp_path):
-        # the jump**3 of the rate overflows to inf, which the measure refuses
-        # (an OverflowError traceback and exit 1 before)
+        # the jump**3 of the rate overflows to inf, which the measure refuses by name
         code, data = run_json(["burgers", "--ul", "1e120", "--ur", "-1e120", "--measure-out",
                                str(tmp_path / "m")], capsys)
         assert code == 2
         assert data["error"] == {"type": "ValueError",
-                                 "message": "atoms must have finite coordinates and weights"}
+                                 "message": "the shock's entropy rate (u_l - u_r)**3 / 12 "
+                                            "overflows at u_l=1e+120, u_r=-1e+120"}
 
     def test_rarefaction_measure_is_empty(self, capsys, tmp_path):
         mpath = str(tmp_path / "m.measure")

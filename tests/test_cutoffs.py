@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dissdim import cutoffs as co
-from dissdim.aniso_measure import SpaceTimePoint
 
 
 # the peak |psi'| and |psi''| of each taper on the unit ramp
@@ -95,7 +94,7 @@ class TestDerivativesAgainstDifferences:
 
 class TestCutoffPair:
     def test_time_bump_scaling(self):
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 2.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 2.0)
         assert cut.eta.inner == pytest.approx(0.01)
         assert cut.eta.outer == pytest.approx(0.04)
         ts = np.linspace(0.4, 0.6, 40001)
@@ -104,30 +103,30 @@ class TestCutoffPair:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.0, 1.0)
+            co.CutoffPair.build((0.0, 0.0), 0.0, 1.0)
         with pytest.raises(ValueError):
-            co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.1, -1.0)
+            co.CutoffPair.build((0.0, 0.0), 0.1, -1.0)
         # delta**alpha infinite, zero, or equal to (2 delta)**alpha after rounding,
         # or (2 delta)**alpha overflowing a float64
         for delta, alpha in ((0.1, math.inf), (0.1, 1000.0), (0.1, 1e-20), (1.0, 1e300)):
             with pytest.raises(ValueError, match="delta\\*\\*alpha"):
-                co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), delta, alpha)
+                co.CutoffPair.build((0.0, 0.0), delta, alpha)
 
     def test_rejects_scales_that_are_not_normal_floats(self):
         # delta**2 underflows (the laplacian of the bump divided by 0) or
         # overflows; the ramp width (2 delta)**alpha - delta**alpha is subnormal
         for delta in (1.25e-201, 1e-155, 1e155):
             with pytest.raises(ValueError, match="delta\\*\\*2"):
-                co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), delta, 1.0)
+                co.CutoffPair.build((0.0, 0.0), delta, 1.0)
         with pytest.raises(ValueError, match="ramp width"):
-            co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 1e-100, 3.09)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 1.25e-101, 1.0)
+            co.CutoffPair.build((0.0, 0.0), 1e-100, 3.09)
+        cut = co.CutoffPair.build((0.0, 0.0), 1.25e-101, 1.0)
         assert np.isfinite(cut.chi.laplacian(np.array([[1e-101], [2e-101]]))).all()
 
     def test_rejects_a_collar_whose_squared_radius_overflows(self):
         # delta**2 = 1e308 is a normal float, the collar's (2 delta)**2 is not
         with pytest.raises(ValueError, match="\\(2 delta\\)\\*\\*2"):
-            co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 1e154, 1.0)
+            co.CutoffPair.build((0.0, 0.0), 1e154, 1.0)
 
     def test_stated_supports(self):
         bump = co.SpatialBump((0.5, -1.0), 0.25)
@@ -137,7 +136,7 @@ class TestCutoffPair:
         assert f.support == ((-0.4 - 0.3, 0.4 + 0.3), (0.2 - 0.1, math.inf))
 
     def test_support_values(self):
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.0), 0.25, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.0), 0.25, 1.0)
         pts = np.array([[0.1], [0.25], [0.3], [0.5], [0.6]])
         chi = cut.chi.value(pts)
         assert chi[0] == 1.0

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dissdim import fields
-from dissdim.aniso_measure import SpaceTimePoint
 from dissdim.fields import GriddedField, _SpaceTimeGrid, blocks, release
 
 
@@ -125,20 +124,6 @@ class TestSpatialVectorField:
         shape = (nx,) * d + (d,)
         with pytest.raises(ValueError, match=match):
             GriddedField(d, a, b, nx, 1.0, 2, np.broadcast_to(np.zeros(shape), (2,) + shape))
-
-
-class TestSpaceTimePoint:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SpaceTimePoint((np.inf,), 0.0)
-        with pytest.raises(ValueError):
-            SpaceTimePoint((0.0,), np.nan)
-
-    def test_coordinates_normalized(self):
-        p = SpaceTimePoint((1, 2), 3)
-        assert p.x == (1.0, 2.0)
-        assert p.t == 3.0
-        assert p.d == 2
 
 
 @pytest.fixture

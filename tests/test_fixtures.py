@@ -8,7 +8,7 @@ from dissdim import aniso_measure as am
 from dissdim import cutoffs as co
 from dissdim import fixtures as fx
 from dissdim import weak_balance as wb
-from dissdim.aniso_measure import Cylinder, SpaceTimePoint
+from dissdim.aniso_measure import Cylinder
 
 
 class TestPowerLaw:
@@ -340,9 +340,9 @@ class TestWeakConvergenceToShockMeasure:
         run = shock_runs(1e-4)
         delta = 5e-4
         on = am.cylinder_mass(run.dissipation,
-                              Cylinder(SpaceTimePoint((0.0,), 0.5), delta, 1.0))
+                              Cylinder((0.0, 0.5), delta, 1.0))
         off = am.cylinder_mass(run.dissipation,
-                               Cylinder(SpaceTimePoint((4 * delta,), 0.5), delta, 1.0))
+                               Cylinder((4 * delta, 0.5), delta, 1.0))
         assert on > 0
         assert off < 1e-3 * on
 

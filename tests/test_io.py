@@ -796,7 +796,7 @@ class TestBinaryBody:
         each block it has checked, and the pairing copies only its window."""
         result = grown_in_fork(steady_field_file(tmp_path / "f"), f"""
             field = dio.read_field({str(tmp_path / "f")!r})
-            cutoff = CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 1 / 32, 2.0)
+            cutoff = CutoffPair.build((0.5, 0.5, 0.5), 1 / 32, 2.0)
             holder_cylinder_bound(field, cutoff, 3.0, 3.0)
             body = field.u.nbytes
         """)
@@ -811,7 +811,7 @@ class TestBinaryBody:
             field = dio.read_field({str(tmp_path / "f")!r})
             for x, y in ((0.3, 0.3), (0.3, 0.7), (0.7, 0.3), (0.7, 0.7), (0.5, 0.5)):
                 for delta in (1 / 8, 1 / 16, 1 / 32):
-                    cutoff = CutoffPair.build(SpaceTimePoint((x, y), 0.5), delta, 1.0)
+                    cutoff = CutoffPair.build((x, y, 0.5), delta, 1.0)
                     holder_cylinder_bound(field, cutoff, 3.0, 3.0)
             body = field.u.nbytes
         """)
@@ -894,7 +894,6 @@ def grown_in_fork(setup: str, work: str) -> dict:
         import numpy as np
         from dissdim import aniso_measure as am
         from dissdim import io as dio
-        from dissdim.aniso_measure import SpaceTimePoint
         from dissdim.cutoffs import CutoffPair
         from dissdim.fields import GriddedField
         from dissdim.weak_balance import holder_cylinder_bound

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from dissdim import cutoffs as co
 from dissdim import weak_balance as wb
-from dissdim.aniso_measure import SpaceTimePoint
 from dissdim.fields import GriddedField
 from dissdim.fixtures import decaying_shear_field
 
@@ -90,7 +89,7 @@ def test_cutoff_balance_matches_full_grid(d, profile, delta_frac, alpha, x_fracs
                    for f in x_fracs[:d])
     outer = (2 * delta) ** alpha
     t0 = margin_point(t_frac, 2 * dt + outer, 1 - 2 * dt - outer)
-    cut = co.CutoffPair.build(SpaceTimePoint(center, t0), delta, alpha, profile=profile)
+    cut = co.CutoffPair.build((*center, t0), delta, alpha, profile=profile)
     pair = wb.EULER_ENERGY_PAIR if euler else wb.BURGERS_PAIR
 
     rep = wb.holder_cylinder_bound(field, cut, q, r, pair=pair, nu=nu)
@@ -407,7 +406,7 @@ def test_cylinder_masks_hold_every_nonzero_node_of_the_cutoff(data, d, profile, 
     field = GriddedField(d, 0.0, 1.0, nx, 1.0, nt, np.zeros((nt,) + (nx,) * d + (d,)))
     center = tuple(data.draw(grid_aligned_or_not(0.375, 0.625, field.h)) for _ in range(d))
     t0 = data.draw(grid_aligned_or_not(0.375, 0.625, field.dt))
-    cut = co.CutoffPair.build(SpaceTimePoint(center, t0), delta, alpha, profile=profile)
+    cut = co.CutoffPair.build((*center, t0), delta, alpha, profile=profile)
     res = wb._pairing(field, cut, wb.BURGERS_PAIR)
     on_window = np.zeros(res.window.wsp.shape, dtype=bool)
     on_window.flat[res.cylinder.collar] = True   # the collar's flat node indices
@@ -445,7 +444,7 @@ def every_entry_point(field, nu):
     on cutoffs and test functions whose windows are 7 to 23 time rows tall;
     the boundary-extended window reaches t = T."""
     d = field.d
-    cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), 0.15, 1.0)
+    cut = co.CutoffPair.build((0.5,) * d + (0.5,), 0.15, 1.0)
     out = []
     for pair in (wb.BURGERS_PAIR, wb.EULER_ENERGY_PAIR):
         out.append(wb.pair_weak_mass(field, pair, cut, nu))
@@ -478,7 +477,7 @@ def test_a_tall_window_holds_block_sized_arrays():
     # 8 blocks tall; holding its samples alone takes 2.7 MiB, and the kernel
     # peaked at 7 MiB when every field-derived array spanned the window
     field = decaying_shear_field(1e-2, 2 * math.pi, 0.0, 1.0, 97, 1.0, 97)
-    cut = co.CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 0.125, 1.0)
+    cut = co.CutoffPair.build((0.5, 0.5, 0.5), 0.125, 1.0)
     win = wb._Window(field, co.SpaceTimeTestFunction(cut.chi, cut.eta), ())
     assert len(win.row_blocks()) >= 8
     samples = len(win.t_axis) * win.wsp.size * (field.d + 1) * 8
@@ -499,7 +498,7 @@ def test_a_small_d3_cylinder_holds_no_whole_grid_array():
     x = np.linspace(0.0, 1.0, nx)
     u = np.broadcast_to(np.sin(2 * math.pi * x)[:, None, None, None], (9,) + (nx,) * 3 + (3,))
     field = GriddedField(3, 0.0, 1.0, nx, 1.0, 9, u)
-    cut = co.CutoffPair.build(SpaceTimePoint((0.5, 0.5, 0.5), 0.5), 1 / 64, 1.0)
+    cut = co.CutoffPair.build((0.5, 0.5, 0.5, 0.5), 1 / 64, 1.0)
     tracemalloc.start()
     try:
         wb.holder_cylinder_bound(field, cut, INF, INF)

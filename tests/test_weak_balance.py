@@ -11,7 +11,6 @@ from dissdim import cutoffs as co
 from dissdim import fixtures as fx
 from dissdim import io as dio
 from dissdim import weak_balance as wb
-from dissdim.aniso_measure import SpaceTimePoint
 from dissdim.cli import main
 from dissdim.errors import VerificationError
 from dissdim.fields import GriddedField
@@ -129,19 +128,19 @@ class TestEntropyProduction:
 class TestCutoffMasses:
     def test_constant_field_weak_mass_zero(self):
         field = fx.constant_field([0.4, -0.3], 2, -1.0, 1.0, 96, 1.0, 96)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0, 0.0), 0.5), 0.15, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.0, 0.5), 0.15, 1.0)
         rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut)
         assert abs(rep.weak_mass) < 1e-10
 
     def test_shear_flow_weak_mass_small(self, shear_field):
-        cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.5, 1.0)
+        cut = co.CutoffPair.build((math.pi, math.pi, 2.0), 0.5, 1.0)
         rep = wb.pair_weak_mass(shear_field, wb.EULER_ENERGY_PAIR, cut)
         # exact solution: mass is pure quadrature error
         assert abs(rep.weak_mass) < 1e-3
 
     def test_requires_pressure(self, shock_field):
         # one check in the kernel serves every entry point of a pair with flux III
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
         phi = co.SpaceTimeTestFunction(cut.chi, cut.eta)
         euler = wb.EULER_ENERGY_PAIR
         for call in (lambda: wb.pair_weak_mass(shock_field, euler, cut),
@@ -157,7 +156,7 @@ class TestCutoffMasses:
         # bracketed between the strict cylinder mass (4/3)*delta and the
         # collar cylinder mass (8/3)*delta (the gap lives in the collar)
         for delta in (1.0 / 8, 1.0 / 16, 1.0 / 32):
-            cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), delta, 1.0)
+            cut = co.CutoffPair.build((0.0, 0.5), delta, 1.0)
             rep = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, cut)
             assert rep.weak_mass == pytest.approx(2.0 * delta, rel=0.01)
             assert (4.0 / 3.0) * delta <= rep.weak_mass <= (8.0 / 3.0) * delta
@@ -165,7 +164,7 @@ class TestCutoffMasses:
     def test_matches_entropy_production_same_cutoff(self, shock_field):
         # the momentum-form recast of the shock balance delegates to the
         # entropy pairing: testing with phi = chi * eta must agree
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
         rep = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, cut)
         phi = co.SpaceTimeTestFunction(cut.chi, cut.eta)
         pairing = wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, phi).weak_mass
@@ -181,13 +180,13 @@ class TestCutoffMasses:
                                      0.05, 401, initial="viscous_profile")
         masses = []
         for profile in ("cubic", "quintic"):
-            cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.025), 0.008, 1.0,
+            cut = co.CutoffPair.build((0.0, 0.025), 0.008, 1.0,
                                       profile=profile)
             masses.append(wb.pair_weak_mass(run.field, wb.BURGERS_PAIR, cut).weak_mass)
         assert masses[0] == pytest.approx(masses[1], rel=0.05)
 
     def test_cylinder_margin_enforced(self, shock_field):
-        cut = co.CutoffPair.build(SpaceTimePoint((0.9,), 0.5), 0.1, 1.0)
+        cut = co.CutoffPair.build((0.9, 0.5), 0.1, 1.0)
         with pytest.raises(wb.MarginError):
             wb.pair_weak_mass(shock_field, wb.BURGERS_PAIR, cut)
 
@@ -226,7 +225,7 @@ class TestMarginRule:
         field = fx.constant_field([0.5], 1, 0.0, 1.0, 65, 1.0, 65)
 
         def cutoff(c):
-            center = SpaceTimePoint((c,), 0.5) if axis == "x" else SpaceTimePoint((0.5,), c)
+            center = (c, 0.5) if axis == "x" else (0.5, c)
             return co.CutoffPair.build(center, 0.125, 1.0)
 
         on_node = (17 / 64, 47 / 64)[end]
@@ -244,7 +243,7 @@ class TestMarginRule:
 class TestHolderBound:
     def test_zero_field(self):
         field = fx.constant_field([0.0], 1, -1.0, 1.0, 128, 1.0, 128)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
         rep = wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
         assert rep.holder_bound == 0.0
 
@@ -252,25 +251,25 @@ class TestHolderBound:
         # |u|^3 overflows a float64: the bound is inf and the check fails
         # (u_norm ** 3 raised OverflowError before)
         field = fx.constant_field([1e110], 1, -1.0, 1.0, 65, 1.0, 65)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(VerificationError, match="non-finite"):
             wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
 
     def test_rejects_small_exponents(self, shock_field):
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
         with pytest.raises(ValueError):
             wb.holder_cylinder_bound(shock_field, cut, 2.5, INF, pair=wb.BURGERS_PAIR)
 
     @pytest.mark.parametrize("q, r", [(math.nan, INF), (INF, math.nan), (math.nan, math.nan)])
     def test_rejects_nan_exponents(self, shock_field, q, r):
         # a bad argument, not a failed dominance check (VerificationError)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.1, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
         with pytest.raises(ValueError, match=">= 3"):
             wb.holder_cylinder_bound(shock_field, cut, q, r, pair=wb.BURGERS_PAIR)
 
     def test_dominance_across_exponents(self, shock_field):
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.05, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.05, 1.0)
         for q in (3, 4, 6, INF):
             for r in (3, 4, 6, INF):
                 rep = wb.holder_cylinder_bound(shock_field, cut, q, r, pair=wb.BURGERS_PAIR)
@@ -282,7 +281,7 @@ class TestHolderBound:
         bounds = [
             wb.holder_cylinder_bound(
                 shock_field,
-                co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), d_, 1.0),
+                co.CutoffPair.build((0.0, 0.5), d_, 1.0),
                 INF, INF, pair=wb.BURGERS_PAIR,
             ).holder_bound
             for d_ in deltas
@@ -293,14 +292,14 @@ class TestHolderBound:
     def test_bounded_field_sup_norm_form(self, shock_field):
         # q = r = inf: bound = (M^2/2)||chi||_1 ||eta'||_1 + (M^3/3)||gchi||_1 ||eta||_1
         delta = 0.125
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), delta, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), delta, 1.0)
         rep = wb.holder_cylinder_bound(shock_field, cut, INF, INF, pair=wb.BURGERS_PAIR)
         m = rep.local_norms["u_LqLr"]
         expected = (0.5 * m ** 2 * 3 * delta * 2.0 + (1.0 / 3.0) * m ** 3 * 2.0 * 3 * delta)
         assert rep.holder_bound == pytest.approx(expected, rel=0.01)
 
     def test_euler_mode_includes_pressure_norm(self, shear_field):
-        cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.4, 1.0)
+        cut = co.CutoffPair.build((math.pi, math.pi, 2.0), 0.4, 1.0)
         rep = wb.holder_cylinder_bound(shear_field, cut, 4, 6)
         assert "p_Lq2Lr2" in rep.local_norms
         assert rep.weak_mass <= rep.holder_bound * (1 + 1e-9)
@@ -310,7 +309,7 @@ class TestHolderBound:
         field = fx.decaying_shear_field(0.05, 1.0, 0.0, 2 * math.pi, 96, 4.0, 96)
         p = 0.1 + 0.05 * np.sin(field.spatial_mesh()[..., 0])[None, :]
         field = dataclasses.replace(field, scalars={"p": np.broadcast_to(p, field.u.shape[:-1])})
-        cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.4, 1.0)
+        cut = co.CutoffPair.build((math.pi, math.pi, 2.0), 0.4, 1.0)
         for q in (3, 4, 7, INF):
             for r in (3, 5, INF):
                 rep = wb.holder_cylinder_bound(field, cut, q, r)
@@ -321,7 +320,7 @@ class TestHolderBound:
     def test_euler_pair_mode_matches_split_flux(self, shear_field):
         # the pair carries the split II + III itself, so the bare balance and
         # the balance under the Hoelder bound make the same pairing
-        cut = co.CutoffPair.build(SpaceTimePoint((2.1, 3.3), 1.7), 0.4, 1.0)
+        cut = co.CutoffPair.build((2.1, 3.3, 1.7), 0.4, 1.0)
         via_pair = wb.pair_weak_mass(shear_field, wb.EULER_ENERGY_PAIR, cut)
         split = wb.holder_cylinder_bound(shear_field, cut, INF, INF, pair=wb.EULER_ENERGY_PAIR)
         assert list(via_pair.terms) == ["I", "II", "III"]
@@ -340,7 +339,7 @@ class TestHolderBound:
         # a Burgers pair that happens to carry the Euler label keeps its own
         # flux: no pressure term, no pressure field needed
         field = fx.burgers_entropy_solution(fx.RiemannDatum(1.0, -1.0), -1.0, 1.0, 257, 1.0, 129)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.5), 0.125, 1.0)
+        cut = co.CutoffPair.build((0.0, 0.5), 0.125, 1.0)
         relabelled = dataclasses.replace(wb.BURGERS_PAIR, label="euler_energy")
         rep = wb.holder_cylinder_bound(field, cut, INF, INF, pair=relabelled)
         ref = wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
@@ -349,7 +348,7 @@ class TestHolderBound:
         assert (rep.weak_mass, rep.holder_bound) == (ref.weak_mass, ref.holder_bound)
 
     def test_ns_mode_adds_laplacian_term(self, shear_field):
-        cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.4, 2.0,
+        cut = co.CutoffPair.build((math.pi, math.pi, 2.0), 0.4, 2.0,
                                   profile="quintic")
         rep = wb.holder_cylinder_bound(shear_field, cut, 4, 6, nu=0.05)
         assert "IV" in rep.terms
@@ -390,7 +389,7 @@ class TestBroadcastFluxBound:
     @pytest.mark.parametrize("d, nx, width", [(2, 33, 0.02), (3, 25, 0.03)])
     def test_blob_along_the_diagonal_is_dominated(self, d, nx, width):
         field = blob_field(d, nx, 100.0, width, diagonal(d), 1.5 * 0.125)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), 0.125, 1.0)
+        cut = co.CutoffPair.build((0.5,) * d + (0.5,), 0.125, 1.0)
         rep = wb.holder_cylinder_bound(field, cut, 3, 3, pair=wb.BURGERS_PAIR)
         assert 0.5 < rep.weak_mass <= rep.holder_bound
         norms = rep.local_norms
@@ -408,7 +407,7 @@ class TestBroadcastFluxBound:
     def test_full_width_and_one_dimensional_fluxes_keep_the_gradient_norm(self, pair):
         for d in (1, 2):
             field = blob_field(d, 33, 100.0, 0.02, diagonal(d), 1.5 * 0.125, pressure=1.0)
-            cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), 0.125, 1.0)
+            cut = co.CutoffPair.build((0.5,) * d + (0.5,), 0.125, 1.0)
             rep = wb.holder_cylinder_bound(field, cut, 3, 3, pair=pair)
             broadcast = pair is wb.BURGERS_PAIR and d > 1
             assert ("sum_grad_chi" in rep.local_norms) == broadcast
@@ -442,7 +441,7 @@ class TestBroadcastFluxBound:
         field = blob_field(d, nx, amplitude, width / (nx - 1), e, rho * delta, delta, alpha,
                            along, None if pair == "burgers" else (0.0 if pair == "euler" else
                                                                   amplitude))
-        cut = co.CutoffPair.build(SpaceTimePoint((0.5,) * d, 0.5), delta, alpha)
+        cut = co.CutoffPair.build((0.5,) * d + (0.5,), delta, alpha)
         entropy_pair = wb.BURGERS_PAIR if pair == "burgers" else wb.EULER_ENERGY_PAIR
         rep = wb.holder_cylinder_bound(field, cut, q, r, pair=entropy_pair, nu=nu)
         assert rep.weak_mass <= rep.holder_bound * (1 + wb.DOMINANCE_TOL)
@@ -455,7 +454,7 @@ class TestTinyAmplitudes:
     def test_holder_bound_does_not_underflow(self):
         # failed with "weak_mass 3.81e-239 > bound 0.0" when |u|^4.5 underflowed
         field = blob_field(2, 25, 1.43e-79, 2 / 24, diagonal(2), 0.225, 0.15, 1.0)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.5, 0.5), 0.5), 0.15, 1.0)
+        cut = co.CutoffPair.build((0.5, 0.5, 0.5), 0.15, 1.0)
         rep = wb.holder_cylinder_bound(field, cut, 3, 4.5, pair=wb.BURGERS_PAIR)
         assert 0 < rep.weak_mass <= rep.holder_bound
         assert rep.local_norms["u_LqLr"] > 1e-80
@@ -494,7 +493,7 @@ class TestNsWeakMass:
     def test_decaying_shear_identity(self):
         nu = 0.05
         field = fx.decaying_shear_field(nu, 1.0, 0.0, 2 * math.pi, 128, 4.0, 128)
-        cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.5, 2.0,
+        cut = co.CutoffPair.build((math.pi, math.pi, 2.0), 0.5, 2.0,
                                   profile="quintic")
         rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=nu)
         assert rep.weak_mass == pytest.approx(rep.grad_mass_cutoff, rel=0.02)
@@ -502,7 +501,7 @@ class TestNsWeakMass:
 
     def test_zero_field_all_terms_zero(self):
         field = fx.constant_field([0.0, 0.0], 2, -1.0, 1.0, 64, 1.0, 64)
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0, 0.0), 0.5), 0.15, 2.0)
+        cut = co.CutoffPair.build((0.0, 0.0, 0.5), 0.15, 2.0)
         rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=0.01)
         for value in rep.terms.values():
             assert value == 0.0
@@ -515,7 +514,7 @@ class TestNsWeakMass:
         run = fx.viscous_burgers_run(fx.RiemannDatum(1.0, -1.0), nu, -hw, hw, nx,
                                      0.05, 401, initial="viscous_profile")
         field = dataclasses.replace(run.field, scalars={"p": np.zeros(run.field.u.shape[:-1])})
-        cut = co.CutoffPair.build(SpaceTimePoint((0.0,), 0.025), 0.008, 2.0)
+        cut = co.CutoffPair.build((0.0, 0.025), 0.008, 2.0)
         rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=nu)
         assert rep.grad_mass_cylinder > 0
         assert rep.weak_mass >= rep.grad_mass_cylinder * (1 - 1e-9)
@@ -523,7 +522,7 @@ class TestNsWeakMass:
     def test_rejects_negative_or_non_finite_nu(self, shear_field):
         # nu = 0 is the inviscid balance; one check in the kernel rejects the
         # rest for every entry point
-        cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.4, 2.0)
+        cut = co.CutoffPair.build((math.pi, math.pi, 2.0), 0.4, 2.0)
         phi = co.SpaceTimeTestFunction(cut.chi, cut.eta)
         euler = wb.EULER_ENERGY_PAIR
         for nu in (-1.0, -1e-300, math.nan, INF, -INF):
@@ -572,7 +571,7 @@ class TestRefinementOrder:
         gaps = []
         for n in (64, 128, 256):
             field = fx.decaying_shear_field(0.05, 1.0, 0.0, 2 * math.pi, n, 4.0, n)
-            cut = co.CutoffPair.build(SpaceTimePoint((math.pi, math.pi), 2.0), 0.5, 2.0,
+            cut = co.CutoffPair.build((math.pi, math.pi, 2.0), 0.5, 2.0,
                                       profile="quintic")
             rep = wb.pair_weak_mass(field, wb.EULER_ENERGY_PAIR, cut, nu=0.05)
             gaps.append(rep.weak_mass - rep.grad_mass_cutoff)
