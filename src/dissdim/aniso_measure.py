@@ -125,8 +125,10 @@ class Cylinder:
         """Strict membership of (n, d+1) rows [x_1 ... x_d, t]."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         c = np.array(self.center)
-        return (in_ball(points[:, :-1] - c[:-1], open_ball(self.delta))
-                & (np.abs(points[:, -1] - c[-1]) < scale_power(self.delta, self.alpha)))
+        with np.errstate(over="ignore"):   # an offset that overflows is inf: outside
+            offsets = points - c
+        return (in_ball(offsets[:, :-1], open_ball(self.delta))
+                & (np.abs(offsets[:, -1]) < scale_power(self.delta, self.alpha)))
 
 
 def squared_norm(offsets) -> np.ndarray:
@@ -593,8 +595,11 @@ def certify_lower_bound(ladder: DensityLadder):
     certified = 0.0
     s_prime = 0.0
     while s_prime <= s_max:
-        caps = CERTIFY_CONSTANT * masses[0] / scales[0] ** s_prime
-        if np.all(masses / scales ** s_prime <= caps * (1 + 1e-12)):
+        gauges = np.array([scale_power(delta, s_prime) for delta in scales])
+        if np.isinf(gauges).any():   # an overflowed gauge, and all past it, are no evidence
+            break
+        caps = CERTIFY_CONSTANT * masses[0] / gauges[0]
+        if np.all(masses / gauges <= caps * (1 + 1e-12)):
             certified = s_prime
         s_prime = round(s_prime + CERTIFY_SCAN_STEP, 12)
     return float(certified), "certified"

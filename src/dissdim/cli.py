@@ -86,8 +86,9 @@ def _ladder_flags() -> argparse.ArgumentParser:
     return p
 
 
-def _ladder(args, domain_width: float) -> list:
-    """The scales of ``--delta-max`` (default width / 8), ``--ratio`` and ``--count``."""
+def _ladder(args, domain_width: float | None) -> list:
+    """The scales of ``--delta-max`` (default width / 8), ``--ratio`` and
+    ``--count``; ``domain_width`` is read only when ``--delta-max`` is not given."""
     if not (0.0 < args.ratio < 1.0):
         raise CliError(f"ladder ratio must lie in (0, 1), got {args.ratio!r}")
     if args.count < 3:
@@ -95,6 +96,9 @@ def _ladder(args, domain_width: float) -> list:
     if args.delta_max is None and domain_width == 0:
         raise CliError("the support has zero extent, so the default delta_max (width / 8)"
                        " is 0: give --delta-max")
+    if args.delta_max is None and domain_width == math.inf:
+        raise CliError("the support's extent overflows a float64, so the default delta_max"
+                       " (width / 8) is inf: give --delta-max")
     top = args.delta_max if args.delta_max is not None else domain_width / 8.0
     if not top > 0:
         raise CliError("ladder delta_max must be positive")
@@ -188,7 +192,10 @@ def cmd_dimension(args) -> int:
     points = mu.support_points()
     if points.shape[0] == 0:
         raise CliError("empty support")
-    width = float(max(points.max(axis=0) - points.min(axis=0)))
+    width = None
+    if args.delta_max is None:   # the default delta_max alone reads the support's extent
+        with np.errstate(over="ignore"):
+            width = float(max(points.max(axis=0) - points.min(axis=0)))
     scales = _ladder(args, width)
 
     box = box_counting_dimension(points, args.alpha, scales)

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.array_utils import byte_bounds
 
 __all__ = ["SCALARS", "GriddedField", "all_finite", "blocks", "component_dot", "release",
-           "release_rows"]
+           "row_releaser"]
 
 SCALARS = ("p", "theta")
 FINITE_BLOCK = 1 << 20   # bytes of leading-axis rows that blocks yields at a time
@@ -50,23 +50,40 @@ def all_finite(a: np.ndarray) -> bool:
 
 def blocks(a: np.ndarray):
     """``a`` (a 0-d array as one row) in blocks of FINITE_BLOCK bytes of
-    leading-axis rows, in order; each block is released (``release_rows``)
+    leading-axis rows, in order; each block is released (``row_releaser``)
     once the caller asks for the next one or ends the walk."""
     a = np.atleast_1d(a)
     step = max(1, FINITE_BLOCK // max(abs(a.strides[0]), 1))
+    release_rows_of = row_releaser(a)
     for i in range(0, len(a), step):
         try:
             yield a[i:i + step]
         finally:
-            release_rows(a, i, i + step)
+            release_rows_of(i, i + step)
 
 
-def release_rows(a: np.ndarray, start: int, stop: int, *box: slice) -> None:
-    """``release`` the leading-axis rows start..stop-1 of ``a`` (cut to ``box``
-    on the later axes) and as many rows before them: reading a block's first
-    page maps the cached pages just before it again (the kernel's
-    fault-around), after the block before has released them."""
-    release(a[(slice(max(2 * start - stop, 0), stop),) + box])
+def row_releaser(a: np.ndarray, *box: slice):
+    """A function of (start, stop) that does ``release`` on the leading-axis
+    rows start..stop-1 of ``a`` (cut to ``box`` on the later axes) and as
+    many rows before them: reading a block's first page maps the cached
+    pages just before it again (the kernel's fault-around), after the block
+    before has released them.  The mapping under ``a`` and the bytes of one
+    row of the box are found once, so a walk over many rows of one box pays
+    one madvise a call, not the lookups of ``release``.  A row range past
+    the end is cut to it; on an array that ``release`` leaves alone, the
+    function does nothing."""
+    found = _mapped_bytes(a[(slice(0, 1),) + box])   # the box in row 0
+    if found is None:
+        return lambda start, stop: None
+    mapping, lo, hi = found
+    step, n = a.strides[0], len(a)
+
+    def release_rows_of_box(start: int, stop: int) -> None:
+        first, stop = max(2 * start - stop, 0), min(stop, n)
+        if first < stop:   # rows first..stop-1 lie between these shifts of row 0
+            shifts = (first * step, (stop - 1) * step)
+            _advise(mapping, lo + min(shifts), hi + max(shifts))
+    return release_rows_of_box
 
 
 def release(view: np.ndarray) -> None:
@@ -78,24 +95,34 @@ def release(view: np.ndarray) -> None:
     in from the page cache.  The pages at either end of the range are
     released whole, bytes of neighbouring rows included.
     """
-    mapping = _read_only_mapping(view) if view.size else None
-    if mapping is None or not hasattr(mmap, "MADV_DONTNEED"):
-        return
-    origin = np.frombuffer(mapping, np.uint8).__array_interface__["data"][0]
-    lo, hi = (bound - origin for bound in byte_bounds(view))
+    found = _mapped_bytes(view)
+    if found is not None:
+        _advise(*found)
+
+
+def _advise(mapping, lo: int, hi: int) -> None:
+    """MADV_DONTNEED on the pages under bytes lo..hi-1 of ``mapping``."""
     lo -= lo % mmap.PAGESIZE
     mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
-def _read_only_mapping(a: np.ndarray):
-    """The mmap.mmap at the end of ``a``'s base chain if it is read-only
+def _mapped_bytes(view: np.ndarray):
+    """(mapping, lo, hi): the read-only mmap.mmap at the end of ``view``'s base
+    chain and the offsets in it of the first byte under ``view`` and of the
+    byte after its last; None for an empty view, a view of anything else
     (releasing a written page of a copy-on-write mapping would undo the
-    write), else None."""
-    while isinstance(a, np.ndarray):
-        a = a.base
-    if isinstance(a, mmap.mmap) and not np.frombuffer(a, np.uint8).flags.writeable:
-        return a
-    return None
+    write), or where ``mmap`` has no MADV_DONTNEED."""
+    mapping = view.base
+    while isinstance(mapping, np.ndarray):
+        mapping = mapping.base
+    if not (view.size and isinstance(mapping, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")):
+        return None
+    whole = np.frombuffer(mapping, np.uint8)
+    if whole.flags.writeable:
+        return None
+    origin = whole.ctypes.data
+    lo, hi = byte_bounds(view)
+    return mapping, lo - origin, hi - origin
 
 
 def _trapezoid_weights(step: float, n: int) -> np.ndarray:

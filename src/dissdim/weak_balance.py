@@ -8,12 +8,15 @@ of the test function's support, plus a one-node halo.  The spatial factor
 and its derivatives are evaluated once, on the factor's stated support box
 (a few nodes wider), which holds the window.  The grid builds each box's own
 coordinates and global quadrature weights, so no pairing or covering
-estimate holds a whole-grid coordinate or weight array.  Every term differentiates the field only in space, so the
-kernel walks the box's time rows in blocks of about ``WINDOW_BLOCK`` nodes
-(at least two rows): each block's samples are copied into contiguous memory,
-and every field-derived array (densities, fluxes, |grad u|^2, the speed) is
-block-sized.  A block reduces each term to one number per time row; the time
-quadratures, the Hoelder norms and every check then run on those row
+estimate holds a whole-grid coordinate or weight array.  Every term
+differentiates the field only in space, so the kernel walks the box's time
+rows in blocks of about ``WINDOW_BLOCK`` nodes (at least two rows): each
+block's samples are copied into contiguous memory one time row at a time,
+and the field's pages under each row are released before the next is read,
+so a walk over a mapped body holds about one box row of it.  Every
+field-derived array (densities, fluxes, |grad u|^2, the speed) is
+block-sized.  A block reduces each term to one number per time row; the
+time quadratures, the Hoelder norms and every check then run on those row
 vectors.  The spatial contraction is an ``np.einsum``, whose row results do
 not depend on how many rows go in together, so a pairing has the same bits
 for every block size.  The kernel alone knows a cutoff's cylinder: it builds
@@ -55,7 +58,7 @@ from .aniso_measure import in_ball, open_ball, scale_power, squared_norm
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
 from .exponents import _conj
-from .fields import GriddedField, component_dot, release_rows
+from .fields import GriddedField, component_dot, row_releaser
 
 __all__ = [
     "MarginError",
@@ -232,7 +235,9 @@ def _spatial_factors(field: GriddedField, space, box: tuple):
 
 
 # a pairing walks its window's time rows in blocks of about this many nodes (at
-# least two rows), which bounds the samples and field-derived arrays it holds
+# least two rows), which bounds the block arrays it holds: the copied samples
+# and every field-derived array (the pages of a mapped body are bounded by one
+# time row of the box, which ``_Window.block`` copies and releases at a time)
 WINDOW_BLOCK = 2 ** 14
 
 
@@ -264,8 +269,9 @@ class _Window:
     spatial factors, H and dH/dt, the weights ``wsp`` and ``wt``, and the
     global coordinates ``mesh`` and ``t_axis``.  It holds no samples:
     ``block`` copies those of a few time rows (see ``row_blocks``) into
-    contiguous memory and releases the field's pages under them, so a sweep
-    over a mapped body keeps none of the file resident.
+    contiguous memory, one time row at a time, and releases the field's pages
+    under each row before it reads the next, so a sweep over a mapped body
+    keeps none of the file resident.
 
     phi = h_val * x_val, dphi/dt = h_dt * x_val, grad phi = h_val * x_grad and
     lap phi = h_val * x_lap: the h_* are time vectors on the box, the x_*
@@ -288,31 +294,40 @@ class _Window:
         self.wsp = field.spatial_weights(self.x)
         self.t_axis = t[self.t]
         self.wt = field.axis_weights()[1][self.t]
+        # the release of the box's time rows in u and each scalar (see block)
+        self.releases = [row_releaser(a, *self.x) for a in (field.u, *field.scalars.values())]
 
     def row_blocks(self) -> list:
         """The box's time rows, in blocks of about WINDOW_BLOCK nodes."""
         return _row_blocks(self.t.stop - self.t.start, self.wsp.size)
 
     def block(self, start: int, stop: int) -> GriddedField:
-        """The samples of the box's time rows start..stop-1, copied once into
+        """The samples of the box's time rows start..stop-1, copied into
         contiguous memory (so that the component sums and the differences
         along each axis run on contiguous memory even when the samples are
         strided: a file with interleaved components reads back that way), as
         a GriddedField of the same spacings whose coordinates start at 0 (its
         h can differ from the global one in the last bit).
 
-        The field's pages under the box are released (``fields.release_rows``,
-        as ``fields.blocks`` releases its blocks) once ``u`` and every scalar
-        are copied, not after each copy: the components of a binary body
-        interleave in one mapping, so the next copy would fault the same
-        pages in again."""
+        The copy goes one time row at a time: every component of a row
+        (``u`` and each scalar) is copied, and then the field's pages under
+        it are released, before the next row is read.  The release is the
+        window's ``releases``, a ``fields.row_releaser`` of each whole array
+        at global indices that finds the mapping once per window, so it also
+        drops the pages before the row that the kernel's fault-around
+        mapped.  It waits for the last component, because the components of
+        a binary body interleave in one mapping and the next copy would
+        fault the same pages in again."""
         f = self.field
         n = self.x[0].stop - self.x[0].start
-        rows = (self.t.start + start, self.t.start + stop)
         arrays = [f.u, *f.scalars.values()]
-        copies = [np.ascontiguousarray(a[(slice(*rows),) + self.x]) for a in arrays]
-        for a in arrays:
-            release_rows(a, *rows, *self.x)
+        rows = range(self.t.start + start, self.t.start + stop)
+        copies = [np.empty((len(rows),) + a[(0,) + self.x].shape, a.dtype) for a in arrays]
+        for k, row in enumerate(rows):
+            for a, out in zip(arrays, copies):
+                out[k] = a[(row,) + self.x]
+            for release_rows_of in self.releases:
+                release_rows_of(row, row + 1)
         return GriddedField(f.d, 0.0, (n - 1) * f.h, n, (stop - start - 1) * f.dt, stop - start,
                             copies[0], dict(zip(f.scalars, copies[1:])))
 

@@ -1,4 +1,8 @@
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -91,3 +95,56 @@ def rss_file():
     if not os.path.exists("/proc/self/status"):
         pytest.skip("reads RssFile")
     return resident_file_bytes
+
+
+def write_steady_field(path) -> str:
+    """Setup code for ``grown_in_fork`` that writes a 38.7 MB steady 2D
+    field to ``path`` and holds no more than one time slice while it does."""
+    return f"""
+        nx, nt = 193, 65   # 65 * 193**2 * 2 * 8 bytes
+        x = np.sin(2 * np.pi * np.linspace(0.0, 1.0, nx))
+        v = np.stack(np.meshgrid(x, -x, indexing="ij"), axis=-1)
+        dio.write_field({str(path)!r},
+                        GriddedField(2, 0.0, 1.0, nx, 1.0, nt, np.broadcast_to(v, (nt,) + v.shape)))
+    """
+
+
+def peak_growth_in_fork(setup: str, work: str) -> dict:
+    """Run ``setup`` in a new interpreter, then ``work`` in a fork of it, and
+    return {"grown": bytes by which the fork's peak RSS grew during ``work``,
+    "body": the value ``work`` left in ``body``}.
+
+    The fork's peak RSS starts at its own resident size, which leaves out the
+    file pages (library code, a mapped body) that the setup had mapped until
+    the work touches them again; the work runs in the fork so that the
+    setup's own peak does not count."""
+    code = textwrap.dedent("""
+        import json, os, resource, sys
+        import numpy as np
+        from dissdim import aniso_measure as am
+        from dissdim import io as dio
+        from dissdim.cutoffs import CutoffPair
+        from dissdim.fields import GriddedField
+        from dissdim.weak_balance import holder_cylinder_bound
+    """) + textwrap.dedent(setup) + textwrap.dedent("""
+        if os.fork() == 0:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        {work}
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            print(json.dumps({{"grown": grown * 1024, "body": body}}), flush=True)
+            os._exit(0)
+        sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+    """).format(work=textwrap.indent(textwrap.dedent(work).strip("\n"), "    "))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.fixture
+def grown_in_fork():
+    return peak_growth_in_fork
+
+
+@pytest.fixture
+def steady_field_file():
+    return write_steady_field

@@ -43,6 +43,14 @@ class TestCylinderMass:
         )
         assert am.cylinder_mass(mu, c) == expected
 
+    def test_offsets_that_overflow_are_outside(self):
+        # the first atom is 2e308 from the center in x, the second in t: both
+        # offsets are inf, so both atoms are outside, with no RuntimeWarning
+        mu = AtomicMeasure([[-1e308, 1e308], [1e308, -1e308], [1e308, 1e308]], [1.0, 2.0, 4.0])
+        c = cyl(1e308, 1e308, 1e300)
+        assert c.contains(mu.points).tolist() == [False, False, True]
+        assert am.cylinder_mass(mu, c) == 4.0
+
     def test_strict_boundary_exclusion(self):
         mu = AtomicMeasure([[0.5, 0.0]], [1.0])
         assert am.cylinder_mass(mu, cyl(0.0, 0.0, 0.5)) == 0.0
@@ -385,6 +393,17 @@ class TestCertifyLowerBound:
         certified, verdict = am.certify_lower_bound(lad)
         assert verdict == "certified"
         assert certified == pytest.approx(eps, abs=0.15)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_gauges_that_overflow_are_inf(self, s):
+        # equal masses at delta = 1e307, 5e306, 2.5e306: the densities stay within
+        # twice the first while 4**s' <= 2, so s' = 0.5 is certified; past s' = 1,
+        # delta**s' overflows to inf, with no RuntimeWarning.  From s' = 1.01 on
+        # (before s_max = s + 1.005 at s = 1) every gauge is inf and every density
+        # 0, which certifies nothing: the scan stops there
+        lad = am.DensityLadder(s=s, scales=(1e307, 5e306, 2.5e306), densities=(1.0,) * 3,
+                               sup_masses=(1.0,) * 3, fitted_slope=0.0, fit_residual=0.0)
+        assert am.certify_lower_bound(lad) == (0.5, "certified")
 
     def test_inconclusive_on_short_ladder(self):
         mu = AtomicMeasure([[0.5, 0.5]], [1.0])

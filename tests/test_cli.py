@@ -190,6 +190,20 @@ class TestDimensionCommand:
         code, data = run_json(["dimension", "--input", path, "--delta-max", "0.5"], capsys)
         assert (code, data["counts"]) == (0, [1] * 6)
 
+    def test_a_support_whose_extent_overflows_asks_for_delta_max(self, capsys, tmp_path):
+        # atoms at x = -1e308, 0 and 1e308: the width, 2e308, overflows a float64;
+        # it is read only for the default delta_max, so a given one runs clean
+        path = str(tmp_path / "wide.measure")
+        dio.write_measure(path, AtomicMeasure([[-1e308, 0.5], [0.0, 0.5], [1e308, 0.5]],
+                                              np.ones(3)))
+        code, data = run_json(["dimension", "--input", path, "--count", "3"], capsys)
+        assert (code, data["error"]["type"]) == (2, "CliError")
+        assert "extent overflows" in data["error"]["message"]
+        assert "--delta-max" in data["error"]["message"]
+        code, data = run_json(["dimension", "--input", path, "--delta-max", "1e307",
+                               "--count", "3"], capsys)
+        assert (code, data["densities"], data["certified_s"]) == (0, [1.0] * 3, 0.5)
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "garbage.measure"
         path.write_text("dissdim-measure v1 d=1 n=2 body=text\n0.0 0.0 1.0\n")

@@ -185,6 +185,21 @@ class TestRelease:
         assert body[7, 2] == -1.0
         assert np.fromfile(tmp_path / "body", "<f8")[7 * 16 + 2] == values[7, 2]
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_a_row_release_is_the_release_of_the_rows(self, mapped, monkeypatch, flip):
+        # row_releaser finds the bytes of rows by arithmetic on one row of the
+        # box; release finds them from the view: the same pages either way
+        body, _ = mapped
+        a = body.reshape(512, 128, 16)[::-1 if flip else 1]
+        box = (slice(3, 70), slice(2, 9))
+        advised = []
+        monkeypatch.setattr(fields, "_advise", lambda mapping, lo, hi: advised.append((lo, hi)))
+        for start, stop in [(0, 1), (5, 6), (5, 9), (300, 700), (511, 512)]:
+            fields.row_releaser(a, *box)(start, stop)
+            release(a[(slice(max(2 * start - stop, 0), stop),) + box])
+            assert advised[-2] == advised[-1]
+        assert len(advised) == 10
+
     @pytest.mark.parametrize("shape", [(300, 1000), (131, 1000), (1, 5), (300_000,)])
     def test_blocks_yield_every_row_once_in_order(self, shape):
         a = np.arange(np.prod(shape), dtype=float).reshape(shape)

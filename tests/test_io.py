@@ -1,12 +1,8 @@
 import dataclasses
 import io
-import json
 import math
 import mmap
 import re
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 from itertools import chain
 from types import SimpleNamespace
@@ -790,7 +786,8 @@ class TestBinaryBody:
         assert read < MIB   # the body is mapped, not copied
         assert bits(back.weights) == bits(mu.weights)
 
-    def test_a_small_window_leaves_the_body_on_disk(self, tmp_path):
+    def test_a_small_window_leaves_the_body_on_disk(self, tmp_path, grown_in_fork,
+                                                    steady_field_file):
         """Reading a 38.7 MB field and checking one small cylinder grows the
         peak RSS by far less than the body: the finiteness check releases
         each block it has checked, and the pairing copies only its window."""
@@ -803,7 +800,7 @@ class TestBinaryBody:
         assert result["body"] >= 32e6
         assert result["grown"] < result["body"] / 2
 
-    def test_a_sweep_leaves_the_body_on_disk(self, tmp_path):
+    def test_a_sweep_leaves_the_body_on_disk(self, tmp_path, grown_in_fork, steady_field_file):
         """Fifteen cylinders whose windows together cover most of the field
         grow the peak RSS by less than a third of the body: each window
         block releases the pages it has copied."""
@@ -818,7 +815,7 @@ class TestBinaryBody:
         assert result["body"] >= 32e6
         assert result["grown"] < result["body"] / 3
 
-    def test_a_measure_read_leaves_the_body_on_disk(self, tmp_path):
+    def test_a_measure_read_leaves_the_body_on_disk(self, tmp_path, grown_in_fork):
         """Reading a 33.6 MB measure grows the peak RSS by less than half of
         the body: the finiteness and the sign checks release each block."""
         path = str(tmp_path / "m")
@@ -868,47 +865,6 @@ class TestBinaryBody:
             assert bits(got) == bits(want)
         for name in ("positions", "times", "weights"):
             assert bits(getattr(back_mu, name)) == bits(getattr(sample_measure, name))
-
-
-def steady_field_file(path) -> str:
-    """Setup code for ``grown_in_fork`` that writes a 38.7 MB steady 2D
-    field to ``path`` and holds no more than one time slice while it does."""
-    return f"""
-        nx, nt = 193, 65   # 65 * 193**2 * 2 * 8 bytes
-        x = np.sin(2 * np.pi * np.linspace(0.0, 1.0, nx))
-        v = np.stack(np.meshgrid(x, -x, indexing="ij"), axis=-1)
-        dio.write_field({str(path)!r},
-                        GriddedField(2, 0.0, 1.0, nx, 1.0, nt, np.broadcast_to(v, (nt,) + v.shape)))
-    """
-
-
-def grown_in_fork(setup: str, work: str) -> dict:
-    """Run ``setup`` in a new interpreter, then ``work`` in a fork of it, and
-    return {"grown": bytes by which the fork's peak RSS grew during ``work``,
-    "body": the value ``work`` left in ``body``}.
-
-    A process starts with the peak RSS of the one that forked it, so the
-    work runs in a fork of its own, which starts at the setup's size."""
-    code = textwrap.dedent("""
-        import json, os, resource, sys
-        import numpy as np
-        from dissdim import aniso_measure as am
-        from dissdim import io as dio
-        from dissdim.cutoffs import CutoffPair
-        from dissdim.fields import GriddedField
-        from dissdim.weak_balance import holder_cylinder_bound
-    """) + textwrap.dedent(setup) + textwrap.dedent("""
-        if os.fork() == 0:
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        {work}
-            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-            print(json.dumps({{"grown": grown * 1024, "body": body}}), flush=True)
-            os._exit(0)
-        sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
-    """).format(work=textwrap.indent(textwrap.dedent(work).strip("\n"), "    "))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout)
 
 
 class TestReportCsv:

@@ -13,8 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from dissdim import cutoffs as co
+from dissdim import io as dio
 from dissdim import weak_balance as wb
 from dissdim.fields import GriddedField
 from dissdim.fixtures import decaying_shear_field
@@ -470,6 +472,79 @@ def test_two_row_blocks_give_the_bits_of_one_block(monkeypatch, d, nu):
     monkeypatch.setattr(wb, "WINDOW_BLOCK", 1)   # the minimum: two rows per block
     assert len(wb._Window(field, phi, ()).row_blocks()) > 3
     assert every_entry_point(field, nu) == whole
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_mapped_field_gives_the_bits_of_the_field_in_memory(tmp_path, d, nu):
+    # the mapped body interleaves u and p, so each time row of a window is
+    # copied from strided memory and released before the next is read
+    field = random_field(d)
+    dio.write_field(tmp_path / "f", field)
+    mapped = dio.read_field(tmp_path / "f")
+    assert not mapped.u.flags.c_contiguous
+    assert every_entry_point(mapped, nu) == every_entry_point(field, nu)
+
+
+MIB = 1 << 20
+# the most of a file that one page fault maps: a whole page-cache folio, up to
+# one PMD (2 MiB on x86-64) where the file system caches in large folios
+FOLIO = 2 * MIB
+# the spread of one pairing's peak-RSS growth between two processes (0.15 MiB seen)
+NOISE = MIB // 2
+
+
+def window_growth(grown_in_fork, path, d, nx, nt, scalars, cutoff):
+    """The peak-RSS growth of one ``holder_cylinder_bound`` call on a steady
+    field of ``d``, ``nx``, ``nt`` (with the named scalars) as ``io`` maps it
+    from ``path`` and as the same field in memory, the body's size, and the
+    field read back with the cutoff's window on it.
+
+    The field in memory is broadcast from one time slice, so its pairing
+    holds the block arrays alone: the mapped pairing may hold more only by
+    the pages of the file it has mapped."""
+    setup = f"""
+        d, nx, nt = {d}, {nx}, {nt}
+        x = np.sin(2 * np.pi * np.linspace(0.0, 1.0, nx))
+        v = np.stack(np.meshgrid(*[x, -x, x][:d], indexing="ij"), axis=-1)
+        s = np.add.reduce(np.meshgrid(*[x] * d, indexing="ij"))
+        mem = GriddedField(d, 0.0, 1.0, nx, 1.0, nt, np.broadcast_to(v, (nt,) + v.shape),
+                           {{name: np.broadcast_to(s, (nt,) + s.shape) for name in {scalars!r}}})
+        dio.write_field({str(path)!r}, mem)
+        field = dio.read_field({str(path)!r})
+        cutoff = CutoffPair.build({cutoff.cylinder.center!r}, {cutoff.cylinder.delta!r},
+                                  {cutoff.cylinder.alpha!r})
+    """
+    grown = {name: grown_in_fork(setup, f"""
+                 holder_cylinder_bound({name}, cutoff, 3.0, 3.0)
+                 body = os.path.getsize({str(path)!r})
+             """)
+             for name in ("field", "mem")}
+    field = dio.read_field(path)
+    win = wb._Window(field, co.SpaceTimeTestFunction(cutoff.chi, cutoff.eta), ())
+    return grown["field"]["grown"], grown["mem"]["grown"], grown["field"]["body"], field, win
+
+
+def span(field, index) -> int:
+    """Bytes from the first to the last byte of ``index`` in the field's
+    arrays, the largest over them."""
+    return max(int(np.ptp(byte_bounds(a[index]))) for a in (field.u, *field.scalars.values()))
+
+
+def test_a_window_maps_one_time_row_at_a_time(tmp_path, grown_in_fork):
+    """A d = 2 window over a mapped body with interleaved components (u, p)
+    holds its block arrays and the page-cache folios under at most two time
+    rows: 38.7 MB on 129^2 x 97 nodes, and a delta = 1/64 cutoff with
+    alpha = 1/4, whose box is a few nodes a side and whose one block spans 83
+    time rows."""
+    cutoff = co.CutoffPair.build((0.5, 0.5, 0.5), 1 / 64, 0.25)
+    mapped, in_memory, body, field, win = window_growth(grown_in_fork, tmp_path / "f", 2, 129,
+                                                        97, ("p",), cutoff)
+    assert body >= 32e6
+    assert len(win.row_blocks()) == 1 and win.t.stop - win.t.start >= 64
+    row = span(field, (win.t.start,) + win.x)
+    # 18 MB more before, when the whole block was copied before its release
+    assert mapped < in_memory + 2 * (row + FOLIO) + NOISE
 
 
 def test_a_tall_window_holds_block_sized_arrays():
