@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
 
-__all__ = ["SCALARS", "GriddedField", "all_finite", "blocks", "component_dot", "release",
-           "row_releaser"]
+__all__ = ["SCALARS", "GriddedField", "all_finite", "blocks", "centered_difference",
+           "component_dot", "release", "row_releaser"]
 
 SCALARS = ("p", "theta")
 FINITE_BLOCK = 1 << 20   # bytes of leading-axis rows that blocks yields at a time
@@ -29,31 +29,51 @@ def component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of an all-zero sum) without numpy's slow reduction along a short trailing
     axis; ``np.einsum`` sums d = 3 components in another order.
     """
-    a, b = np.broadcast_arrays(a, b)   # views: a length-1 axis stands for every component
+    if a.shape[-1] != b.shape[-1]:   # views: a length-1 axis stands for every component
+        a, b = np.broadcast_arrays(a, b)
     out = a[..., 0] * b[..., 0]
     for i in range(1, a.shape[-1]):
         out += a[..., i] * b[..., i]
     return out
 
 
+def centered_difference(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, h, axis=axis)`` written into ``out`` (f's shape), with
+    its expressions: (f[i+1] - f[i-1]) / (2h) inside and one-sided
+    differences / h at the two ends, so the bits are numpy's; the axis needs
+    at least 2 nodes.  Returns ``out``."""
+    f, g = f.swapaxes(0, axis), out.swapaxes(0, axis)   # the axis first, in both
+    np.subtract(f[2:], f[:-2], out=g[1:-1])
+    g[1:-1] /= 2.0 * h
+    np.subtract(f[1:2], f[:1], out=g[:1])
+    np.subtract(f[-1:], f[-2:-1], out=g[-1:])
+    g[:1] /= h
+    g[-1:] /= h
+    return out
+
+
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite (True when ``a`` is empty).
 
-    The min and the max are NaN when any entry is, so two reductions per
-    block decide it without the boolean array the size of ``a`` that
-    ``np.isfinite`` builds.  The walk goes by ``blocks``, so the check leaves
-    none of a mapped body resident.
+    The walk goes by ``blocks``, so the check leaves none of a mapped body
+    resident, and ``np.isfinite`` builds its boolean array one block at a
+    time: at most FINITE_BLOCK / itemsize entries, since a block larger than
+    FINITE_BLOCK bytes is a single row, which is checked by its own blocks.
     """
-    return a.size == 0 or all(np.isfinite(block.min()) and np.isfinite(block.max())
-                              for block in blocks(a))
+    return all(np.isfinite(block).all() if block.nbytes <= FINITE_BLOCK
+               else all(map(all_finite, block)) for block in blocks(a))
 
 
 def blocks(a: np.ndarray):
-    """``a`` (a 0-d array as one row) in blocks of FINITE_BLOCK bytes of
-    leading-axis rows, in order; each block is released (``row_releaser``)
-    once the caller asks for the next one or ends the walk."""
+    """``a`` (a 0-d array as one row) in blocks of leading-axis rows, in
+    order: as many rows as fit in FINITE_BLOCK bytes, and at least one.  A
+    row counts as its stride or as its own bytes, whichever is more (a
+    broadcast or a transposed view has rows larger than their stride).  Each
+    block is released (``row_releaser``) once the caller asks for the next
+    one or ends the walk."""
     a = np.atleast_1d(a)
-    step = max(1, FINITE_BLOCK // max(abs(a.strides[0]), 1))
+    row = max(abs(a.strides[0]), a.nbytes // max(len(a), 1), 1)
+    step = max(1, FINITE_BLOCK // row)
     release_rows_of = row_releaser(a)
     for i in range(0, len(a), step):
         try:
@@ -238,10 +258,11 @@ class GriddedField(_SpaceTimeGrid):
         return np.sqrt(component_dot(self.u, self.u))
 
     def grad_squared(self) -> np.ndarray:
-        """|grad u|^2 by centered differences (one-sided at the boundary)."""
-        out = np.zeros(self.u.shape[:-1])
+        """|grad u|^2 by centered differences (one-sided at the boundary),
+        each difference written into one reused array."""
+        out, g = np.zeros(self.u.shape[:-1]), np.empty(self.u.shape[:-1])
         for comp in range(self.d):
             for axis in range(self.d):
-                g = np.gradient(self.u[..., comp], self.h, axis=1 + axis)
-                out += g ** 2
+                centered_difference(self.u[..., comp], self.h, 1 + axis, g)
+                out += np.multiply(g, g, out=g)
         return out

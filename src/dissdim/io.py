@@ -40,8 +40,11 @@ line.
 A read returns each body as one (rows, columns) float64 array that the
 returned object's arrays view (a measure's ``points`` are its first d + 1
 columns, its ``weights`` the last).  A binary body is a read-only memory map
-of the file (``np.memmap``), not a copy: only the pages a computation
-touches become resident.  The checks of a read walk the body with
+of the file, not a copy: only the pages a computation touches become
+resident.  The returned arrays are plain ``ndarray`` views whose base chain
+ends at the ``np.memmap`` and its ``mmap.mmap``, where ``fields.release``
+finds the mapping, so indexing them costs none of ``np.memmap``'s
+Python-level methods.  The checks of a read walk the body with
 ``fields.blocks``, which releases each block after it (``fields.release``),
 a ``verify`` window copies its box one time row at a time and releases each
 before it reads the next, and the ``dimension`` steps in ``aniso_measure``
@@ -176,8 +179,9 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
     ``token`` is the header's body token, "binary" or "text".  ``text`` is
     the text layout ``(sep, lead)``: the column separator (None for
     whitespace) and the count of leading columns to drop; None when this
-    file has no text body.  A binary body is returned as a read-only map of
-    the file, a text body as one C-contiguous float64 array parsed into one
+    file has no text body.  A binary body is returned as a read-only plain
+    ndarray view of a map of the file (its ``base`` is the ``np.memmap``),
+    a text body as one C-contiguous float64 array parsed into one
     record of 8 * n_cols bytes per row: the lead columns, as float32, overlap
     the first value, which numpy converts after them and so writes over them.
     """
@@ -193,10 +197,11 @@ def _read_rows(fh, path, token, n_rows: int, n_cols: int, text) -> np.ndarray:
             rows.flags.writeable = False
             return rows
         try:
-            return np.memmap(fh, dtype="<f8", mode="r", offset=start, shape=(n_rows, n_cols))
+            mapped = np.memmap(fh, dtype="<f8", mode="r", offset=start, shape=(n_rows, n_cols))
         except ValueError:   # mmap checks the size again: the file shrank since fstat
             raise MalformedFileError(f"{path}: binary body ended before {expected} bytes",
                                      line=2) from None
+        return mapped.view(np.ndarray)
     if text is None:
         raise MalformedFileError(f"{path}: a text body is only defined for d = 1", line=1)
     sep, lead = text

@@ -3,29 +3,31 @@
 Every balance below is one trapezoid quadrature over the field's nodes, made
 by the kernel ``_pairing``; cutoff and test-function derivatives are
 analytic, field derivatives (only ever needed for the viscous gradient
-density) are centered differences.  The kernel works only on the index box
-of the test function's support, plus a one-node halo.  The spatial factor
-and its derivatives are evaluated once, on the factor's stated support box
-(a few nodes wider), which holds the window.  The grid builds each box's own
-coordinates and global quadrature weights, so no pairing or covering
-estimate holds a whole-grid coordinate or weight array.  Every term
-differentiates the field only in space, so the kernel walks the box's time
-rows in blocks of about ``WINDOW_BLOCK`` nodes (at least two rows): each
-block's samples are copied into contiguous memory one time row at a time,
-and the field's pages under each row are released before the next is read,
-so a walk over a mapped body holds about one box row of it.  Every
-field-derived array (densities, fluxes, |grad u|^2, the speed) is
-block-sized.  A block reduces each term to one number per time row; the
-time quadratures, the Hoelder norms and every check then run on those row
-vectors.  The spatial contraction is an ``np.einsum``, whose row results do
-not depend on how many rows go in together, so a pairing has the same bits
-for every block size.  The kernel alone knows a cutoff's cylinder: it builds
-the delta-ball and time masks and the 2*delta-collar's flat node indices
-once, and returns them with the weak mass, the nu*|grad u|^2 masses and the
-per-row norms of |u| that the Hoelder bound multiplies.  The covering
-estimate pairs a steady field with chi*grad(phi) and phi*grad(chi), neither
-the gradient of one test function: it shares only ``_support_box`` and
-``_spatial_factors``.
+density and the covering estimate's divergence) are centered differences,
+``fields.centered_difference``, with the bits of ``np.gradient``.  The
+kernel works only on the index box of the test function's support, plus a
+one-node halo.  The spatial factor and its derivatives are evaluated once,
+on the factor's stated support box (a few nodes wider), which holds the
+window.  The grid builds each box's own coordinates and global quadrature
+weights, so no pairing or covering estimate holds a whole-grid coordinate or
+weight array.  Every term differentiates the field only in space, so the
+kernel walks the box's time rows in blocks of about ``WINDOW_BLOCK`` nodes
+(at least two rows): each block's samples are copied into contiguous memory
+one time row at a time, and the field's pages under each row are released
+before the next is read, so a walk over a mapped body holds about one box
+row of it.  Every field-derived array (densities, fluxes, |grad u|^2, the
+speed) is block-sized, and a block forms the density eta once: the pair's
+fluxes take it as an argument.  A block reduces each term to one number per
+time row; the time quadratures, the Hoelder norms and every check then run
+on those row vectors.  The spatial contraction is an ``np.einsum``, whose
+row results do not depend on how many rows go in together, so a pairing has
+the same bits for every block size.  The kernel alone knows a cutoff's
+cylinder: it builds the delta-ball and time masks and the 2*delta-collar's
+flat node indices once, and returns them with the weak mass, the
+nu*|grad u|^2 masses and the per-row norms of |u| that the Hoelder bound
+multiplies.  The covering estimate pairs a steady field with chi*grad(phi) and
+phi*grad(chi), neither the gradient of one test function: it shares only
+``_support_box`` and ``_spatial_factors``.
 
 Dissipation is accessed exclusively through test functions, each paired by
 ``pair_weak_mass``: testing the balance with a cutoff pair localizing a
@@ -58,7 +60,7 @@ from .aniso_measure import in_ball, open_ball, scale_power, squared_norm
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
 from .exponents import _conj
-from .fields import GriddedField, component_dot, row_releaser
+from .fields import GriddedField, centered_difference, component_dot, row_releaser
 
 __all__ = [
     "MarginError",
@@ -93,9 +95,10 @@ class EntropyPair:
 
     ``eta_fn(f)`` returns the density per node of the GriddedField ``f``, read
     from ``f.u`` and the ``f.scalars`` it needs; ``fluxes`` maps a term name to
-    a flux function of the same field (trailing component axis; a length-1
-    axis stands for every component), and the flux is their sum.  Each flux
-    gives one balance term, in the dict's order: "II" is the velocity flux and
+    a flux function ``flux(f, eta)`` of the same field and that density
+    (trailing component axis; a length-1 axis stands for every component),
+    so that a block forms eta once; the flux is their sum.  Each flux gives
+    one balance term, in the dict's order: "II" is the velocity flux and
     "III", when present, the pressure flux u*p.  The growth coefficients
     certify pointwise bounds |eta| <= eta_quad_coeff*|u|^2 and |Q_II| <=
     q_cubic_coeff*|u|^3 used when instantiating Hoelder bounds; pairs without
@@ -114,7 +117,7 @@ def _burgers_eta(f):
     return 0.5 * f.u[..., 0] ** 2
 
 
-def _burgers_q(f):
+def _burgers_q(f, eta):
     u0 = f.u[..., 0]
     return (u0 * u0 * u0 / 3.0)[..., None]   # a product, not np.power: 5x faster
 
@@ -131,7 +134,7 @@ def _scalar_eta(f):
 
 # the density theta^2/2 transported by the velocity field
 PASSIVE_SCALAR_PAIR = EntropyPair("passive_scalar", _scalar_eta,
-                                  {"II": lambda f: f.u * _scalar_eta(f)[..., None]})
+                                  {"II": lambda f, eta: f.u * eta[..., None]})
 
 
 def _euler_eta(f):
@@ -142,8 +145,8 @@ def _euler_eta(f):
 # and its pressure part
 EULER_ENERGY_PAIR = EntropyPair(
     "euler_energy", _euler_eta,
-    {"II": lambda f: f.u * _euler_eta(f)[..., None],
-     "III": lambda f: f.u * f.scalars["p"][..., None]},
+    {"II": lambda f, eta: f.u * eta[..., None],
+     "III": lambda f, eta: f.u * f.scalars["p"][..., None]},
     eta_quad_coeff=0.5, q_cubic_coeff=0.5)
 
 
@@ -303,11 +306,14 @@ class _Window:
 
     def block(self, start: int, stop: int) -> GriddedField:
         """The samples of the box's time rows start..stop-1, copied into
-        contiguous memory (so that the component sums and the differences
-        along each axis run on contiguous memory even when the samples are
-        strided: a file with interleaved components reads back that way), as
-        a GriddedField of the same spacings whose coordinates start at 0 (its
-        h can differ from the global one in the last bit).
+        contiguous memory, as a GriddedField of the same spacings whose
+        coordinates start at 0 (its h can differ from the global one in the
+        last bit).  Each component of ``u`` is one contiguous array (``u`` is
+        a view with the component axis last), so that the component sums and
+        the differences along each axis run on contiguous memory even when
+        the samples are strided: a file with interleaved components reads
+        back that way.  The layout changes no value: each field-derived array
+        is formed node by node before the contraction.
 
         The copy goes one time row at a time: every component of a row
         (``u`` and each scalar) is copied, and then the field's pages under
@@ -322,7 +328,9 @@ class _Window:
         n = self.x[0].stop - self.x[0].start
         arrays = [f.u, *f.scalars.values()]
         rows = range(self.t.start + start, self.t.start + stop)
-        copies = [np.empty((len(rows),) + a[(0,) + self.x].shape, a.dtype) for a in arrays]
+        space = (len(rows),) + (n,) * f.d
+        u = np.moveaxis(np.empty((f.d,) + space), 0, -1)   # each component contiguous
+        copies = [u] + [np.empty(space) for _ in f.scalars]
         for k, row in enumerate(rows):
             for a, out in zip(arrays, copies):
                 out[k] = a[(row,) + self.x]
@@ -389,7 +397,7 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
     ``phi`` is a SpaceTimeTestFunction or a CutoffPair (chi(x)*eta(t)); the
     stated supports of its factors must leave the two edge nodes free at each
     margin named in ``vanish`` (``_check_margin``: MarginError).  With
-    eta = pair.eta_fn(f) and Q_k = pair.fluxes[k](f), f a block of the field,
+    eta = pair.eta_fn(f) and Q_k = pair.fluxes[k](f, eta), f a block of the field,
     ``report`` (a BalanceReport) holds
 
         terms["I"]  = quadrature of eta * dphi/dt
@@ -440,12 +448,12 @@ def _pairing(field: GriddedField, phi, pair: EntropyPair, nu: float = 0.0,
             row["IV"] = win.contract(eta * win.x_lap)
         if stop == blocks[-1][1] and win.t.stop == field.nt:
             terminal = float(np.sum(win.wsp * eta[-1] * (win.x_val * win.h_val[-1])))
-        # freed before the fluxes are formed: one block-sized array less at the peak
-        del eta
         for name, flux in pair.fluxes.items():
-            q = flux(f)
+            q = flux(f, eta)
             widths[name] = q.shape[-1]
             row[name] = win.contract(component_dot(q, win.x_grad))
+            del q   # before the next flux is formed: one block-sized array less at the peak
+        del eta   # before |grad u|^2 is formed, likewise
         if nu > 0:
             g2 = f.grad_squared()
             row["grad"] = win.contract(g2 * win.x_val)
@@ -691,9 +699,15 @@ def signed_support_bound(field: GriddedField, covering, phi, r,
             raise ValueError(f"a covering ball needs {d} finite center coordinates and a "
                              f"positive finite radius, got {c!r}, {rad!r}")
         bumps.append(SpatialBump(tuple(c), rad))
-    div = sum(np.gradient(v[..., i], field.h, axis=i) for i in range(d))
-    thr = threshold if threshold is not None else DEFAULT_DIV_THRESHOLD * float(np.abs(div).max())
-    above = np.abs(div) > thr
+    # |div V| summed in place: two grid-sized arrays, the sum and one difference
+    div = centered_difference(v[..., 0], field.h, 0, np.empty(v.shape[:-1]))
+    diff = np.empty_like(div)
+    for i in range(1, d):
+        div += centered_difference(v[..., i], field.h, i, diff)
+    del diff
+    np.abs(div, out=div)
+    thr = threshold if threshold is not None else DEFAULT_DIV_THRESHOLD * float(div.max())
+    above = div > thr
     del div
 
     # phi and each bump evaluated once, on its support box; every term carries

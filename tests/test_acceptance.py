@@ -215,7 +215,7 @@ def _pairing_majorant(field, pair, phi):
     mesh = field.spatial_mesh()
     ts = field.t_axis
     eta = pair.eta_fn(field)
-    q = sum(flux(field) for flux in pair.fluxes.values())
+    q = sum(flux(field, eta) for flux in pair.fluxes.values())
     wsp = field.spatial_weights()
     _, wt = field.axis_weights()
     d = field.d

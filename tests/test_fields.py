@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dissdim import fields
-from dissdim.fields import GriddedField, _SpaceTimeGrid, blocks, release
+from dissdim.fields import (FINITE_BLOCK, GriddedField, _SpaceTimeGrid, all_finite, blocks,
+                            centered_difference, release)
 
 
 class TestGriddedField:
@@ -72,6 +75,76 @@ class TestGriddedField:
         u[..., 0] = mesh[..., 0][None]
         field.u = u
         assert np.allclose(field.grad_squared(), 1.0)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), nx=st.integers(2, 7), nt=st.integers(2, 3),
+       h=st.floats(1e-3, 1e3), scale=st.sampled_from([1.0, 1e150, 1e300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_differences_have_the_bits_of_np_gradient(d, nx, nt, h, scale, seed):
+    # large values overflow in the differences and the squares, to inf in both
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((nt,) + (nx,) * d + (d,)) * scale
+    field = GriddedField(d, 0.0, h * (nx - 1), nx, 1.0, nt, u)
+    want = np.zeros(u.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for comp in range(d):
+            for axis in range(d):
+                want += np.gradient(u[..., comp], field.h, axis=1 + axis) ** 2
+        got = field.grad_squared()
+        for axis in range(d + 1):   # the time axis too, and a strided component
+            diff = centered_difference(u[..., -1], field.h, axis, np.empty(u.shape[:-1]))
+            assert bits(diff) == bits(np.gradient(u[..., -1], field.h, axis=axis))
+    assert bits(got) == bits(want)
+
+
+@st.composite
+def finiteness_cases(draw):
+    """An array with NaN and +-inf at random entries, as a view of a larger
+    array: every component of an interleaved trailing axis or one of them,
+    with negative strides on random axes.  Shapes include 0-d and empty
+    arrays and rows larger than FINITE_BLOCK."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 3)), FINITE_BLOCK // 8 + draw(st.integers(1, 9)))
+    else:
+        shape = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.standard_normal(shape + (width,)) * 10.0 ** rng.integers(-300, 300, shape + (width,))
+    flat = base.reshape(-1)
+    if flat.size:
+        for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
+            flat[rng.integers(flat.size)] = value
+    view = base[..., draw(st.integers(0, width - 1))] if draw(st.booleans()) else base
+    flips = tuple(slice(None, None, -1) if draw(st.booleans()) else slice(None)
+                  for _ in range(view.ndim))
+    return view[flips]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=finiteness_cases())
+def test_all_finite_is_the_isfinite_of_the_whole_array(a):
+    assert all_finite(a) == bool(np.isfinite(a).all())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros((1, 3 * FINITE_BLOCK // 8)),   # one row of three blocks
+    lambda: np.broadcast_to(np.zeros(FINITE_BLOCK // 16), (64, FINITE_BLOCK // 16)),
+    lambda: np.zeros((2048, 1024)).T,   # rows wider than their stride
+], ids=["long-row", "broadcast", "transposed"])
+def test_a_check_holds_one_block_of_booleans(make):
+    a = make()
+    tracemalloc.start()
+    try:
+        assert all_finite(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= FINITE_BLOCK // 4   # one block's booleans (FINITE_BLOCK / 8), numpy's buffers
 
 
 @st.composite
@@ -207,6 +280,14 @@ class TestRelease:
         got = list(blocks(a))
         assert [len(b) for b in got[:-1]] == [step] * (len(got) - 1)
         assert 0 < len(got[-1]) <= step
+        assert np.concatenate(got).tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("a", [np.broadcast_to(np.arange(2.0), (1 << 18, 2)),
+                                   np.arange(1 << 19, dtype=float).reshape(512, -1).T],
+                             ids=["broadcast", "transposed"])
+    def test_blocks_of_rows_wider_than_their_stride_hold_finite_block_bytes(self, a):
+        got = list(blocks(a))
+        assert all(b.nbytes <= fields.FINITE_BLOCK for b in got)
         assert np.concatenate(got).tobytes() == a.tobytes()
 
     def test_blocks_take_a_0d_array_as_one_row(self):

@@ -96,7 +96,7 @@ class TestBurgersEntropySolution:
         # the sampled shock is a weak solution of the momentum form: the
         # pairing with the (u, u^2/2) pair vanishes across the shock
         momentum = wb.EntropyPair("momentum", lambda f: f.u[..., 0],
-                                  {"II": lambda f: (0.5 * f.u[..., 0] ** 2)[..., None]})
+                                  {"II": lambda f, eta: (0.5 * f.u[..., 0] ** 2)[..., None]})
         datum = fx.RiemannDatum(2.0, 0.0)
         field = fx.burgers_entropy_solution(datum, -1.0, 3.0, 2049, 1.0, 1025)
         space = co.SpatialTestFunction([co.PlateauProfile(0.2, 1.6, 0.3)])

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from dissdim import aniso_measure as am
 from dissdim import fixtures as fx
 from dissdim import io as dio
-from dissdim.fields import SCALARS, GriddedField
+from dissdim.fields import SCALARS, GriddedField, _mapped_bytes
 
 
 @pytest.fixture
@@ -761,6 +761,20 @@ class TestBinaryBody:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
+
+    def test_the_arrays_are_plain_views_whose_mapping_is_found(self, sample_measure, tmp_path):
+        # no np.memmap method runs when they are indexed, and the page
+        # releases still find the mapping through their base chain
+        dio.write_field(tmp_path / "f", edge_field(2, ("p",), nx=40))
+        dio.write_measure(tmp_path / "m", sample_measure, binary=True)
+        field, mu = dio.read_field(tmp_path / "f"), dio.read_measure(tmp_path / "m")
+        with open(tmp_path / "f", "rb") as fh:
+            fh.readline()
+            body = dio._read_rows(fh, tmp_path / "f", "binary", 2 * 40 * 40, 3, None)
+        for arr in (body, field.u, field.scalars["p"], mu.points, mu.weights):
+            assert type(arr) is np.ndarray and not arr.flags.writeable
+            found = _mapped_bytes(arr)
+            assert found is not None and found[0] is mapping_of(arr)
 
     @pytest.mark.parametrize("d, nx, nt, extra", [(1, 4097, 129, ("p", "theta")),
                                                   (2, 129, 33, ("p",))])

@@ -105,7 +105,7 @@ def test_cutoff_balance_matches_full_grid(d, profile, delta_frac, alpha, x_fracs
     e = pair.eta_fn(field)
     oracle = {"I": grid.quad(e, chi, deta_t)}
     for name, flux in pair.fluxes.items():
-        oracle[name] = grid.quad(np.einsum("t...i,...i->t...", flux(field), gchi),
+        oracle[name] = grid.quad(np.einsum("t...i,...i->t...", flux(field, e), gchi),
                                  1.0, eta_t)
     if nu > 0:
         value, scale = grid.quad(e, lchi, eta_t)
@@ -163,7 +163,7 @@ def test_boundary_extended_mass_matches_full_grid(d, profile, lo, width, ramp, t
     e = pair.eta_fn(field)
     parts = [grid.quad(e, X, dH)]
     for flux in pair.fluxes.values():
-        parts.append(grid.quad(np.einsum("t...i,...i->t...", flux(field), gX),
+        parts.append(grid.quad(np.einsum("t...i,...i->t...", flux(field, e), gX),
                                1.0, H))
     if nu > 0:
         value, scale = grid.quad(e, lX, H)
@@ -485,6 +485,18 @@ def test_a_mapped_field_gives_the_bits_of_the_field_in_memory(tmp_path, d, nu):
     assert not mapped.u.flags.c_contiguous
     assert every_entry_point(mapped, nu) == every_entry_point(field, nu)
 
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_block_holds_each_component_contiguous(tmp_path, d):
+    # the differences along each axis and the component sums run on
+    # contiguous memory, also where the file interleaves the components
+    dio.write_field(tmp_path / "f", random_field(d))
+    field = dio.read_field(tmp_path / "f")
+    phi = co.SpaceTimeTestFunction(co.SpatialBump((0.5,) * d, 0.15), co.TimeBump(0.5, 0.15, 1.0))
+    win = wb._Window(field, phi, ())
+    block = win.block(*win.row_blocks()[0])
+    for arr in [block.u[..., i] for i in range(d)] + list(block.scalars.values()):
+        assert arr.flags.c_contiguous
 
 MIB = 1 << 20
 # the most of a file that one page fault maps: a whole page-cache folio, up to

@@ -331,7 +331,8 @@ class TestHolderBound:
         rng = np.random.default_rng(3)
         u, p = rng.normal(size=(5, 7, 7, 2)), rng.normal(size=(5, 7, 7))
         field = GriddedField(2, 0.0, 1.0, 7, 1.0, 5, u, {"p": p})
-        total = sum(flux(field) for flux in wb.EULER_ENERGY_PAIR.fluxes.values())
+        eta = wb.EULER_ENERGY_PAIR.eta_fn(field)
+        total = sum(flux(field, eta) for flux in wb.EULER_ENERGY_PAIR.fluxes.values())
         np.testing.assert_allclose(total, u * (0.5 * np.sum(u ** 2, axis=-1) + p)[..., None],
                                    rtol=1e-14, atol=1e-14)
 
