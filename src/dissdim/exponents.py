@@ -3,8 +3,13 @@
 Every function here evaluates an explicit formula: the two-term energy
 cylinder exponent for inviscid velocity fields, its three-term viscous
 analogue, the isotropic space-time exponent for generic conservation laws,
-the optimal time-anisotropy parameter, and the admissibility condition for
-forced balances.
+and the optimal time-anisotropy parameter.
+
+The paper's named integrability cases are ``euler_optimal`` at q = inf and
+one r each, which ``dissdim exponents --regime euler --q inf --r R`` prints:
+r = 3d/(d-1) for bounded-in-time L^r and its one-third Besov endpoint (there
+s = alpha = (2+d)/3), and r = 2d/(d-2*beta) for bounded-in-time H^beta
+(there s = 2*beta).
 
 Extended reals: ``math.inf`` is a legal value for the integrability
 exponents ``q`` and ``r``.  Each infinity limit is written once, in a small
@@ -18,8 +23,7 @@ results while floats yield floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .errors import VerificationError
 
@@ -32,17 +36,7 @@ __all__ = [
     "euler_unbounded_pressure",
     "conservation_law_exponent",
     "navier_stokes_exponent",
-    "case_numerology",
-    "case1_optimal_r",
-    "forcing_admissible",
-    "CASE_UNIFORM_IN_TIME_LR",
-    "CASE_BESOV_13",
-    "CASE_SOBOLEV_BETA",
 ]
-
-CASE_UNIFORM_IN_TIME_LR = "uniform_in_time_Lr"
-CASE_BESOV_13 = "besov_13"
-CASE_SOBOLEV_BETA = "sobolev_beta"
 
 _REL_TOL = 1e-12
 
@@ -132,7 +126,6 @@ class ExponentReport:
     r: object = None
     vacuous: bool = field(default=False)
     open_exponent: bool = False
-    endpoint_limit: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,7 +139,6 @@ class ExponentReport:
             "convention_applied": self.convention_applied,
             "vacuous": self.vacuous,
             "open_exponent": self.open_exponent,
-            "endpoint_limit": self.endpoint_limit,
         }
 
 
@@ -297,78 +289,3 @@ def navier_stokes_exponent(cls: IntegrabilityClass, alpha) -> ExponentReport:
     _check_alpha(alpha)
     return _report(_ns_terms(cls.d, cls.q, cls.r, alpha), alpha, "navier_stokes",
                    cls.d, cls.q, cls.r)
-
-
-# ---------------------------------------------------------------------------
-# Named physically relevant cases.
-# ---------------------------------------------------------------------------
-
-def case1_optimal_r(d: int):
-    """The space exponent 3d/(d-1) at which the uniform-in-time case peaks."""
-    if not isinstance(d, int) or d < 2:
-        raise RegimeError(f"requires integer d >= 2, got {d!r}")
-    return Fraction(3 * d, d - 1)
-
-
-def case_numerology(d: int, case: str, param=None) -> ExponentReport:
-    """Exponent pairs for three named integrability scenarios.
-
-    ``uniform_in_time_Lr``: bounded-in-time L^r velocity with
-        r in [3, 3d/(d-1)]; alpha = 1 + d/r, s = d - 2d/r.  At the optimal
-        r = 3d/(d-1) both equal (2+d)/3.
-    ``besov_13``: the endpoint one-third-Besov class; the same optimal pair
-        (2+d)/3 holds in the limit, flagged via ``endpoint_limit`` since the
-        endpoint itself is reached only through exponents r < 3d/(d-1).
-    ``sobolev_beta``: bounded-in-time H^beta velocity with
-        beta in (d/6, 5/6), d < 5; alpha = 1 + (d-2*beta)/2, s = 2*beta.
-    """
-    if not isinstance(d, int) or d < 2:
-        raise RegimeError(f"case numerology requires integer d >= 2, got {d!r}")
-
-    if case == CASE_UNIFORM_IN_TIME_LR:
-        r = param
-        if r is None:
-            raise RegimeError("uniform_in_time_Lr requires the space exponent r as param")
-        _check_finite_or_inf("r", r)
-        r_top = case1_optimal_r(d)
-        if not (3 <= r <= r_top):
-            raise RegimeError(f"r must lie in [3, 3d/(d-1)] = [3, {r_top}], got {r!r}")
-        return euler_optimal(IntegrabilityClass(d, math.inf, r))
-
-    if case == CASE_BESOV_13:
-        base = euler_optimal(IntegrabilityClass(d, math.inf, case1_optimal_r(d)))
-        return replace(base, endpoint_limit=True)
-
-    if case == CASE_SOBOLEV_BETA:
-        beta = param
-        if beta is None:
-            raise RegimeError("sobolev_beta requires the smoothness beta as param")
-        if d >= 5:
-            raise RegimeError(f"sobolev_beta requires d < 5, got d = {d}")
-        # lower endpoint included (it is exactly the space exponent r = 3);
-        # the upper endpoint is excluded (no dissipation survives there)
-        lo, hi = Fraction(d, 6), Fraction(5, 6)
-        if not (lo <= beta < hi):
-            raise RegimeError(f"beta must lie in [d/6, 5/6), got {beta!r}")
-        r = 2 * d / (d - 2 * beta)
-        return euler_optimal(IntegrabilityClass(d, math.inf, r))
-
-    raise RegimeError(f"unknown case {case!r}")
-
-
-# ---------------------------------------------------------------------------
-# Forcing admissibility.
-# ---------------------------------------------------------------------------
-
-def forcing_admissible(d: int, alpha, s, m, l) -> bool:
-    """Whether a force with power density in L^m_t L^l_x preserves exponent s.
-
-    True iff d*(l-1)/l + alpha*(m-1)/m >= s, with (x-1)/x -> 1 as x -> inf.
-    """
-    _check_dimension(d)
-    _check_alpha(alpha)
-    for name, value in (("m", m), ("l", l)):
-        _check_finite_or_inf(name, value)
-        if value < 1:
-            raise RegimeError(f"{name} must satisfy {name} >= 1, got {value!r}")
-    return d * _part(1, l, 1) + alpha * _part(1, m, 1) >= s

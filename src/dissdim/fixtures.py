@@ -139,27 +139,33 @@ def shock_entropy_rate(datum: RiemannDatum) -> float:
 
 
 def _cell_average_shock(xl, xr, xs, ul, ur):
-    """Exact average of the piecewise-constant profile over cells [xl, xr]."""
-    frac_left = np.clip((xs - xl) / (xr - xl), 0.0, 1.0)
+    """Exact average of the piecewise-constant profile over cells [xl, xr].
+
+    The jump position is clamped into each cell before the division, so a
+    jump far off the grid (x0 = 1e308, say) gives the fractions 0 and 1
+    without overflowing, and a jump inside a cell keeps its bits."""
+    frac_left = (np.clip(xs, xl, xr) - xl) / (xr - xl)
     return ul * frac_left + ur * (1.0 - frac_left)
 
 
 def _cell_average_fan(xl, xr, t, datum: RiemannDatum):
-    """Exact average of the rarefaction profile over cells [xl, xr] at time t > 0."""
+    """Exact average of the rarefaction profile over cells [xl, xr] at time t > 0.
+
+    Each cell splits at the fan's edges x0 + u_l t and x0 + u_r t, clamped
+    into the cell: u_l left of the first, u_r right of the second, and the
+    linear (x - x0)/t between them, whose integral the trapezoid rule gives.
+    Every piece is measured from the cell's own ends, so a fan far off the
+    grid costs no precision, and the fan's values at the clamped edges are
+    clamped into [u_l, u_r], so an empty piece adds 0 even where x - x0
+    overflows.
+    """
     x0, ul, ur = datum.x0, datum.u_l, datum.u_r
-    lo, hi = x0 + ul * t, x0 + ur * t
-
-    def antiderivative(x):
-        # integral of u(., t) from lo: ul left of lo, (x-x0)/t in the fan,
-        # ur right of hi
-        x = np.asarray(x, dtype=float)
-        out = ul * (np.minimum(x, lo) - lo)
-        mid = np.clip(x, lo, hi)
-        out = out + ((mid - x0) ** 2 - (lo - x0) ** 2) / (2.0 * t)
-        out = out + ur * np.maximum(x - hi, 0.0)
-        return out
-
-    return (antiderivative(xr) - antiderivative(xl)) / (xr - xl)
+    with np.errstate(over="ignore"):
+        lo = np.clip(x0 + ul * t, xl, xr)
+        hi = np.clip(x0 + ur * t, xl, xr)
+        u_lo, u_hi = (np.clip((x - x0) / t, ul, ur) for x in (lo, hi))
+    fan = (0.5 * u_lo + 0.5 * u_hi) * (hi - lo)
+    return (ul * (lo - xl) + fan + ur * (xr - hi)) / (xr - xl)
 
 
 def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
@@ -344,7 +350,11 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
         umax = max(umax, abs(datum.u_l), abs(datum.u_r))
     dt_limit = h / umax
     dt_sub = COURANT_SAFETY * dt_limit
-    n_sub = max(int(math.ceil(T / dt_sub)), 1)
+    count = T / dt_sub if dt_sub > 0 else math.inf
+    if count == math.inf:
+        raise ValueError(f"the substep count T / dt_sub = {T!r} / {dt_sub!r} = {count!r} "
+                         "overflows a float64: lower T or the speeds, or widen h")
+    n_sub = max(int(math.ceil(count)), 1)
     if T / n_sub / dt_limit > COURANT_SAFETY:  # T/dt_sub rounded down onto a whole number
         n_sub += 1
     dt_sub = T / n_sub

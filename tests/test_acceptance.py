@@ -58,12 +58,14 @@ def test_criterion_1_exponent_suite():
         values = [v for _, v in rep.terms]
         checks.append(values == [d - 2] * 3 and rep.s == d - 2)
 
+    # the named cases: bounded-in-time L^r (and its Besov-1/3 endpoint) at
+    # r = 3d/(d-1), and bounded-in-time H^beta at r = 2d/(d-2 beta)
     for d in (2, 3, 4):
-        rep = ex.case_numerology(d, ex.CASE_UNIFORM_IN_TIME_LR, ex.case1_optimal_r(d))
+        rep = ex.euler_optimal(ex.IntegrabilityClass(d, INF, F(3 * d, d - 1)))
         checks.append(rep.alpha == F(2 + d, 3) and rep.s == F(2 + d, 3))
 
     for d, beta in ((2, F(2, 5)), (3, F(1, 2)), (4, F(3, 4))):
-        rep = ex.case_numerology(d, ex.CASE_SOBOLEV_BETA, beta)
+        rep = ex.euler_optimal(ex.IntegrabilityClass(d, INF, 2 * d / (d - 2 * beta)))
         checks.append(rep.s == 2 * beta)
 
     for d, r in ((1, INF), (3, F(3)), (2, F(3, 2)), (2, INF)):

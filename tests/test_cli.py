@@ -607,6 +607,18 @@ class TestFixtureCommands:
         assert data["shock"] is False
         assert data["measure_atoms"] == 0
 
+    @pytest.mark.parametrize("ul, ur", [("1", "-1"), ("-1", "1")], ids=["shock", "rarefaction"])
+    @pytest.mark.parametrize("x0", ["1e308", "-1e308", "1.7e308", "-1.7e308"])
+    def test_a_jump_far_off_the_grid(self, ul, ur, x0, capsys, tmp_path):
+        # the jump's distance to a node over the cell width overflowed, with
+        # a RuntimeWarning and exit 0; every cell lies on one side of it
+        fpath = str(tmp_path / "f.field")
+        code, _ = run_json(["burgers", "--ul", ul, "--ur", ur, "--x0", x0, "--nx", "33",
+                            "--nt", "9", "--field-out", fpath], capsys)
+        assert code == 0
+        state = float(ul if float(x0) > 0 else ur)
+        assert np.all(dio.read_field(fpath).u == state)
+
 
 VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "--b", "0.3"]
 
@@ -676,6 +688,10 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
     # a decimal beyond float64 is the same number as its integer, not inf
     ["exponents", "--regime", "euler", "--d", "3", "--q", "1e400", "--r", "inf"],
     ["verify", "--q", "1e400"],
+    # the substep count T / dt_sub overflows, which raised OverflowError (exit 1)
+    *(["vfield", "--nu", "0.07", "--ul", "-1.48", "--ur", ur, "--a", "-0.22", "--b", "1",
+       "--nx", "17", "--T", T, "--nt", "2", "--bc", "periodic", "--field-out", os.devnull]
+      for ur, T in (("0.75", "1e308"), ("1e308", "0.35"))),
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files

@@ -214,60 +214,6 @@ def test_terms_match_the_paper_formula(d, q, r, alpha):
         assert got == expected
 
 
-class TestCaseNumerology:
-    def test_case1_optimal(self):
-        rep = ex.case_numerology(3, ex.CASE_UNIFORM_IN_TIME_LR, ex.case1_optimal_r(3))
-        assert rep.alpha == F(5, 3)
-        assert rep.s == F(5, 3)
-
-    def test_case1_generic_r(self):
-        rep = ex.case_numerology(3, ex.CASE_UNIFORM_IN_TIME_LR, F(3))
-        assert rep.alpha == 1 + F(3, 3)
-        assert rep.s == 3 - F(2 * 3, 3)
-
-    def test_case1_rejects_out_of_range(self):
-        with pytest.raises(ex.RegimeError):
-            ex.case_numerology(3, ex.CASE_UNIFORM_IN_TIME_LR, F(5))
-
-    def test_besov_flag(self):
-        rep = ex.case_numerology(2, ex.CASE_BESOV_13)
-        assert rep.endpoint_limit
-        assert rep.s == rep.alpha == F(4, 3)
-
-    def test_sobolev(self):
-        rep = ex.case_numerology(3, ex.CASE_SOBOLEV_BETA, F(1, 2))
-        assert rep.alpha == 2
-        assert rep.s == 1
-
-    def test_sobolev_upper_endpoint_excluded(self):
-        with pytest.raises(ex.RegimeError):
-            ex.case_numerology(2, ex.CASE_SOBOLEV_BETA, F(5, 6))
-
-    def test_sobolev_rejects_high_dimension(self):
-        with pytest.raises(ex.RegimeError):
-            ex.case_numerology(5, ex.CASE_SOBOLEV_BETA, F(5, 7))
-
-    def test_unknown_case(self):
-        with pytest.raises(ex.RegimeError):
-            ex.case_numerology(3, "nope", 1)
-
-
-class TestForcingAdmissible:
-    def test_bounded_force(self):
-        assert ex.forcing_admissible(3, 1, 3, INF, INF)
-
-    def test_equality_boundary(self):
-        assert ex.forcing_admissible(3, 1, 3, 1, INF)
-
-    def test_rejecting_case(self):
-        # d(l-1)/l + alpha(m-1)/m = 1 + 2/3 < 2
-        assert not ex.forcing_admissible(2, F(4, 3), 2, 2, 2)
-
-    def test_validation(self):
-        with pytest.raises(ex.RegimeError):
-            ex.forcing_admissible(3, 1, 3, F(1, 2), INF)
-
-
 class TestFloatRange:
     """Reports are JSON numbers: inputs beyond a float64, and terms that
     overflow to infinity, are rejected rather than printed or raised as
@@ -284,9 +230,7 @@ class TestFloatRange:
         lambda b: ex.euler_optimal(ex.IntegrabilityClass(b, INF, INF)),
         lambda b: ex.conservation_law_exponent(1, b),
         lambda b: ex.conservation_law_exponent(b, 3),
-        lambda b: ex.forcing_admissible(3, b, 3, 2, 2),
-    ], ids=["euler-alpha", "ns-alpha", "fraction-alpha", "q", "r", "d", "claw-r", "claw-d",
-            "forcing-alpha"])
+    ], ids=["euler-alpha", "ns-alpha", "fraction-alpha", "q", "r", "d", "claw-r", "claw-d"])
     def test_inputs_beyond_a_float64(self, make):
         with pytest.raises(ex.RegimeError, match="does not fit a float64"):
             make(self.BIG)
@@ -316,5 +260,4 @@ class TestPurity:
         d = rep.to_json_dict()
         assert d["r"] == "inf"
         assert set(d) == {"regime", "d", "q", "r", "alpha", "s", "terms",
-                          "convention_applied", "vacuous", "open_exponent",
-                          "endpoint_limit"}
+                          "convention_applied", "vacuous", "open_exponent"}

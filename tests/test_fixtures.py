@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -111,6 +112,32 @@ class TestBurgersEntropySolution:
         xs = field.x_axis
         fan = (np.abs(xs) < 0.9)
         assert np.allclose(field.u[k, fan, 0], xs[fan], atol=2 * field.h)
+
+    def test_fan_cell_averages_are_exact_to_rounding(self):
+        # oracle: the exact rational average of u over each cell's float ends
+        ul, ur, x0 = F(-0.3), F(2.0), F(0.1)
+
+        def integral(x, t):   # of u(., t) from the fan's left edge
+            lo, hi = x0 + ul * t, x0 + ur * t
+            mid = min(max(x, lo), hi)
+            return ul * (min(x, lo) - lo) + ((mid - x0) ** 2 - (lo - x0) ** 2) / (2 * t) \
+                + ur * max(x - hi, 0)
+
+        field = fx.burgers_entropy_solution(fx.RiemannDatum(-0.3, 2.0, 0.1), -1.0, 1.0, 65,
+                                            0.5, 5)
+        h = field.h
+        for k, t in enumerate(field.t_axis[1:], start=1):
+            for i, x in enumerate(field.x_axis):
+                xl, xr = F(max(x - h / 2, -1.0)), F(min(x + h / 2, 1.0))
+                exact = (integral(xr, F(t)) - integral(xl, F(t))) / (xr - xl)
+                assert abs(F(field.u[k, i, 0]) - exact) <= 4e-16, (k, i)
+
+    @pytest.mark.parametrize("x0, state", [(1e17, -1.0), (-1e17, 1.0)])
+    def test_a_fan_far_off_the_grid_keeps_its_states(self, x0, state):
+        # each average was a difference of an integral taken from the fan's
+        # edge, 1e17 away, which cancelled to 0
+        field = fx.burgers_entropy_solution(fx.RiemannDatum(-1.0, 1.0, x0), -1.0, 1.0, 33, 1.0, 5)
+        assert np.all(field.u == state)
 
     def test_degenerate_datum_rejected(self):
         with pytest.raises(ValueError):

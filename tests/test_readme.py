@@ -14,6 +14,7 @@ import io
 import json
 import os
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,12 +24,16 @@ from dissdim.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def readme_commands() -> list:
+def readme_lines() -> list:
+    """The lines of the CLI section's first ``sh`` block, continuations joined."""
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## CLI\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
-    return [argv for argv in (shlex.split(line, comments=True) for line in lines)
+    return block.replace("\\\n", " ").splitlines()
+
+
+def readme_commands() -> list:
+    return [argv for argv in (shlex.split(line, comments=True) for line in readme_lines())
             if argv and argv[0] == "dissdim"]
 
 
@@ -95,3 +100,19 @@ def test_the_viscous_measure_mass_is_the_reported_total(first_run):
     [dimension] = [json.loads(out) for argv, _, out, _ in runs
                    if argv[1:4] == ["dimension", "--input", "v.measure"]]
     assert dimension["total_mass"] == vfield["total_dissipation"]
+
+
+def test_each_exponents_comment_states_its_report(first_run):
+    # "# s=alpha=5/3" says that the report's s and alpha are both the float
+    # nearest 5/3; the paper's named cases are such lines (case 1 at d = 3)
+    _, (runs, _) = first_run
+    reports = [json.loads(out) for argv, _, out, _ in runs if argv[1] == "exponents"]
+    comments = [line.split("#", 1)[1] for line in readme_lines()
+                if line.startswith("dissdim exponents")]
+    assert len(comments) == len(reports) >= 4
+    for comment, report in zip(comments, reports):
+        for clause in comment.split(","):
+            *names, value = clause.strip().split("=")
+            assert names and set(names) <= {"s", "alpha"}, comment
+            for name in names:
+                assert report[name] == float(Fraction(value)), (comment, name)
