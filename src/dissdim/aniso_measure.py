@@ -86,7 +86,6 @@ __all__ = [
     "box_counting_dimension",
     "density_ladder",
     "certify_lower_bound",
-    "as_point_array",
 ]
 
 SUPPORT_WEIGHT_CUTOFF = 1e-12    # relative to total mass, for the default center policy
@@ -221,14 +220,6 @@ class AtomicMeasure:
             start += len(rows)
 
 
-def as_point_array(points, d=None) -> np.ndarray:
-    """Normalize a point collection to an (n, d+1) array of [x..., t] rows."""
-    arr = np.atleast_2d(np.asarray(points, dtype=float))
-    if d is not None and arr.shape[1] != d + 1:
-        raise ValueError(f"expected points with {d + 1} columns, got {arr.shape[1]}")
-    return arr
-
-
 def cylinder_mass(mu: AtomicMeasure, c: Cylinder) -> float:
     """Sum of weights of atoms strictly inside the cylinder, selected block by
     block (``AtomicMeasure._atom_blocks``) and summed at once."""
@@ -244,7 +235,10 @@ class BoxCountResult(NamedTuple):
     fit_residual: float
 
 
-def _validate_scales(scales):
+def _validate_scales(scales, alpha):
+    """The scales as a list of floats, once they and the ladder's alpha are checked."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     scales = [float(s) for s in scales]
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
@@ -509,10 +503,8 @@ def box_counting_dimension(points, alpha, scales) -> BoxCountResult:
     under halving ladders when 2**alpha is an integer (nested lattices);
     fractional alpha lattices do not nest and can in principle dip.
     """
-    scales = _validate_scales(scales)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    pts = as_point_array(points)
+    scales = _validate_scales(scales, alpha)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
     counts = [len(_row_groups(_cells(pts, delta, alpha))[1]) for delta in scales]
@@ -543,18 +535,16 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> Density
     """
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be non-negative and finite, got {s!r}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    scales = _validate_scales(scales)
+    scales = _validate_scales(scales, alpha)
     gauges = [scale_power(delta, s) for delta in scales]
     if not all(0 < g < math.inf for g in gauges):
         raise ValueError(f"delta**s leaves the float range on the ladder at s={s!r}")
     if centers is None:
         centers = mu.support_points()
     else:
-        centers = as_point_array(centers, d=mu.d)
-        if not np.all(np.isfinite(centers)):
-            raise ValueError("centers must have finite coordinates")
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        if centers.shape[1] != mu.d + 1 or not np.all(np.isfinite(centers)):
+            raise ValueError(f"centers must be rows of {mu.d + 1} finite coordinates")
     if centers.shape[0] == 0:
         raise ValueError("empty support: no centers to scan")
 

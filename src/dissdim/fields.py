@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import mmap
+import sys
 import types
 from dataclasses import dataclass, field
 
@@ -159,7 +160,7 @@ class _SpaceTimeGrid:
     the time nodes t_k = k*dt on [0, T], dt = T/(nt-1).
 
     Constructing one checks a, b, nx, T and nt, so callers build their axes
-    from it only once the grid is known to be finite.
+    from it only once the grid is known to be finite, with h > 0 and dt > 0.
     """
 
     d: int
@@ -172,20 +173,23 @@ class _SpaceTimeGrid:
     def __post_init__(self):
         if self.d < 1 or self.nx < 2:
             raise ValueError("need d >= 1 and nx >= 2")
+        for name, count in (("nx", self.nx), ("nt", self.nt)):
+            if count > sys.float_info.max:
+                raise ValueError(f"{name} must fit a float64, got {count!r}")
         if not self.b > self.a:
             raise ValueError("need b > a")
         with np.errstate(over="ignore", invalid="ignore"):
             ends = [self.h, self.a + self.h * (self.nx - 1)]
-        if not np.all(np.isfinite(ends)):
-            raise ValueError("grid spacing or end node overflows: need finite h "
-                             "and axis end node")
+        if not (np.all(np.isfinite(ends)) and self.h > 0):
+            raise ValueError("grid spacing or end node overflows, or the spacing rounds "
+                             "to 0: need 0 < h < inf and a finite axis end node")
         if self.nt < 2 or not self.T > 0:
             raise ValueError("need nt >= 2 and T > 0")
         with np.errstate(over="ignore"):
             ends = [self.dt, self.dt * (self.nt - 1)]
-        if not np.all(np.isfinite(ends)):
-            raise ValueError("time step or end node overflows: need finite dt "
-                             "and time end node")
+        if not (np.all(np.isfinite(ends)) and self.dt > 0):
+            raise ValueError("time step or end node overflows, or the step rounds to 0: "
+                             "need 0 < dt < inf and a finite time end node")
 
     @property
     def h(self) -> float:

@@ -11,21 +11,23 @@ advective CFL rule bounds the substep).  Robustness beats accuracy here: the
 solver's role is to produce vanishing-viscosity dissipation measures whose
 totals are checked against the shock entropy-production rate by
 extrapolation in nu.  A cell atom of its measure holds the dissipation of the
-substeps whose midpoints fall in its time cell.
+substeps whose midpoints fall in its time cell.  A non-finite state raises
+``NumericalError`` (defined in ``errors``, beside the other exit-3 error).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .aniso_measure import AtomicMeasure, scale_power, squared_norm
+from .errors import NumericalError
 from .fields import GriddedField, _SpaceTimeGrid
 
 __all__ = [
-    "NumericalError",
     "PowerLawField",
     "RiemannDatum",
     "ViscousRun",
@@ -40,12 +42,7 @@ __all__ = [
     "grid_measure",
     "decaying_shear_field",
     "constant_field",
-    "shock_entropy_rate",
 ]
-
-
-class NumericalError(RuntimeError):
-    """A run produced non-finite state or violated its stability condition."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +120,12 @@ class RiemannDatum:
 
     @property
     def shock_speed(self) -> float:
-        return 0.5 * (self.u_l + self.u_r)
+        """(u_l + u_r) / 2, formed from the halves so that it cannot overflow."""
+        return 0.5 * self.u_l + 0.5 * self.u_r
 
     @property
     def jump(self) -> float:
         return self.u_l - self.u_r
-
-
-def shock_entropy_rate(datum: RiemannDatum) -> float:
-    """Entropy production per unit time of the shock for the quadratic pair:
-    (u_l - u_r)^3 / 12."""
-    if not datum.is_shock:
-        return 0.0
-    return scale_power(datum.jump, 3) / 12.0
 
 
 def _cell_average_shock(xl, xr, xs, ul, ur):
@@ -175,20 +165,19 @@ def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
     Each node carries the exact average of the solution over its cell
     [x - h/2, x + h/2] (clipped at the ends), so sampled column sums track
     the exact mass: for a shock the drift equals the flux imbalance
-    f(u_l) - f(u_r) exactly.  Shock at x0 + t*(u_l+u_r)/2; a rarefaction fan
-    when u_l < u_r.
+    f(u_l) - f(u_r) exactly.  Shock at x0 + t*(u_l+u_r)/2, which lies off
+    the grid where it overflows; a rarefaction fan when u_l < u_r.
     """
     grid = _SpaceTimeGrid(1, a, b, nx, T, nt)
     h, xs = grid.h, grid.x_axis
     xl = np.maximum(xs - h / 2.0, a)
     xr = np.minimum(xs + h / 2.0, b)
+    with np.errstate(over="ignore"):   # each cell clamps an infinite position
+        shock_path = datum.x0 + datum.shock_speed * grid.t_axis
     u = np.empty((nt, nx))
     for k, t in enumerate(grid.t_axis):
-        if datum.is_shock:
-            u[k] = _cell_average_shock(xl, xr, datum.x0 + datum.shock_speed * t,
-                                       datum.u_l, datum.u_r)
-        elif t == 0:
-            u[k] = _cell_average_shock(xl, xr, datum.x0, datum.u_l, datum.u_r)
+        if datum.is_shock or t == 0:   # the datum's jump at x0 when t = 0
+            u[k] = _cell_average_shock(xl, xr, shock_path[k], datum.u_l, datum.u_r)
         else:
             u[k] = _cell_average_fan(xl, xr, t, datum)
     return GriddedField(1, a, b, nx, T, nt, u[..., None])
@@ -225,19 +214,22 @@ def burgers_dissipation_measure(datum: RiemannDatum, T: float, n_atoms: int) -> 
 
     Atoms sit at times (k+1/2)*T/n, each holding rate*T/n, so the total mass
     equals (u_l-u_r)^3/12 * T exactly.  A rarefaction datum yields an empty
-    measure; n_atoms < 1, and a rate that overflows, are rejected.
+    measure; n_atoms < 1 or beyond the float64 range, and a rate or an atom
+    position that overflows, are rejected (ValueError).
     """
-    if n_atoms < 1:
-        raise ValueError("need at least one atom")
+    if not 1 <= n_atoms <= sys.float_info.max:
+        raise ValueError(f"need at least one atom, and a count that fits a float64, "
+                         f"got {n_atoms!r}")
     if not datum.is_shock:
         return AtomicMeasure(np.zeros((0, 2)), np.zeros(0))
-    rate = shock_entropy_rate(datum)
+    rate = scale_power(datum.jump, 3) / 12.0
     if not rate < math.inf:
         raise ValueError(f"the shock's entropy rate (u_l - u_r)**3 / 12 overflows at "
                          f"u_l={datum.u_l!r}, u_r={datum.u_r!r}")
     dt = T / n_atoms
     t = (np.arange(n_atoms) + 0.5) * dt
-    x = datum.x0 + datum.shock_speed * t
+    with np.errstate(over="ignore"):   # AtomicMeasure refuses a position that overflows
+        x = datum.x0 + datum.shock_speed * t
     w = np.full(n_atoms, rate * dt)
     return AtomicMeasure(np.column_stack([x, t]), w)
 
@@ -341,7 +333,7 @@ def viscous_burgers_run(datum: RiemannDatum | None, nu: float, a: float, b: floa
     elif initial == "riemann":
         u = np.where(xs < datum.x0, datum.u_l, datum.u_r).astype(float)
         on_jump = xs == datum.x0
-        u[on_jump] = 0.5 * (datum.u_l + datum.u_r)
+        u[on_jump] = datum.shock_speed
     else:
         raise ValueError(f"unknown initial profile {initial!r}")
 

@@ -7,7 +7,9 @@ for BASE_TREE and once for the tree holding this script, each in a fresh
 process with that tree's ``src`` first on PYTHONPATH and in a fresh
 directory, after checking that ``dissdim`` is imported from that tree and not
 from an installed copy.  It prints every command whose exit code, stdout or
-stderr differs and every written file whose sha256 differs.  Exit status: 0
+stderr differs and every written file whose sha256 differs.  A stdout that is
+a JSON object in both trees is compared key by key, so the line names each
+key added, removed or changed (dotted below the top level).  Exit status: 0
 when every output keeps its bytes, 4 when some differ, 1 when a tree could
 not be run.
 """
@@ -48,11 +50,39 @@ def run_tree(tree: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def key_changes(old: dict, new: dict, prefix: str = "") -> list:
+    """'KEY added', 'KEY removed' or 'KEY changed' for each key whose value
+    differs between two JSON objects, nested objects walked key by key."""
+    lines = []
+    for key in {**old, **new}:
+        path = prefix + key
+        if key not in old or key not in new:
+            lines.append(f"{path} {'added' if key in new else 'removed'}")
+        elif isinstance(old[key], dict) and isinstance(new[key], dict):
+            lines += key_changes(old[key], new[key], path + ".")
+        elif json.dumps(old[key]) != json.dumps(new[key]):   # NaN equals itself here
+            lines.append(f"{path} changed")
+    return lines
+
+
+def stdout_change(old: str, new: str) -> str:
+    """The label "stdout", followed by the keys that moved when both stdouts
+    are JSON objects."""
+    try:
+        old_json, new_json = json.loads(old), json.loads(new)
+    except ValueError:
+        return "stdout"
+    keys = (key_changes(old_json, new_json)
+            if isinstance(old_json, dict) and isinstance(new_json, dict) else [])
+    return f"stdout ({'; '.join(keys)})" if keys else "stdout"
+
+
 def differences(base: dict, head: dict) -> list:
     """One line per command or file whose bytes differ between the runs."""
     lines = []
     for i, (old, new) in enumerate(zip(base["runs"], head["runs"], strict=True)):
-        parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old[1:], new[1:])
+        parts = [stdout_change(a, b) if name == "stdout" else name
+                 for name, a, b in zip(("exit code", "stdout", "stderr"), old[1:], new[1:])
                  if a != b]
         if parts:
             lines.append(f"command {i}: {' '.join(new[0])}: {', '.join(parts)} changed")

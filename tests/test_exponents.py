@@ -42,6 +42,12 @@ class TestEulerExponent:
         with pytest.raises(ex.RegimeError):
             ex.euler_exponent(ex.IntegrabilityClass(3, 6, 6), -1)
 
+    def test_rejects_a_dimension_below_1_and_a_nan_exponent(self):
+        with pytest.raises(ex.RegimeError, match="integer >= 1, got 0"):
+            ex.IntegrabilityClass(0, INF, INF)
+        with pytest.raises(ex.RegimeError, match="real number or \\+inf, got nan"):
+            ex.IntegrabilityClass(3, math.nan, INF)
+
     def test_vacuous_flag_not_error(self):
         rep = ex.euler_exponent(ex.IntegrabilityClass(2, 3, 3), F(1, 100))
         assert rep.s < 0

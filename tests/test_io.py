@@ -59,6 +59,18 @@ class TestMeasureFormat:
         with pytest.raises(dio.MalformedFileError):
             dio.read_measure(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("", "missing header line"),
+        ("dissdim-measure v1 d=1 n body=text\n", "bad header token 'n'"),
+        ("dissdim-measure v1 d=1 body=text\n", "header key 'n' is missing"),
+        ("dissdim-measure v1 d=0 n=0 body=text\n", "header needs d >= 1"),
+    ], ids=["empty-file", "token-without-value", "no-count", "d-0"])
+    def test_each_header_fault_is_named(self, tmp_path, header, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(header)
+        with pytest.raises(dio.MalformedFileError, match=re.escape(f"{path}: {message}")):
+            dio.read_measure(path)
+
     def test_short_body_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("dissdim-measure v1 d=1 n=3 body=text\n0.0 0.0 1.0\n")
@@ -200,9 +212,11 @@ class TestBodyCodec:
         try:
             field = GriddedField(d, a, b, nx, big_t, nt, u, extra)
         except ValueError:
-            # refused only where the spacing or an end node overflows
+            # refused only where the spacing or an end node overflows, or a
+            # step rounds to 0
             h, dt = (b - a) / (nx - 1), big_t / (nt - 1)
-            assert not all(map(math.isfinite, (h, dt, a + h * (nx - 1), dt * (nt - 1))))
+            ends = (h, dt, a + h * (nx - 1), dt * (nt - 1))
+            assert not (all(map(math.isfinite, ends)) and h > 0 and dt > 0)
             return
         binary = not (text and field.d == 1)
         path = tmp_path_factory.mktemp("codec") / "f"

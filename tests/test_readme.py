@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 from fractions import Fraction
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import readme_diff
 from dissdim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -116,3 +118,18 @@ def test_each_exponents_comment_states_its_report(first_run):
             assert names and set(names) <= {"s", "alpha"}, comment
             for name in names:
                 assert report[name] == float(Fraction(value)), (comment, name)
+
+
+def test_readme_diff_names_the_json_keys_that_moved():
+    # a CI warning then states which key of a report moved, not only "stdout"
+    def block(report, text="plain"):
+        runs = [(["dissdim", "verify"], 0, json.dumps(report, indent=2), ""),
+                (["dissdim", "burgers"], 0, text, "")]
+        return {"runs": runs, "files": {}}
+
+    old = {"rows": 6, "slope": 1.0, "error": {"type": "A", "code": 2}, "nan": math.nan}
+    new = {"rows": 6, "error": {"type": "B", "code": 2}, "nan": math.nan, "skipped": 0}
+    assert readme_diff.differences(block(old), block(new, "other")) == [
+        "command 0: dissdim verify: stdout (slope removed; error.type changed; skipped added)"
+        " changed",
+        "command 1: dissdim burgers: stdout changed"]
