@@ -525,13 +525,12 @@ class DensityLadder:
     fit_residual: float
 
 
-def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> DensityLadder:
-    """Sup of mu(C^alpha_delta(center))/delta**s over centers, per scale.
+def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers) -> DensityLadder:
+    """Sup of mu(C^alpha_delta(center))/delta**s over ``centers``, per scale.
 
-    Default centers are the atoms of the measure carrying non-negligible
-    weight (the discrete support); ``centers`` replaces them with an explicit
-    (n, d+1) array.  Raises ValueError when delta**s underflows to 0 or
-    overflows at some scale.
+    ``centers`` is an (n, d+1) array of finite rows, for example the measure's
+    support, ``mu.support_points()``.  Raises ValueError when there are no
+    centers, and when delta**s underflows to 0 or overflows at some scale.
     """
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be non-negative and finite, got {s!r}")
@@ -539,12 +538,9 @@ def density_ladder(mu: AtomicMeasure, alpha, s, scales, centers=None) -> Density
     gauges = [scale_power(delta, s) for delta in scales]
     if not all(0 < g < math.inf for g in gauges):
         raise ValueError(f"delta**s leaves the float range on the ladder at s={s!r}")
-    if centers is None:
-        centers = mu.support_points()
-    else:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        if centers.shape[1] != mu.d + 1 or not np.all(np.isfinite(centers)):
-            raise ValueError(f"centers must be rows of {mu.d + 1} finite coordinates")
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if centers.shape[1] != mu.d + 1 or not np.all(np.isfinite(centers)):
+        raise ValueError(f"centers must be rows of {mu.d + 1} finite coordinates")
     if centers.shape[0] == 0:
         raise ValueError("empty support: no centers to scan")
 

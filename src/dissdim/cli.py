@@ -46,10 +46,11 @@ def _parse_number(text: str):
     """Extended-real CLI numbers: 'inf', integers, fractions 'a/b', decimals.
 
     A decimal beyond the float64 range (1e400) stays the exact Fraction, so
-    it is refused where too large exactly as its 401-digit integer is."""
+    it is refused where too large exactly as its 401-digit integer is.  A
+    'nan' is left to the check that owns the flag, which refuses it by name."""
     text = text.strip()
-    if text in ("inf", "Inf", "INF"):
-        return math.inf
+    if text in ("inf", "Inf", "INF", "nan", "NaN", "NAN"):
+        return float(text)
     try:
         if "/" in text:
             return Fraction(text)

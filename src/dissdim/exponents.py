@@ -23,7 +23,7 @@ results while floats yield floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import VerificationError
 
@@ -80,7 +80,7 @@ def _as_float(name, x) -> float:
 
 
 def _check_finite_or_inf(name, x):
-    if x == -math.inf or (isinstance(x, float) and math.isnan(x)):
+    if x == -math.inf or x != x:   # x != x: a NaN of any number type
         raise RegimeError(f"{name} must be a real number or +inf, got {x!r}")
     _as_float(name, x)
 
@@ -227,26 +227,25 @@ def euler_optimal(cls: IntegrabilityClass) -> ExponentReport:
     return report
 
 
-def _close(a, b, rel=_REL_TOL):
+def _close(a, b):
     if a == b:
         return True
     scale = max(abs(a), abs(b), 1)
-    return abs(a - b) <= rel * scale
+    return abs(a - b) <= _REL_TOL * scale
 
 
 def euler_unbounded_pressure(cls: IntegrabilityClass) -> ExponentReport:
     """Exponent pair for r = inf without an integrability assumption on p.
 
-    s = d - 2/(q-1) and alpha = q/(q-1); the conclusion then holds at every
-    exponent strictly below s, which the ``open_exponent`` flag records.
+    The ``euler_optimal`` report at r = inf: s = d - 2/(q-1) and alpha =
+    q/(q-1); the conclusion then holds at every exponent strictly below s,
+    which the ``open_exponent`` flag records.
     """
     if not _is_inf(cls.r):
         raise RegimeError(f"requires r = inf, got r = {cls.r!r}")
     if _is_inf(cls.q):
         raise RegimeError("requires a finite q; use euler_optimal for q = r = inf")
-    alpha = _conj(cls.q)
-    return _report(_euler_terms(cls.d, cls.q, cls.r, alpha), alpha, "euler", cls.d, cls.q, cls.r,
-                   open_exponent=True)
+    return replace(euler_optimal(cls), open_exponent=True)
 
 
 # ---------------------------------------------------------------------------

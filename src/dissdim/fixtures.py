@@ -183,16 +183,11 @@ def burgers_entropy_solution(datum: RiemannDatum, a: float, b: float, nx: int,
     return GriddedField(1, a, b, nx, T, nt, u[..., None])
 
 
-SMOOTH_AMPLITUDE = 0.5
-SMOOTH_WAVENUMBER = 2 * math.pi
-SMOOTH_NEWTON_STEPS = 60
-
-
 def burgers_smooth_solution(a: float, b: float, nx: int, T: float, nt: int) -> GriddedField:
-    """Pre-breaking smooth solution with initial data A*sin(k x), A =
-    SMOOTH_AMPLITUDE and k = SMOOTH_WAVENUMBER, evaluated by SMOOTH_NEWTON_STEPS
-    Newton steps on the characteristic relation."""
-    amplitude, wavenumber = SMOOTH_AMPLITUDE, SMOOTH_WAVENUMBER
+    """Pre-breaking smooth solution with initial data A*sin(k x), A = 0.5 and
+    k = 2*pi, evaluated by 60 Newton steps on the characteristic relation
+    (T must stay below 0.8 of the breaking time 1/(A k))."""
+    amplitude, wavenumber, newton_steps = 0.5, 2 * math.pi, 60
     t_break = 1.0 / (amplitude * wavenumber)
     if T >= 0.8 * t_break:
         raise ValueError(f"T = {T} too close to breaking time {t_break:.4f}")
@@ -201,7 +196,7 @@ def burgers_smooth_solution(a: float, b: float, nx: int, T: float, nt: int) -> G
     u = np.empty((nt, nx))
     for k, t in enumerate(grid.t_axis):
         vals = amplitude * np.sin(wavenumber * xs)
-        for _ in range(SMOOTH_NEWTON_STEPS):
+        for _ in range(newton_steps):
             f = vals - amplitude * np.sin(wavenumber * (xs - vals * t))
             fp = 1.0 + amplitude * wavenumber * t * np.cos(wavenumber * (xs - vals * t))
             vals = vals - f / fp
@@ -281,12 +276,12 @@ class ViscousRun:
         }
 
 
-def viscous_profile(datum: RiemannDatum, nu: float, x, t: float = 0.0) -> np.ndarray:
-    """Traveling-wave profile of the viscous shock: speed (u_l+u_r)/2, width ~ nu/jump."""
-    s = datum.shock_speed
+def viscous_profile(datum: RiemannDatum, nu: float, x) -> np.ndarray:
+    """The viscous shock's traveling-wave profile at t = 0, centred on x0: it
+    moves at speed (u_l+u_r)/2 and has width ~ nu/jump."""
     half = 0.5 * datum.jump
-    arg = half * (np.asarray(x) - datum.x0 - s * t) / (2.0 * nu)
-    return s - half * np.tanh(arg)
+    arg = half * (np.asarray(x) - datum.x0) / (2.0 * nu)
+    return datum.shock_speed - half * np.tanh(arg)
 
 
 COURANT_SAFETY = 0.9   # the substep's advective Courant number is at most this

@@ -29,14 +29,16 @@ multiplies.  The covering estimate pairs a steady field with chi*grad(phi) and
 phi*grad(chi), neither the gradient of one test function: it shares only
 ``_support_box`` and ``_spatial_factors``.
 
-Dissipation is accessed exclusively through test functions, each paired by
-``pair_weak_mass``: testing the balance with a cutoff pair localizing a
-cylinder gives an upper estimate of the dissipation mass on that cylinder
-whenever the dissipation is non-negative.  The gap between the estimate and
-the true cylinder mass is the mass in the cutoff collar (radius delta to
-2*delta).  No balance has a boundary-flux term, so one margin rule, read from
-the stated supports of phi's factors, holds for every pairing (cutoffs too):
-each support leaves the two edge nodes of every axis free (``_check_margin``).
+Dissipation is accessed exclusively through test functions, each paired by the
+kernel (``pair_weak_mass`` is its public form; ``holder_cylinder_bound`` and
+``boundary_extended_mass`` call ``_pairing`` directly): testing the balance
+with a cutoff pair localizing a cylinder gives an upper estimate of the
+dissipation mass on that cylinder whenever the dissipation is non-negative.
+The gap between the estimate and the true cylinder mass is the mass in the
+cutoff collar (radius delta to 2*delta).  No balance has a boundary-flux term,
+so one margin rule, read from the stated supports of phi's factors, holds for
+every pairing (cutoffs too): each support leaves the two edge nodes of every
+axis free (``_check_margin``).
 
 The Hoelder bounds are computed with the same discrete weights as the weak
 masses, so the dominance ``weak_mass <= holder_bound`` is an exact discrete
@@ -59,7 +61,7 @@ import numpy as np
 from .aniso_measure import in_ball, open_ball, scale_power, squared_norm
 from .cutoffs import CutoffPair, SpatialBump, SpaceTimeTestFunction
 from .errors import VerificationError
-from .exponents import _conj
+from .exponents import IntegrabilityClass, _conj
 from .fields import GriddedField, centered_difference, component_dot, row_releaser
 
 __all__ = [
@@ -551,15 +553,11 @@ def holder_cylinder_bound(field: GriddedField, cutoff: CutoffPair, q, r,
     every component (Burgers' u_0^3/3), so that term II is Q * sum_i d_i chi;
     ``local_norms["sum_grad_chi"]`` records that norm.  The norms are taken
     on the window and the cylinder masks that the weak mass's pairing returns.
+    (q, r) is an ``exponents.IntegrabilityClass`` at the field's d, or RegimeError.
     """
-    for name, value in (("q", q), ("r", r)):
-        if not value >= 3:
-            raise ValueError(f"{name} must satisfy {name} >= 3, got {value!r}")
+    cls = IntegrabilityClass(field.d, q, r)
     # a Fraction would turn every norm into object-dtype arithmetic
-    try:
-        q, r = float(q), float(r)
-    except OverflowError:
-        raise ValueError(f"q and r must fit a float64, got q={q!r}, r={r!r}") from None
+    q, r = float(cls.q), float(cls.r)
     pair = _default_pair(field, pair)
     if pair.eta_quad_coeff is None or pair.q_cubic_coeff is None:
         raise ValueError(f"pair {pair.label!r} lacks the growth coefficients for a bound")

@@ -349,7 +349,7 @@ def _criterion7_fixtures():
     out["uniform square"] = (square, 2.0, scales, center)
 
     dirac = am.AtomicMeasure([[0.5, 0.5]], [1.0])
-    out["dirac"] = (dirac, 0.0, scales, None)
+    out["dirac"] = (dirac, 0.0, scales, dirac.support_points())
 
     shock = fx.burgers_dissipation_measure(STANDING, 1.0, 4096)
     dt = 1.0 / 4096

@@ -283,7 +283,7 @@ class TestDensityLadder:
 
     def test_dirac_at_s0(self):
         mu = AtomicMeasure([[0.25, 0.25]], [2.5])
-        lad = am.density_ladder(mu, 1.0, 0.0, [0.2, 0.1, 0.05, 0.025])
+        lad = am.density_ladder(mu, 1.0, 0.0, [0.2, 0.1, 0.05, 0.025], centers=mu.support_points())
         assert lad.densities == pytest.approx([2.5] * 4)
 
     def test_shock_measure_density(self):
@@ -300,28 +300,28 @@ class TestDensityLadder:
         rng = np.random.default_rng(5)
         pts = np.column_stack([rng.random((200, 1)), rng.random(200)])
         mu = AtomicMeasure(pts, rng.random(200))
-        lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1])
+        lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], centers=mu.support_points())
         assert max(lad.densities) <= mu.total_mass
 
     def test_validation(self):
         mu = AtomicMeasure([[0.0, 0.0]], [1.0])
         for s in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
-                am.density_ladder(mu, 1.0, s, [0.4, 0.2, 0.1])
+                am.density_ladder(mu, 1.0, s, [0.4, 0.2, 0.1], centers=mu.support_points())
         # delta**s underflows to 0 (s = 400) or overflows (s = 1e6, delta = 2)
         for s, scales in ((400.0, [0.125, 0.0625, 0.03125]), (1e6, [2.0, 1.0, 0.5])):
             with pytest.raises(ValueError, match="float range"):
-                am.density_ladder(mu, 1.0, s, scales)
+                am.density_ladder(mu, 1.0, s, scales, centers=mu.support_points())
         with pytest.raises(ValueError, match="finite"):
             am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], centers=[[math.nan, 0.0]])
         empty = AtomicMeasure(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
-            am.density_ladder(empty, 1.0, 1.0, [0.4, 0.2, 0.1])
+            am.density_ladder(empty, 1.0, 1.0, [0.4, 0.2, 0.1], centers=empty.support_points())
 
     def test_nan_scale_rejected(self):
         mu = AtomicMeasure([[0.0, 0.0]], [1.0])
         with pytest.raises(ValueError, match="positive"):
-            am.density_ladder(mu, 1.0, 0.0, [math.nan, 0.5, 0.25])
+            am.density_ladder(mu, 1.0, 0.0, [math.nan, 0.5, 0.25], centers=mu.support_points())
 
     def test_sup_masses_are_the_measured_maxima(self):
         # not rebuilt as density * delta**s, which can differ in the last bit
@@ -331,7 +331,7 @@ class TestDensityLadder:
             mu = AtomicMeasure(pts, rng.random(50))
             s = rng.uniform(0.1, 2.0)
             scales = np.sort(rng.uniform(0.01, 0.5, 5))[::-1].tolist()
-            lad = am.density_ladder(mu, 1.0, s, scales)
+            lad = am.density_ladder(mu, 1.0, s, scales, centers=mu.support_points())
             want = am._masses(mu, mu.support_points(), scales, 1.0).max(axis=1)
             assert lad.sup_masses == tuple(want.tolist())
 
@@ -340,10 +340,18 @@ class TestDensityLadder:
         # delta**2 = inf is a valid radius: every atom lies inside
         rng = np.random.default_rng(d)
         mu = AtomicMeasure(np.column_stack([rng.random((50, d)), rng.random(50)]), rng.random(50))
-        lad = am.density_ladder(mu, 1.0, 0.0, [1e300, 1e299, 1e298])
+        lad = am.density_ladder(mu, 1.0, 0.0, [1e300, 1e299, 1e298], centers=mu.support_points())
         assert lad.densities == pytest.approx([mu.total_mass] * 3, rel=1e-12)
         cyl = Cylinder((0.0,) * d + (0.0,), 1e300, 1.0)
         assert am.cylinder_mass(mu, cyl) == pytest.approx(mu.total_mass, rel=1e-12)
+
+    def test_fewer_than_three_positive_scales_fit_no_slope(self):
+        # a center 0.3 off the one atom: only the 0.4 cylinder holds it
+        mu = AtomicMeasure([[0.0, 0.0]], [1.0])
+        lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], centers=[[0.3, 0.0]])
+        assert lad.sup_masses == (1.0, 0.0, 0.0)
+        assert math.isnan(lad.fitted_slope) and math.isnan(lad.fit_residual)
+        assert am.certify_lower_bound(lad) == (0.0, "inconclusive")
 
 
 def ladder_scales(base_count, unit):
@@ -364,7 +372,8 @@ class TestCertifyLowerBound:
 
     def test_dirac(self):
         mu = AtomicMeasure([[0.5, 0.5]], [1.0])
-        lad = am.density_ladder(mu, 1.0, 0.0, ladder_scales(8, 1.0 / 1024))
+        lad = am.density_ladder(mu, 1.0, 0.0, ladder_scales(8, 1.0 / 1024),
+                                centers=mu.support_points())
         certified, verdict = am.certify_lower_bound(lad)
         assert verdict == "certified"
         assert certified == pytest.approx(0.0, abs=0.15)
@@ -407,7 +416,7 @@ class TestCertifyLowerBound:
 
     def test_inconclusive_on_short_ladder(self):
         mu = AtomicMeasure([[0.5, 0.5]], [1.0])
-        lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1])
+        lad = am.density_ladder(mu, 1.0, 0.0, [0.4, 0.2, 0.1], centers=mu.support_points())
         noisy = am.DensityLadder(
             s=0.0, scales=lad.scales, densities=(1.0, 0.0, 0.0),
             sup_masses=(1.0, 0.0, 0.0),

@@ -286,23 +286,25 @@ class TestLatticeRange:
         # the ladder of a d >= 2 measure takes the cell list
         mu = AtomicMeasure([[1e19, 0.0, 0.0]], [1.0])
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            am.density_ladder(mu, 1.0, 0.0, [1.0, 0.5, 0.25])
+            am.density_ladder(mu, 1.0, 0.0, [1.0, 0.5, 0.25], centers=mu.support_points())
 
     def test_an_overflowing_time_side(self):
         # 8**400 overflows a float64: no lattice has that time side, while the
         # time interval of a d = 1 cylinder then holds every finite atom
         with pytest.raises(ValueError, match="2\\*\\*53"):
             am.box_counting_dimension([[0.0, 1.0]], 400.0, [8.0, 4.0, 2.0])
+        mu = AtomicMeasure([[0.0, 0.0, 0.0]], [1.0])
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            am.density_ladder(AtomicMeasure([[0.0, 0.0, 0.0]], [1.0]), 400.0, 0.0,
-                              [8.0, 4.0, 2.0])
+            am.density_ladder(mu, 400.0, 0.0, [8.0, 4.0, 2.0], centers=mu.support_points())
         mu = AtomicMeasure([[0.0, 0.0], [0.5, 1e300]], [1.0, 2.0])
-        assert am.density_ladder(mu, 400.0, 0.0, [8.0, 4.0, 2.0]).densities == (3.0, 2.0, 2.0)
+        ladder = am.density_ladder(mu, 400.0, 0.0, [8.0, 4.0, 2.0], centers=mu.support_points())
+        assert ladder.densities == (3.0, 2.0, 2.0)
 
     def test_sweep_needs_no_lattice(self):
         # 1e19 + 2048 is the next float after 1e19
         mu = AtomicMeasure([[1e19, 0.0], [1e19 + 2048.0, 0.0], [-1e19, 0.0]], [1.0, 2.0, 0.5])
-        ladder = am.density_ladder(mu, 1.0, 0.0, [4096.0, 1024.0, 1.0])
+        ladder = am.density_ladder(mu, 1.0, 0.0, [4096.0, 1024.0, 1.0],
+                                   centers=mu.support_points())
         assert ladder.densities == (3.0, 2.0, 2.0)
 
     def test_largest_exact_cells_still_count(self):
@@ -330,7 +332,8 @@ class TestSquaresThatOverflow:
 
     def test_the_d1_sweep(self):
         mu = AtomicMeasure(self.FAR, np.ones(4))
-        assert am.density_ladder(mu, 1.0, 0.0, self.SCALES).densities == (2.0, 2.0, 1.0)
+        ladder = am.density_ladder(mu, 1.0, 0.0, self.SCALES, centers=mu.support_points())
+        assert ladder.densities == (2.0, 2.0, 1.0)
 
     def test_the_d2_cell_list(self):
         pts = np.insert(np.array(self.FAR), 1, 1e150, axis=1)   # a second axis, well inside

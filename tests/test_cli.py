@@ -88,6 +88,16 @@ class TestExponentsCommand:
         assert code == 2
         assert "error" in data
 
+    def test_a_failed_balance_exits_3(self, monkeypatch, capsys):
+        # euler_optimal checks that its two terms agree at the alpha it chose
+        monkeypatch.setattr(cli.ex, "_euler_terms", lambda d, q, r, alpha: [
+            ("time_cutoff", 1.0), ("transport_flux", 2.0)])
+        code, out = run_cli(["exponents", "--regime", "euler", "--d", "3"], capsys)
+        assert code == 3
+        assert json.loads(out) == {"schema": "dissdim/1", "error": {
+            "type": "VerificationError",
+            "message": "min-terms failed to balance at alpha_opt: 1.0 vs 2.0"}}
+
     def test_float_terms_balance_within_rounding(self, capsys):
         # at alpha_opt = 1.75 the two float terms differ in their last bit,
         # which the balance check accepts as equal up to its relative tolerance
@@ -691,6 +701,29 @@ class TestFixtureCommands:
 
 VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "--b", "0.3"]
 
+EULER = ("exponents", "--regime", "euler", "--d", "3")
+Q_NAN = ("RegimeError", "q must be a real number or +inf, got nan")
+R_NAN = ("RegimeError", "r must be a real number or +inf, got nan")
+ALPHA_NAN = ("RegimeError", "alpha must be positive and finite, got nan")
+
+# the error object of an argv: a nan is refused by the check that owns its
+# flag, and the parser refuses every spelling of inf and nan but three each
+OUT_OF_RANGE_ERRORS = {
+    EULER + ("--q", "nan"): Q_NAN,
+    EULER + ("--r", "NaN"): R_NAN,
+    EULER + ("--q", "3", "--alpha", "NAN"): ALPHA_NAN,
+    ("exponents", "--regime", "ns", "--d", "3", "--alpha", "nan"): ALPHA_NAN,
+    ("exponents", "--regime", "claw", "--d", "1", "--r", "nan"): R_NAN,
+    ("verify", "--q", "nan"): Q_NAN,
+    ("verify", "--r", "NAN"): R_NAN,
+    EULER + ("--q", "Nan"): ("CliError", "cannot parse number 'Nan': invalid literal for int()"
+                                         " with base 10: 'Nan'"),
+    EULER + ("--q", "infinity"): ("CliError", "cannot parse number 'infinity': invalid literal"
+                                              " for int() with base 10: 'infinity'"),
+    EULER + ("--q=-inf",): ("CliError", "cannot parse number '-inf': invalid literal for int()"
+                                        " with base 10: '-inf'"),
+}
+
 
 @pytest.mark.parametrize("argv", [
     ["burgers", "--ul", "1", "--ur", "-1", "--nx", "1", "--field-out", os.devnull],
@@ -775,18 +808,33 @@ VFIELD = ["vfield", "--nu", "0.01", "--ul", "1", "--ur", "-1", "--a", "-0.3", "-
      "--T", "5e-324", "--nt", "3"],
     # a measure atom past the float range: x0 + speed * t overflows by t = T
     ["burgers", "--ul", "1e100", "--ur", "9e99", "--T", "1e300", "--measure-out", os.devnull],
+    *map(list, OUT_OF_RANGE_ERRORS),
 ])
 def test_out_of_range_arguments_exit_2(argv, shock_files, capsys):
     field_path, measure_path = shock_files
+    expected = OUT_OF_RANGE_ERRORS.get(tuple(argv))
     if argv[0] in ("verify", "dimension"):
         argv = argv + ["--input", field_path if argv[0] == "verify" else measure_path]
     code, data = run_json(argv, capsys)
     assert code == 2
     assert data["schema"] == "dissdim/1"
-    if argv[0] == "exponents":
+    if expected is not None:
+        assert data["error"] == {"type": expected[0], "message": expected[1]}
+    elif argv[0] == "exponents" or argv[:2] in (["verify", "--q"], ["verify", "--r"]):
         assert data["error"]["type"] == "RegimeError"
     else:
         assert data["error"]["type"] in ("ValueError", "CliError")
+
+
+@pytest.mark.parametrize("flag, value", [("--q", "2"), ("--r", "2.5"), ("--q", "-1"),
+                                         ("--q", "nan"), ("--r", "NaN"),
+                                         ("--q", "1" + "0" * 400), ("--r", "1e400")])
+def test_verify_refuses_a_class_as_exponents_does(flag, value, shock_files, capsys):
+    # one (q, r) rule: verify prints the error object that exponents prints
+    _, refused = run_json(["exponents", "--regime", "euler", "--d", "1", flag, value], capsys)
+    code, data = run_json(["verify", "--input", shock_files[0], flag, value], capsys)
+    assert code == 2
+    assert data == refused and data["error"]["type"] == "RegimeError"
 
 
 

@@ -147,6 +147,17 @@ class TestCutoffPair:
 
 
 class TestProfiles:
+    def test_an_unknown_taper_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown taper profile 'x'; choose from "
+                                             r"\['cubic', 'quintic'\]$"):
+            co.taper_profile("x")
+
+    @pytest.mark.parametrize("lo, hi, ramp", [(0.5, 0.4, 0.1), (0.0, 1.0, 0.0),
+                                              (0.0, 1.0, -0.1), (0.0, 1.0, math.nan)])
+    def test_a_plateau_needs_hi_at_least_lo_and_a_positive_ramp(self, lo, hi, ramp):
+        with pytest.raises(ValueError, match=r"^need hi >= lo and ramp > 0$"):
+            co.PlateauProfile(lo, hi, ramp)
+
     def test_a_ramp_whose_square_overflows(self):
         # ramp**2 is inf, not OverflowError: the second derivative is 0
         assert co.PlateauProfile(0, 1, 1e200).second(0.5) == 0.0

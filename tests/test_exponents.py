@@ -48,6 +48,12 @@ class TestEulerExponent:
         with pytest.raises(ex.RegimeError, match="real number or \\+inf, got nan"):
             ex.IntegrabilityClass(3, math.nan, INF)
 
+    def test_a_nan_of_any_number_type_is_refused(self):
+        import numpy as np   # numpy's float32 is not a float subclass
+        with pytest.raises(ex.RegimeError, match=r"^r must be a real number or \+inf, got "
+                                                 r"np.float32\(nan\)$"):
+            ex.IntegrabilityClass(3, INF, np.float32("nan"))
+
     def test_vacuous_flag_not_error(self):
         rep = ex.euler_exponent(ex.IntegrabilityClass(2, 3, 3), F(1, 100))
         assert rep.s < 0

@@ -13,6 +13,10 @@ from dissdim.aniso_measure import Cylinder
 
 
 class TestPowerLaw:
+    def test_needs_d_at_least_2(self):
+        with pytest.raises(ValueError, match=r"^need integer d >= 2, got 1$"):
+            fx.PowerLawField(1, 0.5)
+
     def test_known_values(self):
         f2 = fx.PowerLawField(2, 1.0)
         assert fx.power_law_ball_mass(f2, 1.0) == pytest.approx(2 * math.pi, rel=1e-6)
@@ -171,6 +175,17 @@ class TestDissipationMeasure:
 
 
 class TestViscousRuns:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bc": "x"}, "unknown bc 'x'"),
+        ({"initial": "x"}, "unknown initial profile 'x'"),
+        ({"initial_data": np.zeros(16)}, r"initial data must have shape \(17,\)"),
+        ({"initial_data": np.zeros((17, 1))}, r"initial data must have shape \(17,\)"),
+    ])
+    def test_refused_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fx.viscous_burgers_run(fx.RiemannDatum(1.0, -1.0), 0.1, -1.0, 1.0, 17, 0.1, 3,
+                                   **kwargs)
+
     def test_standing_shock_total(self, shock_runs):
         run = shock_runs(1e-3)
         assert 0.65 <= run.total_dissipation <= 0.69
@@ -375,6 +390,10 @@ class TestWeakConvergenceToShockMeasure:
 
 
 class TestTimeSingularFixture:
+    def test_needs_an_atom(self):
+        with pytest.raises(ValueError, match="^need at least one atom$"):
+            fx.time_singular_measure_fixture(2, 0)
+
     def test_shapes_and_mass(self):
         mu = fx.time_singular_measure_fixture(2, 1000, seed=3)
         assert mu.d == 2

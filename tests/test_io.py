@@ -256,6 +256,7 @@ class TestBodyCodec:
         (1, "0.0 0.0 1.0\n0.5 0.5 1.0\n", 3),   # one row more than n
         (2, "0.0 0.0 1.0\n0.5 0.5\n", 3),        # a short row
         (1, "0.0 0.0 x\n", 2),                    # a non-numeric entry
+        (1, "\n0.0 0.0 x\n", 3),                  # the blank line before it is counted
     ])
     def test_text_faults_name_the_line(self, tmp_path, n, body, line):
         path = tmp_path / "m"
@@ -898,7 +899,7 @@ class TestBinaryBody:
 class TestReportCsv:
     def test_header_then_one_line_per_row(self):
         mu = fx.burgers_dissipation_measure(fx.RiemannDatum(1.0, -1.0), 1.0, 512)
-        lad = am.density_ladder(mu, 1.0, 1.0, [0.1, 0.05, 0.025])
+        lad = am.density_ladder(mu, 1.0, 1.0, [0.1, 0.05, 0.025], centers=mu.support_points())
         text = dio.report_csv(["delta", "density"], zip(lad.scales, lad.densities))
         lines = text.split("\n")
         assert lines[0] == "delta,density"

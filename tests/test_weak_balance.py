@@ -13,6 +13,7 @@ from dissdim import io as dio
 from dissdim import weak_balance as wb
 from dissdim.cli import main
 from dissdim.errors import VerificationError
+from dissdim.exponents import RegimeError
 from dissdim.fields import GriddedField
 
 INF = math.inf
@@ -256,16 +257,24 @@ class TestHolderBound:
                 pytest.raises(VerificationError, match="non-finite"):
             wb.holder_cylinder_bound(field, cut, INF, INF, pair=wb.BURGERS_PAIR)
 
-    def test_rejects_small_exponents(self, shock_field):
+    def test_a_pair_without_growth_coefficients_has_no_bound(self, shock_field):
         cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pair 'passive_scalar' lacks the growth "
+                                             "coefficients for a bound$"):
+            wb.holder_cylinder_bound(shock_field, cut, INF, INF, pair=wb.PASSIVE_SCALAR_PAIR)
+
+    def test_rejects_small_exponents(self, shock_field):
+        # the (q, r) rule of exponents.IntegrabilityClass, with its words
+        cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
+        with pytest.raises(RegimeError, match=r"^q must satisfy 3 <= q <= inf, got 2.5$"):
             wb.holder_cylinder_bound(shock_field, cut, 2.5, INF, pair=wb.BURGERS_PAIR)
 
     @pytest.mark.parametrize("q, r", [(math.nan, INF), (INF, math.nan), (math.nan, math.nan)])
     def test_rejects_nan_exponents(self, shock_field, q, r):
         # a bad argument, not a failed dominance check (VerificationError)
         cut = co.CutoffPair.build((0.0, 0.5), 0.1, 1.0)
-        with pytest.raises(ValueError, match=">= 3"):
+        name = "q" if math.isnan(q) else "r"
+        with pytest.raises(RegimeError, match=rf"^{name} must be a real number or \+inf, got nan$"):
             wb.holder_cylinder_bound(shock_field, cut, q, r, pair=wb.BURGERS_PAIR)
 
     def test_dominance_across_exponents(self, shock_field):
@@ -722,6 +731,12 @@ class TestSignedSupport:
         assert max(pairings) == pytest.approx(min(pairings), rel=0.01)
         assert firsts[-1] <= max(firsts[0], 1e-12)
         assert max(seconds) < 4 * pairings[0]
+
+    def test_an_empty_covering_is_refused(self, power_law_grid):
+        _, v = power_law_grid
+        phi = co.SpatialTestFunction([co.PlateauProfile(-0.3, 0.3, 0.3)] * 2)
+        with pytest.raises(ValueError, match="^need at least one covering ball$"):
+            wb.signed_support_bound(v, [], phi, 2.0)
 
     def test_rejects_small_r(self, power_law_grid):
         _, v = power_law_grid

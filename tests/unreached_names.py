@@ -16,8 +16,10 @@ reason ``ALLOWED`` gives it, or as not listed.  A name may stay unreached for
 one of two reasons: an open ROADMAP item, named by its title, will route it
 to a user (or delete it), or it is a test oracle, an exact reference that
 the tests check the measured code against.  ``ALLOWED`` entries that the
-walk now reaches, or that no longer exist, are printed as stale.  Exit
-status: 0 when every unreached name is listed, 4 when some is not.
+walk now reaches, or that no longer exist, are printed as stale.  The
+summary line counts the unreached names and the lines their definitions
+span (``end_lineno - lineno + 1`` each).  Exit status: 0 when every
+unreached name is listed, 4 when some is not.
 """
 
 import ast
@@ -44,9 +46,6 @@ ALLOWED = {
     "fixtures.power_law_ball_mass": TEST_ORACLE,
     "fixtures.power_law_vector_field": TEST_ORACLE,
     "fixtures.burgers_smooth_solution": TEST_ORACLE,
-    "fixtures.SMOOTH_AMPLITUDE": TEST_ORACLE,
-    "fixtures.SMOOTH_WAVENUMBER": TEST_ORACLE,
-    "fixtures.SMOOTH_NEWTON_STEPS": TEST_ORACLE,
     "fixtures.constant_field": TEST_ORACLE,
     "fixtures.grid_measure": TEST_ORACLE,
     "fixtures.time_singular_measure_fixture": TEST_ORACLE,
@@ -96,9 +95,9 @@ def mentioned(node: ast.AST) -> set:
     return names
 
 
-def unreached() -> list:
+def unreached() -> dict:
     """Each module-level name of ``src/dissdim`` that the walk cannot reach,
-    as ``module.name``."""
+    as ``module.name``, in order, with the lines its definition spans."""
     places = {}   # name -> the definitions of that name, one per module
     for path in sorted(PACKAGE.glob("*.py")):
         for name, node in definitions(ast.parse(path.read_text(encoding="utf-8"))).items():
@@ -113,8 +112,9 @@ def unreached() -> list:
         seen.add(name)
         for _, node in places.get(name, ()):
             todo |= mentioned(node) - seen
-    return sorted(f"{module}.{name}" for name, where in places.items()
-                  if name not in seen for module, _ in where)
+    return dict(sorted((f"{module}.{name}", node.end_lineno - node.lineno + 1)
+                       for name, where in places.items() if name not in seen
+                       for module, node in where))
 
 
 def main() -> int:
@@ -124,8 +124,9 @@ def main() -> int:
         print(f"{name}: {ALLOWED.get(name, 'NOT LISTED: route it to a user, or delete it')}")
     for name in sorted(set(ALLOWED) - set(names)):
         print(f"{name}: stale entry, reached or no longer defined")
-    print(f"{len(names)} module-level names of src/dissdim are unreached from the CLI and "
-          f"the benchmark; {len(unlisted)} of them not listed")
+    print(f"{len(names)} module-level names of src/dissdim, whose definitions span "
+          f"{sum(names.values())} lines, are unreached from the CLI and the benchmark; "
+          f"{len(unlisted)} of them not listed")
     return 4 if unlisted else 0
 
 
